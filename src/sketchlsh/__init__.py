@@ -27,7 +27,7 @@ from .sketch import (
     TopkapiSketch,
     exact_counter,
 )
-from .index import NodeIndex, preprocess
+from .index import IndexFileError, NodeIndex, preprocess
 from .cluster import (
     ReduceStats,
     ReductionSchedule,
@@ -64,6 +64,7 @@ __all__ = [
     "EmptyVectorError",
     "HashFamily",
     "HeavyHitterSet",
+    "IndexFileError",
     "InfeasibleParamsError",
     "InvalidVectorError",
     "LshConfig",

@@ -346,32 +346,21 @@ def allgather(transport: Transport, payload: bytes, batch_id: int = 0) -> list[b
     return list(out)  # type: ignore[return-value]
 
 
-def _encode_sketches(sketches: Sequence[TopkapiSketch]) -> bytes:
-    return b"".join(s.to_bytes() for s in sketches)
-
-
-def _decode_sketches(payload: bytes, expected: int) -> list[TopkapiSketch]:
-    out = []
-    off = 0
-    for _ in range(expected):
-        s, off = TopkapiSketch.from_bytes(payload, off)
-        out.append(s)
-    if off != len(payload):
+def _decode_sketches(payload: bytes, expected: int) -> TopkapiSketch:
+    stack, end = TopkapiSketch.from_bytes(payload, members=expected)
+    if end != len(payload):
         raise CollectiveError("trailing bytes after sketch payload")
-    return out
+    return stack
 
 
-def _merge_sketch_lists(
-    local: list[TopkapiSketch], received: list[TopkapiSketch]
-) -> list[TopkapiSketch]:
+def _merge_sketch_stacks(local: TopkapiSketch, received: TopkapiSketch) -> TopkapiSketch:
     if len(local) != len(received):
         raise CollectiveError(
             f"sketch count mismatch: {len(local)} local vs {len(received)} received"
         )
-    for a, b in zip(local, received):
-        if not a.same_shape(b):
-            raise ShapeMismatchError("received sketch shape differs from local shape")
-    return [a.merge(b) for a, b in zip(local, received)]
+    if not local.same_shape(received):
+        raise ShapeMismatchError("received sketch shape differs from local shape")
+    return local.merge(received)
 
 
 def tree_reduce_sketches(
@@ -382,18 +371,22 @@ def tree_reduce_sketches(
 ) -> list[TopkapiSketch] | None:
     """Pairwise tree merge of per-query sketches; rank 0 gets the result.
 
+    ``sketches`` is a list of sketches or a stack. They travel and merge as
+    one stack: one encode per send, one decode and one merge per receive.
     Each rank performs at most ceil(log2(m)) merge rounds and one send, so
     per-rank communication is O(log m * sketch size * #queries).
     """
-    return _tree_reduce(
+    stack = TopkapiSketch.stack(sketches)
+    out = _tree_reduce(
         transport,
-        list(sketches),
-        merge=_merge_sketch_lists,
-        encode=_encode_sketches,
-        decode=lambda payload: _decode_sketches(payload, len(sketches)),
+        stack,
+        merge=_merge_sketch_stacks,
+        encode=lambda s: s.to_bytes(),
+        decode=lambda payload: _decode_sketches(payload, len(stack)),
         batch_id=batch_id,
         stats=stats,
     )
+    return None if out is None else list(out)
 
 
 def linear_reduce_sketches(
@@ -403,15 +396,17 @@ def linear_reduce_sketches(
     stats: ReduceStats | None = None,
 ) -> list[TopkapiSketch] | None:
     """Baseline: rank 0 receives from every rank in order, merging serially."""
-    return _linear_reduce(
+    stack = TopkapiSketch.stack(sketches)
+    out = _linear_reduce(
         transport,
-        list(sketches),
-        merge=_merge_sketch_lists,
-        encode=_encode_sketches,
-        decode=lambda payload: _decode_sketches(payload, len(sketches)),
+        stack,
+        merge=_merge_sketch_stacks,
+        encode=lambda s: s.to_bytes(),
+        decode=lambda payload: _decode_sketches(payload, len(stack)),
         batch_id=batch_id,
         stats=stats,
     )
+    return None if out is None else list(out)
 
 
 def _encode_count_maps(maps: Sequence[dict[int, int]]) -> bytes:

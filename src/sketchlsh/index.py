@@ -12,6 +12,11 @@ sketch state that incremental per-insert updates would have produced, while
 keeping the resident footprint near the raw data size even when the address
 space is much larger than the partition. The same storage serves the exact
 (sketch-free) aggregation mode directly.
+
+Probes work on a whole query batch: per table, every bucket the batch
+addresses is built in one stacked sketch insert, and the table is folded
+into the batch's stack of merged sketches with one merge. Saving builds the
+bucket sketches the same way, a bounded chunk of buckets at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +40,15 @@ from .sketch import TopkapiSketch, row_seeds_from_master
 _INDEX_MAGIC = 0x58494C53  # "SLIX"
 _INDEX_VERSION = 1
 _BUCKET_SECTION = b"XBKT"
+_HEADER = struct.Struct("<IIQIIQ")
+_U64 = struct.Struct("<Q")
+_COUNTS = struct.Struct("<QQ")
+# Buckets per stacked sketch build in save; bounds the stack's memory.
+_SAVE_CHUNK = 512
+
+
+class IndexFileError(SketchLshError):
+    """A saved index file is truncated or malformed."""
 
 
 @dataclass(frozen=True)
@@ -59,6 +73,16 @@ class _TableBuckets:
             uniq = np.empty(0, dtype=np.uint64)
             offsets = np.zeros(1, dtype=np.int64)
         return cls(addrs=uniq, offsets=offsets, ids=sorted_ids)
+
+    def streams(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Id streams of the buckets at positions ``pos``, back to back, and
+        for each id the index into ``pos`` of the bucket it belongs to."""
+        starts = self.offsets[pos]
+        lengths = self.offsets[pos + 1] - starts
+        slots = np.repeat(np.arange(pos.size), lengths)
+        first = np.cumsum(lengths) - lengths  # where each stream starts in the output
+        take = np.arange(int(lengths.sum())) + (starts - first)[slots]
+        return self.ids[take], slots
 
     def bucket(self, addr: int) -> np.ndarray:
         pos = np.searchsorted(self.addrs, np.uint64(addr))
@@ -97,8 +121,11 @@ class NodeIndex:
 
     # -- probing -----------------------------------------------------------------
 
-    def empty_sketch(self) -> TopkapiSketch:
-        return TopkapiSketch(self.config.sketch_rows, self.config.sketch_cols, self.row_seeds)
+    def empty_sketch(self, members: int | None = None) -> TopkapiSketch:
+        """An empty sketch, or with ``members=n`` an empty stack of n."""
+        return TopkapiSketch(
+            self.config.sketch_rows, self.config.sketch_cols, self.row_seeds, members
+        )
 
     def sketch_at(self, table: int, addr: int) -> TopkapiSketch:
         """The bucket sketch at (table, addr); empty sketch if unoccupied."""
@@ -109,27 +136,38 @@ class NodeIndex:
         return s
 
     def local_candidates(self, addresses: np.ndarray) -> TopkapiSketch:
-        """Merge of this node's addressed bucket sketches for one query.
+        """Merges of this node's addressed bucket sketches for a query batch.
 
-        Folds tables left to right; empty buckets contribute the identity.
-        No distance computation is involved anywhere on this path.
+        ``addresses`` is the batch's (n, L) address matrix; the result is an
+        (n, W, B) stack whose member q merges query q's buckets. A single
+        (L,) row gives a single sketch. Per table, every addressed bucket is
+        built in one stacked insert and the table is folded into the stack
+        with one merge. Tables fold left to right (the merge rule is not
+        associative); empty buckets contribute the identity. No distance
+        computation is involved anywhere on this path.
         """
         addresses = np.asarray(addresses, dtype=np.uint64)
-        if addresses.shape != (self.config.num_tables,):
+        num_tables = self.config.num_tables
+        if addresses.ndim not in (1, 2) or addresses.shape[-1] != num_tables:
             raise ConfigError(
-                f"expected {self.config.num_tables} addresses, got {addresses.shape}"
+                f"expected {num_tables} addresses per query, got {addresses.shape}"
             )
         if addresses.size and int(addresses.max()) >= self.config.table_range:
             raise ConfigError("address out of table range")
-        merged = self.empty_sketch()
-        for t in range(self.config.num_tables):
-            ids = self.tables[t].bucket(int(addresses[t]))
-            if ids.size == 0:
+        batch = addresses.reshape(-1, num_tables)
+        merged = self.empty_sketch(len(batch))
+        for t, tb in enumerate(self.tables):
+            if tb.occupied == 0:
                 continue  # identity contribution
-            s = self.empty_sketch()
-            s.insert_many(ids)
-            merged = merged.merge(s)
-        return merged
+            pos = np.searchsorted(tb.addrs, batch[:, t])
+            hit = tb.addrs[np.minimum(pos, tb.occupied - 1)] == batch[:, t]
+            if not hit.any():
+                continue
+            items, slots = tb.streams(pos[hit])
+            table = self.empty_sketch(len(batch))
+            table.insert_many(items, np.flatnonzero(hit)[slots])
+            merged = merged.merge(table)
+        return merged if addresses.ndim == 2 else merged[0]
 
     def exact_candidates(self, addresses: np.ndarray) -> dict[int, int]:
         """Exact per-id occurrence counts over the addressed buckets."""
@@ -164,8 +202,7 @@ class NodeIndex:
         """
         with open(path, "wb") as f:
             f.write(
-                struct.pack(
-                    "<IIQIIQ",
+                _HEADER.pack(
                     _INDEX_MAGIC,
                     _INDEX_VERSION,
                     self.config.fingerprint(),
@@ -174,72 +211,99 @@ class NodeIndex:
                     self.vector_count,
                 )
             )
-            for t in range(self.config.num_tables):
-                tb = self.tables[t]
-                f.write(struct.pack("<Q", tb.occupied))
-                for pos in range(tb.occupied):
-                    addr = int(tb.addrs[pos])
-                    f.write(struct.pack("<Q", addr))
-                    f.write(self.sketch_at(t, addr).to_bytes())
+            for tb in self.tables:
+                f.write(_U64.pack(tb.occupied))
+                for lo in range(0, tb.occupied, _SAVE_CHUNK):
+                    pos = np.arange(lo, min(lo + _SAVE_CHUNK, tb.occupied))
+                    sketches = self.empty_sketch(pos.size)
+                    sketches.insert_many(*tb.streams(pos))
+                    records = np.frombuffer(sketches.to_bytes(), dtype=np.uint8)
+                    addrs = tb.addrs[pos].astype("<u8").view(np.uint8)
+                    f.write(np.hstack([addrs.reshape(pos.size, 8), records.reshape(pos.size, -1)]))
             f.write(_BUCKET_SECTION)
             for tb in self.tables:
-                f.write(struct.pack("<QQ", tb.addrs.size, tb.ids.size))
+                f.write(_COUNTS.pack(tb.addrs.size, tb.ids.size))
                 f.write(tb.addrs.astype("<u8").tobytes())
                 f.write(tb.offsets.astype("<i8").tobytes())
                 f.write(tb.ids.astype("<u8").tobytes())
 
     @classmethod
     def load(cls, path, config: LshConfig) -> "NodeIndex":
-        """Reload a saved index; the caller supplies the deployment config."""
+        """Reload a saved index; the caller supplies the deployment config.
+
+        Every section and length is checked against the file before it is
+        read, so a truncated or malformed file raises :class:`IndexFileError`.
+        """
         with open(path, "rb") as f:
             data = f.read()
-        off = 0
-        magic, version, fp, node_id, num_tables, vector_count = struct.unpack_from(
-            "<IIQIIQ", data, off
+        reader = _Reader(data)
+        magic, version, fp, node_id, num_tables, vector_count = reader.unpack(
+            _HEADER, "header"
         )
-        off += struct.calcsize("<IIQIIQ")
         if magic != _INDEX_MAGIC:
-            raise SketchLshError("not an index file (bad magic)")
+            raise IndexFileError("not an index file (bad magic)")
         if version != _INDEX_VERSION:
-            raise SketchLshError(f"unsupported index version {version}")
+            raise IndexFileError(f"unsupported index version {version}")
         if fp != config.fingerprint():
             raise ConfigError("index was built under a different configuration")
         if num_tables != config.num_tables:
             raise ConfigError("table count mismatch against configuration")
-        # Skip (but bounds-check) the sketch section; buckets rebuild it exactly.
-        for _ in range(num_tables):
-            (n_occ,) = struct.unpack_from("<Q", data, off)
-            off += 8
-            for _ in range(n_occ):
-                off += 8  # address
-                (plen,) = struct.unpack_from("<I", data, off)
-                off += 4 + plen
-        if data[off : off + 4] != _BUCKET_SECTION:
-            raise SketchLshError("missing bucket section")
-        off += 4
+        # Skip the sketch section (buckets rebuild it exactly). Its records
+        # have one length per config, so one check per table covers them.
+        rows = config.sketch_rows
+        sketch_bytes = TopkapiSketch(rows, config.sketch_cols, np.zeros(rows)).to_bytes()
+        record = 8 + len(sketch_bytes)  # address, then the serialized sketch
+        prefix = np.frombuffer(sketch_bytes[:4], dtype=np.uint8)
+        for t in range(num_tables):
+            (n_occ,) = reader.unpack(_U64, f"sketch table {t}")
+            records = reader.array(np.uint8, n_occ * record, f"sketch table {t}")
+            if not np.array_equal(
+                records.reshape(n_occ, record)[:, 8:12], np.broadcast_to(prefix, (n_occ, 4))
+            ):
+                raise IndexFileError(f"bad sketch record length in table {t}")
+        if bytes(reader.array(np.uint8, 4, "bucket section tag")) != _BUCKET_SECTION:
+            raise IndexFileError("missing bucket section")
         tables = []
-        for _ in range(num_tables):
-            n_addr, n_ids = struct.unpack_from("<QQ", data, off)
-            off += 16
-            addrs = np.frombuffer(data, dtype="<u8", count=n_addr, offset=off).astype(
-                np.uint64
-            )
-            off += 8 * n_addr
-            offsets = np.frombuffer(
-                data, dtype="<i8", count=n_addr + 1, offset=off
-            ).astype(np.int64)
-            off += 8 * (n_addr + 1)
-            ids = np.frombuffer(data, dtype="<u8", count=n_ids, offset=off).astype(
-                np.uint64
-            )
-            off += 8 * n_ids
+        for t in range(num_tables):
+            what = f"bucket table {t}"
+            n_addr, n_ids = reader.unpack(_COUNTS, what)
+            addrs = reader.array("<u8", n_addr, what).astype(np.uint64)
+            offsets = reader.array("<i8", n_addr + 1, what).astype(np.int64)
+            ids = reader.array("<u8", n_ids, what).astype(np.uint64)
             tables.append(_TableBuckets(addrs=addrs, offsets=offsets, ids=ids))
+        if reader.off != len(data):
+            raise IndexFileError("trailing bytes after the bucket section")
         return cls(
             config=config,
             node_id=node_id,
             tables=tables,
             vector_count=vector_count,
         )
+
+
+class _Reader:
+    """Bounds-checked sequential reads from an index file's bytes."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.off = 0
+
+    def _take(self, nbytes: int, what: str) -> int:
+        if self.off + nbytes > len(self.data):
+            raise IndexFileError(
+                f"index file truncated in {what}: needs {nbytes} bytes at offset "
+                f"{self.off}, file has {len(self.data)}"
+            )
+        start = self.off
+        self.off += nbytes
+        return start
+
+    def unpack(self, fmt: struct.Struct, what: str) -> tuple:
+        return fmt.unpack_from(self.data, self._take(fmt.size, what))
+
+    def array(self, dtype, count: int, what: str) -> np.ndarray:
+        start = self._take(count * np.dtype(dtype).itemsize, what)
+        return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
 
 
 def _hash_chunk(family, pairs):

@@ -3,8 +3,9 @@
 The pipeline runs the same way on every rank. Each rank hashes its
 contiguous slice of the batch, the per-table addresses are allgathered so
 every rank knows every query's buckets, each rank merges its own addressed
-bucket sketches per query, and the per-node merged sketches are reduced to
-rank 0, which extracts the top-k candidates by estimated frequency.
+bucket sketches per query (one stack for the whole batch), and the per-node
+merged sketches are reduced to rank 0, which extracts the top-k candidates
+by estimated frequency.
 
 In the sketch modes the whole path performs zero similarity computations;
 an instrumentation counter guards that claim. The cosine metric below is
@@ -223,7 +224,7 @@ def query_batch(
     if mode == "exact":
         local_counts = [index.exact_candidates(all_addrs[q]) for q in range(n)]
     else:
-        local_sketches = [index.local_candidates(all_addrs[q]) for q in range(n)]
+        local_sketches = index.local_candidates(all_addrs)
     metrics.local_merge_s += time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -10,6 +10,11 @@ bucket aggregation across machines by pairwise merging instead of shipping
 bucket contents.
 
 Memory is fixed at construction: no insert ever grows the sketch.
+
+A sketch may carry a leading axis: a stack of n same-shape sketches that
+share one row-seed vector, held as (n, W, B) arrays. Merging is cell by
+cell, so it works on stacks as written, and a stack serializes to the
+concatenation of its members' records.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,12 +32,8 @@ from .core import NULL_ID, SketchLshError
 _TAG_ROW_SEEDS = 0x70FFA
 _NULL = np.uint64(NULL_ID)
 
-try:  # numba accelerates the per-item insert loop; the pure path is identical
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
+# Items per pass of the cell kernel; bounds its Python lists on long streams.
+_INSERT_CHUNK = 1 << 16
 
 
 class ShapeMismatchError(SketchLshError, ValueError):
@@ -47,44 +48,6 @@ def row_seeds_from_master(master_seed: int, rows: int) -> np.ndarray:
     index must share these seeds or merging is meaningless.
     """
     return seed_stream(master_seed, rows, tag=_TAG_ROW_SEEDS)
-
-
-def _insert_loop_py(ids, counts, items, bins):
-    n, rows = bins.shape
-    one = np.uint64(1)
-    for i in range(n):
-        x = items[i]
-        for r in range(rows):
-            b = bins[i, r]
-            if ids[r, b] == x:
-                counts[r, b] += one
-            elif counts[r, b] == 0:
-                ids[r, b] = x
-                counts[r, b] = one
-            else:
-                counts[r, b] -= one
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _insert_loop_nb(ids, counts, items, bins):  # pragma: no cover - jitted
-        n, rows = bins.shape
-        for i in range(n):
-            x = items[i]
-            for r in range(rows):
-                b = bins[i, r]
-                if ids[r, b] == x:
-                    counts[r, b] += 1
-                elif counts[r, b] == 0:
-                    ids[r, b] = x
-                    counts[r, b] = 1
-                else:
-                    counts[r, b] -= 1
-
-    _insert_loop = _insert_loop_nb
-else:  # pragma: no cover
-    _insert_loop = _insert_loop_py
 
 
 @dataclass(frozen=True)
@@ -106,33 +69,86 @@ class TopkapiSketch:
     Cells start as (null, 0); a zero counter means the cell's id slot is up
     for grabs. The grid never grows, so its memory footprint after any
     number of inserts equals the footprint at construction.
+
+    With ``members=n`` the object is a stack of n such grids, ``ids`` and
+    ``counts`` of shape (n, W, B). A stack is a sequence of sketches:
+    ``len`` gives n, and indexing gives members as views of the stack.
     """
 
     __slots__ = ("rows", "cols", "row_seeds", "ids", "counts")
 
-    def __init__(self, rows: int, cols: int, row_seeds: np.ndarray):
+    def __init__(
+        self, rows: int, cols: int, row_seeds: np.ndarray, members: int | None = None
+    ):
         if rows < 1 or cols < 1:
             raise ValueError("sketch shape must be at least 1x1")
         row_seeds = np.asarray(row_seeds, dtype=np.uint64)
         if row_seeds.shape != (rows,):
             raise ValueError(f"expected {rows} row seeds, got shape {row_seeds.shape}")
+        shape = (rows, cols) if members is None else (members, rows, cols)
         self.rows = rows
         self.cols = cols
         self.row_seeds = row_seeds
-        self.ids = np.full((rows, cols), _NULL, dtype=np.uint64)
-        self.counts = np.zeros((rows, cols), dtype=np.uint64)
+        self.ids = np.full(shape, _NULL, dtype=np.uint64)
+        self.counts = np.zeros(shape, dtype=np.uint64)
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def empty_like(cls, other: "TopkapiSketch") -> "TopkapiSketch":
-        return cls(other.rows, other.cols, other.row_seeds)
+        members = len(other) if other.is_stack else None
+        return cls(other.rows, other.cols, other.row_seeds, members)
 
     def copy(self) -> "TopkapiSketch":
         out = TopkapiSketch.empty_like(self)
         out.ids[:] = self.ids
         out.counts[:] = self.counts
         return out
+
+    def _with_cells(self, ids: np.ndarray, counts: np.ndarray) -> "TopkapiSketch":
+        """A sketch of this one's shape and seeds over the given cell arrays."""
+        out = TopkapiSketch.__new__(TopkapiSketch)
+        out.rows, out.cols, out.row_seeds = self.rows, self.cols, self.row_seeds
+        out.ids, out.counts = ids, counts
+        return out
+
+    @classmethod
+    def stack(cls, sketches: Sequence["TopkapiSketch"]) -> "TopkapiSketch":
+        """One stack holding copies of ``sketches`` (single, same-shape) in order."""
+        members = list(sketches)
+        if not members:
+            raise ValueError("cannot stack zero sketches")
+        first = members[0]
+        for s in members:
+            if s.is_stack or not first.same_shape(s):
+                raise ShapeMismatchError("stacked sketches must share shape and row seeds")
+        return first._with_cells(
+            np.stack([s.ids for s in members]), np.stack([s.counts for s in members])
+        )
+
+    # -- stacks ------------------------------------------------------------------
+
+    @property
+    def is_stack(self) -> bool:
+        return self.ids.ndim == 3
+
+    def __len__(self) -> int:
+        if not self.is_stack:
+            raise TypeError("a single sketch has no length; only stacks do")
+        return self.ids.shape[0]
+
+    def __getitem__(self, key) -> "TopkapiSketch":
+        """Member ``key`` of a stack as a view; a slice or index array gives a sub-stack."""
+        if not self.is_stack:
+            raise TypeError("a single sketch cannot be indexed; only stacks can")
+        return self._with_cells(self.ids[key], self.counts[key])
+
+    def __iter__(self):
+        return (self[q] for q in range(len(self)))
+
+    def __bool__(self) -> bool:
+        """Always true, like any object; a stack's member count is ``len``."""
+        return True
 
     # -- stream ingestion ------------------------------------------------------
 
@@ -142,28 +158,57 @@ class TopkapiSketch:
         return range_map(h, self.cols).astype(np.int64)
 
     def insert(self, item: int) -> None:
-        """Ingest one item id. Not internally synchronized."""
+        """Ingest one item id into a single sketch. Not internally synchronized."""
         self.insert_many(np.asarray([item], dtype=np.uint64))
 
-    def insert_many(self, items: np.ndarray) -> None:
+    def insert_many(self, items: np.ndarray, slots: np.ndarray | None = None) -> None:
         """Ingest a stream of item ids in order.
 
-        Equivalent to repeated :meth:`insert`; the batched form exists
-        because per-cell routing vectorizes while the cell updates must stay
-        sequential (the counter rule is order-sensitive).
+        On a stack, ``slots[i]`` names the member that receives ``items[i]``
+        (required there, rejected on a single sketch). Equivalent to
+        repeated :meth:`insert` into each member. Cells are independent, so
+        the routing of every (item, row) event to its cell vectorizes; the
+        counter rule is order-sensitive, so one plain-Python pass over the
+        touched cells, held as lists, applies it in stream order before one
+        scatter writes them back.
         """
         items = np.ascontiguousarray(items, dtype=np.uint64)
-        if items.size == 0:
-            return
-        bins = self._row_bins(items)
-        _insert_loop(self.ids, self.counts, items, bins)
+        if self.is_stack:
+            if slots is None:
+                raise ValueError("inserting into a stack needs one slot per item")
+            slots = np.asarray(slots, dtype=np.int64)
+            if slots.shape != items.shape:
+                raise ValueError(f"{items.size} items but slots of shape {slots.shape}")
+            if slots.size and (slots.min() < 0 or slots.max() >= len(self)):
+                raise ValueError(f"slot out of range for a stack of {len(self)}")
+        elif slots is not None:
+            raise ValueError("slots apply to stacks only")
+        cell_base = np.arange(self.rows, dtype=np.int64) * self.cols
+        for lo in range(0, items.size, _INSERT_CHUNK):
+            chunk = items[lo : lo + _INSERT_CHUNK]
+            cells = self._row_bins(chunk) + cell_base  # (chunk, rows), item-major
+            if slots is not None:
+                cells += slots[lo : lo + _INSERT_CHUNK, None] * (self.rows * self.cols)
+            touched, event_cell = np.unique(cells.ravel(), return_inverse=True)
+            ids = self.ids.flat[touched].tolist()
+            counts = self.counts.flat[touched].tolist()
+            for k, x in zip(event_cell.tolist(), np.repeat(chunk, self.rows).tolist()):
+                if ids[k] == x:
+                    counts[k] += 1
+                elif counts[k] == 0:
+                    ids[k] = x
+                    counts[k] = 1
+                else:
+                    counts[k] -= 1
+            self.ids.flat[touched] = np.array(ids, dtype=np.uint64)
+            self.counts.flat[touched] = np.array(counts, dtype=np.uint64)
 
     # -- merging ---------------------------------------------------------------
 
     def same_shape(self, other: "TopkapiSketch") -> bool:
+        """Same grid, same row seeds and, for stacks, the same member count."""
         return (
-            self.rows == other.rows
-            and self.cols == other.cols
+            self.ids.shape == other.ids.shape
             and np.array_equal(self.row_seeds, other.row_seeds)
         )
 
@@ -191,13 +236,11 @@ class TopkapiSketch:
         tie_ids = np.where(
             a_ids == _NULL, b_ids, np.where(b_ids == _NULL, a_ids, np.minimum(a_ids, b_ids))
         )
-        out = TopkapiSketch.empty_like(self)
-        out.ids[:] = np.where(same, a_ids, np.where(a_wins, a_ids, np.where(b_wins, b_ids, tie_ids)))
+        ids = np.where(same, a_ids, np.where(a_wins, a_ids, np.where(b_wins, b_ids, tie_ids)))
         with np.errstate(over="ignore"):
             summed = a_cnt + b_cnt
             diff = np.where(a_wins, a_cnt - b_cnt, b_cnt - a_cnt)
-        out.counts[:] = np.where(same, summed, diff)
-        return out
+        return self._with_cells(ids, np.where(same, summed, diff))
 
     # -- reporting ---------------------------------------------------------------
 
@@ -209,6 +252,8 @@ class TopkapiSketch:
         """
         if threshold < 0:
             raise ValueError("threshold must be >= 0")
+        if self.is_stack:
+            raise TypeError("heavy hitters are per sketch; index the stack first")
         mask = self.counts > np.uint64(threshold)
         best: dict[int, int] = {}
         for i, c in zip(self.ids[mask].tolist(), self.counts[mask].tolist()):
@@ -226,39 +271,49 @@ class TopkapiSketch:
 
         Layout: u32 payload length, then u32 rows, u32 cols, rows x u64 row
         seed, then rows*cols cells of (u64 id, u64 count) in row-major order.
+        A stack gives its members' records back to back.
         """
         header = struct.pack("<II", self.rows, self.cols) + self.row_seeds.astype(
             "<u8"
         ).tobytes()
-        cells = np.empty((self.rows, self.cols, 2), dtype="<u8")
-        cells[:, :, 0] = self.ids
-        cells[:, :, 1] = self.counts
-        payload = header + cells.tobytes()
-        return struct.pack("<I", len(payload)) + payload
+        payload_len = len(header) + 16 * self.rows * self.cols
+        prefix = np.frombuffer(struct.pack("<I", payload_len) + header, dtype=np.uint8)
+        cells = np.empty(self.ids.shape + (2,), dtype="<u8")
+        cells[..., 0] = self.ids
+        cells[..., 1] = self.counts
+        members = cells.reshape(-1, 2 * self.rows * self.cols).view(np.uint8)
+        head = np.broadcast_to(prefix, (members.shape[0], prefix.size))
+        return np.concatenate([head, members], axis=1).tobytes()
 
     @classmethod
-    def from_bytes(cls, buf: bytes, offset: int = 0) -> tuple["TopkapiSketch", int]:
-        """Parse one serialized sketch; returns (sketch, offset past it)."""
-        if len(buf) - offset < 4:
-            raise ValueError("truncated sketch: missing length prefix")
-        (plen,) = struct.unpack_from("<I", buf, offset)
-        start = offset + 4
-        end = start + plen
-        if len(buf) < end:
-            raise ValueError("truncated sketch payload")
-        rows, cols = struct.unpack_from("<II", buf, start)
-        seeds_off = start + 8
-        cells_off = seeds_off + 8 * rows
+    def from_bytes(
+        cls, buf: bytes, offset: int = 0, members: int | None = None
+    ) -> tuple["TopkapiSketch", int]:
+        """Parse one serialized sketch, or with ``members=n`` a stack of n
+        records of one shape and seeds; returns (sketch, offset past it)."""
+        if len(buf) - offset < 12:
+            raise ValueError("truncated sketch: missing length prefix or shape")
+        plen, rows, cols = struct.unpack_from("<III", buf, offset)
         expected = 8 + 8 * rows + 16 * rows * cols
         if plen != expected:
             raise ValueError(f"sketch payload length {plen} != expected {expected}")
-        row_seeds = np.frombuffer(buf, dtype="<u8", count=rows, offset=seeds_off)
-        cells = np.frombuffer(
-            buf, dtype="<u8", count=2 * rows * cols, offset=cells_off
-        ).reshape(rows, cols, 2)
-        out = cls(rows, cols, row_seeds.astype(np.uint64))
-        out.ids[:] = cells[:, :, 0]
-        out.counts[:] = cells[:, :, 1]
+        record = 4 + plen
+        n = 1 if members is None else members
+        if n < 1:
+            raise ValueError("a sketch stack needs at least one member")
+        end = offset + n * record
+        if len(buf) < end:
+            raise ValueError("truncated sketch payload")
+        records = np.frombuffer(buf, dtype=np.uint8, count=n * record, offset=offset)
+        records = records.reshape(n, record)
+        head = 12 + 8 * rows
+        if not np.array_equal(records[:, :head], np.broadcast_to(records[0, :head], (n, head))):
+            raise ValueError("stacked sketch records differ in shape or row seeds")
+        row_seeds = np.frombuffer(buf, dtype="<u8", count=rows, offset=offset + 12)
+        cells = np.ascontiguousarray(records[:, head:]).view("<u8").reshape(n, rows, cols, 2)
+        out = cls(rows, cols, row_seeds.astype(np.uint64), members)
+        out.ids[:] = cells[..., 0].reshape(out.ids.shape)
+        out.counts[:] = cells[..., 1].reshape(out.ids.shape)
         return out, end
 
     # -- dunder ----------------------------------------------------------------
@@ -274,7 +329,8 @@ class TopkapiSketch:
 
     def __repr__(self) -> str:
         occupied = int(np.count_nonzero(self.ids != _NULL))
-        return f"TopkapiSketch({self.rows}x{self.cols}, {occupied} occupied cells)"
+        shape = "x".join(map(str, self.ids.shape))
+        return f"TopkapiSketch({shape}, {occupied} occupied cells)"
 
 
 def exact_counter(stream: Iterable[int]) -> Counter:
@@ -284,11 +340,3 @@ def exact_counter(stream: Iterable[int]) -> Counter:
     mode, where candidate frequencies are counted without approximation.
     """
     return Counter(int(x) for x in stream)
-
-
-def merge_count_maps(maps: Iterable[Mapping[int, int]]) -> Counter:
-    """Sum per-id counts across disjoint partitions (exact-mode reduction)."""
-    total: Counter = Counter()
-    for m in maps:
-        total.update(m)
-    return total

@@ -30,7 +30,7 @@ from sketchlsh.synthetic import (
 )
 from sketchlsh._bits import seed_stream
 
-from conftest import exact_jaccard, free_ports, pair_with_jaccard
+from oracles import exact_jaccard, free_ports, pair_with_jaccard
 import tcp_worker
 
 

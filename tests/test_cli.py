@@ -91,6 +91,28 @@ class TestEndToEnd:
         top = results.read_text().splitlines()[0].split("\t")[1]
         assert top == "4:6"
 
+    def test_truncated_index_is_data_error(self, tmp_path, rng, capsys):
+        vecs = random_sparse_vectors(rng, 20, 256, 8)
+        data = tmp_path / "data.txt"
+        data.write_text("".join(format_record(v) + "\n" for v in vecs))
+        out = tmp_path / "parts"
+        assert main(["partition", "--input", str(data), "--m", "1", "--out", str(out)]) == 0
+        idx_dir = tmp_path / "idx"
+        assert main([
+            "index", "--manifest", str(out / "manifest.txt"), "--out", str(idx_dir),
+            "--k", "2", "--tables", "6", "--table-range", "512", "--seed", "3",
+        ]) == 0
+        index_file = idx_dir / "index-00000.bin"
+        index_file.write_bytes(index_file.read_bytes()[:-5])
+        queries = tmp_path / "q.txt"
+        queries.write_text(format_record(vecs[4]) + "\n")
+        capsys.readouterr()
+        assert main([
+            "query", "--indexes", str(idx_dir), "--queries", str(queries),
+            "--world-size", "1", "--out", str(tmp_path / "r.txt"),
+        ]) == 3
+        assert "truncated" in capsys.readouterr().err
+
     def test_missing_input_is_data_error(self, tmp_path):
         rc = main(["partition", "--input", str(tmp_path / "nope.txt"), "--m", "1",
                    "--out", str(tmp_path / "o")])

@@ -19,7 +19,7 @@ from sketchlsh.cluster import (
 )
 from sketchlsh.sketch import ShapeMismatchError, TopkapiSketch, row_seeds_from_master
 
-from conftest import run_tcp_threads
+from oracles import run_tcp_threads
 
 SEEDS = row_seeds_from_master(7, 2)
 
@@ -176,6 +176,22 @@ class TestTreeReduce:
         sim = SimulatedCluster(4).run(fn)
         tcp = run_tcp_threads(4, fn)
         assert sim[0] == tcp[0] and sim[0] is not None
+
+
+    def test_payload_is_member_concatenation(self, rng):
+        # a rank sends its batch as one stack; the bytes are its members' wire forms
+        base = [[random_sketch(rng) for _ in range(3)] for _ in range(2)]
+        sent = []
+
+        def fn(tr):
+            if tr.rank == 1:
+                send = tr.send
+                tr.send = lambda dst, frame: (sent.append(frame.payload), send(dst, frame))[1]
+            return tree_reduce_sketches(tr, TopkapiSketch.stack(base[tr.rank]))
+
+        out = SimulatedCluster(2).run(fn)
+        assert sent == [b"".join(s.to_bytes() for s in base[1])]
+        assert out[0] == [a.merge(b) for a, b in zip(*base)]
 
 
 class TestLinearReduce:

@@ -14,7 +14,7 @@ from sketchlsh.hashing import (
     table_address,
 )
 
-from conftest import exact_jaccard, pair_with_jaccard
+from oracles import exact_jaccard, pair_with_jaccard
 
 
 class TestMinhash:

@@ -1,3 +1,4 @@
+import struct
 from collections import Counter
 
 import numpy as np
@@ -7,13 +8,19 @@ from sketchlsh.core import (
     ConfigError,
     DatasetPartition,
     LshConfig,
+    SketchLshError,
     SparseVector,
 )
 from sketchlsh.hashing import HashFamily
 from sketchlsh.index import NodeIndex, preprocess
-from sketchlsh.synthetic import random_sparse_vectors, round_robin_partitions
+from sketchlsh.synthetic import (
+    planted_instance,
+    random_sparse_vectors,
+    round_robin_partitions,
+    vector_with_swaps,
+)
 
-from conftest import replay_cells
+from oracles import replay_cells, replayed_sketch
 
 CFG = LshConfig(hashes_per_table=3, num_tables=8, table_range=1 << 12, top_k=4, master_seed=91)
 
@@ -136,6 +143,82 @@ class TestLocalCandidates:
             idx.local_candidates(np.zeros(2, dtype=np.uint64))
         with pytest.raises(ConfigError):
             idx.local_candidates(np.full(CFG.num_tables, CFG.table_range, dtype=np.uint64))
+        with pytest.raises(ConfigError):
+            idx.local_candidates(np.zeros((2, 3), dtype=np.uint64))
+        with pytest.raises(ConfigError):
+            idx.local_candidates(np.zeros((2, 2, CFG.num_tables), dtype=np.uint64))
+
+
+def planted_node():
+    inst = planted_instance(n_background=600, n_queries=20, per_query=8, dim=4096, nnz=24, seed=8)
+    node = preprocess(round_robin_partitions(list(inst.dataset), 2)[0], CFG)
+    return node, [v for _, v in inst.queries]
+
+
+HOT_BUCKET = 10_000
+
+
+def skewed_node():
+    """Near duplicates in Zipf-sized groups, plus HOT_BUCKET copies of one
+    vector interleaved with them, so one bucket per table holds >= 10^4 ids."""
+    rng = np.random.default_rng(17)
+    protos = random_sparse_vectors(rng, 30, 4096, 24)
+    sizes = np.minimum(rng.zipf(1.3, size=len(protos)), 200)
+    pairs = [vector_with_swaps(rng, protos[g], 1) for g in range(len(protos)) for _ in range(sizes[g])]
+    pairs += [protos[0]] * HOT_BUCKET
+    order = rng.permutation(len(pairs))
+    node = preprocess(DatasetPartition(0, [(i, pairs[j]) for i, j in enumerate(order)]), CFG)
+    return node, protos
+
+
+@pytest.fixture(scope="module", params=["planted", "skewed"])
+def probe_case(request):
+    node, queries = planted_node() if request.param == "planted" else skewed_node()
+    fam = HashFamily.from_config(CFG)
+    hits = np.vstack([fam.addresses(v) for v in queries])
+    empty = np.array(
+        [np.setdiff1d(np.arange(CFG.table_range, dtype=np.uint64), tb.addrs)[0] for tb in node.tables],
+        dtype=np.uint64,
+    )
+    partly = hits[0].copy()
+    partly[::2] = empty[::2]  # every other table addresses an empty bucket
+    # hits, a repeated row (one bucket addressed twice), a partly empty row
+    # and an all-empty row
+    batch = np.vstack([hits, hits[:1], partly, empty])
+    return request.param, node, batch
+
+
+def reference_local_candidates(node, row, replayed):
+    """One query at a time: each bucket sketch from the dict replay, folded
+    over the tables left to right with merge."""
+    merged = node.empty_sketch()
+    for t, addr in enumerate(row.tolist()):
+        ids = node.tables[t].bucket(addr)
+        if ids.size:
+            if (t, addr) not in replayed:
+                replayed[(t, addr)] = replayed_sketch(merged, ids)
+            merged = merged.merge(replayed[(t, addr)])
+    return merged
+
+
+class TestBatchProbe:
+    def test_stack_equals_rows_and_replay_reference(self, probe_case):
+        case, node, batch = probe_case
+        if case == "skewed":  # the first query is the hot vector itself
+            sizes = [node.tables[t].bucket(int(a)).size for t, a in enumerate(batch[0])]
+            assert min(sizes) >= HOT_BUCKET
+        stack = node.local_candidates(batch)
+        assert stack.ids.shape == (len(batch), CFG.sketch_rows, CFG.sketch_cols)
+        rows = [node.local_candidates(row) for row in batch]
+        replayed: dict = {}
+        reference = [reference_local_candidates(node, row, replayed) for row in batch]
+        assert list(stack) == rows == reference
+        assert rows[-1] == node.empty_sketch()  # the all-empty row
+
+    def test_single_row_batch(self, probe_case):
+        _, node, batch = probe_case
+        one = node.local_candidates(batch[:1])
+        assert len(one) == 1 and one[0] == node.local_candidates(batch[0])
 
 
 class TestBoundedObservations:
@@ -191,3 +274,76 @@ class TestPersistence:
         other = LshConfig(hashes_per_table=4, num_tables=8, table_range=1 << 12, top_k=4, master_seed=91)
         with pytest.raises(ConfigError):
             NodeIndex.load(path, other)
+
+    def test_file_equals_per_bucket_reference(self, rng, tmp_path):
+        # buckets of several ids, and more of them than one save chunk holds
+        cfg = LshConfig(hashes_per_table=2, num_tables=3, table_range=1 << 11, top_k=4, master_seed=5)
+        idx = preprocess(DatasetPartition(1, make_dataset(rng, 1500)), cfg)
+        assert max(t.occupied for t in idx.tables) > 512
+        assert max(int(np.diff(t.offsets).max()) for t in idx.tables) > 1
+        path = tmp_path / "index.bin"
+        idx.save(path)
+        assert path.read_bytes() == reference_index_bytes(idx)
+
+    def test_truncation_at_every_section_boundary_is_typed(self, rng, tmp_path):
+        idx = preprocess(DatasetPartition(0, make_dataset(rng, 30)), CFG)
+        path = tmp_path / "index.bin"
+        idx.save(path)
+        blob = path.read_bytes()
+        cuts = section_boundaries(idx)
+        assert cuts[-1] == len(blob)
+        for cut in sorted({0, 3} | {c + d for c in cuts[:-1] for d in (-1, 0, 1)}):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(SketchLshError):
+                NodeIndex.load(path, CFG)
+
+    def test_trailing_bytes_and_bad_record_length_are_typed(self, rng, tmp_path):
+        idx = preprocess(DatasetPartition(0, make_dataset(rng, 10)), CFG)
+        path = tmp_path / "index.bin"
+        idx.save(path)
+        blob = path.read_bytes()
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(SketchLshError):
+            NodeIndex.load(path, CFG)
+        first_length = section_boundaries(idx)[1] + 8  # after table 0's count and first address
+        bad = bytearray(blob)
+        bad[first_length] ^= 1
+        path.write_bytes(bytes(bad))
+        with pytest.raises(SketchLshError):
+            NodeIndex.load(path, CFG)
+
+
+def reference_index_bytes(idx: NodeIndex) -> bytes:
+    """The index file assembled with a per-bucket loop over sketch_at."""
+    cfg = idx.config
+    parts = [
+        struct.pack("<IIQIIQ", 0x58494C53, 1, cfg.fingerprint(), idx.node_id, cfg.num_tables, idx.vector_count)
+    ]
+    for t, tb in enumerate(idx.tables):
+        parts.append(struct.pack("<Q", tb.occupied))
+        for addr in tb.addrs.tolist():
+            parts.append(struct.pack("<Q", addr) + idx.sketch_at(t, addr).to_bytes())
+    parts.append(b"XBKT")
+    for tb in idx.tables:
+        parts.append(struct.pack("<QQ", tb.addrs.size, tb.ids.size))
+        parts += [tb.addrs.astype("<u8").tobytes(), tb.offsets.astype("<i8").tobytes(), tb.ids.astype("<u8").tobytes()]
+    return b"".join(parts)
+
+
+def section_boundaries(idx: NodeIndex) -> list[int]:
+    """File offsets where each section and length field of a saved index ends."""
+    record = 8 + len(idx.empty_sketch().to_bytes())
+    off = struct.calcsize("<IIQIIQ")
+    cuts = [off]
+    for tb in idx.tables:
+        off += 8
+        cuts.append(off)
+        off += tb.occupied * record
+        cuts.append(off)
+    off += 4  # bucket section tag
+    cuts.append(off)
+    for tb in idx.tables:
+        for nbytes in (16, 8 * tb.addrs.size, 8 * tb.offsets.size, 8 * tb.ids.size):
+            off += nbytes
+            cuts.append(off)
+    return cuts

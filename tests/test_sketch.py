@@ -10,7 +10,7 @@ from sketchlsh.sketch import (
 )
 from sketchlsh.synthetic import adversarial_stream, zipf_stream
 
-from conftest import cell_arrival_counts, replay_cells
+from oracles import cell_arrival_counts, replay_cells, replayed_sketch
 
 SEEDS4 = row_seeds_from_master(77, 4)
 
@@ -91,6 +91,112 @@ class TestInsert:
             others = sum(c for i, c in cell.items() if i != 7)
             assert int(s.ids[r, bins[r]]) == 7
             assert int(s.counts[r, bins[r]]) >= 100 - others
+
+
+class TestCellKernel:
+    """The cell kernel against the independent dict replay, on streams whose
+    arrivals all land in one cell per row."""
+
+    @staticmethod
+    def _one_cell_ids(s, count, rng):
+        """``count`` distinct ids that all route to column 0 of row 0."""
+        pool = rng.permutation(1 << 20).astype(np.uint64)
+        pool = pool[s._row_bins(pool)[:, 0] == 0]
+        assert pool.size >= count
+        return pool[:count]
+
+    @pytest.mark.parametrize("kind", [0, 1, 2, 3])
+    def test_single_cell_streams_match_replay(self, rng, kind):
+        stream = adversarial_stream(rng, 3000, kind)
+        narrow = TopkapiSketch(4, 1, SEEDS4)  # one column: every arrival, every row
+        narrow.insert_many(stream)
+        assert narrow == replayed_sketch(narrow, stream)
+
+        wide = TopkapiSketch(4, 32, SEEDS4)
+        values, inverse = np.unique(stream, return_inverse=True)
+        colliding = self._one_cell_ids(wide, values.size, rng)[inverse]
+        wide.insert_many(colliding)
+        assert wide == replayed_sketch(wide, colliding)
+        assert len(set(wide._row_bins(colliding)[:, 0].tolist())) == 1
+
+    @pytest.mark.parametrize("kind", [0, 1, 2, 3])
+    def test_stack_members_match_their_own_replay(self, rng, kind):
+        # three members fed one interleaved stream; each must end where the
+        # replay of its own sub-stream ends
+        stream = adversarial_stream(rng, 3000, kind)
+        slots = rng.integers(0, 3, size=stream.size)
+        stack = TopkapiSketch(4, 1, SEEDS4, members=3)
+        stack.insert_many(stream, slots)
+        for q in range(3):
+            assert stack[q] == replayed_sketch(stack, stream[slots == q])
+
+    def test_long_stream_crosses_kernel_chunks(self, rng):
+        stream = rng.integers(0, 3, size=150_000, dtype=np.uint64)
+        s = TopkapiSketch(2, 2, row_seeds_from_master(4, 2))
+        s.insert_many(stream)
+        assert s == replayed_sketch(s, stream)
+
+    def test_slot_arguments_validated(self):
+        items = np.arange(4, dtype=np.uint64)
+        with pytest.raises(ValueError):
+            fresh().insert_many(items, np.zeros(4))
+        stack = TopkapiSketch(4, 16, SEEDS4, members=2)
+        with pytest.raises(ValueError):
+            stack.insert_many(items)
+        with pytest.raises(ValueError):
+            stack.insert_many(items, np.zeros(3))
+        for bad in (2, -1):
+            with pytest.raises(ValueError):
+                stack.insert_many(items, np.array([0, 1, bad, 0]))
+
+
+class TestStack:
+    def _members(self, rng, n=5):
+        out = []
+        for q in range(n):
+            s = fresh()
+            if q != 2:  # one empty member
+                s.insert_many(rng.integers(0, 40, size=200, dtype=np.uint64))
+            out.append(s)
+        return out
+
+    def test_members_round_trip_through_a_stack(self, rng):
+        members = self._members(rng)
+        stack = TopkapiSketch.stack(members)
+        assert stack.ids.shape == (5, 4, 16) and len(stack) == 5
+        assert list(stack) == members
+        assert stack[1:3] == TopkapiSketch.stack(members[1:3])
+
+    def test_merge_of_stacks_is_memberwise(self, rng):
+        a, b = self._members(rng), self._members(rng)
+        merged = TopkapiSketch.stack(a).merge(TopkapiSketch.stack(b))
+        assert list(merged) == [x.merge(y) for x, y in zip(a, b)]
+
+    def test_wire_form_is_member_concatenation(self, rng):
+        members = self._members(rng)
+        stack = TopkapiSketch.stack(members)
+        blob = stack.to_bytes()
+        assert blob == b"".join(s.to_bytes() for s in members)
+        back, end = TopkapiSketch.from_bytes(blob, members=5)
+        assert end == len(blob) and back == stack
+
+    def test_mixed_or_short_stacks_rejected(self, rng):
+        members = self._members(rng, 2)
+        with pytest.raises(ShapeMismatchError):
+            TopkapiSketch.stack([members[0], fresh(4, 8)])
+        with pytest.raises(ShapeMismatchError):
+            TopkapiSketch.stack([members[0], fresh(master=78)])
+        mixed = members[0].to_bytes() + fresh(master=78).to_bytes()
+        with pytest.raises(ValueError):
+            TopkapiSketch.from_bytes(mixed, members=2)
+        with pytest.raises(ValueError):
+            TopkapiSketch.from_bytes(members[0].to_bytes(), members=2)
+
+    def test_single_sketch_is_not_a_sequence(self):
+        with pytest.raises(TypeError):
+            len(fresh())
+        with pytest.raises(TypeError):
+            fresh()[0]
 
 
 class TestMerge:

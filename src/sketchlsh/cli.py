@@ -23,7 +23,7 @@ from .dataio import (
     read_hosts_file,
     save_lsh_config,
 )
-from .index import NodeIndex, preprocess
+from .index import IndexFileError, NodeIndex, preprocess
 from .params import (
     InfeasibleParamsError,
     LshSensitivity,
@@ -58,6 +58,15 @@ def _index_path(out_dir, rank: int) -> Path:
     return Path(out_dir) / f"index-{rank:05d}.bin"
 
 
+def _load_index(indexes_dir, rank: int, config: LshConfig) -> NodeIndex:
+    """Rank ``rank``'s saved index; a file built for another rank is an error."""
+    path = _index_path(indexes_dir, rank)
+    index = NodeIndex.load(path, config)
+    if index.node_id != rank:
+        raise IndexFileError(f"{path} holds the index of rank {index.node_id}, not {rank}")
+    return index
+
+
 def cmd_partition(args) -> int:
     manifest = partition_dataset(args.input, args.m, args.out, dim=args.dim)
     print(
@@ -79,7 +88,7 @@ def cmd_index(args) -> int:
     for rank in ranks:
         t0 = time.perf_counter()
         part, issues = load_partition(manifest, manifest_dir, rank)
-        node = preprocess(part, config, workers=args.workers)
+        node = preprocess(part, config)
         node.save(_index_path(out_dir, rank))
         wall = time.perf_counter() - t0
         print(
@@ -118,9 +127,7 @@ def cmd_query(args) -> int:
     batch = _load_queries(args.queries, dim)
     if args.backend == "sim":
         world = manifest.m if manifest else args.world_size
-        indexes = [
-            NodeIndex.load(_index_path(args.indexes, r), config) for r in range(world)
-        ]
+        indexes = [_load_index(args.indexes, r, config) for r in range(world)]
         cluster = SimulatedCluster(world)
         metrics = [QueryMetrics() for _ in range(world)]
 
@@ -137,7 +144,7 @@ def cmd_query(args) -> int:
         members = read_hosts_file(args.hosts)
         transport = TcpTransport(args.rank, members)
         try:
-            index = NodeIndex.load(_index_path(args.indexes, args.rank), config)
+            index = _load_index(args.indexes, args.rank, config)
             metrics = QueryMetrics()
             results = query_batch(index, batch, transport, args.mode, metrics=metrics)
             if transport.rank == 0 and results is not None:
@@ -290,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--rank", type=int, default=None, help="build only this rank")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--k", type=int, default=None, help="hashes per table")
     p.add_argument("--tables", type=int, default=None)
     p.add_argument("--table-range", dest="table_range", type=int, default=None)

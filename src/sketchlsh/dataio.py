@@ -164,22 +164,28 @@ class DatasetManifest:
     @classmethod
     def load(cls, path) -> "DatasetManifest":
         kv = load_config(path)
-        m = int(kv["m"])
-        parts = []
-        for i in range(m):
-            parts.append(
-                PartitionInfo(
-                    path=kv[f"partition.{i}.path"],
-                    records=int(kv[f"partition.{i}.records"]),
-                    offset=int(kv[f"partition.{i}.offset"]),
-                )
+
+        def field(key: str, convert=int):
+            try:
+                return convert(kv[key])
+            except (KeyError, ValueError):
+                raise ConfigError(f"manifest key {key} is missing or not an integer") from None
+
+        m = field("m")
+        parts = tuple(
+            PartitionInfo(
+                path=field(f"partition.{i}.path", str),
+                records=field(f"partition.{i}.records"),
+                offset=field(f"partition.{i}.offset"),
             )
+            for i in range(m)
+        )
         return cls(
-            total=int(kv["total"]),
-            dim=int(kv["dim"]),
+            total=field("total"),
+            dim=field("dim"),
             m=m,
-            checksum=kv["checksum"],
-            partitions=tuple(parts),
+            checksum=field("checksum", str),
+            partitions=parts,
         )
 
 
@@ -279,10 +285,18 @@ def load_partition(
 # -- flat key=value config -----------------------------------------------------------
 
 
+def _text_lines(path) -> list[str]:
+    """The lines of a config-style file; bytes that are not UTF-8 are a ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_config(path) -> dict[str, str]:
     """Read a flat key=value file; '#' starts a comment, blank lines ignored."""
     out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in _text_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -330,14 +344,15 @@ def save_lsh_config(config: LshConfig, path) -> None:
 def read_hosts_file(path) -> list[tuple[str, int]]:
     """Cluster membership: one ``rank host:port`` or ``host:port`` line per rank."""
     members: list[tuple[str, int]] = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in _text_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         hostport = parts[-1]
         host, sep, port_s = hostport.rpartition(":")
-        if not sep:
-            raise ConfigError(f"malformed host line: {raw!r}")
-        members.append((host, int(port_s)))
+        port = int(port_s) if port_s.isdecimal() and len(port_s) <= 5 else 0
+        if not sep or not 0 < port < 65536:
+            raise ConfigError(f"malformed host line (want host:port, port 1..65535): {raw!r}")
+        members.append((host, port))
     return members

@@ -140,7 +140,6 @@ class HashFamily:
     table_seeds: np.ndarray
     perm_seed: int
     table_range: int
-    universe_bits: int = 64
 
     @classmethod
     def from_config(cls, config: LshConfig) -> "HashFamily":

@@ -11,23 +11,23 @@ probe by replaying its insertion stream. The replay reproduces the exact
 sketch state that incremental per-insert updates would have produced, while
 keeping the resident footprint near the raw data size even when the address
 space is much larger than the partition. The same storage serves the exact
-(sketch-free) aggregation mode directly.
+(sketch-free) aggregation mode directly, and the index file holds these
+columns and nothing else.
 
 Probes work on a whole query batch: per table, every bucket the batch
 addresses is built in one stacked sketch insert, and the table is folded
-into the batch's stack of merged sketches with one merge. Saving builds the
-bucket sketches the same way, a bounded chunk of buckets at a time.
+into the batch's stack of merged sketches with one merge.
 """
 
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    NULL_ID,
     ConfigError,
     DatasetPartition,
     LshConfig,
@@ -38,13 +38,9 @@ from .hashing import HashFamily
 from .sketch import TopkapiSketch, row_seeds_from_master
 
 _INDEX_MAGIC = 0x58494C53  # "SLIX"
-_INDEX_VERSION = 1
-_BUCKET_SECTION = b"XBKT"
+_INDEX_VERSION = 2
 _HEADER = struct.Struct("<IIQIIQ")
-_U64 = struct.Struct("<Q")
 _COUNTS = struct.Struct("<QQ")
-# Buckets per stacked sketch build in save; bounds the stack's memory.
-_SAVE_CHUNK = 512
 
 
 class IndexFileError(SketchLshError):
@@ -93,6 +89,22 @@ class _TableBuckets:
     @property
     def occupied(self) -> int:
         return int(self.addrs.size)
+
+    def defect(self, vector_count: int, table_range: int) -> str | None:
+        """The first invariant of :func:`preprocess` these columns break, if any."""
+        if self.ids.size != vector_count:
+            return f"{self.ids.size} ids for {vector_count} vectors"
+        if self.offsets[0] != 0 or self.offsets[-1] != self.ids.size:
+            return "offsets do not run from 0 to the id count"
+        if np.any(self.offsets[1:] <= self.offsets[:-1]):
+            return "offsets do not strictly increase"
+        if np.any(self.addrs[1:] <= self.addrs[:-1]):
+            return "addresses do not strictly increase"
+        if self.addrs.size and self.addrs[-1] >= np.uint64(table_range):
+            return "address beyond the table range"
+        if np.any(self.ids == np.uint64(NULL_ID)):
+            return "null id in a bucket"
+        return None
 
 
 class NodeIndex:
@@ -193,12 +205,11 @@ class NodeIndex:
     # -- persistence ----------------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the index: header, per-bucket sketches, then raw buckets.
+        """Write the index: the header, then per table its bucket columns.
 
-        The sketch section is self-contained (header + per occupied address
-        one serialized sketch). The trailing bucket section carries the
-        columnar id streams, which the exact aggregation mode needs and from
-        which probe-time sketches are rebuilt bit-identically.
+        Each table is ``(n_addr, n_ids)`` followed by the ``addrs``,
+        ``offsets`` and ``ids`` columns, little-endian. No sketch is stored:
+        probes rebuild them from the id streams bit for bit.
         """
         with open(path, "wb") as f:
             f.write(
@@ -212,16 +223,6 @@ class NodeIndex:
                 )
             )
             for tb in self.tables:
-                f.write(_U64.pack(tb.occupied))
-                for lo in range(0, tb.occupied, _SAVE_CHUNK):
-                    pos = np.arange(lo, min(lo + _SAVE_CHUNK, tb.occupied))
-                    sketches = self.empty_sketch(pos.size)
-                    sketches.insert_many(*tb.streams(pos))
-                    records = np.frombuffer(sketches.to_bytes(), dtype=np.uint8)
-                    addrs = tb.addrs[pos].astype("<u8").view(np.uint8)
-                    f.write(np.hstack([addrs.reshape(pos.size, 8), records.reshape(pos.size, -1)]))
-            f.write(_BUCKET_SECTION)
-            for tb in self.tables:
                 f.write(_COUNTS.pack(tb.addrs.size, tb.ids.size))
                 f.write(tb.addrs.astype("<u8").tobytes())
                 f.write(tb.offsets.astype("<i8").tobytes())
@@ -231,8 +232,10 @@ class NodeIndex:
     def load(cls, path, config: LshConfig) -> "NodeIndex":
         """Reload a saved index; the caller supplies the deployment config.
 
-        Every section and length is checked against the file before it is
-        read, so a truncated or malformed file raises :class:`IndexFileError`.
+        Every length is checked against the file before it is read, and
+        every table against the invariants :func:`preprocess` guarantees, so
+        a truncated or malformed file raises :class:`IndexFileError`. The
+        columns are read-only views of the file's bytes.
         """
         with open(path, "rb") as f:
             data = f.read()
@@ -243,36 +246,28 @@ class NodeIndex:
         if magic != _INDEX_MAGIC:
             raise IndexFileError("not an index file (bad magic)")
         if version != _INDEX_VERSION:
-            raise IndexFileError(f"unsupported index version {version}")
+            raise IndexFileError(
+                f"index file version {version} is not supported; rebuild it with `sketchlsh index`"
+            )
         if fp != config.fingerprint():
             raise ConfigError("index was built under a different configuration")
         if num_tables != config.num_tables:
             raise ConfigError("table count mismatch against configuration")
-        # Skip the sketch section (buckets rebuild it exactly). Its records
-        # have one length per config, so one check per table covers them.
-        rows = config.sketch_rows
-        sketch_bytes = TopkapiSketch(rows, config.sketch_cols, np.zeros(rows)).to_bytes()
-        record = 8 + len(sketch_bytes)  # address, then the serialized sketch
-        prefix = np.frombuffer(sketch_bytes[:4], dtype=np.uint8)
-        for t in range(num_tables):
-            (n_occ,) = reader.unpack(_U64, f"sketch table {t}")
-            records = reader.array(np.uint8, n_occ * record, f"sketch table {t}")
-            if not np.array_equal(
-                records.reshape(n_occ, record)[:, 8:12], np.broadcast_to(prefix, (n_occ, 4))
-            ):
-                raise IndexFileError(f"bad sketch record length in table {t}")
-        if bytes(reader.array(np.uint8, 4, "bucket section tag")) != _BUCKET_SECTION:
-            raise IndexFileError("missing bucket section")
         tables = []
         for t in range(num_tables):
-            what = f"bucket table {t}"
+            what = f"table {t}"
             n_addr, n_ids = reader.unpack(_COUNTS, what)
-            addrs = reader.array("<u8", n_addr, what).astype(np.uint64)
-            offsets = reader.array("<i8", n_addr + 1, what).astype(np.int64)
-            ids = reader.array("<u8", n_ids, what).astype(np.uint64)
-            tables.append(_TableBuckets(addrs=addrs, offsets=offsets, ids=ids))
+            tb = _TableBuckets(
+                addrs=reader.array("<u8", n_addr, what),
+                offsets=reader.array("<i8", n_addr + 1, what),
+                ids=reader.array("<u8", n_ids, what),
+            )
+            defect = tb.defect(vector_count, config.table_range)
+            if defect:
+                raise IndexFileError(f"malformed index {what}: {defect}")
+            tables.append(tb)
         if reader.off != len(data):
-            raise IndexFileError("trailing bytes after the bucket section")
+            raise IndexFileError("trailing bytes after the last table")
         return cls(
             config=config,
             node_id=node_id,
@@ -306,43 +301,23 @@ class _Reader:
         return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
 
 
-def _hash_chunk(family, pairs):
+def preprocess(partition: DatasetPartition, config: LshConfig) -> NodeIndex:
+    """Build a node's index over its partition.
+
+    Every valid vector is routed into one bucket per table (its combined
+    slot hash under that table's seed). Empty vectors are rejected with a
+    per-record report and indexing continues.
+    """
+    family = HashFamily.from_config(config)
     ok_ids: list[int] = []
     rows: list[np.ndarray] = []
     rejected: list[tuple[int, str]] = []
-    for vid, vec in pairs:
+    for vid, vec in partition.vectors:
         if vec.nnz == 0:
             rejected.append((vid, "empty vector"))
             continue
         rows.append(family.addresses(vec))
         ok_ids.append(vid)
-    return ok_ids, rows, rejected
-
-
-def preprocess(
-    partition: DatasetPartition, config: LshConfig, workers: int = 1
-) -> NodeIndex:
-    """Build a node's index over its partition.
-
-    Every valid vector is routed into one bucket per table (its combined
-    slot hash under that table's seed). Empty vectors are rejected with a
-    per-record report and indexing continues. With ``workers`` > 1 the
-    hashing runs data-parallel over contiguous chunks; chunk outputs are
-    concatenated in order, so the result is identical to the serial build.
-    """
-    n = len(partition.vectors)
-    family = HashFamily.from_config(config)
-    if workers <= 1 or n < 2 * workers:
-        ok_ids, rows, rejected = _hash_chunk(family, partition.vectors)
-    else:
-        step = (n + workers - 1) // workers
-        chunks = [partition.vectors[i : i + step] for i in range(0, n, step)]
-        ok_ids, rows, rejected = [], [], []
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for cids, crows, crej in pool.map(lambda c: _hash_chunk(family, c), chunks):
-                ok_ids.extend(cids)
-                rows.extend(crows)
-                rejected.extend(crej)
     if rows:
         addr_matrix = np.vstack(rows)  # (n_ok, num_tables)
         ids = np.asarray(ok_ids, dtype=np.uint64)

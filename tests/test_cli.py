@@ -18,6 +18,24 @@ def parse_kv_output(text: str) -> dict[str, str]:
     return out
 
 
+def build_indexes(tmp_path, rng, m: int):
+    """Partition 20 random vectors over m ranks and index them; returns the
+    manifest path, the index directory and a one-query file."""
+    vecs = random_sparse_vectors(rng, 20, 256, 8)
+    data = tmp_path / "data.txt"
+    data.write_text("".join(format_record(v) + "\n" for v in vecs))
+    out = tmp_path / "parts"
+    assert main(["partition", "--input", str(data), "--m", str(m), "--out", str(out)]) == 0
+    idx_dir = tmp_path / "idx"
+    assert main([
+        "index", "--manifest", str(out / "manifest.txt"), "--out", str(idx_dir),
+        "--k", "2", "--tables", "6", "--table-range", "512", "--seed", "3",
+    ]) == 0
+    queries = tmp_path / "q.txt"
+    queries.write_text(format_record(vecs[4]) + "\n")
+    return out / "manifest.txt", idx_dir, queries
+
+
 class TestParamsCommand:
     def test_matches_library_recommendation(self, capsys):
         rc = main(["params", "--p1", "0.95", "--p2", "0.3", "--n", "10000"])
@@ -112,6 +130,44 @@ class TestEndToEnd:
             "--world-size", "1", "--out", str(tmp_path / "r.txt"),
         ]) == 3
         assert "truncated" in capsys.readouterr().err
+
+    def test_index_saved_for_another_rank_is_data_error(self, tmp_path, rng, capsys):
+        manifest, idx_dir, queries = build_indexes(tmp_path, rng, m=2)
+        (idx_dir / "index-00001.bin").write_bytes((idx_dir / "index-00000.bin").read_bytes())
+        capsys.readouterr()
+        assert main([
+            "query", "--indexes", str(idx_dir), "--queries", str(queries),
+            "--manifest", str(manifest), "--out", str(tmp_path / "r.txt"),
+        ]) == 3
+        assert "index of rank 0, not 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["0 127.0.0.1:abc", "127.0.0.1:70000", "127.0.0.1:0", "127.0.0.1:-5", "nohost"])
+    def test_bad_hosts_file_is_config_error(self, tmp_path, rng, capsys, line):
+        _, idx_dir, queries = build_indexes(tmp_path, rng, m=1)
+        hosts = tmp_path / "hosts.txt"
+        hosts.write_text(line + "\n")
+        capsys.readouterr()
+        assert main([
+            "query", "--indexes", str(idx_dir), "--queries", str(queries),
+            "--backend", "tcp", "--hosts", str(hosts), "--out", str(tmp_path / "r.txt"),
+        ]) == 2
+        assert "malformed host line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("drop,replace", [
+        ("partition.1.records", None),
+        ("partition.0.path", None),
+        ("m", None),
+        ("m", "m=two"),
+        ("partition.1.offset", "partition.1.offset=1.5"),
+        ("total", "total="),
+    ])
+    def test_bad_manifest_is_config_error(self, tmp_path, rng, capsys, drop, replace):
+        manifest, _, _ = build_indexes(tmp_path, rng, m=2)
+        lines = [ln for ln in manifest.read_text().splitlines() if not ln.startswith(drop + "=")]
+        manifest.write_text("\n".join(lines + ([replace] if replace else [])) + "\n")
+        capsys.readouterr()
+        assert main(["index", "--manifest", str(manifest), "--out", str(tmp_path / "again")]) == 2
+        assert f"manifest key {drop} " in capsys.readouterr().err
 
     def test_missing_input_is_data_error(self, tmp_path):
         rc = main(["partition", "--input", str(tmp_path / "nope.txt"), "--m", "1",

@@ -1,0 +1,130 @@
+"""Property tests of the parsers of untrusted files.
+
+Every call on damaged or random input must either return a value or raise
+a :class:`SketchLshError`; an index that loads must then serve probes in
+both aggregation modes without raising.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sketchlsh.core import DatasetPartition, LshConfig, SketchLshError
+from sketchlsh.dataio import DatasetManifest, read_hosts_file
+from sketchlsh.index import NodeIndex, preprocess
+from sketchlsh.synthetic import random_sparse_vectors
+
+CFG = LshConfig(hashes_per_table=2, num_tables=4, table_range=1 << 8, top_k=3, master_seed=23)
+FUZZ = settings(max_examples=200, deadline=None, database=None)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def blob(workdir):
+    """A saved version-2 index of 40 vectors, a few of them duplicates so
+    that some buckets hold several ids."""
+    rng = np.random.default_rng(5)
+    vecs = random_sparse_vectors(rng, 36, 512, 10)
+    vecs += vecs[:4]
+    path = workdir / "good.bin"
+    preprocess(DatasetPartition(0, list(enumerate(vecs))), CFG).save(path)
+    return path.read_bytes()
+
+
+def load_and_probe(path, data: bytes) -> None:
+    path.write_bytes(data)
+    try:
+        index = NodeIndex.load(path, CFG)
+    except SketchLshError:
+        return
+    rng = np.random.default_rng(len(data))
+    # stored addresses (buckets that hold ids) and random ones, per table
+    stored = [tb.addrs[:3] for tb in index.tables]
+    width = max(3, max(a.size for a in stored))
+    batch = rng.integers(0, CFG.table_range, size=(width + 2, CFG.num_tables), dtype=np.uint64)
+    for t, addrs in enumerate(stored):
+        batch[: addrs.size, t] = addrs
+    stack = index.local_candidates(batch)
+    assert len(stack) == len(batch)
+    for row in batch:
+        assert all(c > 0 for c in index.exact_candidates(row).values())
+
+
+@FUZZ
+@given(cut=st.integers(min_value=0))
+def test_truncated_index(workdir, blob, cut):
+    load_and_probe(workdir / "cut.bin", blob[: cut % len(blob)])
+
+
+@FUZZ
+@given(bits=st.lists(st.integers(min_value=0), min_size=1, max_size=4))
+def test_bit_flipped_index(workdir, blob, bits):
+    data = bytearray(blob)
+    for bit in bits:
+        bit %= 8 * len(data)
+        data[bit // 8] ^= 1 << (bit % 8)
+    load_and_probe(workdir / "flip.bin", bytes(data))
+
+
+@FUZZ
+@given(tail=st.binary(max_size=600), keep=st.integers(min_value=0, max_value=80))
+def test_random_bytes_after_a_valid_prefix(workdir, blob, tail, keep):
+    # keeping the header (32 bytes) gets the random bytes past the magic,
+    # version and fingerprint checks into the column reader
+    load_and_probe(workdir / "random.bin", blob[:keep] + tail)
+
+
+TEXT = st.text(st.characters(codec="utf-8"), max_size=40)
+PORTS = st.one_of(st.integers(-5, 70_000).map(str), TEXT)
+HOST_LINES = st.one_of(TEXT, st.builds(lambda h, p: f"{h}:{p}", TEXT, PORTS))
+
+
+@FUZZ
+@given(lines=st.lists(HOST_LINES, max_size=6))
+def test_hosts_file(workdir, lines):
+    path = workdir / "hosts.txt"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        members = read_hosts_file(path)
+    except SketchLshError:
+        return
+    assert all(0 < port < 65536 for _, port in members)
+
+
+MANIFEST_KEYS = st.sampled_from(
+    ["m", "total", "dim", "checksum"]
+    + [f"partition.{i}.{f}" for i in range(3) for f in ("path", "records", "offset")]
+)
+VALUES = st.one_of(st.integers(-2, 4).map(str), TEXT)
+MANIFEST_LINES = st.one_of(TEXT, st.builds(lambda k, v: f"{k}={v}", MANIFEST_KEYS, VALUES))
+
+
+@FUZZ
+@given(lines=st.lists(MANIFEST_LINES, max_size=16))
+def test_manifest(workdir, lines):
+    path = workdir / "manifest.txt"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        manifest = DatasetManifest.load(path)
+    except SketchLshError:
+        return
+    assert len(manifest.partitions) == max(manifest.m, 0)
+
+
+@FUZZ
+@given(data=st.binary(max_size=200))
+def test_config_files_of_random_bytes(workdir, data):
+    path = workdir / "bytes.txt"
+    path.write_bytes(data)
+    for parse in (read_hosts_file, DatasetManifest.load):
+        try:
+            parse(path)
+        except SketchLshError:
+            pass

@@ -4,15 +4,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from sketchlsh.cli import main
 from sketchlsh.core import (
+    NULL_ID,
     ConfigError,
     DatasetPartition,
     LshConfig,
     SketchLshError,
     SparseVector,
 )
+from sketchlsh.dataio import format_record, save_lsh_config
 from sketchlsh.hashing import HashFamily
-from sketchlsh.index import NodeIndex, preprocess
+from sketchlsh.index import IndexFileError, NodeIndex, preprocess
 from sketchlsh.synthetic import (
     planted_instance,
     random_sparse_vectors,
@@ -95,15 +98,6 @@ class TestPreprocess:
             for p in parts:
                 combined += event_multiset(preprocess(p, CFG))
             assert combined == whole
-
-    def test_concurrent_build_matches_serial(self, rng):
-        data = make_dataset(rng, 200)
-        serial = preprocess(DatasetPartition(0, data), CFG, workers=1)
-        threaded = preprocess(DatasetPartition(0, data), CFG, workers=4)
-        for a, b in zip(serial.tables, threaded.tables):
-            assert np.array_equal(a.addrs, b.addrs)
-            assert np.array_equal(a.offsets, b.offsets)
-            assert np.array_equal(a.ids, b.ids)
 
 
 class TestLocalCandidates:
@@ -239,6 +233,23 @@ class TestBoundedObservations:
         assert raw_bytes <= budget
 
 
+# Per case: (column, position in it, new value, the error it must raise). A
+# header "position" is the byte offset of the field: 4 is the version, 24 the
+# vector count.
+BROKEN_COLUMNS = {
+    "version-1": ("header", 4, lambda idx: 1, "version 1 .*rebuild it with `sketchlsh index`"),
+    "id-count": ("header", 24, lambda idx: idx.vector_count + 1, "ids for"),
+    "offsets-start": ("offsets", 0, lambda tb: 1, "offsets do not run from 0"),
+    "offsets-end": ("offsets", -1, lambda tb: tb.ids.size - 1, "offsets do not run from 0"),
+    "empty-bucket": ("offsets", 1, lambda tb: 0, "offsets do not strictly increase"),
+    "offset-past-ids": ("offsets", 1, lambda tb: tb.ids.size + 1, "offsets do not strictly increase"),
+    "negative-offset": ("offsets", 1, lambda tb: -1, "offsets do not strictly increase"),
+    "addrs-order": ("addrs", 1, lambda tb: int(tb.addrs[0]), "addresses do not strictly increase"),
+    "addrs-range": ("addrs", -1, lambda tb: CFG.table_range, "beyond the table range"),
+    "null-id": ("ids", 3, lambda tb: NULL_ID, "null id"),
+}
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, rng, tmp_path):
         data = make_dataset(rng, 40)
@@ -275,15 +286,29 @@ class TestPersistence:
         with pytest.raises(ConfigError):
             NodeIndex.load(path, other)
 
-    def test_file_equals_per_bucket_reference(self, rng, tmp_path):
-        # buckets of several ids, and more of them than one save chunk holds
+    def test_file_equals_column_reference(self, rng, tmp_path):
+        # buckets of several ids, and an empty table
         cfg = LshConfig(hashes_per_table=2, num_tables=3, table_range=1 << 11, top_k=4, master_seed=5)
         idx = preprocess(DatasetPartition(1, make_dataset(rng, 1500)), cfg)
-        assert max(t.occupied for t in idx.tables) > 512
         assert max(int(np.diff(t.offsets).max()) for t in idx.tables) > 1
+        empty = preprocess(DatasetPartition(0, []), cfg)
+        for index in (idx, empty):
+            path = tmp_path / "index.bin"
+            index.save(path)
+            blob = path.read_bytes()
+            assert blob == reference_index_bytes(index)
+            assert len(blob) == 32 + sum(
+                16 + 8 * (2 * t.occupied + 1) + 8 * t.ids.size for t in index.tables
+            )
+
+    def test_loaded_columns_are_views_of_the_file(self, rng, tmp_path):
+        idx = preprocess(DatasetPartition(0, make_dataset(rng, 20)), CFG)
         path = tmp_path / "index.bin"
         idx.save(path)
-        assert path.read_bytes() == reference_index_bytes(idx)
+        loaded = NodeIndex.load(path, CFG)
+        for tb in loaded.tables:
+            for column in (tb.addrs, tb.offsets, tb.ids):
+                assert not column.flags.owndata and not column.flags.writeable
 
     def test_truncation_at_every_section_boundary_is_typed(self, rng, tmp_path):
         idx = preprocess(DatasetPartition(0, make_dataset(rng, 30)), CFG)
@@ -297,51 +322,73 @@ class TestPersistence:
             with pytest.raises(SketchLshError):
                 NodeIndex.load(path, CFG)
 
-    def test_trailing_bytes_and_bad_record_length_are_typed(self, rng, tmp_path):
+    def test_trailing_bytes_are_typed(self, rng, tmp_path):
         idx = preprocess(DatasetPartition(0, make_dataset(rng, 10)), CFG)
         path = tmp_path / "index.bin"
         idx.save(path)
-        blob = path.read_bytes()
-        path.write_bytes(blob + b"\0")
-        with pytest.raises(SketchLshError):
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(IndexFileError, match="trailing"):
             NodeIndex.load(path, CFG)
-        first_length = section_boundaries(idx)[1] + 8  # after table 0's count and first address
-        bad = bytearray(blob)
-        bad[first_length] ^= 1
-        path.write_bytes(bytes(bad))
-        with pytest.raises(SketchLshError):
+
+    @pytest.mark.parametrize("case", BROKEN_COLUMNS)
+    def test_broken_invariant_is_a_data_error(self, rng, tmp_path, case):
+        # each case breaks one invariant of table 0 (or the header) and
+        # leaves every length intact
+        column, pos, value, match = BROKEN_COLUMNS[case]
+        idx = preprocess(DatasetPartition(0, make_dataset(rng, 30)), CFG)
+        path = tmp_path / "index-00000.bin"
+        idx.save(path)
+        blob = bytearray(path.read_bytes())
+        tb = idx.tables[0]
+        if column == "header":
+            struct.pack_into("<Q" if pos == 24 else "<I", blob, pos, value(idx))
+        else:
+            start = column_starts(idx)[0][column]
+            length = getattr(tb, column).size
+            struct.pack_into("<Q", blob, start + 8 * (pos % length), value(tb) % 2**64)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IndexFileError, match=match):
             NodeIndex.load(path, CFG)
+        # the CLI reports it as a data error
+        save_lsh_config(CFG, tmp_path / "config.txt")
+        queries = tmp_path / "q.txt"
+        queries.write_text(format_record(make_dataset(rng, 1)[0][1]) + "\n")
+        assert main([
+            "query", "--indexes", str(tmp_path), "--queries", str(queries),
+            "--world-size", "1", "--mode", "exact", "--out", str(tmp_path / "r.txt"),
+        ]) == 3
 
 
 def reference_index_bytes(idx: NodeIndex) -> bytes:
-    """The index file assembled with a per-bucket loop over sketch_at."""
+    """The version-2 index file assembled field by field with struct."""
     cfg = idx.config
     parts = [
-        struct.pack("<IIQIIQ", 0x58494C53, 1, cfg.fingerprint(), idx.node_id, cfg.num_tables, idx.vector_count)
+        struct.pack("<IIQIIQ", 0x58494C53, 2, cfg.fingerprint(), idx.node_id, cfg.num_tables, idx.vector_count)
     ]
-    for t, tb in enumerate(idx.tables):
-        parts.append(struct.pack("<Q", tb.occupied))
-        for addr in tb.addrs.tolist():
-            parts.append(struct.pack("<Q", addr) + idx.sketch_at(t, addr).to_bytes())
-    parts.append(b"XBKT")
     for tb in idx.tables:
-        parts.append(struct.pack("<QQ", tb.addrs.size, tb.ids.size))
-        parts += [tb.addrs.astype("<u8").tobytes(), tb.offsets.astype("<i8").tobytes(), tb.ids.astype("<u8").tobytes()]
+        n_addr, n_ids = tb.addrs.size, tb.ids.size
+        parts.append(struct.pack("<QQ", n_addr, n_ids))
+        parts.append(struct.pack(f"<{n_addr}Q", *tb.addrs.tolist()))
+        parts.append(struct.pack(f"<{n_addr + 1}q", *tb.offsets.tolist()))
+        parts.append(struct.pack(f"<{n_ids}Q", *tb.ids.tolist()))
     return b"".join(parts)
 
 
+def column_starts(idx: NodeIndex) -> list[dict[str, int]]:
+    """Per table, the file offset where each column of a saved index starts."""
+    off = struct.calcsize("<IIQIIQ")
+    starts = []
+    for tb in idx.tables:
+        off += 16  # (n_addr, n_ids)
+        starts.append({"addrs": off, "offsets": off + 8 * tb.addrs.size, "ids": off + 8 * (2 * tb.addrs.size + 1)})
+        off = starts[-1]["ids"] + 8 * tb.ids.size
+    return starts
+
+
 def section_boundaries(idx: NodeIndex) -> list[int]:
-    """File offsets where each section and length field of a saved index ends."""
-    record = 8 + len(idx.empty_sketch().to_bytes())
+    """File offsets where the header and each count and column of a saved index end."""
     off = struct.calcsize("<IIQIIQ")
     cuts = [off]
-    for tb in idx.tables:
-        off += 8
-        cuts.append(off)
-        off += tb.occupied * record
-        cuts.append(off)
-    off += 4  # bucket section tag
-    cuts.append(off)
     for tb in idx.tables:
         for nbytes in (16, 8 * tb.addrs.size, 8 * tb.offsets.size, 8 * tb.ids.size):
             off += nbytes

@@ -24,6 +24,7 @@ from .hashing import HashFamily, doph_hashes, minhash, table_address
 from .sketch import (
     HeavyHitterSet,
     ShapeMismatchError,
+    SketchFormatError,
     TopkapiSketch,
     exact_counter,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "ReductionSchedule",
     "ShapeMismatchError",
     "SimulatedCluster",
+    "SketchFormatError",
     "SketchLshError",
     "SparseVector",
     "TcpTransport",

@@ -15,6 +15,7 @@ from .cluster import SimulatedCluster, TcpTransport, TransportError
 from .core import ConfigError, LshConfig, SketchLshError
 from .dataio import (
     DatasetManifest,
+    RecordParseError,
     load_config,
     load_partition,
     lsh_config_from_mapping,
@@ -101,8 +102,12 @@ def cmd_index(args) -> int:
 
 
 def _load_queries(path, dim: int | None) -> QueryBatch:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise RecordParseError(f"query file {path} is not UTF-8 text: {exc}") from None
     pairs = []
-    for i, line in enumerate(Path(path).read_text().splitlines()):
+    for i, line in enumerate(text.splitlines()):
         if not line.strip():
             continue
         _, vec = parse_record(line, dim=dim, line_no=i)

@@ -22,8 +22,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .core import SketchLshError
-from .sketch import ShapeMismatchError, TopkapiSketch
+from .sketch import ShapeMismatchError, SketchFormatError, TopkapiSketch
 
 FRAME_MAGIC = 0x534B4C48  # "SKLH"
 FRAME_HELLO = 1
@@ -347,7 +349,10 @@ def allgather(transport: Transport, payload: bytes, batch_id: int = 0) -> list[b
 
 
 def _decode_sketches(payload: bytes, expected: int) -> TopkapiSketch:
-    stack, end = TopkapiSketch.from_bytes(payload, members=expected)
+    try:
+        stack, end = TopkapiSketch.from_bytes(payload, members=expected)
+    except SketchFormatError as exc:
+        raise CollectiveError(f"malformed sketch payload: {exc}") from None
     if end != len(payload):
         raise CollectiveError("trailing bytes after sketch payload")
     return stack
@@ -422,14 +427,15 @@ def _decode_count_maps(payload: bytes, expected: int) -> list[dict[int, int]]:
     out = []
     off = 0
     for _ in range(expected):
+        if len(payload) - off < 8:
+            raise CollectiveError("truncated count-map payload")
         (n,) = struct.unpack_from("<Q", payload, off)
         off += 8
-        m: dict[int, int] = {}
-        for _ in range(n):
-            i, c = struct.unpack_from("<QQ", payload, off)
-            off += 16
-            m[i] = c
-        out.append(m)
+        if n > (len(payload) - off) // 16:
+            raise CollectiveError(f"count map of {n} entries overruns the payload")
+        pairs = np.frombuffer(payload, dtype="<u8", count=2 * n, offset=off).reshape(n, 2)
+        off += 16 * n
+        out.append(dict(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())))
     if off != len(payload):
         raise CollectiveError("trailing bytes after count-map payload")
     return out

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-import numpy as np
-
 from .core import (
     ConfigError,
     DatasetPartition,
@@ -116,9 +114,9 @@ def parse_record(
             f"line {line_no}: record has no features" if line_no is not None else "record has no features"
         )
     effective_dim = dim if dim is not None else indices[-1] + 1
-    return label, SparseVector(
-        indices=np.asarray(indices, dtype=np.uint64), dim=effective_dim
-    )
+    # SparseVector converts the list itself, so an index past 64 bits raises
+    # InvalidVectorError rather than numpy's OverflowError
+    return label, SparseVector(indices=indices, dim=effective_dim)
 
 
 def format_record(v: SparseVector, label: str = "1") -> str:

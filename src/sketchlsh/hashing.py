@@ -2,11 +2,19 @@
 
 Everything here is a pure function of (vector, seed), so any two nodes that
 share a master seed compute bit-identical hashes without communicating.
+
+:meth:`HashFamily.addresses` is the one hashing path of indexing and
+querying. It hashes a whole batch of vectors (a partition or a query slice)
+in one array pass over their indices held back to back; densification
+keeps no state between vectors, so the batch gives each vector exactly the
+slots of :func:`doph_hashes`, which stays as the per-vector reference along
+with :func:`table_address`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -16,6 +24,10 @@ from .core import ConfigError, EmptyVectorError, LshConfig, SparseVector, derive
 _TAG_TABLE_SEEDS = 0x7AB1E
 _TAG_PERM_SEED = 0x9E21
 _DENSIFY_SALT = np.uint64(0xD59F1E57A11)
+
+# Bins per pass of the batched hash: bounds its (rows, K*L) scratch matrices
+# (256 rows at K*L = 64; larger passes ran no faster and took more memory).
+_CHUNK_BINS = 1 << 14
 
 
 def _index_hashes(indices: np.ndarray, seed: np.uint64) -> np.ndarray:
@@ -120,11 +132,50 @@ def table_address(hashes, table_seed: int, table_range: int) -> int:
 def _fold_addresses(
     slot_hashes: np.ndarray, table_seeds: np.ndarray, table_range: int
 ) -> np.ndarray:
-    """Vectorized :func:`table_address` across all tables at once."""
-    acc = table_seeds.copy()
-    for j in range(slot_hashes.shape[1]):
-        acc = mix64(acc ^ slot_hashes[:, j])
+    """Vectorized :func:`table_address` across all tables at once.
+
+    ``slot_hashes`` is (..., num_tables, slots); the fold runs along the last
+    axis and gives (..., num_tables) addresses.
+    """
+    acc = table_seeds
+    for j in range(slot_hashes.shape[-1]):
+        acc = mix64(acc ^ slot_hashes[..., j])
     return acc & np.uint64(table_range - 1)
+
+
+def _densified_rows(
+    vectors: Sequence[SparseVector], n_bins: int, seed: int, coins: np.ndarray
+) -> np.ndarray:
+    """:func:`doph_hashes` of every vector in one pass, shape (n, n_bins).
+
+    The vectors' indices are hashed back to back (CSR order) and every hash
+    is folded into its row's bin minimum with one scatter. Per row, the
+    nearest occupied bin on each side comes from running max/min scans, and
+    rows wrap to their own last or first occupied bin. An occupied bin is
+    its own nearest neighbour on both sides, so one gather through the coin
+    choice fills empty bins and keeps occupied ones.
+    """
+    lengths = np.array([v.nnz for v in vectors], dtype=np.intp)
+    if not lengths.all():
+        raise EmptyVectorError("cannot hash a vector with no active indices")
+    n = lengths.size
+    h = _index_hashes(np.concatenate([v.indices for v in vectors]), np.uint64(seed))
+    cells = np.repeat(np.arange(n) * n_bins, lengths) + range_map(h, n_bins).astype(np.intp)
+    mins = np.full(n * n_bins, UINT64_MAX, dtype=np.uint64)
+    np.minimum.at(mins, cells, h)
+    occupied = np.zeros(n * n_bins, dtype=bool)
+    occupied[cells] = True
+    occupied = occupied.reshape(n, n_bins)
+
+    idx = np.arange(n_bins)
+    left = np.where(occupied, idx, -1)
+    np.maximum.accumulate(left, axis=1, out=left)
+    left = np.where(left >= 0, left, left[:, -1:])
+    right = np.where(occupied, idx, n_bins)[:, ::-1]
+    right = np.minimum.accumulate(right, axis=1)[:, ::-1]
+    right = np.where(right < n_bins, right, right[:, :1])
+    source = np.where(coins, right, left)
+    return np.take_along_axis(mins.reshape(n, n_bins), source, axis=1)
 
 
 @dataclass(frozen=True)
@@ -132,14 +183,16 @@ class HashFamily:
     """The full per-deployment hash family, derived from one master seed.
 
     ``seeds`` is the (num_tables x hashes_per_table) slot seed matrix that
-    identifies the family; the one-permutation seed and per-table folding
-    seeds are derived alongside it. Stateless and reentrant.
+    identifies the family; the one-permutation seed, per-table folding
+    seeds and densification coins are derived alongside it. Stateless and
+    reentrant.
     """
 
     seeds: np.ndarray
     table_seeds: np.ndarray
     perm_seed: int
     table_range: int
+    coins: np.ndarray
 
     @classmethod
     def from_config(cls, config: LshConfig) -> "HashFamily":
@@ -155,6 +208,7 @@ class HashFamily:
             table_seeds=table_seeds,
             perm_seed=perm,
             table_range=config.table_range,
+            coins=_densify_coins(np.uint64(perm), seeds.size),
         )
 
     @property
@@ -171,11 +225,26 @@ class HashFamily:
         One densified one-permutation evaluation produces every slot; row i
         holds the slots feeding table i.
         """
-        n = self.num_tables * self.hashes_per_table
-        return doph_hashes(v, n, self.perm_seed).reshape(
-            self.num_tables, self.hashes_per_table
-        )
+        rows = _densified_rows([v], self.seeds.size, self.perm_seed, self.coins)
+        return rows.reshape(self.seeds.shape)
 
-    def addresses(self, v: SparseVector) -> np.ndarray:
-        """Per-table bucket address of a vector, shape (num_tables,)."""
-        return _fold_addresses(self.slot_hashes(v), self.table_seeds, self.table_range)
+    def addresses(self, vectors: SparseVector | Sequence[SparseVector]) -> np.ndarray:
+        """Per-table bucket addresses: (num_tables,) for one vector, or
+        (n, num_tables) for a sequence of n vectors ((0, num_tables) when
+        empty).
+
+        A sequence is hashed in array passes of up to 2^14 bins' worth of
+        rows, so scratch memory stays bounded for a whole partition. Raises
+        :class:`EmptyVectorError` if any vector has no active indices.
+        """
+        single = isinstance(vectors, SparseVector)
+        batch = [vectors] if single else list(vectors)
+        out = np.empty((len(batch), self.num_tables), dtype=np.uint64)
+        step = max(1, _CHUNK_BINS // self.seeds.size)
+        for lo in range(0, len(batch), step):
+            rows = _densified_rows(
+                batch[lo : lo + step], self.seeds.size, self.perm_seed, self.coins
+            )
+            slots = rows.reshape((-1,) + self.seeds.shape)
+            out[lo : lo + step] = _fold_addresses(slots, self.table_seeds, self.table_range)
+        return out[0] if single else out

@@ -305,25 +305,16 @@ def preprocess(partition: DatasetPartition, config: LshConfig) -> NodeIndex:
     """Build a node's index over its partition.
 
     Every valid vector is routed into one bucket per table (its combined
-    slot hash under that table's seed). Empty vectors are rejected with a
+    slot hash under that table's seed); the whole partition is hashed with
+    one :meth:`HashFamily.addresses` call. Empty vectors are rejected with a
     per-record report and indexing continues.
     """
-    family = HashFamily.from_config(config)
-    ok_ids: list[int] = []
-    rows: list[np.ndarray] = []
-    rejected: list[tuple[int, str]] = []
-    for vid, vec in partition.vectors:
-        if vec.nnz == 0:
-            rejected.append((vid, "empty vector"))
-            continue
-        rows.append(family.addresses(vec))
-        ok_ids.append(vid)
-    if rows:
-        addr_matrix = np.vstack(rows)  # (n_ok, num_tables)
-        ids = np.asarray(ok_ids, dtype=np.uint64)
-    else:
-        addr_matrix = np.empty((0, config.num_tables), dtype=np.uint64)
-        ids = np.empty(0, dtype=np.uint64)
+    kept = [(vid, vec) for vid, vec in partition.vectors if vec.nnz]
+    rejected = tuple(
+        (vid, "empty vector") for vid, vec in partition.vectors if vec.nnz == 0
+    )
+    ids = np.asarray([vid for vid, _ in kept], dtype=np.uint64)
+    addr_matrix = HashFamily.from_config(config).addresses([vec for _, vec in kept])
     tables = [
         _TableBuckets.build(addr_matrix[:, t].copy(), ids)
         for t in range(config.num_tables)
@@ -333,5 +324,5 @@ def preprocess(partition: DatasetPartition, config: LshConfig) -> NodeIndex:
         node_id=partition.node_id,
         tables=tables,
         vector_count=int(ids.size),
-        rejected=tuple(rejected),
+        rejected=rejected,
     )

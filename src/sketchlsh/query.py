@@ -22,8 +22,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ConfigError, SketchLshError, SparseVector
+from .core import ConfigError, SparseVector
 from .cluster import (
+    CollectiveError,
     ReduceStats,
     Transport,
     allgather,
@@ -164,6 +165,18 @@ def _slice_bounds(n: int, world_size: int, rank: int) -> tuple[int, int]:
     return lo, lo + base + (1 if rank < extra else 0)
 
 
+def _decode_address_rows(blob: bytes, num_tables: int) -> np.ndarray:
+    """One rank's allgathered (rows, num_tables) address block."""
+    if len(blob) < 4:
+        raise CollectiveError("truncated address payload")
+    (cnt,) = struct.unpack_from("<I", blob, 0)
+    if len(blob) != 4 + 8 * cnt * num_tables:
+        raise CollectiveError(
+            f"address payload of {len(blob)} bytes does not hold {cnt} rows"
+        )
+    return np.frombuffer(blob, dtype="<u8", offset=4).reshape(cnt, num_tables)
+
+
 def query_batch(
     index: NodeIndex,
     batch: QueryBatch,
@@ -188,6 +201,8 @@ def query_batch(
     fps = allgather(
         transport, struct.pack("<Q", config.fingerprint()), batch_id=batch_id
     )
+    if any(len(p) != 8 for p in fps):
+        raise CollectiveError("malformed configuration fingerprint payload")
     fingerprints = [struct.unpack("<Q", p)[0] for p in fps]
     if len(set(fingerprints)) != 1:
         bad = [r for r, fp in enumerate(fingerprints) if fp != fingerprints[0]]
@@ -198,26 +213,15 @@ def query_batch(
     lo, hi = _slice_bounds(n, transport.world_size, transport.rank)
 
     t0 = time.perf_counter()
-    if hi > lo:
-        my_addrs = np.vstack(
-            [family.addresses(v) for _, v in batch.queries[lo:hi]]
-        ).astype("<u8")
-    else:
-        my_addrs = np.empty((0, config.num_tables), dtype="<u8")
+    my_addrs = family.addresses([v for _, v in batch.queries[lo:hi]]).astype("<u8")
     payload = struct.pack("<I", my_addrs.shape[0]) + my_addrs.tobytes()
     metrics.hash_s += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     gathered = allgather(transport, payload, batch_id=batch_id)
-    rows = []
-    for blob in gathered:
-        (cnt,) = struct.unpack_from("<I", blob, 0)
-        rows.append(
-            np.frombuffer(blob, dtype="<u8", offset=4).reshape(cnt, config.num_tables)
-        )
-    all_addrs = np.vstack(rows)
+    all_addrs = np.vstack([_decode_address_rows(b, config.num_tables) for b in gathered])
     if all_addrs.shape[0] != n:
-        raise SketchLshError("gathered address count does not match batch size")
+        raise CollectiveError("gathered address count does not match batch size")
     metrics.gather_s += time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -40,6 +40,10 @@ class ShapeMismatchError(SketchLshError, ValueError):
     """Sketches with different shapes or row seeds cannot be merged."""
 
 
+class SketchFormatError(SketchLshError, ValueError):
+    """Bytes that are not a well-formed serialized sketch or stack."""
+
+
 def row_seeds_from_master(master_seed: int, rows: int) -> np.ndarray:
     """Per-row hash seeds for one deployment's sketches.
 
@@ -290,25 +294,28 @@ class TopkapiSketch:
         cls, buf: bytes, offset: int = 0, members: int | None = None
     ) -> tuple["TopkapiSketch", int]:
         """Parse one serialized sketch, or with ``members=n`` a stack of n
-        records of one shape and seeds; returns (sketch, offset past it)."""
+        records of one shape and seeds; returns (sketch, offset past it).
+        Malformed bytes raise :class:`SketchFormatError`."""
         if len(buf) - offset < 12:
-            raise ValueError("truncated sketch: missing length prefix or shape")
+            raise SketchFormatError("truncated sketch: missing length prefix or shape")
         plen, rows, cols = struct.unpack_from("<III", buf, offset)
+        if rows < 1 or cols < 1:
+            raise SketchFormatError(f"sketch shape {rows}x{cols} is empty")
         expected = 8 + 8 * rows + 16 * rows * cols
         if plen != expected:
-            raise ValueError(f"sketch payload length {plen} != expected {expected}")
+            raise SketchFormatError(f"sketch payload length {plen} != expected {expected}")
         record = 4 + plen
         n = 1 if members is None else members
         if n < 1:
-            raise ValueError("a sketch stack needs at least one member")
+            raise SketchFormatError("a sketch stack needs at least one member")
         end = offset + n * record
         if len(buf) < end:
-            raise ValueError("truncated sketch payload")
+            raise SketchFormatError("truncated sketch payload")
         records = np.frombuffer(buf, dtype=np.uint8, count=n * record, offset=offset)
         records = records.reshape(n, record)
         head = 12 + 8 * rows
         if not np.array_equal(records[:, :head], np.broadcast_to(records[0, :head], (n, head))):
-            raise ValueError("stacked sketch records differ in shape or row seeds")
+            raise SketchFormatError("stacked sketch records differ in shape or row seeds")
         row_seeds = np.frombuffer(buf, dtype="<u8", count=rows, offset=offset + 12)
         cells = np.ascontiguousarray(records[:, head:]).view("<u8").reshape(n, rows, cols, 2)
         out = cls(rows, cols, row_seeds.astype(np.uint64), members)

@@ -14,6 +14,7 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from sketchlsh.core import SparseVector
+from sketchlsh.hashing import doph_hashes, table_address
 
 
 def exact_jaccard(a: SparseVector, b: SparseVector) -> float:
@@ -42,6 +43,18 @@ def pair_with_jaccard(rng, shared: int, only_a: int, only_b: int, dim: int = 1 <
     va = SparseVector(np.sort(np.concatenate([s, a])), dim)
     vb = SparseVector(np.sort(np.concatenate([s, b])), dim)
     return va, vb
+
+
+def reference_addresses(family, vectors) -> np.ndarray:
+    """Per-vector (n, L) bucket addresses: one :func:`doph_hashes` call per
+    vector and one :func:`table_address` fold per table."""
+    num_tables, k = family.seeds.shape
+    out = np.empty((len(vectors), num_tables), dtype=np.uint64)
+    for i, v in enumerate(vectors):
+        slots = doph_hashes(v, num_tables * k, family.perm_seed).reshape(num_tables, k)
+        for t in range(num_tables):
+            out[i, t] = table_address(slots[t], int(family.table_seeds[t]), family.table_range)
+    return out
 
 
 def cell_arrival_counts(sketch, stream: np.ndarray) -> dict[tuple[int, int], Counter]:

@@ -131,6 +131,16 @@ class TestEndToEnd:
         ]) == 3
         assert "truncated" in capsys.readouterr().err
 
+    def test_query_file_not_utf8_is_data_error(self, tmp_path, rng, capsys):
+        manifest, idx_dir, queries = build_indexes(tmp_path, rng, m=1)
+        queries.write_bytes(b"1 3:1 \xff:1\n")
+        capsys.readouterr()
+        assert main([
+            "query", "--indexes", str(idx_dir), "--queries", str(queries),
+            "--manifest", str(manifest), "--out", str(tmp_path / "r.txt"),
+        ]) == 3
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_index_saved_for_another_rank_is_data_error(self, tmp_path, rng, capsys):
         manifest, idx_dir, queries = build_indexes(tmp_path, rng, m=2)
         (idx_dir / "index-00001.bin").write_bytes((idx_dir / "index-00000.bin").read_bytes())

@@ -12,6 +12,9 @@ from sketchlsh.cluster import (
     ReductionSchedule,
     SimulatedCluster,
     TransportError,
+    _decode_count_maps,
+    _decode_sketches,
+    _encode_count_maps,
     allgather,
     linear_reduce_sketches,
     tree_reduce_counts,
@@ -245,3 +248,22 @@ class TestWireFormat:
         assert magic == FRAME_MAGIC
         assert (ftype, batch, rnd, plen) == (3, 0xAABBCCDD11223344, 7, 7)
         assert encoded[28:] == b"payload"
+
+    def test_malformed_reduce_payloads_are_collective_errors(self, rng):
+        counts = _encode_count_maps([{1: 2, 7: 3}, {}])
+        stack = TopkapiSketch.stack([random_sketch(rng), random_sketch(rng)]).to_bytes()
+        bad = [
+            (_decode_count_maps, counts[:-1], 2),  # cut inside an entry
+            (_decode_count_maps, counts[:12], 2),  # cut inside a length
+            (_decode_count_maps, counts[:8], 2),  # second map missing
+            (_decode_count_maps, b"\xff" * 8, 1),  # length past the payload
+            (_decode_sketches, stack[:-1], 2),
+            (_decode_sketches, stack[:5], 2),
+            (_decode_sketches, stack, 3),  # fewer members than expected
+            (_decode_sketches, stack + b"\0", 2),
+        ]
+        for decode, payload, expected in bad:
+            with pytest.raises(CollectiveError):
+                decode(payload, expected)
+        assert _decode_count_maps(counts, 2) == [{1: 2, 7: 3}, {}]
+        assert len(_decode_sketches(stack, 2)) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sketchlsh.cluster import SimulatedCluster
-from sketchlsh.core import ConfigError, EmptyVectorError, LshConfig
+from sketchlsh.core import ConfigError, EmptyVectorError, LshConfig, SketchLshError
 from sketchlsh.dataio import (
     BlockLineReader,
     DatasetManifest,
@@ -56,6 +56,13 @@ class TestParseRecord:
     def test_index_beyond_dim(self):
         with pytest.raises(RecordParseError):
             parse_record("1 11:1", dim=10)
+
+    def test_index_past_64_bits_is_typed(self):
+        # without a dim, the largest index sets it; one past 2**64 cannot be stored
+        _, vec = parse_record(f"1 {1 << 64}:1")
+        assert int(vec.indices[0]) == (1 << 64) - 1
+        with pytest.raises(SketchLshError):
+            parse_record(f"1 {(1 << 64) + 1}:1")
 
     def test_zero_index_rejected(self):
         with pytest.raises(RecordParseError):

@@ -1,4 +1,4 @@
-"""Property tests of the parsers of untrusted files.
+"""Property tests of the parsers of untrusted files and wire payloads.
 
 Every call on damaged or random input must either return a value or raise
 a :class:`SketchLshError`; an index that loads must then serve probes in
@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchlsh.core import DatasetPartition, LshConfig, SketchLshError
-from sketchlsh.dataio import DatasetManifest, read_hosts_file
+from sketchlsh.cluster import _decode_count_maps, _encode_count_maps
+from sketchlsh.core import DatasetPartition, LshConfig, SketchLshError, SparseVector
+from sketchlsh.dataio import DatasetManifest, parse_record, read_hosts_file
 from sketchlsh.index import NodeIndex, preprocess
+from sketchlsh.sketch import TopkapiSketch
 from sketchlsh.synthetic import random_sparse_vectors
 
 CFG = LshConfig(hashes_per_table=2, num_tables=4, table_range=1 << 8, top_k=3, master_seed=23)
@@ -128,3 +130,67 @@ def test_config_files_of_random_bytes(workdir, data):
             parse(path)
         except SketchLshError:
             pass
+
+
+def damaged(data: bytes, cut: int, bits: list[int]) -> bytes:
+    """``data`` cut to ``cut % (len + 1)`` bytes with ``bits`` flipped."""
+    out = bytearray(data[: cut % (len(data) + 1)])
+    for bit in bits:
+        if out:
+            bit %= 8 * len(out)
+            out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+DAMAGE = dict(
+    cut=st.integers(min_value=0),
+    bits=st.lists(st.integers(min_value=0), max_size=3),
+)
+COUNT_MAPS = [{}, {5: 2, 1 << 63: 1}, {i: i + 1 for i in range(6)}]
+
+
+@FUZZ
+@given(expected=st.integers(0, 4), random=st.binary(max_size=200), **DAMAGE)
+def test_count_map_payload(expected, random, cut, bits):
+    for payload in (random, damaged(_encode_count_maps(COUNT_MAPS), cut, bits)):
+        try:
+            maps = _decode_count_maps(payload, expected)
+        except SketchLshError:
+            continue
+        assert len(maps) == expected
+
+
+@pytest.fixture(scope="module")
+def sketch_stack():
+    stack = TopkapiSketch(2, 3, np.array([7, 11], dtype=np.uint64), members=3)
+    stack.insert_many(np.arange(20, dtype=np.uint64), np.arange(20) % 3)
+    return stack.to_bytes()
+
+
+@FUZZ
+@given(members=st.integers(1, 4), random=st.binary(max_size=300), **DAMAGE)
+def test_sketch_payload(sketch_stack, members, random, cut, bits):
+    for payload in (random, damaged(sketch_stack, cut, bits)):
+        try:
+            stack, end = TopkapiSketch.from_bytes(payload, members=members)
+        except SketchLshError:
+            continue
+        assert len(stack) == members and end <= len(payload)
+
+
+# indices around 2**64, where numpy's uint64 stops
+INDICES = st.one_of(st.integers(-3, 1 << 20), st.integers((1 << 64) - 2, (1 << 64) + 2))
+TOKENS = st.one_of(TEXT, st.builds(lambda i, v: f"{i}:{v}", INDICES, TEXT))
+
+
+@FUZZ
+@given(
+    line=st.one_of(TEXT, st.lists(TOKENS, max_size=8).map(" ".join)),
+    dim=st.one_of(st.none(), st.integers(1, 1 << 66)),
+)
+def test_parse_record(line, dim):
+    try:
+        _, vec = parse_record(line, dim=dim, line_no=3)
+    except SketchLshError:
+        return
+    assert isinstance(vec, SparseVector) and vec.nnz > 0

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sketchlsh._bits import seed_stream
+from sketchlsh._bits import range_map, seed_stream
 from sketchlsh.core import ConfigError, EmptyVectorError, LshConfig, SparseVector
 from sketchlsh import hashing
 from sketchlsh.hashing import (
@@ -14,7 +18,9 @@ from sketchlsh.hashing import (
     table_address,
 )
 
-from oracles import exact_jaccard, pair_with_jaccard
+from sketchlsh.synthetic import random_sparse_vectors
+
+from oracles import exact_jaccard, pair_with_jaccard, reference_addresses
 
 
 class TestMinhash:
@@ -164,3 +170,114 @@ class TestHashFamily:
         addrs = fam.addresses(SparseVector([1, 2, 3], 10))
         assert addrs.shape == (4,)
         assert int(addrs.max()) < 256
+
+
+# -- the batched pass against the per-vector reference --------------------------------
+
+
+def family_of(k: int, tables: int, seed: int = 17) -> HashFamily:
+    return HashFamily.from_config(
+        LshConfig(hashes_per_table=k, num_tables=tables, table_range=1 << 12, master_seed=seed)
+    )
+
+
+def bin_pool(fam: HashFamily, dim: int = 4096) -> np.ndarray:
+    """The DOPH bin of every index below ``dim`` under the family's seed."""
+    h = _index_hashes(np.arange(dim, dtype=np.uint64), np.uint64(fam.perm_seed))
+    return range_map(h, fam.seeds.size)
+
+
+def one_bin_vector(fam: HashFamily, b: int, count: int, dim: int = 4096) -> SparseVector:
+    """A vector whose indices all land in bin ``b`` (at most ``count`` of them)."""
+    return SparseVector(np.flatnonzero(bin_pool(fam, dim) == b)[:count], dim)
+
+
+def all_bins_vector(fam: HashFamily, dim: int = 4096) -> SparseVector:
+    """A vector with exactly one index in every bin."""
+    bins = bin_pool(fam, dim)
+    _, first = np.unique(bins, return_index=True)
+    assert first.size == fam.seeds.size
+    return SparseVector(np.sort(first), dim)
+
+
+VECTOR_KIND = st.sampled_from(["random", "one_bin", "all_bins", "single"])
+
+
+@st.composite
+def batches(draw):
+    fam = family_of(draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(0, 3)))
+    vectors = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(VECTOR_KIND)
+        if kind == "random":
+            idx = draw(st.sets(st.integers(0, 4095), min_size=1, max_size=60))
+            vectors.append(SparseVector(sorted(idx), 4096))
+        elif kind == "one_bin":
+            b = draw(st.integers(0, fam.seeds.size - 1))
+            vectors.append(one_bin_vector(fam, b, draw(st.integers(1, 8))))
+        elif kind == "all_bins":
+            vectors.append(all_bins_vector(fam))
+        else:
+            vectors.append(SparseVector([draw(st.integers(0, 4095))], 4096))
+    return fam, vectors
+
+
+class TestBatchedAddresses:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(case=batches(), chunk=st.sampled_from([1, 7, 30, hashing._CHUNK_BINS]))
+    def test_equals_per_vector_reference(self, case, chunk):
+        fam, vectors = case
+        with mock.patch.object(hashing, "_CHUNK_BINS", chunk):
+            got = fam.addresses(vectors)
+        assert got.shape == (len(vectors), fam.num_tables)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, reference_addresses(fam, vectors))
+        for i, v in enumerate(vectors[:3]):
+            assert np.array_equal(fam.addresses(v), got[i])
+
+    @pytest.mark.parametrize("k,tables", [(4, 16), (3, 5), (1, 1)])
+    def test_adversarial_vectors(self, k, tables):
+        fam = family_of(k, tables)
+        vectors = [
+            SparseVector([9], 4096),
+            all_bins_vector(fam),
+            one_bin_vector(fam, 0, 5),
+            one_bin_vector(fam, fam.seeds.size - 1, 5),
+            SparseVector(np.arange(0, 4096, 3), 4096),
+        ]
+        assert np.array_equal(fam.addresses(vectors), reference_addresses(fam, vectors))
+
+    def test_more_rows_than_one_chunk(self, rng):
+        fam = family_of(8, 32)  # 256 bins: 64 rows per pass
+        vectors = random_sparse_vectors(rng, 3 * 64 + 5, 4096, 12)
+        assert np.array_equal(fam.addresses(vectors), reference_addresses(fam, vectors))
+
+    def test_single_and_empty_batches(self):
+        fam = family_of(3, 5)
+        v = SparseVector([4, 9, 100], 1000)
+        assert fam.addresses([v]).shape == (1, 5)
+        assert np.array_equal(fam.addresses([v])[0], fam.addresses(v))
+        assert fam.addresses([]).shape == (0, 5)
+        assert fam.addresses(()).dtype == np.uint64
+
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    def test_empty_vector_anywhere_rejected(self, position):
+        fam = family_of(2, 3)
+        vectors = [SparseVector([i, i + 5], 100) for i in range(3)]
+        vectors.insert(position, SparseVector([], 100))
+        with pytest.raises(EmptyVectorError):
+            fam.addresses(vectors)
+
+    def test_one_index_hash_pass_per_chunk(self, monkeypatch):
+        calls = []
+        original = hashing._index_hashes
+
+        def counting(indices, seed):
+            calls.append(indices.size)
+            return original(indices, seed)
+
+        monkeypatch.setattr(hashing, "_index_hashes", counting)
+        fam = family_of(4, 16)
+        vectors = [SparseVector(np.arange(i, 40 + 3 * i), 1000) for i in range(5)]
+        fam.addresses(vectors)
+        assert calls == [sum(v.nnz for v in vectors)]

@@ -15,7 +15,7 @@ from sketchlsh.core import (
 )
 from sketchlsh.dataio import format_record, save_lsh_config
 from sketchlsh.hashing import HashFamily
-from sketchlsh.index import IndexFileError, NodeIndex, preprocess
+from sketchlsh.index import IndexFileError, NodeIndex, _TableBuckets, preprocess
 from sketchlsh.synthetic import (
     planted_instance,
     random_sparse_vectors,
@@ -23,7 +23,7 @@ from sketchlsh.synthetic import (
     vector_with_swaps,
 )
 
-from oracles import replay_cells, replayed_sketch
+from oracles import reference_addresses, replay_cells, replayed_sketch
 
 CFG = LshConfig(hashes_per_table=3, num_tables=8, table_range=1 << 12, top_k=4, master_seed=91)
 
@@ -88,6 +88,27 @@ class TestPreprocess:
         assert idx.vector_count == 2
         assert len(idx.rejected) == 1
         assert idx.rejected[0][0] == 1
+
+    def test_columns_equal_per_vector_reference(self, rng):
+        # empty vectors between the others: rejected in order, the rest hashed
+        # in one batch whose columns must match per-vector addresses
+        vecs = random_sparse_vectors(rng, 30, 4096, 10)
+        pairs = [(3 * i + 7, v) for i, v in enumerate(vecs)]
+        for at in (0, 11, 12, 25, len(pairs)):
+            pairs.insert(at, (1000 + at, SparseVector([], 4096)))
+        idx = preprocess(DatasetPartition(0, pairs), CFG)
+        assert idx.rejected == tuple(
+            (vid, "empty vector") for vid, v in pairs if v.nnz == 0
+        )
+        kept = [(vid, v) for vid, v in pairs if v.nnz]
+        addrs = reference_addresses(HashFamily.from_config(CFG), [v for _, v in kept])
+        ids = np.array([vid for vid, _ in kept], dtype=np.uint64)
+        assert idx.vector_count == len(kept)
+        for t, tb in enumerate(idx.tables):
+            ref = _TableBuckets.build(addrs[:, t].copy(), ids)
+            assert np.array_equal(tb.addrs, ref.addrs)
+            assert np.array_equal(tb.offsets, ref.offsets)
+            assert np.array_equal(tb.ids, ref.ids)
 
     def test_partition_invariance_exact_level(self, rng):
         data = make_dataset(rng, 120)

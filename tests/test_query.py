@@ -1,15 +1,17 @@
+import struct
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from sketchlsh.cluster import SimulatedCluster
+from sketchlsh.cluster import CollectiveError, SimulatedCluster
 from sketchlsh.core import ConfigError, DatasetPartition, LshConfig, SparseVector
 from sketchlsh.index import preprocess
 from sketchlsh.query import (
     QueryBatch,
     QueryMetrics,
     QueryResult,
+    _decode_address_rows,
     cosine_similarity,
     distance_counter,
     query_batch,
@@ -173,6 +175,15 @@ class TestQueryBatchPipeline:
         assert metrics.reduced_payloads and len(metrics.reduced_payloads) == 1
         line = metrics.to_line()
         assert line.startswith("# phases hash=")
+
+
+    def test_malformed_address_payload_is_collective_error(self):
+        rows = np.arange(12, dtype="<u8").reshape(3, 4)
+        blob = struct.pack("<I", 3) + rows.tobytes()
+        assert np.array_equal(_decode_address_rows(blob, 4), rows)
+        for bad in (b"", b"\x03\0", blob[:-1], blob + b"\0" * 8, struct.pack("<I", 4) + rows.tobytes()):
+            with pytest.raises(CollectiveError):
+                _decode_address_rows(bad, 4)
 
 
 class TestResultFormat:

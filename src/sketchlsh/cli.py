@@ -32,7 +32,7 @@ from .params import (
     recommend_params,
     snr_simulation,
 )
-from .query import QueryBatch, QueryMetrics, query_batch, s_at_k
+from .query import MODES, QueryBatch, QueryMetrics, query_batch, s_at_k
 from .synthetic import planted_instance, round_robin_partitions
 
 EXIT_OK = 0
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--indexes", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--manifest", default=None)
-    p.add_argument("--mode", choices=("sketch_tree", "sketch_linear", "exact"), default="sketch_tree")
+    p.add_argument("--mode", choices=MODES, default="sketch_tree")
     p.add_argument("--backend", choices=("sim", "tcp"), default="sim")
     p.add_argument("--world-size", dest="world_size", type=int, default=1)
     p.add_argument("--rank", type=int, default=0, help="this process's rank (tcp)")
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tables", type=int, default=16)
     p.add_argument("--table-range", dest="table_range", type=int, default=1 << 18)
     p.add_argument("--m-list", dest="m_list", default="1,2,4")
-    p.add_argument("--modes", default="sketch_tree,sketch_linear,exact")
+    p.add_argument("--modes", default=",".join(MODES))
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_bench)

@@ -6,10 +6,12 @@ rank) and a TCP mesh (length-prefixed frames over sockets). Collectives are
 bulk-synchronous: every rank calls them in the same order, and any missing
 peer surfaces as a transport error naming the rank.
 
-The reduction collectives follow a fixed pairwise schedule: each round the
-active ranks pair up in ascending order, the higher rank of each pair sends
-its items and goes inactive, the lower merges (local first, received
-second). After ceil(log2(m)) rounds only rank 0 remains.
+Every reduction collective runs one loop over a schedule of rounds of
+(receiver, sender) pairs: the sender ships its items and goes inactive, the
+receiver merges them (local first, received second). The tree schedule
+pairs the active ranks up in ascending order each round, so only rank 0
+remains after ceil(log2(m)) rounds; the linear baseline is a single round
+in which rank 0 receives from ranks 1..m-1 in rank order.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import SketchLshError
-from .sketch import ShapeMismatchError, SketchFormatError, TopkapiSketch
+from .sketch import SketchFormatError, TopkapiSketch
 
 FRAME_MAGIC = 0x534B4C48  # "SKLH"
 FRAME_HELLO = 1
@@ -67,7 +69,7 @@ class Transport:
     def send(self, dst: int, frame: Frame) -> None:
         raise NotImplementedError
 
-    def recv(self, src: int, timeout: float | None = None) -> Frame:
+    def recv(self, src: int) -> Frame:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -91,9 +93,6 @@ class SimulatedCluster:
 
     def transport(self, rank: int) -> "SimulatedTransport":
         return SimulatedTransport(self, rank)
-
-    def transports(self) -> list["SimulatedTransport"]:
-        return [self.transport(r) for r in range(self.world_size)]
 
     def run(self, fn: Callable[["SimulatedTransport"], object]) -> list[object]:
         """Run ``fn(transport)`` on every rank in its own thread.
@@ -140,11 +139,11 @@ class SimulatedTransport(Transport):
             raise TransportError("cannot send to self")
         self._cluster._queues[(self.rank, dst)].put(frame)
 
-    def recv(self, src: int, timeout: float | None = None) -> Frame:
-        if timeout is None:
-            timeout = self._cluster.default_timeout
+    def recv(self, src: int) -> Frame:
         try:
-            return self._cluster._queues[(src, self.rank)].get(timeout=timeout)
+            return self._cluster._queues[(src, self.rank)].get(
+                timeout=self._cluster.default_timeout
+            )
         except queue.Empty:
             raise TransportError(
                 f"rank {self.rank}: timed out waiting for rank {src}"
@@ -169,7 +168,6 @@ class TcpTransport(Transport):
     ):
         self.rank = rank
         self.world_size = len(membership)
-        self._io_timeout = io_timeout
         self._socks: dict[int, socket.socket] = {}
         self._bufs: dict[int, bytearray] = {}
         if self.world_size == 1:
@@ -253,15 +251,8 @@ class TcpTransport(Transport):
         except OSError as exc:
             raise TransportError(f"rank {self.rank}: send to rank {dst} failed: {exc}") from None
 
-    def recv(self, src: int, timeout: float | None = None) -> Frame:
-        sock = self._socks[src]
-        if timeout is not None:
-            sock.settimeout(timeout)
-        try:
-            return self._read_frame(sock, self._bufs[src], peer=src)
-        finally:
-            if timeout is not None:
-                sock.settimeout(self._io_timeout)
+    def recv(self, src: int) -> Frame:
+        return self._read_frame(self._socks[src], self._bufs[src], peer=src)
 
     def close(self) -> None:
         for sock in self._socks.values():
@@ -278,20 +269,25 @@ class TcpTransport(Transport):
 
 @dataclass(frozen=True)
 class ReductionSchedule:
-    """Pairwise merge schedule: per round, (receiver, sender) over active ranks.
+    """Merge schedule: per round, (receiver, sender) pairs; a sender goes
+    inactive after its send, and rank 0 ends with the result.
 
-    Active ranks are kept sorted; consecutive pairs (a, b) merge b into a and
-    deactivate b. An odd rank count leaves the last active rank idle for that
-    round. Ends with exactly rank 0 active after ceil(log2(m)) rounds.
+    :meth:`for_world` is the tree: active ranks are kept sorted, consecutive
+    pairs (a, b) merge b into a and deactivate b, and an odd rank count
+    leaves the last active rank idle for that round, so rank 0 is the only
+    one left after ceil(log2(m)) rounds. :meth:`linear` is the baseline: one
+    round in which rank 0 receives from every other rank in rank order.
     """
 
     world_size: int
     rounds: tuple[tuple[tuple[int, int], ...], ...]
 
+    def __post_init__(self):
+        if self.world_size < 1:
+            raise ValueError("world_size must be >= 1")
+
     @classmethod
     def for_world(cls, world_size: int) -> "ReductionSchedule":
-        if world_size < 1:
-            raise ValueError("world_size must be >= 1")
         rounds: list[tuple[tuple[int, int], ...]] = []
         active = list(range(world_size))
         while len(active) > 1:
@@ -304,6 +300,11 @@ class ReductionSchedule:
             active = [active[i] for i in range(0, len(active), 2)]
         return cls(world_size=world_size, rounds=tuple(rounds))
 
+    @classmethod
+    def linear(cls, world_size: int) -> "ReductionSchedule":
+        pairs = tuple((0, src) for src in range(1, world_size))
+        return cls(world_size=world_size, rounds=(pairs,) if pairs else ())
+
     @property
     def num_rounds(self) -> int:
         return len(self.rounds)
@@ -314,7 +315,6 @@ class ReduceStats:
     """Per-rank instrumentation for one reduction collective."""
 
     merge_rounds: int = 0
-    item_merges: int = 0
     sends: int = 0
     recvs: int = 0
     bytes_sent: int = 0
@@ -358,14 +358,13 @@ def _decode_sketches(payload: bytes, expected: int) -> TopkapiSketch:
     return stack
 
 
-def _merge_sketch_stacks(local: TopkapiSketch, received: TopkapiSketch) -> TopkapiSketch:
-    if len(local) != len(received):
-        raise CollectiveError(
-            f"sketch count mismatch: {len(local)} local vs {len(received)} received"
-        )
-    if not local.same_shape(received):
-        raise ShapeMismatchError("received sketch shape differs from local shape")
-    return local.merge(received)
+def _reduce_sketches(transport, sketches, schedule, batch_id, stats):
+    out = _reduce(
+        transport, TopkapiSketch.stack(sketches), schedule,
+        merge=TopkapiSketch.merge, encode=TopkapiSketch.to_bytes, decode=_decode_sketches,
+        batch_id=batch_id, stats=stats,
+    )
+    return None if out is None else list(out)
 
 
 def tree_reduce_sketches(
@@ -381,17 +380,8 @@ def tree_reduce_sketches(
     Each rank performs at most ceil(log2(m)) merge rounds and one send, so
     per-rank communication is O(log m * sketch size * #queries).
     """
-    stack = TopkapiSketch.stack(sketches)
-    out = _tree_reduce(
-        transport,
-        stack,
-        merge=_merge_sketch_stacks,
-        encode=lambda s: s.to_bytes(),
-        decode=lambda payload: _decode_sketches(payload, len(stack)),
-        batch_id=batch_id,
-        stats=stats,
-    )
-    return None if out is None else list(out)
+    schedule = ReductionSchedule.for_world(transport.world_size)
+    return _reduce_sketches(transport, sketches, schedule, batch_id, stats)
 
 
 def linear_reduce_sketches(
@@ -401,17 +391,8 @@ def linear_reduce_sketches(
     stats: ReduceStats | None = None,
 ) -> list[TopkapiSketch] | None:
     """Baseline: rank 0 receives from every rank in order, merging serially."""
-    stack = TopkapiSketch.stack(sketches)
-    out = _linear_reduce(
-        transport,
-        stack,
-        merge=_merge_sketch_stacks,
-        encode=lambda s: s.to_bytes(),
-        decode=lambda payload: _decode_sketches(payload, len(stack)),
-        batch_id=batch_id,
-        stats=stats,
-    )
-    return None if out is None else list(out)
+    schedule = ReductionSchedule.linear(transport.world_size)
+    return _reduce_sketches(transport, sketches, schedule, batch_id, stats)
 
 
 def _encode_count_maps(maps: Sequence[dict[int, int]]) -> bytes:
@@ -444,8 +425,6 @@ def _decode_count_maps(payload: bytes, expected: int) -> list[dict[int, int]]:
 def _merge_count_map_lists(
     local: list[dict[int, int]], received: list[dict[int, int]]
 ) -> list[dict[int, int]]:
-    if len(local) != len(received):
-        raise CollectiveError("count map batch length mismatch")
     out = []
     for a, b in zip(local, received):
         merged = dict(a)
@@ -462,20 +441,20 @@ def tree_reduce_counts(
     stats: ReduceStats | None = None,
 ) -> list[dict[int, int]] | None:
     """Exact-mode reduction: per-id counts summed over ranks, tree pattern."""
-    return _tree_reduce(
-        transport,
-        list(maps),
-        merge=_merge_count_map_lists,
-        encode=_encode_count_maps,
-        decode=lambda payload: _decode_count_maps(payload, len(maps)),
-        batch_id=batch_id,
-        stats=stats,
+    return _reduce(
+        transport, list(maps), ReductionSchedule.for_world(transport.world_size),
+        merge=_merge_count_map_lists, encode=_encode_count_maps, decode=_decode_count_maps,
+        batch_id=batch_id, stats=stats,
     )
 
 
-def _tree_reduce(transport, items, merge, encode, decode, batch_id, stats):
+def _reduce(transport, items, schedule, merge, encode, decode, batch_id, stats):
+    """Run ``schedule`` on this rank; rank 0 returns the merged items.
+
+    A received payload must decode, by ``decode(payload, len(items))``, to
+    as many items as this rank holds.
+    """
     stats = stats if stats is not None else ReduceStats()
-    schedule = ReductionSchedule.for_world(transport.world_size)
     for rnd, pairs in enumerate(schedule.rounds):
         for dst, src in pairs:
             if transport.rank == src:
@@ -489,27 +468,6 @@ def _tree_reduce(transport, items, merge, encode, decode, batch_id, stats):
                 _check(frame, FRAME_REDUCE, batch_id, rnd, src)
                 stats.recvs += 1
                 stats.bytes_received += len(frame.payload)
-                items = merge(items, decode(frame.payload))
+                items = merge(items, decode(frame.payload, len(items)))
                 stats.merge_rounds += 1
-                stats.item_merges += len(items)
     return items if transport.rank == 0 else None
-
-
-def _linear_reduce(transport, items, merge, encode, decode, batch_id, stats):
-    stats = stats if stats is not None else ReduceStats()
-    m = transport.world_size
-    if transport.rank != 0:
-        payload = encode(items)
-        transport.send(0, Frame(FRAME_REDUCE, batch_id, 0, payload))
-        stats.sends += 1
-        stats.bytes_sent += len(payload)
-        return None
-    for src in range(1, m):
-        frame = transport.recv(src)
-        _check(frame, FRAME_REDUCE, batch_id, 0, src)
-        stats.recvs += 1
-        stats.bytes_received += len(frame.payload)
-        items = merge(items, decode(frame.payload))
-        stats.merge_rounds += 1
-        stats.item_merges += len(items)
-    return items

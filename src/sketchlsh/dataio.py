@@ -43,7 +43,9 @@ class BlockLineReader:
 
     Reads ``block_size`` bytes at a time and splits lines itself, so disk
     access stays sequential regardless of record size. ``blocks_read``
-    exposes how many raw reads were issued.
+    exposes how many raw reads were issued. Bytes that are not UTF-8 decode
+    as lone surrogates (``surrogateescape``), so a line keeps its original
+    bytes; :func:`_utf8_text` tells such a line apart.
     """
 
     def __init__(self, path, block_size: int = DEFAULT_BLOCK_SIZE):
@@ -63,9 +65,18 @@ class BlockLineReader:
                 lines = block.split(b"\n")
                 remainder = lines.pop()
                 for raw in lines:
-                    yield raw.decode("utf-8", errors="replace").rstrip("\r")
+                    yield raw.decode("utf-8", errors="surrogateescape").rstrip("\r")
         if remainder:
-            yield remainder.decode("utf-8", errors="replace").rstrip("\r")
+            yield remainder.decode("utf-8", errors="surrogateescape").rstrip("\r")
+
+
+def _utf8_text(line: str, line_no: int | None = None) -> str:
+    """``line`` itself, or :class:`RecordParseError` if its bytes were not UTF-8."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise RecordParseError("not UTF-8 text", line_no) from None
+    return line
 
 
 def parse_record(
@@ -218,7 +229,8 @@ def partition_dataset(
                 if not chunk:
                     break
                 hasher.update(chunk)
-        files = [open(p, "w") for p in paths]
+        # surrogateescape writes a line that is not UTF-8 back as its own bytes
+        files = [open(p, "w", encoding="utf-8", errors="surrogateescape") for p in paths]
         try:
             for i, line in enumerate(reader):
                 r = i % m
@@ -226,7 +238,7 @@ def partition_dataset(
                 counts[r] += 1
                 if dim is None:
                     try:
-                        _, vec = parse_record(line)
+                        _, vec = parse_record(_utf8_text(line))
                         max_index = max(max_index, int(vec.indices[-1]))
                     except SketchLshError:
                         pass  # malformed lines are still distributed verbatim
@@ -265,7 +277,8 @@ class RecordIssue:
 def load_partition(
     manifest: DatasetManifest, manifest_dir, rank: int
 ) -> tuple[DatasetPartition, list[RecordIssue]]:
-    """Load one partition's vectors; malformed records become issues, not aborts."""
+    """Load one partition's vectors; malformed records, lines that are not
+    UTF-8 among them, become issues, not aborts."""
     info = manifest.partitions[rank]
     path = Path(manifest_dir) / info.path
     vectors = []
@@ -273,7 +286,7 @@ def load_partition(
     for j, line in enumerate(BlockLineReader(path)):
         vid = info.offset + j * manifest.m
         try:
-            _, vec = parse_record(line, dim=manifest.dim, line_no=j)
+            _, vec = parse_record(_utf8_text(line, j), dim=manifest.dim, line_no=j)
             vectors.append((vid, vec))
         except SketchLshError as exc:
             issues.append(RecordIssue(vector_id=vid, line_no=j, message=str(exc)))

@@ -147,6 +147,19 @@ class NodeIndex:
             s.insert_many(ids)
         return s
 
+    def _checked(self, addresses, ndims: tuple[int, ...]) -> np.ndarray:
+        """``addresses`` as uint64 rows of one address per table, each below
+        ``table_range``; anything else is a :class:`ConfigError`."""
+        addresses = np.asarray(addresses, dtype=np.uint64)
+        num_tables = self.config.num_tables
+        if addresses.ndim not in ndims or addresses.shape[-1] != num_tables:
+            raise ConfigError(
+                f"expected {num_tables} addresses per query, got {addresses.shape}"
+            )
+        if addresses.size and int(addresses.max()) >= self.config.table_range:
+            raise ConfigError("address out of table range")
+        return addresses
+
     def local_candidates(self, addresses: np.ndarray) -> TopkapiSketch:
         """Merges of this node's addressed bucket sketches for a query batch.
 
@@ -158,15 +171,8 @@ class NodeIndex:
         associative); empty buckets contribute the identity. No distance
         computation is involved anywhere on this path.
         """
-        addresses = np.asarray(addresses, dtype=np.uint64)
-        num_tables = self.config.num_tables
-        if addresses.ndim not in (1, 2) or addresses.shape[-1] != num_tables:
-            raise ConfigError(
-                f"expected {num_tables} addresses per query, got {addresses.shape}"
-            )
-        if addresses.size and int(addresses.max()) >= self.config.table_range:
-            raise ConfigError("address out of table range")
-        batch = addresses.reshape(-1, num_tables)
+        addresses = self._checked(addresses, ndims=(1, 2))
+        batch = addresses.reshape(-1, self.config.num_tables)
         merged = self.empty_sketch(len(batch))
         for t, tb in enumerate(self.tables):
             if tb.occupied == 0:
@@ -183,11 +189,7 @@ class NodeIndex:
 
     def exact_candidates(self, addresses: np.ndarray) -> dict[int, int]:
         """Exact per-id occurrence counts over the addressed buckets."""
-        addresses = np.asarray(addresses, dtype=np.uint64)
-        if addresses.shape != (self.config.num_tables,):
-            raise ConfigError(
-                f"expected {self.config.num_tables} addresses, got {addresses.shape}"
-            )
+        addresses = self._checked(addresses, ndims=(1,))
         chunks = [
             self.tables[t].bucket(int(addresses[t]))
             for t in range(self.config.num_tables)

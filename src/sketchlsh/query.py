@@ -27,6 +27,7 @@ from .cluster import (
     CollectiveError,
     ReduceStats,
     Transport,
+    _encode_count_maps,
     allgather,
     linear_reduce_sketches,
     tree_reduce_counts,
@@ -165,8 +166,9 @@ def _slice_bounds(n: int, world_size: int, rank: int) -> tuple[int, int]:
     return lo, lo + base + (1 if rank < extra else 0)
 
 
-def _decode_address_rows(blob: bytes, num_tables: int) -> np.ndarray:
-    """One rank's allgathered (rows, num_tables) address block."""
+def _decode_address_rows(blob: bytes, num_tables: int, table_range: int) -> np.ndarray:
+    """One rank's allgathered (rows, num_tables) address block, every
+    address below ``table_range``."""
     if len(blob) < 4:
         raise CollectiveError("truncated address payload")
     (cnt,) = struct.unpack_from("<I", blob, 0)
@@ -174,7 +176,10 @@ def _decode_address_rows(blob: bytes, num_tables: int) -> np.ndarray:
         raise CollectiveError(
             f"address payload of {len(blob)} bytes does not hold {cnt} rows"
         )
-    return np.frombuffer(blob, dtype="<u8", offset=4).reshape(cnt, num_tables)
+    rows = np.frombuffer(blob, dtype="<u8", offset=4).reshape(cnt, num_tables)
+    if rows.size and int(rows.max()) >= table_range:
+        raise CollectiveError("gathered address beyond the table range")
+    return rows
 
 
 def query_batch(
@@ -219,31 +224,28 @@ def query_batch(
 
     t0 = time.perf_counter()
     gathered = allgather(transport, payload, batch_id=batch_id)
-    all_addrs = np.vstack([_decode_address_rows(b, config.num_tables) for b in gathered])
+    all_addrs = np.vstack(
+        [_decode_address_rows(b, config.num_tables, config.table_range) for b in gathered]
+    )
     if all_addrs.shape[0] != n:
         raise CollectiveError("gathered address count does not match batch size")
     metrics.gather_s += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if mode == "exact":
-        local_counts = [index.exact_candidates(all_addrs[q]) for q in range(n)]
+        local = [index.exact_candidates(all_addrs[q]) for q in range(n)]
     else:
-        local_sketches = index.local_candidates(all_addrs)
+        local = index.local_candidates(all_addrs)
     metrics.local_merge_s += time.perf_counter() - t0
 
+    # read the module globals at call time, so a patched reducer is the one run
+    reducer = {
+        "sketch_tree": tree_reduce_sketches,
+        "sketch_linear": linear_reduce_sketches,
+        "exact": tree_reduce_counts,
+    }[mode]
     t0 = time.perf_counter()
-    if mode == "sketch_tree":
-        reduced = tree_reduce_sketches(
-            transport, local_sketches, batch_id=batch_id, stats=metrics.reduce_stats
-        )
-    elif mode == "sketch_linear":
-        reduced = linear_reduce_sketches(
-            transport, local_sketches, batch_id=batch_id, stats=metrics.reduce_stats
-        )
-    else:
-        reduced = tree_reduce_counts(
-            transport, local_counts, batch_id=batch_id, stats=metrics.reduce_stats
-        )
+    reduced = reducer(transport, local, batch_id=batch_id, stats=metrics.reduce_stats)
     metrics.reduce_s += time.perf_counter() - t0
 
     if transport.rank != 0:
@@ -252,15 +254,9 @@ def query_batch(
     t0 = time.perf_counter()
     assert reduced is not None
     if metrics.capture_reduced:
-        if mode == "exact":
-            metrics.reduced_payloads = [
-                b"".join(
-                    struct.pack("<QQ", i, c) for i, c in sorted(m.items())
-                )
-                for m in reduced
-            ]
-        else:
-            metrics.reduced_payloads = [s.to_bytes() for s in reduced]
+        metrics.reduced_payloads = [
+            _encode_count_maps([r]) if mode == "exact" else r.to_bytes() for r in reduced
+        ]
     results = [
         QueryResult(query_id=batch.queries[q][0], hits=top_k_extract(reduced[q], config.top_k))
         for q in range(n)

@@ -60,9 +60,6 @@ class HeavyHitterSet:
 
     entries: tuple[tuple[int, int], ...]
 
-    def ids(self) -> list[int]:
-        return [i for i, _ in self.entries]
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -97,17 +94,6 @@ class TopkapiSketch:
         self.counts = np.zeros(shape, dtype=np.uint64)
 
     # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def empty_like(cls, other: "TopkapiSketch") -> "TopkapiSketch":
-        members = len(other) if other.is_stack else None
-        return cls(other.rows, other.cols, other.row_seeds, members)
-
-    def copy(self) -> "TopkapiSketch":
-        out = TopkapiSketch.empty_like(self)
-        out.ids[:] = self.ids
-        out.counts[:] = self.counts
-        return out
 
     def _with_cells(self, ids: np.ndarray, counts: np.ndarray) -> "TopkapiSketch":
         """A sketch of this one's shape and seeds over the given cell arrays."""

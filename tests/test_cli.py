@@ -1,12 +1,17 @@
 import csv
+import functools
 import math
 
 import pytest
 
+from sketchlsh import cli
 from sketchlsh.cli import main
+from sketchlsh.cluster import TcpTransport
 from sketchlsh.dataio import format_record
 from sketchlsh.params import LshSensitivity, recommend_params
 from sketchlsh.synthetic import random_sparse_vectors
+
+from oracles import free_ports
 
 
 def parse_kv_output(text: str) -> dict[str, str]:
@@ -141,6 +146,21 @@ class TestEndToEnd:
         ]) == 3
         assert "not UTF-8" in capsys.readouterr().err
 
+    def test_dataset_lines_not_utf8_are_rejected(self, tmp_path, capsys):
+        data = tmp_path / "data.txt"
+        data.write_bytes(b"1 2:1 5:1\n\xff 2:1 4:1\n1 7:\xff 9:1\n")
+        out = tmp_path / "parts"
+        assert main(["partition", "--input", str(data), "--m", "1", "--out", str(out)]) == 0
+        assert (out / "part-00000.txt").read_bytes() == data.read_bytes()
+        capsys.readouterr()
+        assert main([
+            "index", "--manifest", str(out / "manifest.txt"), "--out", str(tmp_path / "idx"),
+            "--k", "2", "--tables", "4", "--table-range", "64",
+        ]) == 0
+        printed = capsys.readouterr().out
+        assert "indexed 1 vectors" in printed and "(2 records rejected)" in printed
+        assert printed.count("not UTF-8 text") == 2
+
     def test_index_saved_for_another_rank_is_data_error(self, tmp_path, rng, capsys):
         manifest, idx_dir, queries = build_indexes(tmp_path, rng, m=2)
         (idx_dir / "index-00001.bin").write_bytes((idx_dir / "index-00000.bin").read_bytes())
@@ -150,6 +170,18 @@ class TestEndToEnd:
             "--manifest", str(manifest), "--out", str(tmp_path / "r.txt"),
         ]) == 3
         assert "index of rank 0, not 1" in capsys.readouterr().err
+
+    def test_unreachable_peer_is_transport_error(self, tmp_path, rng, capsys, monkeypatch):
+        _, idx_dir, queries = build_indexes(tmp_path, rng, m=2)
+        hosts = tmp_path / "hosts.txt"
+        hosts.write_text("".join(f"{r} 127.0.0.1:{p}\n" for r, p in enumerate(free_ports(2))))
+        monkeypatch.setattr(cli, "TcpTransport", functools.partial(TcpTransport, connect_timeout=0.5))
+        capsys.readouterr()
+        assert main([
+            "query", "--indexes", str(idx_dir), "--queries", str(queries),
+            "--backend", "tcp", "--rank", "1", "--hosts", str(hosts),
+        ]) == 4
+        assert "cannot reach rank 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["0 127.0.0.1:abc", "127.0.0.1:70000", "127.0.0.1:0", "127.0.0.1:-5", "nohost"])
     def test_bad_hosts_file_is_config_error(self, tmp_path, rng, capsys, line):

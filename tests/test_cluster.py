@@ -6,11 +6,13 @@ import pytest
 
 from sketchlsh.cluster import (
     FRAME_MAGIC,
+    FRAME_REDUCE,
     Frame,
     CollectiveError,
     ReduceStats,
     ReductionSchedule,
     SimulatedCluster,
+    SimulatedTransport,
     TransportError,
     _decode_count_maps,
     _decode_sketches,
@@ -267,3 +269,106 @@ class TestWireFormat:
                 decode(payload, expected)
         assert _decode_count_maps(counts, 2) == [{1: 2, 7: 3}, {}]
         assert len(_decode_sketches(stack, 2)) == 2
+
+
+def _replay_reduce(rounds, items, merge, encode):
+    """A reduction schedule replayed in one thread: the frames it must send,
+    as (sender, receiver, round, payload), and rank 0's final items."""
+    state = list(items)
+    frames = []
+    for rnd, pairs in enumerate(rounds):
+        for dst, src in pairs:
+            frames.append((src, dst, rnd, encode(state[src])))
+            state[dst] = merge(state[dst], state[src])
+    return frames, state[0]
+
+
+def _merge_counts(a, b):
+    out = []
+    for x, y in zip(a, b):
+        merged = dict(x)
+        for i, c in y.items():
+            merged[i] = merged.get(i, 0) + c
+        out.append(merged)
+    return out
+
+
+class TestReduceFrames:
+    """Every reduce frame and every rank's counters, against the schedule."""
+
+    @staticmethod
+    def tree_rounds(m):
+        return ReductionSchedule.for_world(m).rounds
+
+    @staticmethod
+    def linear_rounds(m):
+        return (tuple((0, src) for src in range(1, m)),) if m > 1 else ()
+
+    def run_recorded(self, monkeypatch, m, reducer, items):
+        sent, received = [], [[] for _ in range(m)]
+        send, recv = SimulatedTransport.send, SimulatedTransport.recv
+
+        def recording_send(tr, dst, frame):
+            assert (frame.frame_type, frame.batch_id) == (FRAME_REDUCE, 77)
+            sent.append((tr.rank, dst, frame.round, frame.payload))
+            return send(tr, dst, frame)
+
+        def recording_recv(tr, src):
+            frame = recv(tr, src)
+            received[tr.rank].append((src, frame.round))
+            return frame
+
+        monkeypatch.setattr(SimulatedTransport, "send", recording_send)
+        monkeypatch.setattr(SimulatedTransport, "recv", recording_recv)
+        stats = [ReduceStats() for _ in range(m)]
+        out = SimulatedCluster(m).run(
+            lambda tr: reducer(tr, items[tr.rank], batch_id=77, stats=stats[tr.rank])
+        )
+        return out, sorted(sent), received, stats
+
+    def check(self, monkeypatch, m, reducer, rounds, items, merge, encode):
+        out, sent, received, stats = self.run_recorded(monkeypatch, m, reducer, items)
+        frames, final = _replay_reduce(rounds, items, merge, encode)
+        assert sent == sorted(frames)
+        for rank in range(m):
+            incoming = [(src, rnd) for src, dst, rnd, _ in frames if dst == rank]
+            assert received[rank] == incoming
+            payload_out = [len(p) for src, _, _, p in frames if src == rank]
+            payload_in = [len(p) for _, dst, _, p in frames if dst == rank]
+            s = stats[rank]
+            assert (s.sends, s.bytes_sent) == (len(payload_out), sum(payload_out))
+            assert (s.recvs, s.bytes_received) == (len(payload_in), sum(payload_in))
+            assert s.merge_rounds == len(payload_in)
+        assert all(o is None for o in out[1:])
+        return out[0], final
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("linear", [False, True], ids=["tree", "linear"])
+    def test_sketch_frames(self, monkeypatch, rng, m, linear):
+        items = [TopkapiSketch.stack([random_sketch(rng) for _ in range(3)]) for _ in range(m)]
+        reducer = linear_reduce_sketches if linear else tree_reduce_sketches
+        rounds = self.linear_rounds(m) if linear else self.tree_rounds(m)
+        got, final = self.check(
+            monkeypatch, m, reducer, rounds, items,
+            merge=lambda a, b: a.merge(b), encode=lambda s: s.to_bytes(),
+        )
+        assert TopkapiSketch.stack(got).to_bytes() == final.to_bytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    def test_count_frames(self, monkeypatch, rng, m):
+        items = [
+            [{int(i): int(c) for i, c in rng.integers(1, 30, size=(6, 2))} for _ in range(2)]
+            for _ in range(m)
+        ]
+        got, final = self.check(
+            monkeypatch, m, tree_reduce_counts, self.tree_rounds(m), items,
+            merge=_merge_counts, encode=_encode_count_maps,
+        )
+        assert got == final
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_linear_is_rank0_receiving_in_order(self, monkeypatch, rng, m):
+        items = [TopkapiSketch.stack([random_sketch(rng)]) for _ in range(m)]
+        _, sent, received, _ = self.run_recorded(monkeypatch, m, linear_reduce_sketches, items)
+        assert received[0] == [(src, 0) for src in range(1, m)]
+        assert [(src, dst, rnd) for src, dst, rnd, _ in sent] == [(r, 0, 0) for r in range(1, m)]

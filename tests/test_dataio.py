@@ -141,6 +141,24 @@ class TestPartition:
         assert [vid for vid, _ in part.vectors] == [0, 2]
         assert sorted(i.vector_id for i in issues) == [1, 3]
 
+    def test_lines_not_utf8_copied_verbatim_and_reported(self, tmp_path):
+        src = tmp_path / "data.txt"
+        raw = b"1 2:1 5:1\n\xff 2:1 4:1\n1 7:\xff 9:1\n"
+        src.write_bytes(raw)
+        for m in (1, 2):
+            manifest = partition_dataset(src, m, tmp_path / f"out{m}", dim=16)
+            parts = [(tmp_path / f"out{m}" / p.path).read_bytes() for p in manifest.partitions]
+            lines = raw.splitlines(keepends=True)
+            assert parts == [b"".join(lines[r::m]) for r in range(m)]
+        manifest = partition_dataset(src, 1, tmp_path / "out")
+        assert manifest.dim == 5  # lines that are not UTF-8 do not widen the dimension
+        part, issues = load_partition(manifest, tmp_path / "out", 0)
+        assert [(vid, list(v.indices)) for vid, v in part.vectors] == [(0, [1, 4])]
+        assert [(i.vector_id, i.line_no) for i in issues] == [(1, 1), (2, 2)]
+        assert all(i.message.endswith("not UTF-8 text") for i in issues)
+        # the reader keeps the bytes as lone surrogates, so valid lines read as before
+        assert list(BlockLineReader(src))[0] == "1 2:1 5:1"
+
     def test_dim_inferred_from_content(self, tmp_path):
         src = tmp_path / "data.txt"
         src.write_text("1 2:1 9:1\n1 4:1\n")

@@ -163,6 +163,20 @@ class TestLocalCandidates:
         with pytest.raises(ConfigError):
             idx.local_candidates(np.zeros((2, 2, CFG.num_tables), dtype=np.uint64))
 
+    def test_exact_probe_validates_like_sketch_probe(self, rng):
+        idx = preprocess(DatasetPartition(0, make_dataset(rng, 3)), CFG)
+        for bad in (
+            np.zeros(2, dtype=np.uint64),
+            np.full(CFG.num_tables, CFG.table_range, dtype=np.uint64),
+            np.zeros((1, CFG.num_tables), dtype=np.uint64),  # one query at a time
+        ):
+            with pytest.raises(ConfigError):
+                idx.exact_candidates(bad)
+        with pytest.raises(ConfigError, match="table range"):
+            idx.local_candidates(np.full(CFG.num_tables, CFG.table_range, dtype=np.uint64))
+        with pytest.raises(ConfigError, match="table range"):
+            idx.exact_candidates(np.full(CFG.num_tables, CFG.table_range, dtype=np.uint64))
+
 
 def planted_node():
     inst = planted_instance(n_background=600, n_queries=20, per_query=8, dim=4096, nnz=24, seed=8)

@@ -6,6 +6,7 @@ import pytest
 
 from sketchlsh.cluster import CollectiveError, SimulatedCluster
 from sketchlsh.core import ConfigError, DatasetPartition, LshConfig, SparseVector
+from sketchlsh.hashing import HashFamily
 from sketchlsh.index import preprocess
 from sketchlsh.query import (
     QueryBatch,
@@ -177,13 +178,31 @@ class TestQueryBatchPipeline:
         assert line.startswith("# phases hash=")
 
 
-    def test_malformed_address_payload_is_collective_error(self):
+    def test_malformed_address_payload_is_collective_error(self, rng, monkeypatch):
         rows = np.arange(12, dtype="<u8").reshape(3, 4)
         blob = struct.pack("<I", 3) + rows.tobytes()
-        assert np.array_equal(_decode_address_rows(blob, 4), rows)
+        assert np.array_equal(_decode_address_rows(blob, 4, 12), rows)
         for bad in (b"", b"\x03\0", blob[:-1], blob + b"\0" * 8, struct.pack("<I", 4) + rows.tobytes()):
             with pytest.raises(CollectiveError):
-                _decode_address_rows(bad, 4)
+                _decode_address_rows(bad, 4, 12)
+        with pytest.raises(CollectiveError, match="table range"):
+            _decode_address_rows(blob, 4, 11)  # the last row holds address 11
+        # a rank that gathers an out-of-range row rejects it in every mode
+        cfg = LshConfig(hashes_per_table=2, num_tables=4, table_range=1 << 10, top_k=2, master_seed=5)
+        vecs = random_sparse_vectors(rng, 30, 1 << 10, 10)
+        idx = preprocess(DatasetPartition(0, list(enumerate(vecs))), cfg)
+        batch = QueryBatch([(0, vecs[0]), (1, vecs[1])])
+        addresses = HashFamily.addresses
+
+        def with_bad_row(family, vectors):
+            out = addresses(family, vectors)
+            out[-1, 2] = cfg.table_range
+            return out
+
+        monkeypatch.setattr(HashFamily, "addresses", with_bad_row)
+        for mode in ("sketch_tree", "exact"):
+            with pytest.raises(CollectiveError, match="table range"):
+                query_batch(idx, batch, SimulatedCluster(1).transport(0), mode)
 
 
 class TestResultFormat:

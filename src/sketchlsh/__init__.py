@@ -16,6 +16,7 @@ from .core import (
     LshConfig,
     NULL_ID,
     SketchLshError,
+    SparseRows,
     SparseVector,
     VectorId,
     derive_seeds,
@@ -81,6 +82,7 @@ __all__ = [
     "SimulatedCluster",
     "SketchFormatError",
     "SketchLshError",
+    "SparseRows",
     "SparseVector",
     "TcpTransport",
     "ParameterRecommendation",

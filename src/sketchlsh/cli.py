@@ -15,11 +15,10 @@ from .cluster import SimulatedCluster, TcpTransport, TransportError
 from .core import ConfigError, LshConfig, SketchLshError
 from .dataio import (
     DatasetManifest,
-    RecordParseError,
     load_config,
     load_partition,
     lsh_config_from_mapping,
-    parse_record,
+    parse_query_file,
     partition_dataset,
     read_hosts_file,
     save_lsh_config,
@@ -96,23 +95,33 @@ def cmd_index(args) -> int:
             f"rank {rank}: indexed {node.vector_count} vectors in {wall:.3f}s "
             f"({len(issues) + len(node.rejected)} records rejected)"
         )
+        print(
+            f"  rank {rank} rejected: {len(issues)} parse issues, "
+            f"{len(node.rejected)} empty vectors"
+        )
+        print(f"  rank {rank} {_index_shape(node)}")
         for issue in issues[:10]:
             print(f"  rank {rank} skipped id {issue.vector_id}: {issue.message}")
     return EXIT_OK
 
 
+def _index_shape(node: NodeIndex) -> str:
+    """Bucket-size distribution and table occupancy, from the index columns."""
+    occupied = node.occupied_slots
+    sizes = np.concatenate([np.diff(t.offsets) for t in node.tables])
+    buckets = (
+        f"size max {sizes.max()}, p99 {np.percentile(sizes, 99):.1f}, mean {sizes.mean():.2f}"
+        if sizes.size
+        else "none"
+    )
+    return (
+        f"buckets: {buckets}; occupied per table: mean {np.mean(occupied):.1f}, "
+        f"min {min(occupied)}, max {max(occupied)}"
+    )
+
+
 def _load_queries(path, dim: int | None) -> QueryBatch:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise RecordParseError(f"query file {path} is not UTF-8 text: {exc}") from None
-    pairs = []
-    for i, line in enumerate(text.splitlines()):
-        if not line.strip():
-            continue
-        _, vec = parse_record(line, dim=dim, line_no=i)
-        pairs.append((i, vec))
-    return QueryBatch(pairs)
+    return QueryBatch(parse_query_file(path, dim))
 
 
 def _write_results(out, results, metrics: QueryMetrics) -> None:

@@ -230,6 +230,10 @@ class TcpTransport(Transport):
                 raise TransportError(
                     f"rank {self.rank}: timed out waiting for rank {peer}"
                 ) from None
+            except OSError as exc:
+                raise TransportError(
+                    f"rank {self.rank}: receive from rank {peer} failed: {exc}"
+                ) from None
             if not chunk:
                 raise TransportError(f"rank {self.rank}: rank {peer} closed the connection")
             buf.extend(chunk)

@@ -7,7 +7,7 @@ concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -148,31 +148,112 @@ class LshConfig:
         return int(acc)
 
 
-@dataclass(frozen=True)
-class DatasetPartition:
-    """One node's slice of the dataset: (VectorId, SparseVector) pairs.
+@dataclass(frozen=True, eq=False)
+class SparseRows:
+    """A batch of sparse binary vectors in CSR form: row i holds the indices
+    ``indices[indptr[i]:indptr[i + 1]]``, each row strictly increasing and
+    below ``dim``. Rows may be empty.
 
-    Partitions of one dataset must be disjoint in VectorId and jointly cover
-    it; the partitioner is responsible for that.
+    Validated on construction with whole-array checks, like
+    :class:`SparseVector` row by row.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    dim: int
+
+    def __post_init__(self) -> None:
+        indptr = np.asarray(self.indptr, dtype=np.int64)
+        arr = _validated_indices(self.indices)
+        if (
+            indptr.ndim != 1
+            or indptr.size < 1
+            or indptr[0] != 0
+            or indptr[-1] != arr.size
+            or np.any(indptr[1:] < indptr[:-1])
+        ):
+            raise InvalidVectorError("row pointer must run from 0 to the index count")
+        if arr.size:
+            rising = arr[1:] > arr[:-1]
+            starts = indptr[1:-1]
+            rising[starts[(starts > 0) & (starts < arr.size)] - 1] = True  # row boundaries
+            if not rising.all():
+                raise InvalidVectorError("indices must be strictly increasing within a row")
+            if int(arr.max()) >= self.dim:
+                raise InvalidVectorError(f"index {int(arr.max())} out of range for dim {self.dim}")
+        for a in (indptr, arr):
+            a.setflags(write=False)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", arr)
+
+    @classmethod
+    def stack(cls, vectors: Sequence[SparseVector]) -> "SparseRows":
+        """The vectors as rows, with one concatenate; ``dim`` is their largest."""
+        indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+        np.cumsum([v.nnz for v in vectors], out=indptr[1:])
+        indices = (
+            np.concatenate([v.indices for v in vectors]) if vectors else np.empty(0, np.uint64)
+        )
+        return cls(indptr, indices, max((v.dim for v in vectors), default=1))
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+
+@dataclass(frozen=True, eq=False)
+class DatasetPartition:
+    """One node's slice of the dataset: vector ids and their rows in CSR form.
+
+    Built from (VectorId, SparseVector) pairs, or by :meth:`from_rows` from
+    the columns directly. Partitions of one dataset must be disjoint in
+    VectorId and jointly cover it; the partitioner is responsible for that.
     """
 
     node_id: int
-    vectors: tuple[tuple[VectorId, SparseVector], ...]
+    ids: np.ndarray  # (n,) uint64
+    rows: SparseRows
 
     def __init__(self, node_id: int, vectors: Iterable[tuple[VectorId, SparseVector]]):
-        pairs = tuple((int(i), v) for i, v in vectors)
-        seen = set()
-        for vid, _ in pairs:
-            if not (0 <= vid < NULL_ID):
-                raise InvalidVectorError(f"vector id {vid} outside the admissible range")
-            if vid in seen:
-                raise InvalidVectorError(f"duplicate vector id {vid} in partition")
-            seen.add(vid)
+        pairs = [(int(i), v) for i, v in vectors]
+        try:
+            ids = np.array([vid for vid, _ in pairs], dtype=np.uint64)
+        except OverflowError:
+            vid = next(vid for vid, _ in pairs if not 0 <= vid < NULL_ID)
+            raise InvalidVectorError(f"vector id {vid} outside the admissible range") from None
+        self._set(node_id, ids, SparseRows.stack([v for _, v in pairs]))
+
+    @classmethod
+    def from_rows(cls, node_id: int, ids: np.ndarray, rows: SparseRows) -> "DatasetPartition":
+        """A partition holding ``rows``, row i under vector id ``ids[i]``."""
+        part = cls.__new__(cls)
+        part._set(node_id, np.asarray(ids, dtype=np.uint64), rows)
+        return part
+
+    def _set(self, node_id: int, ids: np.ndarray, rows: SparseRows) -> None:
+        if ids.ndim != 1 or ids.size != len(rows):
+            raise InvalidVectorError(f"{ids.size} vector ids for {len(rows)} rows")
+        if np.any(ids == np.uint64(NULL_ID)):
+            raise InvalidVectorError(f"vector id {NULL_ID} outside the admissible range")
+        ordered = np.sort(ids)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise InvalidVectorError(f"duplicate vector id {int(repeated[0])} in partition")
+        ids.setflags(write=False)
         object.__setattr__(self, "node_id", int(node_id))
-        object.__setattr__(self, "vectors", pairs)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return int(self.ids.size)
+
+    @property
+    def vectors(self) -> tuple[tuple[VectorId, SparseVector], ...]:
+        """The partition as (VectorId, SparseVector) pairs."""
+        bounds = self.rows.indptr.tolist()
+        return tuple(
+            (vid, SparseVector(self.rows.indices[lo:hi], self.rows.dim))
+            for vid, lo, hi in zip(self.ids.tolist(), bounds, bounds[1:])
+        )
 
 
 def derive_seeds(master_seed: int, hashes_per_table: int, num_tables: int) -> np.ndarray:

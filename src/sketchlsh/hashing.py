@@ -19,7 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from ._bits import UINT64_MAX, mix64, range_map, seed_stream
-from .core import ConfigError, EmptyVectorError, LshConfig, SparseVector, derive_seeds
+from .core import (
+    ConfigError,
+    EmptyVectorError,
+    LshConfig,
+    SparseRows,
+    SparseVector,
+    derive_seeds,
+)
 
 _TAG_TABLE_SEEDS = 0x7AB1E
 _TAG_PERM_SEED = 0x9E21
@@ -144,22 +151,23 @@ def _fold_addresses(
 
 
 def _densified_rows(
-    vectors: Sequence[SparseVector], n_bins: int, seed: int, coins: np.ndarray
+    indptr: np.ndarray, indices: np.ndarray, n_bins: int, seed: int, coins: np.ndarray
 ) -> np.ndarray:
-    """:func:`doph_hashes` of every vector in one pass, shape (n, n_bins).
+    """:func:`doph_hashes` of every CSR row in one pass, shape (n, n_bins).
 
-    The vectors' indices are hashed back to back (CSR order) and every hash
-    is folded into its row's bin minimum with one scatter. Per row, the
-    nearest occupied bin on each side comes from running max/min scans, and
-    rows wrap to their own last or first occupied bin. An occupied bin is
-    its own nearest neighbour on both sides, so one gather through the coin
-    choice fills empty bins and keeps occupied ones.
+    Row i is ``indices[indptr[i]:indptr[i + 1]]``; ``indptr`` may be a slice
+    of a larger batch's row pointer. The rows' indices are hashed back to
+    back and every hash is folded into its row's bin minimum with one
+    scatter. Per row, the nearest occupied bin on each side comes from
+    running max/min scans, and rows wrap to their own last or first occupied
+    bin. An occupied bin is its own nearest neighbour on both sides, so one
+    gather through the coin choice fills empty bins and keeps occupied ones.
     """
-    lengths = np.array([v.nnz for v in vectors], dtype=np.intp)
+    lengths = np.diff(indptr)
     if not lengths.all():
         raise EmptyVectorError("cannot hash a vector with no active indices")
     n = lengths.size
-    h = _index_hashes(np.concatenate([v.indices for v in vectors]), np.uint64(seed))
+    h = _index_hashes(indices[indptr[0] : indptr[-1]], np.uint64(seed))
     cells = np.repeat(np.arange(n) * n_bins, lengths) + range_map(h, n_bins).astype(np.intp)
     mins = np.full(n * n_bins, UINT64_MAX, dtype=np.uint64)
     np.minimum.at(mins, cells, h)
@@ -225,26 +233,34 @@ class HashFamily:
         One densified one-permutation evaluation produces every slot; row i
         holds the slots feeding table i.
         """
-        rows = _densified_rows([v], self.seeds.size, self.perm_seed, self.coins)
+        rows = _densified_rows(
+            np.array([0, v.nnz]), v.indices, self.seeds.size, self.perm_seed, self.coins
+        )
         return rows.reshape(self.seeds.shape)
 
-    def addresses(self, vectors: SparseVector | Sequence[SparseVector]) -> np.ndarray:
+    def addresses(
+        self, vectors: SparseVector | Sequence[SparseVector] | SparseRows
+    ) -> np.ndarray:
         """Per-table bucket addresses: (num_tables,) for one vector, or
-        (n, num_tables) for a sequence of n vectors ((0, num_tables) when
-        empty).
+        (n, num_tables) for n rows ((0, num_tables) when there are none).
 
-        A sequence is hashed in array passes of up to 2^14 bins' worth of
-        rows, so scratch memory stays bounded for a whole partition. Raises
-        :class:`EmptyVectorError` if any vector has no active indices.
+        Rows come as :class:`SparseRows` or as a sequence of vectors, which
+        is stacked into rows first. They are hashed in array passes of up to
+        2^14 bins' worth of rows, so scratch memory stays bounded for a whole
+        partition. Raises :class:`EmptyVectorError` if any row is empty.
         """
         single = isinstance(vectors, SparseVector)
-        batch = [vectors] if single else list(vectors)
-        out = np.empty((len(batch), self.num_tables), dtype=np.uint64)
+        if isinstance(vectors, SparseRows):
+            rows = vectors
+        else:
+            rows = SparseRows.stack([vectors] if single else list(vectors))
+        out = np.empty((len(rows), self.num_tables), dtype=np.uint64)
         step = max(1, _CHUNK_BINS // self.seeds.size)
-        for lo in range(0, len(batch), step):
-            rows = _densified_rows(
-                batch[lo : lo + step], self.seeds.size, self.perm_seed, self.coins
+        for lo in range(0, len(rows), step):
+            hashed = _densified_rows(
+                rows.indptr[lo : lo + step + 1], rows.indices,
+                self.seeds.size, self.perm_seed, self.coins,
             )
-            slots = rows.reshape((-1,) + self.seeds.shape)
+            slots = hashed.reshape((-1,) + self.seeds.shape)
             out[lo : lo + step] = _fold_addresses(slots, self.table_seeds, self.table_range)
         return out[0] if single else out

@@ -32,6 +32,7 @@ from .core import (
     DatasetPartition,
     LshConfig,
     SketchLshError,
+    SparseRows,
     VectorId,
 )
 from .hashing import HashFamily
@@ -307,16 +308,19 @@ def preprocess(partition: DatasetPartition, config: LshConfig) -> NodeIndex:
     """Build a node's index over its partition.
 
     Every valid vector is routed into one bucket per table (its combined
-    slot hash under that table's seed); the whole partition is hashed with
-    one :meth:`HashFamily.addresses` call. Empty vectors are rejected with a
-    per-record report and indexing continues.
+    slot hash under that table's seed); the partition's rows are hashed
+    with one :meth:`HashFamily.addresses` call. Empty vectors are rejected
+    with a per-record report and indexing continues.
     """
-    kept = [(vid, vec) for vid, vec in partition.vectors if vec.nnz]
-    rejected = tuple(
-        (vid, "empty vector") for vid, vec in partition.vectors if vec.nnz == 0
-    )
-    ids = np.asarray([vid for vid, _ in kept], dtype=np.uint64)
-    addr_matrix = HashFamily.from_config(config).addresses([vec for _, vec in kept])
+    rows = partition.rows
+    empty = rows.indptr[1:] == rows.indptr[:-1]
+    rejected = tuple((vid, "empty vector") for vid in partition.ids[empty].tolist())
+    ids = partition.ids[~empty]
+    if rejected:
+        # an empty row starts where the next one does, so dropping its start
+        # from the row pointer drops the row and leaves the indices as they are
+        rows = SparseRows(rows.indptr[np.append(~empty, True)], rows.indices, rows.dim)
+    addr_matrix = HashFamily.from_config(config).addresses(rows)
     tables = [
         _TableBuckets.build(addr_matrix[:, t].copy(), ids)
         for t in range(config.num_tables)

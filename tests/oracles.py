@@ -13,7 +13,14 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
-from sketchlsh.core import SparseVector
+from sketchlsh.core import SketchLshError, SparseVector
+from sketchlsh.dataio import (
+    BlockLineReader,
+    RecordIssue,
+    RecordParseError,
+    _utf8_text,
+    parse_record,
+)
 from sketchlsh.hashing import doph_hashes, table_address
 
 
@@ -55,6 +62,46 @@ def reference_addresses(family, vectors) -> np.ndarray:
         for t in range(num_tables):
             out[i, t] = table_address(slots[t], int(family.table_seeds[t]), family.table_range)
     return out
+
+
+def per_line_partition(path, dim, offset: int = 0, m: int = 1):
+    """A partition file parsed line by line with :func:`parse_record`:
+    (vector id, indices) per kept line, and a :class:`RecordIssue` per
+    rejected one."""
+    rows, issues = [], []
+    for j, line in enumerate(BlockLineReader(path)):
+        vid = offset + j * m
+        try:
+            _, vec = parse_record(_utf8_text(line, j), dim=dim, line_no=j)
+            rows.append((vid, vec.indices.tolist()))
+        except SketchLshError as exc:
+            issues.append(RecordIssue(vector_id=vid, line_no=j, message=str(exc)))
+    return rows, issues
+
+
+def per_line_dim(path) -> int:
+    """The dimension a dataset implies: 1 + its largest parseable index, at least 1."""
+    widest = -1
+    for line in BlockLineReader(path):
+        try:
+            _, vec = parse_record(_utf8_text(line))
+        except SketchLshError:
+            continue
+        widest = max(widest, int(vec.indices[-1]))
+    return max(widest + 1, 1)
+
+
+def per_line_queries(path, dim):
+    """A query file read as text and parsed line by line, blank lines skipped."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise RecordParseError(f"query file {path} is not UTF-8 text: {exc}") from None
+    pairs = []
+    for i, line in enumerate(text.splitlines()):
+        if line.strip():
+            pairs.append((i, parse_record(line, dim=dim, line_no=i)[1]))
+    return pairs
 
 
 def cell_arrival_counts(sketch, stream: np.ndarray) -> dict[tuple[int, int], Counter]:

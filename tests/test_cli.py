@@ -161,6 +161,25 @@ class TestEndToEnd:
         assert "indexed 1 vectors" in printed and "(2 records rejected)" in printed
         assert printed.count("not UTF-8 text") == 2
 
+    def test_index_prints_its_shape(self, tmp_path, capsys):
+        # rank 0 gets lines 0, 2, 4, 6: two copies of one vector, a blank line, another vector
+        data = tmp_path / "data.txt"
+        data.write_text("1 2:1 5:1\n1 3:1\n1 2:1 5:1\n1 4:1\n\n1 4:1\n1 9:1\n")
+        out = tmp_path / "parts"
+        assert main(["partition", "--input", str(data), "--m", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([
+            "index", "--manifest", str(out / "manifest.txt"), "--out", str(tmp_path / "idx"),
+            "--k", "2", "--tables", "4", "--table-range", "64",
+        ]) == 0
+        printed = capsys.readouterr().out
+        assert "rank 0: indexed 3 vectors" in printed and "(1 records rejected)" in printed
+        assert "rank 0 rejected: 1 parse issues, 0 empty vectors" in printed
+        # the two copies share a bucket in every table: sizes are {2, 1} per table
+        assert "rank 0 buckets: size max 2, p99 2.0, mean 1.50; " in printed
+        assert "occupied per table: mean 2.0, min 2, max 2" in printed
+        assert "rank 1 rejected: 0 parse issues, 0 empty vectors" in printed
+
     def test_index_saved_for_another_rank_is_data_error(self, tmp_path, rng, capsys):
         manifest, idx_dir, queries = build_indexes(tmp_path, rng, m=2)
         (idx_dir / "index-00001.bin").write_bytes((idx_dir / "index-00000.bin").read_bytes())
@@ -183,7 +202,12 @@ class TestEndToEnd:
         ]) == 4
         assert "cannot reach rank 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["0 127.0.0.1:abc", "127.0.0.1:70000", "127.0.0.1:0", "127.0.0.1:-5", "nohost"])
+    @pytest.mark.parametrize("line", [
+        "0 127.0.0.1:abc", "127.0.0.1:70000", "127.0.0.1:0", "127.0.0.1:-5", "nohost",
+        "1 127.0.0.1:9002",  # rank 1 on the line of rank 0
+        "x 127.0.0.1:9001",  # a rank that is not a number
+        "foo bar 127.0.0.1:9003",  # more than two tokens
+    ])
     def test_bad_hosts_file_is_config_error(self, tmp_path, rng, capsys, line):
         _, idx_dir, queries = build_indexes(tmp_path, rng, m=1)
         hosts = tmp_path / "hosts.txt"

@@ -7,6 +7,7 @@ from sketchlsh.core import (
     InvalidVectorError,
     LshConfig,
     NULL_ID,
+    SparseRows,
     SparseVector,
     derive_seeds,
 )
@@ -131,3 +132,55 @@ class TestDatasetPartition:
     def test_rejects_reserved_id(self):
         with pytest.raises(InvalidVectorError):
             DatasetPartition(0, [(NULL_ID, SparseVector([1], 4))])
+
+    @pytest.mark.parametrize("vid", [-1, 1 << 64])
+    def test_rejects_ids_outside_64_bits(self, vid):
+        with pytest.raises(InvalidVectorError, match=f"vector id {vid} outside"):
+            DatasetPartition(0, [(0, SparseVector([1], 4)), (vid, SparseVector([2], 4))])
+
+    def test_holds_csr_columns_and_gives_back_the_pairs(self):
+        pairs = [(9, SparseVector([1, 3], 6)), (2, SparseVector([], 6)), (5, SparseVector([0], 6))]
+        part = DatasetPartition(4, pairs)
+        assert part.node_id == 4 and len(part) == 3
+        assert part.ids.tolist() == [9, 2, 5]
+        assert part.rows.indptr.tolist() == [0, 2, 2, 3]
+        assert part.rows.indices.tolist() == [1, 3, 0]
+        assert part.vectors == tuple(pairs)
+        again = DatasetPartition.from_rows(4, part.ids, part.rows)
+        assert again.vectors == tuple(pairs)
+
+    def test_from_rows_checks_ids_against_rows(self):
+        rows = SparseRows([0, 1, 2], [3, 1], 4)
+        with pytest.raises(InvalidVectorError, match="2 vector ids for 2 rows|duplicate"):
+            DatasetPartition.from_rows(0, np.array([7, 7], dtype=np.uint64), rows)
+        with pytest.raises(InvalidVectorError, match="1 vector ids for 2 rows"):
+            DatasetPartition.from_rows(0, np.array([7], dtype=np.uint64), rows)
+
+
+class TestSparseRows:
+    def test_rows_may_restart_low_and_be_empty(self):
+        rows = SparseRows([0, 2, 2, 3], [5, 9, 1], 10)
+        assert len(rows) == 3
+        assert not rows.indices.flags.writeable and not rows.indptr.flags.writeable
+
+    @pytest.mark.parametrize("indptr,indices,dim", [
+        ([0, 2], [5, 5], 10),  # repeated within a row
+        ([0, 3], [5, 9, 1], 10),  # falling within a row
+        ([0, 1, 2], [3, 10], 10),  # past dim
+        ([1, 2], [3, 4], 10),  # pointer not starting at 0
+        ([0, 3], [3, 4], 10),  # pointer past the indices
+        ([0, 2, 1, 2], [3, 4], 10),  # pointer falling
+        ([], [], 10),  # no pointer at all
+        ([0, 1], [-1], 10),  # negative index
+    ])
+    def test_rejects_malformed_rows(self, indptr, indices, dim):
+        with pytest.raises(InvalidVectorError):
+            SparseRows(indptr, indices, dim)
+
+    def test_stack_concatenates_once(self):
+        vectors = [SparseVector([1, 4], 8), SparseVector([], 8), SparseVector([0, 9], 12)]
+        rows = SparseRows.stack(vectors)
+        assert rows.indptr.tolist() == [0, 2, 2, 4]
+        assert rows.indices.tolist() == [1, 4, 0, 9]
+        assert rows.dim == 12
+        assert len(SparseRows.stack([])) == 0

@@ -1,18 +1,23 @@
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchlsh.cluster import SimulatedCluster
 from sketchlsh.core import ConfigError, EmptyVectorError, LshConfig, SketchLshError
 from sketchlsh.dataio import (
     BlockLineReader,
     DatasetManifest,
+    PartitionInfo,
     RecordParseError,
     format_record,
     load_config,
     load_partition,
     lsh_config_from_mapping,
+    parse_query_file,
     parse_record,
     partition_dataset,
     read_hosts_file,
@@ -22,6 +27,8 @@ from sketchlsh.index import preprocess
 from sketchlsh.query import QueryBatch, query_batch
 from sketchlsh.synthetic import random_sparse_vectors
 import sketchlsh.dataio as dataio
+
+from oracles import per_line_dim, per_line_partition, per_line_queries
 
 
 class TestParseRecord:
@@ -250,3 +257,178 @@ class TestConfigFiles:
         path = tmp_path / "hosts.txt"
         path.write_text("# cluster\n0 127.0.0.1:9001\n1 127.0.0.1:9002\n")
         assert read_hosts_file(path) == [("127.0.0.1", 9001), ("127.0.0.1", 9002)]
+
+    @pytest.mark.parametrize("text", [
+        "1 127.0.0.1:9002\n0 127.0.0.1:9001\n",  # ranks out of order
+        "0 127.0.0.1:9001\n# gap\n2 127.0.0.1:9002\n",  # comments are not counted
+        "0 127.0.0.1:9001\n\u0661 127.0.0.1:9002\n",  # a digit that is not ASCII
+        "foo bar 127.0.0.1:9003\n",
+    ])
+    def test_hosts_file_rank_column_is_checked(self, tmp_path, text):
+        path = tmp_path / "hosts.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="malformed host line"):
+            read_hosts_file(path)
+
+
+# -- the array parser against the per-line oracle ----------------------------------
+
+DIM = 40
+EXAMPLES = settings(max_examples=200, deadline=None, database=None)
+# index texts the array pass reads, and ones it must leave to parse_record:
+# 0, past DIM, leading zeros, signs and underscores (int() takes them), 19-21
+# digits, empty, non-ASCII digits
+INDEX_TEXT = st.one_of(
+    st.integers(0, DIM + 2).map(str),
+    st.integers(0, DIM).map(lambda i: f"{i:019d}"),
+    st.integers(0, DIM).map(lambda i: f"{i:018d}"),
+    st.sampled_from(["+5", "5_0", "-3", "", "x", "\u0663", "9" * 19, "1" + "0" * 20, str(1 << 64)]),
+)
+VALUES = st.sampled_from(["1", "", "0.5", "1:2", ":", "x"])
+FEATURE = st.builds(lambda i, v: f"{i}:{v}", INDEX_TEXT, VALUES)
+ODD_TOKENS = st.sampled_from(
+    ["1", "-1", "abc", "\u00e9", "\x0b", "\x0c", "\x00", "\x1c", "\x7f", "\r", "\xa0", "\u2028", ":1"]
+)
+SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t "])
+
+
+@st.composite
+def odd_line(draw) -> bytes:
+    tokens = draw(st.lists(st.one_of(FEATURE, FEATURE, ODD_TOKENS), max_size=6))
+    text = ""
+    for tok in tokens:
+        text += draw(SEPARATORS) + tok
+    return (text if draw(st.booleans()) else text.lstrip()).encode("utf-8")
+
+
+# increasing indices, sometimes one past DIM
+VALID_LINE = st.builds(
+    lambda label, ix: (label + " ".join(f"{i}:1" for i in sorted(ix))).encode(),
+    st.sampled_from(["", "1 ", "0 ", "-1\t"]),
+    st.lists(st.integers(1, DIM + 1), min_size=1, max_size=8, unique=True),
+)
+# bytes that the array pass must not take for clean text
+ODD_BYTES = st.sampled_from(
+    [b"\xff", b"\xc3\xa9", b"\xc2\xa0", b"\x0b", b"\x00", b"\x1c", b"\x7f", b"\r", b":", b"+", b"0"]
+)
+DIRTY_LINE = st.builds(
+    lambda line, odd, at: line[: at % (len(line) + 1)] + odd + line[at % (len(line) + 1) :],
+    VALID_LINE,
+    ODD_BYTES,
+    st.integers(0, 200),
+)
+LINES = st.lists(
+    st.one_of(VALID_LINE, VALID_LINE, DIRTY_LINE, odd_line(), st.binary(max_size=12)),
+    max_size=14,
+)
+FILES = st.builds(
+    lambda lines, eol, last: eol.join(lines) + (eol if last else b""),
+    LINES,
+    st.sampled_from([b"\n", b"\r\n", b"\r\r\n", b"\n\n"]),
+    st.booleans(),
+)
+# a block of a few bytes makes lines straddle blocks; the default holds the file
+BLOCKS = st.sampled_from([1, 3, 16, dataio._BLOCK_BYTES])
+
+
+def loaded_rows(part):
+    bounds = part.rows.indptr.tolist()
+    return [
+        (vid, part.rows.indices[lo:hi].tolist())
+        for vid, lo, hi in zip(part.ids.tolist(), bounds, bounds[1:])
+    ]
+
+
+class TestArrayParser:
+    @EXAMPLES
+    @given(data=FILES, block=BLOCKS, m=st.integers(1, 3), offset=st.integers(0, 2))
+    def test_partition_equals_per_line_oracle(self, tmp_path_factory, data, block, m, offset):
+        path = tmp_path_factory.mktemp("parse") / "part.txt"
+        path.write_bytes(data)
+        info = PartitionInfo(path=path.name, records=0, offset=offset)
+        manifest = DatasetManifest(total=0, dim=DIM, m=m, checksum="", partitions=(info,))
+        with mock.patch.object(dataio, "_BLOCK_BYTES", block):
+            part, issues = load_partition(manifest, path.parent, 0)
+        rows, want_issues = per_line_partition(path, DIM, offset, m)
+        assert loaded_rows(part) == rows
+        assert issues == want_issues
+        assert part.rows.dim == DIM and part.node_id == 0
+
+    @EXAMPLES
+    @given(data=FILES, block=BLOCKS)
+    def test_inferred_dim_equals_per_line_oracle(self, tmp_path_factory, data, block):
+        src = tmp_path_factory.mktemp("dim") / "data.txt"
+        src.write_bytes(data)
+        with mock.patch.object(dataio, "_BLOCK_BYTES", block):
+            manifest = partition_dataset(src, 2, src.parent / "out")
+        assert manifest.dim == per_line_dim(src)
+
+    @EXAMPLES
+    @given(data=FILES, block=BLOCKS, dim=st.sampled_from([None, DIM]))
+    def test_query_file_equals_per_line_oracle(self, tmp_path_factory, data, block, dim):
+        path = tmp_path_factory.mktemp("queries") / "q.txt"
+        path.write_bytes(data)
+        try:
+            want = per_line_queries(path, dim)
+        except SketchLshError as exc:
+            want = exc
+        with mock.patch.object(dataio, "_BLOCK_BYTES", block):
+            if isinstance(want, SketchLshError):
+                with pytest.raises(type(want)) as got:
+                    parse_query_file(path, dim)
+                assert str(got.value) == str(want)
+            else:
+                assert parse_query_file(path, dim) == want
+
+    @pytest.mark.parametrize("line", [
+        b"1 2:1 3:1",  # clean
+        b"1 2:1 3:1\r",  # trailing \r run, stripped
+        b"1 2:1\r3:1",  # \r inside: str.split() takes it as a space
+        "1 2:1\u00a03:1".encode(),  # no-break space: also a separator to str.split()
+        b"1 002:1 3:1",  # leading zeros
+        b"1 +2:1 3:1",  # a sign
+        b"1 2_0:1",  # an underscore
+        b"1 2:1:5 3:1",  # a second ':' in the value
+        b"2:1:5 3:1",  # ... and in a first token
+        b"1 " + b"0" * 19 + b"2:1",  # 20 digits, value 2
+        "1 \u0663:1".encode(),  # an Arabic-Indic digit: int() reads it as 3
+        b"1 2:1\x0b3:1",  # a vertical tab: a separator to str.split()
+    ])
+    def test_flagged_lines_the_oracle_accepts_keep_their_vectors(self, tmp_path, line):
+        path = tmp_path / "part.txt"
+        path.write_bytes(b"1 1:1\n" + line + b"\n1 4:1\n")
+        manifest = partition_dataset(path, 1, tmp_path / "out", dim=DIM)
+        part, issues = load_partition(manifest, tmp_path / "out", 0)
+        rows, want = per_line_partition(tmp_path / "out" / "part-00000.txt", DIM)
+        assert not issues and not want
+        assert loaded_rows(part) == rows
+        assert len(part) == 3
+
+    @pytest.mark.parametrize("line", [
+        b"", b"  \t", b"1", b"1 0:1", b"1 %d:1" % (DIM + 1), b"1 3:1 2:1", b"1 3:1 3:1",
+        b"1 x:1", b"1 2:1 junk", b"1 :1", b"1 -2:1", b"\xff 2:1", b"1 7:\xff",
+        b"1 " + b"9" * 19 + b":1", b"1 2\x00:1",
+    ])
+    def test_rejected_lines_give_the_oracle_issues(self, tmp_path, line):
+        path = tmp_path / "part.txt"
+        path.write_bytes(b"1 1:1\n" + line + b"\n1 4:1\n")
+        manifest = partition_dataset(path, 1, tmp_path / "out", dim=DIM)
+        part, issues = load_partition(manifest, tmp_path / "out", 0)
+        rows, want = per_line_partition(tmp_path / "out" / "part-00000.txt", DIM)
+        assert len(want) == 1 and issues == want
+        assert loaded_rows(part) == rows and len(part) == 2
+
+    def test_one_scan_per_block(self, tmp_path, monkeypatch):
+        path = tmp_path / "part.txt"
+        path.write_bytes(b"".join(b"1 %d:1 %d:1\n" % (i + 1, i + 2) for i in range(30)))
+        calls = []
+        original = dataio._scan_block
+        monkeypatch.setattr(dataio, "_scan_block", lambda *a: calls.append(1) or original(*a))
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 64)
+        manifest = partition_dataset(path, 1, tmp_path / "out", dim=DIM)
+        calls.clear()
+        part, issues = load_partition(manifest, tmp_path / "out", 0)
+        with open(path, "rb") as f:
+            blocks = list(dataio._line_blocks(f))
+        assert len(part) == 30 and not issues
+        assert len(blocks) > 1 and len(calls) == len(blocks)

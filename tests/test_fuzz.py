@@ -7,12 +7,23 @@ both aggregation modes without raising.
 
 from __future__ import annotations
 
+import socket
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchlsh.cluster import _decode_count_maps, _encode_count_maps
+from sketchlsh.cluster import (
+    _HEADER,
+    FRAME_MAGIC,
+    Frame,
+    TcpTransport,
+    TransportError,
+    _decode_count_maps,
+    _encode_count_maps,
+)
 from sketchlsh.core import DatasetPartition, LshConfig, SketchLshError, SparseVector
 from sketchlsh.dataio import DatasetManifest, parse_record, read_hosts_file
 from sketchlsh.index import NodeIndex, preprocess
@@ -85,7 +96,11 @@ def test_random_bytes_after_a_valid_prefix(workdir, blob, tail, keep):
 
 TEXT = st.text(st.characters(codec="utf-8"), max_size=40)
 PORTS = st.one_of(st.integers(-5, 70_000).map(str), TEXT)
-HOST_LINES = st.one_of(TEXT, st.builds(lambda h, p: f"{h}:{p}", TEXT, PORTS))
+HOST_PORTS = st.builds(lambda h, p: f"{h}:{p}", TEXT, PORTS)
+RANKS = st.one_of(st.integers(-1, 6).map(str), TEXT)
+HOST_LINES = st.one_of(
+    TEXT, HOST_PORTS, st.builds(lambda r, hp: f"{r} {hp}", RANKS, HOST_PORTS)
+)
 
 
 @FUZZ
@@ -98,6 +113,14 @@ def test_hosts_file(workdir, lines):
     except SketchLshError:
         return
     assert all(0 < port < 65536 for _, port in members)
+    # one member per listed line, and a rank column numbers the lines in order
+    listed = [
+        ln.split() for ln in path.read_text(encoding="utf-8").splitlines()
+        if ln.strip() and not ln.strip().startswith("#")
+    ]
+    assert len(members) == len(listed)
+    for rank, tokens in enumerate(listed):
+        assert len(tokens) == 1 or (len(tokens) == 2 and int(tokens[0]) == rank)
 
 
 MANIFEST_KEYS = st.sampled_from(
@@ -194,3 +217,40 @@ def test_parse_record(line, dim):
     except SketchLshError:
         return
     assert isinstance(vec, SparseVector) and vec.nnz > 0
+
+
+U32, U64 = st.integers(0, (1 << 32) - 1), st.integers(0, (1 << 64) - 1)
+HEADERS = st.one_of(
+    st.binary(min_size=_HEADER.size, max_size=_HEADER.size),
+    st.builds(
+        _HEADER.pack,
+        st.one_of(st.just(FRAME_MAGIC), U32),
+        U32,
+        U64,
+        U32,
+        st.one_of(st.integers(0, 80), U64),  # payload_len: fits what follows, or huge
+    ),
+)
+
+
+@FUZZ
+@given(header=HEADERS, payload=st.binary(max_size=64), cut=st.integers(0, _HEADER.size))
+def test_frame_header(header, payload, cut):
+    # a 28-byte header (or a cut one), a short payload, then the peer closes
+    transport = TcpTransport(0, [("127.0.0.1", 1)])  # a world of one opens no socket
+    sender, receiver = socket.socketpair()
+    with sender, receiver:
+        receiver.settimeout(5.0)
+        sender.sendall(header[: _HEADER.size - cut] + payload)
+        sender.close()
+        started = time.monotonic()
+        try:
+            frame = transport._read_frame(receiver, bytearray(), peer=1)
+        except TransportError as exc:
+            assert "timed out" not in str(exc)
+            return
+        finally:
+            assert time.monotonic() - started < 2.0
+    magic, ftype, batch_id, rnd, plen = _HEADER.unpack(header)
+    assert cut == 0 and magic == FRAME_MAGIC and plen <= len(payload)
+    assert frame == Frame(ftype, batch_id, rnd, payload[:plen])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchlsh._bits import range_map, seed_stream
-from sketchlsh.core import ConfigError, EmptyVectorError, LshConfig, SparseVector
+from sketchlsh.core import ConfigError, EmptyVectorError, LshConfig, SparseRows, SparseVector
 from sketchlsh import hashing
 from sketchlsh.hashing import (
     HashFamily,
@@ -229,6 +229,7 @@ class TestBatchedAddresses:
         fam, vectors = case
         with mock.patch.object(hashing, "_CHUNK_BINS", chunk):
             got = fam.addresses(vectors)
+            assert np.array_equal(fam.addresses(SparseRows.stack(vectors)), got)
         assert got.shape == (len(vectors), fam.num_tables)
         assert got.dtype == np.uint64
         assert np.array_equal(got, reference_addresses(fam, vectors))

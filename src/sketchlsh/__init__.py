@@ -27,7 +27,6 @@ from .sketch import (
     ShapeMismatchError,
     SketchFormatError,
     TopkapiSketch,
-    exact_counter,
 )
 from .index import IndexFileError, NodeIndex, preprocess
 from .cluster import (
@@ -96,7 +95,6 @@ __all__ = [
     "derive_seeds",
     "distance_counter",
     "doph_hashes",
-    "exact_counter",
     "linear_reduce_sketches",
     "minhash",
     "preprocess",

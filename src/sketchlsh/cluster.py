@@ -170,15 +170,24 @@ class TcpTransport(Transport):
         self.world_size = len(membership)
         self._socks: dict[int, socket.socket] = {}
         self._bufs: dict[int, bytearray] = {}
+        self._listener: socket.socket | None = None
         if self.world_size == 1:
-            self._listener = None
             return
+        try:
+            self._connect(membership, connect_timeout, io_timeout)
+        except BaseException:
+            self.close()  # the listener and every socket dialled or accepted so far
+            raise
+
+    def _connect(
+        self, membership: Sequence[tuple[str, int]], connect_timeout: float, io_timeout: float
+    ) -> None:
+        rank = self.rank
         host, port = membership[rank]
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._listener = listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((host, port))
         listener.listen(self.world_size)
-        self._listener = listener
 
         deadline = time.monotonic() + connect_timeout
         for peer in range(rank):
@@ -188,15 +197,21 @@ class TcpTransport(Transport):
         try:
             while len(self._socks) < self.world_size - 1:
                 conn, _ = listener.accept()
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                conn.settimeout(io_timeout)
-                # the buffer may capture bytes of the peer's next frame that
-                # arrived coalesced with the hello; it must live on
-                buf = bytearray()
-                hello = self._read_frame(conn, buf)
-                if hello.frame_type != FRAME_HELLO:
-                    raise TransportError("peer did not introduce itself")
-                (peer,) = struct.unpack("<I", hello.payload)
+                try:
+                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    conn.settimeout(io_timeout)
+                    # the buffer may capture bytes of the peer's next frame that
+                    # arrived coalesced with the hello; it must live on
+                    buf = bytearray()
+                    hello = self._read_frame(conn, buf)
+                    if hello.frame_type != FRAME_HELLO or len(hello.payload) != 4:
+                        raise TransportError("peer did not introduce itself")
+                    (peer,) = struct.unpack("<I", hello.payload)
+                    if not rank < peer < self.world_size or peer in self._socks:
+                        raise TransportError(f"rank {rank}: unexpected hello from rank {peer}")
+                except BaseException:
+                    conn.close()
+                    raise
                 self._socks[peer] = conn
                 self._bufs[peer] = buf
         except socket.timeout:
@@ -210,6 +225,7 @@ class TcpTransport(Transport):
     def _dial(self, addr: tuple[str, int], deadline: float, peer: int) -> socket.socket:
         last: Exception | None = None
         while time.monotonic() < deadline:
+            sock = None
             try:
                 sock = socket.create_connection(addr, timeout=2.0)
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -218,6 +234,8 @@ class TcpTransport(Transport):
                 )
                 return sock
             except OSError as exc:
+                if sock is not None:
+                    sock.close()
                 last = exc
                 time.sleep(0.05)
         raise TransportError(f"rank {self.rank}: cannot reach rank {peer}: {last}")

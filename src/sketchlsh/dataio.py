@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator
@@ -31,8 +32,6 @@ from .core import (
     SparseRows,
     SparseVector,
 )
-
-DEFAULT_BLOCK_SIZE = 4 << 20
 
 # Bytes per array pass of the record parser: bounds its scratch arrays. One
 # pass over a whole 3.4 MB partition raised peak RSS by 39 MB; 2^16-byte
@@ -52,38 +51,6 @@ class RecordParseError(SketchLshError, ValueError):
         where = f"line {line_no}: " if line_no is not None else ""
         super().__init__(f"{where}{message}")
         self.line_no = line_no
-
-
-class BlockLineReader:
-    """Iterate lines of a text file via large sequential block reads.
-
-    Reads ``block_size`` bytes at a time and splits lines itself, so disk
-    access stays sequential regardless of record size. ``blocks_read``
-    exposes how many raw reads were issued. Bytes that are not UTF-8 decode
-    as lone surrogates (``surrogateescape``), so a line keeps its original
-    bytes; :func:`_utf8_text` tells such a line apart.
-    """
-
-    def __init__(self, path, block_size: int = DEFAULT_BLOCK_SIZE):
-        self.path = Path(path)
-        self.block_size = block_size
-        self.blocks_read = 0
-
-    def __iter__(self) -> Iterator[str]:
-        remainder = b""
-        with open(self.path, "rb") as f:
-            while True:
-                block = f.read(self.block_size)
-                self.blocks_read += 1
-                if not block:
-                    break
-                block = remainder + block
-                lines = block.split(b"\n")
-                remainder = lines.pop()
-                for raw in lines:
-                    yield raw.decode("utf-8", errors="surrogateescape").rstrip("\r")
-        if remainder:
-            yield remainder.decode("utf-8", errors="surrogateescape").rstrip("\r")
 
 
 def _utf8_text(line: str, line_no: int | None = None) -> str:
@@ -171,7 +138,7 @@ def _scan_block(block: bytes, dim: int | None) -> tuple[np.ndarray, ...]:
     """One array pass over a block of whole lines.
 
     Lines split at ``\n`` and lose a trailing run of ``\r``, as in
-    :class:`BlockLineReader`. A line is *clean* when it is ASCII without
+    :func:`partition_dataset`. A line is *clean* when it is ASCII without
     control bytes other than tab, its first token is a label (no ``:``) or a
     feature, every other token is ``digits:value`` with one ``:`` and 1-18
     digits, and its indices are at least 1, increase and stay within
@@ -369,19 +336,17 @@ class DatasetManifest:
         )
 
 
-def partition_dataset(
-    input_path,
-    m: int,
-    out_dir,
-    dim: int | None = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> DatasetManifest:
+def partition_dataset(input_path, m: int, out_dir, dim: int | None = None) -> DatasetManifest:
     """Round-robin split of an input file into m partition files plus manifest.
 
-    Line i goes verbatim to partition (i mod m), so partition contents are
-    byte-stable and ids stay the global line offsets. When ``dim`` is not
-    given it is inferred as 1 + the largest parseable feature index. Any IO
-    failure removes the partial output files before re-raising.
+    Line i goes to partition (i mod m) as its own bytes: split at ``\n``,
+    without its trailing run of ``\r``, ended by ``\n``. So partition
+    contents are byte-stable and ids stay the global line offsets. The
+    input is read once, in the blocks of whole lines the record parser
+    reads: each block updates the checksum, widens the inferred dimension
+    when ``dim`` is not given (1 + the largest parseable feature index) and
+    is appended line by line to the partition files. Any IO failure removes
+    the partial output files before re-raising.
     """
     if m < 1:
         raise ConfigError("partition count m must be >= 1")
@@ -392,7 +357,6 @@ def partition_dataset(
     hasher = hashlib.sha256()
     counts = [0] * m
     max_index = -1
-    reader = BlockLineReader(input_path, block_size=block_size)
 
     def widest(line: str, line_no: int) -> np.ndarray | None:
         try:
@@ -401,23 +365,25 @@ def partition_dataset(
             return None  # malformed lines are still distributed verbatim
 
     try:
-        with open(input_path, "rb") as raw:
+        with open(input_path, "rb") as raw, ExitStack() as stack:
+            files = [stack.enter_context(open(p, "wb")) for p in paths]
             for block in _line_blocks(raw):
                 hasher.update(block)
                 if dim is None:
                     indices = _parse_block(block, None, 0, widest)[3]
                     if indices.size:
                         max_index = max(max_index, int(indices.max()))
-        # surrogateescape writes a line that is not UTF-8 back as its own bytes
-        files = [open(p, "w", encoding="utf-8", errors="surrogateescape") for p in paths]
-        try:
-            for i, line in enumerate(reader):
-                r = i % m
-                files[r].write(line + "\n")
-                counts[r] += 1
-        finally:
-            for f in files:
-                f.close()
+                lines = block.split(b"\n")
+                if not lines[-1]:
+                    lines.pop()  # the block ends with a newline
+                if b"\r" in block:
+                    lines = [line.rstrip(b"\r") for line in lines]
+                first = sum(counts)  # the global number of the block's first line
+                for r, f in enumerate(files):
+                    mine = lines[(r - first) % m :: m]
+                    if mine:
+                        f.write(b"\n".join(mine) + b"\n")
+                        counts[r] += len(mine)
         eff_dim = dim if dim is not None else max(max_index + 1, 1)
         manifest = DatasetManifest(
             total=sum(counts),
@@ -451,12 +417,15 @@ def load_partition(
     manifest: DatasetManifest, manifest_dir, rank: int
 ) -> tuple[DatasetPartition, list[RecordIssue]]:
     """Load one partition's vectors; malformed records, lines that are not
-    UTF-8 among them, become issues, not aborts.
+    UTF-8 among them, become issues, not aborts. A ``rank`` outside
+    ``0..manifest.m - 1`` is a :class:`ConfigError`.
 
     The file is parsed in array passes over blocks of whole lines; only the
     lines a pass cannot prove clean go through :func:`parse_record`, one by
     one, so ids, vectors and issues are those of parsing every line with it.
     """
+    if not 0 <= rank < manifest.m:
+        raise ConfigError(f"rank {rank} is outside the manifest's ranks 0..{manifest.m - 1}")
     info = manifest.partitions[rank]
     path = Path(manifest_dir) / info.path
     issues = []

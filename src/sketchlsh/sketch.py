@@ -20,9 +20,8 @@ concatenation of its members' records.
 from __future__ import annotations
 
 import struct
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -325,11 +324,3 @@ class TopkapiSketch:
         shape = "x".join(map(str, self.ids.shape))
         return f"TopkapiSketch({shape}, {occupied} occupied cells)"
 
-
-def exact_counter(stream: Iterable[int]) -> Counter:
-    """Exact multiset count of a stream of ids.
-
-    The reference both for tests and for the sketch-free "exact" aggregation
-    mode, where candidate frequencies are counted without approximation.
-    """
-    return Counter(int(x) for x in stream)

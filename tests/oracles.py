@@ -7,15 +7,19 @@ pytest session.
 
 from __future__ import annotations
 
+import hashlib
 import socket
 import threading
 from collections import Counter, defaultdict
+from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from sketchlsh.core import SketchLshError, SparseVector
 from sketchlsh.dataio import (
-    BlockLineReader,
+    DatasetManifest,
+    PartitionInfo,
     RecordIssue,
     RecordParseError,
     _utf8_text,
@@ -64,6 +68,54 @@ def reference_addresses(family, vectors) -> np.ndarray:
     return out
 
 
+class BlockLineReader:
+    """Iterate lines of a file via sequential reads of ``block_size`` bytes.
+
+    Splits lines at ``\n`` itself, carrying a line cut by a block over to
+    the next, and drops each line's trailing run of ``\r``; a last line
+    without a newline is a line too. Bytes that are not UTF-8 decode as lone
+    surrogates (``surrogateescape``), so a line keeps its original bytes;
+    ``_utf8_text`` tells such a line apart.
+    """
+
+    def __init__(self, path, block_size: int = 4 << 20):
+        self.path = Path(path)
+        self.block_size = block_size
+
+    def __iter__(self) -> Iterator[str]:
+        remainder = b""
+        with open(self.path, "rb") as f:
+            while block := f.read(self.block_size):
+                lines = (remainder + block).split(b"\n")
+                remainder = lines.pop()
+                for raw in lines:
+                    yield raw.decode("utf-8", errors="surrogateescape").rstrip("\r")
+        if remainder:
+            yield remainder.decode("utf-8", errors="surrogateescape").rstrip("\r")
+
+
+def per_line_split(path, m: int, dim: int | None = None):
+    """The partition files' bytes and the manifest of an m-way round-robin
+    split of ``path``, built line by line from :class:`BlockLineReader`:
+    line i, re-encoded and ended by ``\n``, goes to partition i mod m."""
+    parts = [b""] * m
+    counts = [0] * m
+    for i, line in enumerate(BlockLineReader(path)):
+        parts[i % m] += line.encode("utf-8", errors="surrogateescape") + b"\n"
+        counts[i % m] += 1
+    manifest = DatasetManifest(
+        total=sum(counts),
+        dim=dim if dim is not None else per_line_dim(path),
+        m=m,
+        checksum="sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest(),
+        partitions=tuple(
+            PartitionInfo(path=f"part-{r:05d}.txt", records=counts[r], offset=r)
+            for r in range(m)
+        ),
+    )
+    return parts, manifest
+
+
 def per_line_partition(path, dim, offset: int = 0, m: int = 1):
     """A partition file parsed line by line with :func:`parse_record`:
     (vector id, indices) per kept line, and a :class:`RecordIssue` per
@@ -102,6 +154,12 @@ def per_line_queries(path, dim):
         if line.strip():
             pairs.append((i, parse_record(line, dim=dim, line_no=i)[1]))
     return pairs
+
+
+def exact_counter(stream: Iterable[int]) -> Counter:
+    """Exact multiset count of a stream of ids: the reference the sketch's
+    heavy hitters are checked against."""
+    return Counter(int(x) for x in stream)
 
 
 def cell_arrival_counts(sketch, stream: np.ndarray) -> dict[tuple[int, int], Counter]:

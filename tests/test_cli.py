@@ -190,6 +190,16 @@ class TestEndToEnd:
         ]) == 3
         assert "index of rank 0, not 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rank", ["5", "-1"])
+    def test_index_rank_outside_manifest_is_config_error(self, tmp_path, rng, capsys, rank):
+        manifest, _, _ = build_indexes(tmp_path, rng, m=2)
+        capsys.readouterr()
+        assert main([
+            "index", "--manifest", str(manifest), "--out", str(tmp_path / "idx2"), "--rank", rank,
+        ]) == 2
+        assert f"rank {rank} is outside the manifest's ranks 0..1" in capsys.readouterr().err
+        assert not any((tmp_path / "idx2").glob("index-*"))
+
     def test_unreachable_peer_is_transport_error(self, tmp_path, rng, capsys, monkeypatch):
         _, idx_dir, queries = build_indexes(tmp_path, rng, m=2)
         hosts = tmp_path / "hosts.txt"

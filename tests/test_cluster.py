@@ -1,5 +1,8 @@
+import gc
 import math
+import socket
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from sketchlsh.cluster import (
     ReductionSchedule,
     SimulatedCluster,
     SimulatedTransport,
+    TcpTransport,
     TransportError,
     _decode_count_maps,
     _decode_sketches,
@@ -24,7 +28,7 @@ from sketchlsh.cluster import (
 )
 from sketchlsh.sketch import ShapeMismatchError, TopkapiSketch, row_seeds_from_master
 
-from oracles import run_tcp_threads
+from oracles import free_ports, run_tcp_threads
 
 SEEDS = row_seeds_from_master(7, 2)
 
@@ -372,3 +376,30 @@ class TestReduceFrames:
         _, sent, received, _ = self.run_recorded(monkeypatch, m, linear_reduce_sketches, items)
         assert received[0] == [(src, 0) for src in range(1, m)]
         assert [(src, dst, rnd) for src, dst, rnd, _ in sent] == [(r, 0, 0) for r in range(1, m)]
+
+
+class TestTcpSetupFailure:
+    """A transport that fails to connect closes every socket it opened."""
+
+    def assert_closes_its_sockets(self, connect, match):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(TransportError, match=match):
+                connect()
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_unreachable_lower_rank(self):
+        members = [("127.0.0.1", p) for p in free_ports(2)]
+        self.assert_closes_its_sockets(
+            lambda: TcpTransport(1, members, connect_timeout=0.3), "cannot reach rank 0"
+        )
+
+    def test_higher_rank_never_connects(self):
+        # rank 1 of 3 dials a bare listener standing in for rank 0, then
+        # waits in vain for rank 2: a listener and a dialled socket to close
+        with socket.create_server(("127.0.0.1", 0)) as stand_in:
+            members = [stand_in.getsockname()] + [("127.0.0.1", p) for p in free_ports(2)]
+            self.assert_closes_its_sockets(
+                lambda: TcpTransport(1, members, connect_timeout=0.3), r"ranks \[2\] never connected"
+            )

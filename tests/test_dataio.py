@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from sketchlsh.cluster import SimulatedCluster
 from sketchlsh.core import ConfigError, EmptyVectorError, LshConfig, SketchLshError
 from sketchlsh.dataio import (
-    BlockLineReader,
     DatasetManifest,
     PartitionInfo,
     RecordParseError,
@@ -28,7 +28,7 @@ from sketchlsh.query import QueryBatch, query_batch
 from sketchlsh.synthetic import random_sparse_vectors
 import sketchlsh.dataio as dataio
 
-from oracles import per_line_dim, per_line_partition, per_line_queries
+from oracles import BlockLineReader, per_line_dim, per_line_partition, per_line_queries, per_line_split
 
 
 class TestParseRecord:
@@ -176,21 +176,48 @@ class TestPartition:
         src = tmp_path / "data.txt"
         self._write_dataset(src, 20, rng)
         out = tmp_path / "out"
+        original = dataio._line_blocks
+        passed, written = [], []
 
-        calls = {"n": 0}
-        original = dataio.BlockLineReader.__iter__
-
-        def exploding(self):
-            for line in original(self):
-                calls["n"] += 1
-                if calls["n"] > 5:
+        def failing(f):
+            for block in original(f):
+                if passed:
+                    written.extend(sorted(p.name for p in out.glob("part-*")))
                     raise OSError("disk gone")
-                yield line
+                passed.append(block)
+                yield block
 
-        monkeypatch.setattr(dataio.BlockLineReader, "__iter__", exploding)
-        with pytest.raises(OSError):
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 64)
+        monkeypatch.setattr(dataio, "_line_blocks", failing)
+        with pytest.raises(OSError, match="disk gone"):
             partition_dataset(src, 3, out)
+        assert len(passed) == 1 and src.stat().st_size > 2 * 64  # failed at block 2 of several
+        assert written == ["part-00000.txt", "part-00001.txt", "part-00002.txt"]
         assert not any(out.glob("part-*")) and not (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("dim", [None, 64])
+    def test_input_opened_once(self, tmp_path, rng, monkeypatch, dim):
+        src = tmp_path / "data.txt"
+        self._write_dataset(src, 20, rng)
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(Path(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(dataio, "open", counting_open, raising=False)
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 64)
+        manifest = partition_dataset(src, 3, tmp_path / "out", dim=dim)
+        assert manifest.total == 20
+        assert opened.count(src) == 1
+
+    @pytest.mark.parametrize("rank", [-1, 2, 5])
+    def test_rank_outside_manifest_is_config_error(self, tmp_path, rng, rank):
+        src = tmp_path / "data.txt"
+        self._write_dataset(src, 4, rng)
+        manifest = partition_dataset(src, 2, tmp_path / "out")
+        with pytest.raises(ConfigError, match=f"rank {rank} is outside"):
+            load_partition(manifest, tmp_path / "out", rank)
 
     def test_repartition_preserves_exact_query_results(self, tmp_path, rng):
         src = tmp_path / "data.txt"
@@ -213,16 +240,16 @@ class TestPartition:
 
 
 class TestBlockReader:
+    """The line reader of the per-line oracles."""
+
     def test_reads_in_large_blocks(self, tmp_path):
         path = tmp_path / "big.txt"
         lines = [f"{i} 1:1" for i in range(5000)]
         path.write_text("\n".join(lines) + "\n")
         size = os.path.getsize(path)
         block = 8192
-        reader = BlockLineReader(path, block_size=block)
-        got = list(reader)
-        assert got == lines
-        assert reader.blocks_read == size // block + 2  # full blocks + tail + EOF probe
+        assert size > 2 * block  # lines straddle blocks
+        assert list(BlockLineReader(path, block_size=block)) == lines
 
     def test_handles_missing_trailing_newline(self, tmp_path):
         path = tmp_path / "x.txt"
@@ -432,3 +459,54 @@ class TestArrayParser:
             blocks = list(dataio._line_blocks(f))
         assert len(part) == 30 and not issues
         assert len(blocks) > 1 and len(calls) == len(blocks)
+
+
+# -- the one-pass split against the per-line oracle ---------------------------------
+
+# each line ends its own way; a lone \r stays inside the line it does not end
+EOLS = st.sampled_from([b"\n", b"\r\n", b"\r\r\n", b"\r", b"\n\n"])
+SPLIT_FILES = st.builds(
+    lambda body, tail: b"".join(line + eol for line, eol in body) + tail,
+    st.lists(st.tuples(st.one_of(VALID_LINE, DIRTY_LINE, st.binary(max_size=12)), EOLS), max_size=14),
+    # a last line without a newline, which may be nothing but \r
+    st.one_of(st.sampled_from([b"", b"\r", b"\r\r", b"\xff\r"]), VALID_LINE, st.binary(max_size=12)),
+)
+
+
+class TestPartitionPass:
+    @EXAMPLES
+    @given(
+        data=SPLIT_FILES,
+        block=st.sampled_from([1, 7, dataio._BLOCK_BYTES]),
+        m=st.integers(1, 3),
+        dim=st.sampled_from([None, DIM]),
+    )
+    def test_partition_equals_per_line_split(self, tmp_path_factory, data, block, m, dim):
+        src = tmp_path_factory.mktemp("split") / "data.txt"
+        src.write_bytes(data)
+        out = src.parent / "out"
+        with mock.patch.object(dataio, "_BLOCK_BYTES", block):
+            manifest = partition_dataset(src, m, out, dim=dim)
+        parts, want = per_line_split(src, m, dim)
+        assert [(out / p.path).read_bytes() for p in manifest.partitions] == parts
+        assert manifest == want
+        assert DatasetManifest.load(out / "manifest.txt") == want
+
+    @pytest.mark.parametrize("data", [
+        b"",
+        b"\r",
+        b"1 1:1\r\n1 2:1\r\r\n1 3:1\r",
+        b"1 1:1\n\r",
+        b"1 1:1\r1 2:1\n",
+        b"\xff\xfe 1:1\n\x80\r\n",
+        b"1 " + b" ".join(b"%d:1" % i for i in range(1, 200)) + b"\n1 1:1",
+    ])
+    def test_edge_files_equal_per_line_split(self, tmp_path, monkeypatch, data):
+        src = tmp_path / "data.txt"
+        src.write_bytes(data)
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 16)  # the long line spans many blocks
+        for m in (1, 2, 3):
+            manifest = partition_dataset(src, m, tmp_path / f"out{m}")
+            parts, want = per_line_split(src, m)
+            assert [(tmp_path / f"out{m}" / p.path).read_bytes() for p in manifest.partitions] == parts
+            assert manifest == want

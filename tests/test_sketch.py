@@ -5,12 +5,11 @@ from sketchlsh.core import NULL_ID
 from sketchlsh.sketch import (
     ShapeMismatchError,
     TopkapiSketch,
-    exact_counter,
     row_seeds_from_master,
 )
 from sketchlsh.synthetic import adversarial_stream, zipf_stream
 
-from oracles import cell_arrival_counts, replay_cells, replayed_sketch
+from oracles import cell_arrival_counts, exact_counter, replay_cells, replayed_sketch
 
 SEEDS4 = row_seeds_from_master(77, 4)
 

@@ -23,13 +23,13 @@ from .core import (
 )
 from .hashing import HashFamily, doph_hashes, minhash, table_address
 from .sketch import (
-    HeavyHitterSet,
     ShapeMismatchError,
     SketchFormatError,
     TopkapiSketch,
 )
 from .index import IndexFileError, NodeIndex, preprocess
 from .cluster import (
+    ExactCounts,
     ReduceStats,
     ReductionSchedule,
     SimulatedCluster,
@@ -63,8 +63,8 @@ __all__ = [
     "ConfigError",
     "DatasetPartition",
     "EmptyVectorError",
+    "ExactCounts",
     "HashFamily",
-    "HeavyHitterSet",
     "IndexFileError",
     "InfeasibleParamsError",
     "InvalidVectorError",

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SketchLshError
+from .core import ConfigError, SketchLshError
 from .sketch import SketchFormatError, TopkapiSketch
 
 FRAME_MAGIC = 0x534B4C48  # "SKLH"
@@ -166,8 +166,9 @@ class TcpTransport(Transport):
         connect_timeout: float = 20.0,
         io_timeout: float = 30.0,
     ):
-        self.rank = rank
-        self.world_size = len(membership)
+        self.rank, self.world_size = rank, len(membership)
+        if not 0 <= rank < self.world_size:
+            raise ConfigError(f"rank {rank} is outside the cluster's ranks 0..{self.world_size - 1}")
         self._socks: dict[int, socket.socket] = {}
         self._bufs: dict[int, bytearray] = {}
         self._listener: socket.socket | None = None
@@ -186,8 +187,11 @@ class TcpTransport(Transport):
         host, port = membership[rank]
         self._listener = listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host, port))
-        listener.listen(self.world_size)
+        try:
+            listener.bind((host, port))
+            listener.listen(self.world_size)
+        except OSError as exc:
+            raise TransportError(f"rank {rank}: cannot listen on {host}:{port}: {exc}") from None
 
         deadline = time.monotonic() + connect_timeout
         for peer in range(rank):
@@ -417,55 +421,87 @@ def linear_reduce_sketches(
     return _reduce_sketches(transport, sketches, schedule, batch_id, stats)
 
 
-def _encode_count_maps(maps: Sequence[dict[int, int]]) -> bytes:
-    parts = []
-    for m in maps:
-        items = sorted(m.items())
-        parts.append(struct.pack("<Q", len(items)))
-        parts.append(b"".join(struct.pack("<QQ", i, c) for i, c in items))
-    return b"".join(parts)
+@dataclass(frozen=True, eq=False)
+class ExactCounts:
+    """Exact per-id counts of a query batch in CSR form: query q holds the
+    ids ``ids[indptr[q]:indptr[q + 1]]``, ascending, each with its count
+    (at least 1) at the same position of ``counts``.
 
+    On the wire it is three little-endian u64 columns: the n per-query entry
+    counts, then every id, then every count; 8n + 16e bytes for e entries.
+    """
 
-def _decode_count_maps(payload: bytes, expected: int) -> list[dict[int, int]]:
-    out = []
-    off = 0
-    for _ in range(expected):
-        if len(payload) - off < 8:
-            raise CollectiveError("truncated count-map payload")
-        (n,) = struct.unpack_from("<Q", payload, off)
-        off += 8
-        if n > (len(payload) - off) // 16:
-            raise CollectiveError(f"count map of {n} entries overruns the payload")
-        pairs = np.frombuffer(payload, dtype="<u8", count=2 * n, offset=off).reshape(n, 2)
-        off += 16 * n
-        out.append(dict(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())))
-    if off != len(payload):
-        raise CollectiveError("trailing bytes after count-map payload")
-    return out
+    indptr: np.ndarray  # (n + 1,) int64
+    ids: np.ndarray  # (e,) uint64
+    counts: np.ndarray  # (e,) uint64
 
+    def __len__(self) -> int:
+        return self.indptr.size - 1
 
-def _merge_count_map_lists(
-    local: list[dict[int, int]], received: list[dict[int, int]]
-) -> list[dict[int, int]]:
-    out = []
-    for a, b in zip(local, received):
-        merged = dict(a)
-        for i, c in b.items():
-            merged[i] = merged.get(i, 0) + c
-        out.append(merged)
-    return out
+    @classmethod
+    def summed(
+        cls, n: int, queries: np.ndarray, ids: np.ndarray, counts: np.ndarray
+    ) -> "ExactCounts":
+        """Counts of n queries from (query, id, count) entries; the counts
+        of equal (query, id) keys add up."""
+        order = np.lexsort((ids, queries))
+        queries, ids, counts = queries[order], ids[order], counts[order]
+        first = np.ones(ids.size, dtype=bool)
+        first[1:] = (queries[1:] != queries[:-1]) | (ids[1:] != ids[:-1])
+        starts = np.flatnonzero(first)
+        return cls(
+            indptr=np.searchsorted(queries[starts], np.arange(n + 1)),
+            ids=ids[starts],
+            counts=np.add.reduceat(counts, starts) if starts.size else counts,
+        )
+
+    def queries(self) -> np.ndarray:
+        """The query each entry belongs to."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def merge(self, other: "ExactCounts") -> "ExactCounts":
+        """Counts over both batches' streams: per query, the ids' counts add up."""
+        return ExactCounts.summed(
+            len(self),
+            np.concatenate((self.queries(), other.queries())),
+            np.concatenate((self.ids, other.ids)),
+            np.concatenate((self.counts, other.counts)),
+        )
+
+    def to_bytes(self) -> bytes:
+        # int64 with uint64 would promote to float64, which rounds ids past 2^53
+        columns = (np.diff(self.indptr).astype(np.uint64), self.ids, self.counts)
+        return np.concatenate(columns).astype("<u8").tobytes()
+
+    @classmethod
+    def from_bytes(cls, payload: bytes, n: int) -> "ExactCounts":
+        """Decode the counts of an n-query batch; malformed bytes raise
+        :class:`CollectiveError`."""
+        rest = len(payload) - 8 * n
+        if rest < 0 or rest % 16:
+            raise CollectiveError(f"count payload of {len(payload)} bytes for {n} queries")
+        columns = np.frombuffer(payload, dtype="<u8").astype(np.uint64)
+        lengths, e = columns[:n], rest // 16
+        if sum(lengths.tolist()) != e:  # Python ints: a huge length cannot wrap
+            raise CollectiveError(f"entry counts do not add up to the payload's {e} entries")
+        indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        out = cls(indptr, columns[n : n + e], columns[n + e :])
+        queries, ids = out.queries(), out.ids
+        if np.any((queries[1:] == queries[:-1]) & (ids[1:] <= ids[:-1])) or 0 in out.counts:
+            raise CollectiveError("count payload ids not ascending or a count of 0")
+        return out
 
 
 def tree_reduce_counts(
     transport: Transport,
-    maps: Sequence[dict[int, int]],
+    counts: ExactCounts,
     batch_id: int = 0,
     stats: ReduceStats | None = None,
-) -> list[dict[int, int]] | None:
+) -> ExactCounts | None:
     """Exact-mode reduction: per-id counts summed over ranks, tree pattern."""
     return _reduce(
-        transport, list(maps), ReductionSchedule.for_world(transport.world_size),
-        merge=_merge_count_map_lists, encode=_encode_count_maps, decode=_decode_count_maps,
+        transport, counts, ReductionSchedule.for_world(transport.world_size),
+        merge=ExactCounts.merge, encode=ExactCounts.to_bytes, decode=ExactCounts.from_bytes,
         batch_id=batch_id, stats=stats,
     )
 

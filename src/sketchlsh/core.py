@@ -6,7 +6,7 @@ concurrent workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -133,18 +133,11 @@ class LshConfig:
             raise ConfigError("master_seed must fit in 64 bits")
 
     def fingerprint(self) -> int:
-        """Stable 64-bit digest of every field; used to detect config skew."""
+        """Stable 64-bit digest of every field, in declaration order; used to
+        detect config skew and stored in index files."""
         acc = np.uint64(0xC0F1C0F1C0F1C0F1)
-        for value in (
-            self.hashes_per_table,
-            self.num_tables,
-            self.table_range,
-            self.sketch_rows,
-            self.sketch_cols,
-            self.master_seed,
-            self.top_k,
-        ):
-            acc = mix64(acc ^ np.uint64(value))
+        for f in fields(self):
+            acc = mix64(acc ^ np.uint64(getattr(self, f.name)))
         return int(acc)
 
 

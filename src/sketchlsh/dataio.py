@@ -15,7 +15,7 @@ import hashlib
 import io
 import os
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator
 
@@ -477,15 +477,7 @@ def load_config(path) -> dict[str, str]:
     return out
 
 
-_CONFIG_KEYS = (
-    "hashes_per_table",
-    "num_tables",
-    "table_range",
-    "sketch_rows",
-    "sketch_cols",
-    "master_seed",
-    "top_k",
-)
+_CONFIG_KEYS = tuple(f.name for f in fields(LshConfig))
 
 
 def lsh_config_from_mapping(kv: dict[str, str], **overrides) -> LshConfig:

@@ -14,9 +14,11 @@ space is much larger than the partition. The same storage serves the exact
 (sketch-free) aggregation mode directly, and the index file holds these
 columns and nothing else.
 
-Probes work on a whole query batch: per table, every bucket the batch
-addresses is built in one stacked sketch insert, and the table is folded
-into the batch's stack of merged sketches with one merge.
+Both aggregation modes probe a whole query batch with one walk over the
+tables, which yields per table the id streams of every bucket the batch
+addresses. The sketch mode builds them in one stacked sketch insert and
+folds the table into the batch's stack of merged sketches with one merge;
+the exact mode counts every (query, id) pair of the walk in one keyed sum.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .core import (
     SparseRows,
     VectorId,
 )
+from .cluster import ExactCounts
 from .hashing import HashFamily
 from .sketch import TopkapiSketch, row_seeds_from_master
 
@@ -71,21 +74,17 @@ class _TableBuckets:
             offsets = np.zeros(1, dtype=np.int64)
         return cls(addrs=uniq, offsets=offsets, ids=sorted_ids)
 
-    def streams(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Id streams of the buckets at positions ``pos``, back to back, and
-        for each id the index into ``pos`` of the bucket it belongs to."""
-        starts = self.offsets[pos]
-        lengths = self.offsets[pos + 1] - starts
-        slots = np.repeat(np.arange(pos.size), lengths)
+    def streams(self, addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Id streams of the buckets at ``addrs``, one address per query, back
+        to back, and for each id its query; an empty address adds nothing."""
+        pos = np.searchsorted(self.addrs, addrs)
+        hit = np.flatnonzero(pos < self.occupied)
+        hit = hit[self.addrs[pos[hit]] == addrs[hit]]
+        starts = self.offsets[pos[hit]]
+        lengths = self.offsets[pos[hit] + 1] - starts
         first = np.cumsum(lengths) - lengths  # where each stream starts in the output
-        take = np.arange(int(lengths.sum())) + (starts - first)[slots]
-        return self.ids[take], slots
-
-    def bucket(self, addr: int) -> np.ndarray:
-        pos = np.searchsorted(self.addrs, np.uint64(addr))
-        if pos >= self.addrs.size or self.addrs[pos] != np.uint64(addr):
-            return self.ids[:0]
-        return self.ids[self.offsets[pos] : self.offsets[pos + 1]]
+        take = np.arange(int(lengths.sum())) + np.repeat(starts - first, lengths)
+        return self.ids[take], np.repeat(hit, lengths)
 
     @property
     def occupied(self) -> int:
@@ -140,14 +139,6 @@ class NodeIndex:
             self.config.sketch_rows, self.config.sketch_cols, self.row_seeds, members
         )
 
-    def sketch_at(self, table: int, addr: int) -> TopkapiSketch:
-        """The bucket sketch at (table, addr); empty sketch if unoccupied."""
-        s = self.empty_sketch()
-        ids = self.tables[table].bucket(addr)
-        if ids.size:
-            s.insert_many(ids)
-        return s
-
     def _checked(self, addresses, ndims: tuple[int, ...]) -> np.ndarray:
         """``addresses`` as uint64 rows of one address per table, each below
         ``table_range``; anything else is a :class:`ConfigError`."""
@@ -160,6 +151,14 @@ class NodeIndex:
         if addresses.size and int(addresses.max()) >= self.config.table_range:
             raise ConfigError("address out of table range")
         return addresses
+
+    def _addressed(self, batch: np.ndarray):
+        """Per table with a hit, the ids of every bucket the (n, L) ``batch``
+        addresses, back to back, and for each id the query it belongs to."""
+        for t, tb in enumerate(self.tables):
+            items, queries = tb.streams(batch[:, t])
+            if items.size:
+                yield items, queries
 
     def local_candidates(self, addresses: np.ndarray) -> TopkapiSketch:
         """Merges of this node's addressed bucket sketches for a query batch.
@@ -175,31 +174,20 @@ class NodeIndex:
         addresses = self._checked(addresses, ndims=(1, 2))
         batch = addresses.reshape(-1, self.config.num_tables)
         merged = self.empty_sketch(len(batch))
-        for t, tb in enumerate(self.tables):
-            if tb.occupied == 0:
-                continue  # identity contribution
-            pos = np.searchsorted(tb.addrs, batch[:, t])
-            hit = tb.addrs[np.minimum(pos, tb.occupied - 1)] == batch[:, t]
-            if not hit.any():
-                continue
-            items, slots = tb.streams(pos[hit])
+        for items, queries in self._addressed(batch):
             table = self.empty_sketch(len(batch))
-            table.insert_many(items, np.flatnonzero(hit)[slots])
+            table.insert_many(items, queries)
             merged = merged.merge(table)
         return merged if addresses.ndim == 2 else merged[0]
 
-    def exact_candidates(self, addresses: np.ndarray) -> dict[int, int]:
-        """Exact per-id occurrence counts over the addressed buckets."""
-        addresses = self._checked(addresses, ndims=(1,))
-        chunks = [
-            self.tables[t].bucket(int(addresses[t]))
-            for t in range(self.config.num_tables)
-        ]
-        allids = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint64)
-        if allids.size == 0:
-            return {}
-        uniq, counts = np.unique(allids, return_counts=True)
-        return {int(i): int(c) for i, c in zip(uniq, counts)}
+    def exact_candidates(self, addresses: np.ndarray) -> ExactCounts:
+        """Exact per-id occurrence counts over each query's addressed buckets,
+        for the batch's (n, L) address matrix."""
+        batch = self._checked(addresses, ndims=(2,))
+        walk = list(self._addressed(batch))
+        ids = np.concatenate([items for items, _ in walk] + [np.empty(0, np.uint64)])
+        queries = np.concatenate([q for _, q in walk] + [np.empty(0, np.int64)])
+        return ExactCounts.summed(len(batch), queries, ids, np.ones(ids.size, np.uint64))
 
     @property
     def occupied_slots(self) -> list[int]:

@@ -25,9 +25,9 @@ import numpy as np
 from .core import ConfigError, SparseVector
 from .cluster import (
     CollectiveError,
+    ExactCounts,
     ReduceStats,
     Transport,
-    _encode_count_maps,
     allgather,
     linear_reduce_sketches,
     tree_reduce_counts,
@@ -35,7 +35,6 @@ from .cluster import (
 )
 from .hashing import HashFamily
 from .index import NodeIndex
-from .sketch import TopkapiSketch
 from ._bits import mix64
 
 MODES = ("sketch_tree", "sketch_linear", "exact")
@@ -131,6 +130,8 @@ class QueryMetrics:
     extract_s: float = 0.0
     reduce_stats: ReduceStats = field(default_factory=ReduceStats)
     capture_reduced: bool = False
+    # rank 0's reduced batch as bytes: per query one sketch record in the
+    # sketch modes, the batch's one count payload in exact mode
     reduced_payloads: list[bytes] | None = None
 
     def to_line(self) -> str:
@@ -141,23 +142,26 @@ class QueryMetrics:
         )
 
 
-def top_k_extract(source, k: int) -> tuple[tuple[int, int], ...]:
-    """Top k candidates by count from a sketch or an exact count map.
+def top_k_extract(reduced, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Top k candidates by count for every query of a reduced batch.
 
-    Deterministic: descending count, ties by ascending id. Counts of zero
-    never appear, so every reported frequency is at least 1. Returns fewer
-    than k entries when fewer candidates survive; no padding.
+    ``reduced`` is an :class:`ExactCounts` or a sequence of sketches, one
+    per query; the result holds one hit tuple per query. Deterministic:
+    descending count, ties by ascending id. Counts of zero never appear, so
+    every reported frequency is at least 1. A query with fewer than k
+    candidates gets fewer entries; no padding.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
-    if isinstance(source, TopkapiSketch):
-        entries = source.heavy_hitters(threshold=0).entries
-        return tuple(entries[:k])
-    ranked = sorted(
-        ((int(i), int(c)) for i, c in source.items() if c > 0),
-        key=lambda ic: (-ic[1], ic[0]),
-    )
-    return tuple(ranked[:k])
+    if not isinstance(reduced, ExactCounts):
+        return tuple(sketch.heavy_hitters(0)[:k] for sketch in reduced)
+    starts, lengths = reduced.indptr[:-1], np.diff(reduced.indptr)
+    # grouped by query; ~count (2^64 - 1 - count) ranks larger counts first
+    order = np.lexsort((reduced.ids, ~reduced.counts, reduced.queries()))
+    keep = order[np.arange(order.size) - np.repeat(starts, lengths) < k]
+    hits = list(zip(reduced.ids[keep].tolist(), reduced.counts[keep].tolist()))
+    bounds = np.concatenate(([0], np.cumsum(np.minimum(lengths, k)))).tolist()
+    return tuple(tuple(hits[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
 def _slice_bounds(n: int, world_size: int, rank: int) -> tuple[int, int]:
@@ -232,10 +236,8 @@ def query_batch(
     metrics.gather_s += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if mode == "exact":
-        local = [index.exact_candidates(all_addrs[q]) for q in range(n)]
-    else:
-        local = index.local_candidates(all_addrs)
+    probe = index.exact_candidates if mode == "exact" else index.local_candidates
+    local = probe(all_addrs)
     metrics.local_merge_s += time.perf_counter() - t0
 
     # read the module globals at call time, so a patched reducer is the one run
@@ -254,13 +256,10 @@ def query_batch(
     t0 = time.perf_counter()
     assert reduced is not None
     if metrics.capture_reduced:
-        metrics.reduced_payloads = [
-            _encode_count_maps([r]) if mode == "exact" else r.to_bytes() for r in reduced
-        ]
-    results = [
-        QueryResult(query_id=batch.queries[q][0], hits=top_k_extract(reduced[q], config.top_k))
-        for q in range(n)
-    ]
+        members = [reduced] if mode == "exact" else reduced
+        metrics.reduced_payloads = [r.to_bytes() for r in members]
+    hits = top_k_extract(reduced, config.top_k)
+    results = [QueryResult(query_id=qid, hits=h) for (qid, _), h in zip(batch.queries, hits)]
     metrics.extract_s += time.perf_counter() - t0
     return results
 

@@ -20,7 +20,6 @@ concatenation of its members' records.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,16 +50,6 @@ def row_seeds_from_master(master_seed: int, rows: int) -> np.ndarray:
     index must share these seeds or merging is meaningless.
     """
     return seed_stream(master_seed, rows, tag=_TAG_ROW_SEEDS)
-
-
-@dataclass(frozen=True)
-class HeavyHitterSet:
-    """Ranked heavy-hitter report: (item id, estimated count), descending."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 class TopkapiSketch:
@@ -233,8 +222,9 @@ class TopkapiSketch:
 
     # -- reporting ---------------------------------------------------------------
 
-    def heavy_hitters(self, threshold: int = 0) -> HeavyHitterSet:
-        """All cell candidates with counter strictly above ``threshold``.
+    def heavy_hitters(self, threshold: int = 0) -> tuple[tuple[int, int], ...]:
+        """All cell candidates with counter strictly above ``threshold``, as
+        (item id, estimated count) pairs.
 
         An id surviving in several rows reports its maximum counter. Sorted
         by descending count, ties broken by ascending id.
@@ -251,7 +241,7 @@ class TopkapiSketch:
             if c > best.get(i, -1):
                 best[i] = c
         ranked = sorted(best.items(), key=lambda ic: (-ic[1], ic[0]))
-        return HeavyHitterSet(entries=tuple(ranked))
+        return tuple(ranked)
 
     # -- serialization ---------------------------------------------------------
 

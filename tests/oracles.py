@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import socket
+import struct
 import threading
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -201,6 +202,69 @@ def replayed_sketch(template, stream: np.ndarray):
         out.ids[r, b] = item
         out.counts[r, b] = count
     return out
+
+
+def bucket_ids(table, addr: int) -> np.ndarray:
+    """The id stream of the bucket at ``addr`` in a table's columns; empty
+    if no bucket is there."""
+    pos = int(np.searchsorted(table.addrs, np.uint64(addr)))
+    if pos >= table.addrs.size or table.addrs[pos] != np.uint64(addr):
+        return table.ids[:0]
+    return table.ids[table.offsets[pos] : table.offsets[pos + 1]]
+
+
+def bucket_sketch(index, t: int, addr: int):
+    """The sketch of one bucket, (table t, address addr), on its own."""
+    sketch = index.empty_sketch()
+    ids = bucket_ids(index.tables[t], addr)
+    if ids.size:
+        sketch.insert_many(ids)
+    return sketch
+
+
+def exact_count_map(index, row) -> dict[int, int]:
+    """One query's exact per-id counts over its L addressed buckets, looked
+    up one address at a time."""
+    counts: Counter = Counter()
+    for t, addr in enumerate(np.asarray(row).tolist()):
+        counts.update(bucket_ids(index.tables[t], addr).tolist())
+    return dict(counts)
+
+
+def count_maps(counts) -> list[dict[int, int]]:
+    """An :class:`ExactCounts` as one {id: count} dict per query."""
+    bounds = counts.indptr.tolist()
+    ids, cnt = counts.ids.tolist(), counts.counts.tolist()
+    return [dict(zip(ids[lo:hi], cnt[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def merge_count_maps(a: list[dict], b: list[dict]) -> list[dict[int, int]]:
+    """Per query, the two count maps with the counts of shared ids added."""
+    return [dict(Counter(x) + Counter(y)) for x, y in zip(a, b)]
+
+
+def count_payload(maps: list[dict[int, int]]) -> bytes:
+    """The count wire payload of per-query count maps, packed with struct:
+    every query's entry count, then every id, then every count, ids
+    ascending within a query."""
+    items = [sorted(m.items()) for m in maps]
+    lengths = [len(x) for x in items]
+    ids = [i for x in items for i, _ in x]
+    cnt = [c for x in items for _, c in x]
+    return struct.pack(f"<{len(lengths) + 2 * len(ids)}Q", *lengths, *ids, *cnt)
+
+
+def exact_counts(maps: list[dict[int, int]]):
+    """An :class:`ExactCounts` holding one {id: count} dict per query."""
+    from sketchlsh.cluster import ExactCounts
+
+    return ExactCounts.from_bytes(count_payload(maps), len(maps))
+
+
+def top_k_counts(count_map: dict[int, int], k: int) -> tuple[tuple[int, int], ...]:
+    """The k largest counts of one map, ties by ascending id, zeros dropped."""
+    ranked = sorted(((i, c) for i, c in count_map.items() if c > 0), key=lambda ic: (-ic[1], ic[0]))
+    return tuple(ranked[:k])
 
 
 def free_ports(count: int) -> list[int]:

@@ -1,6 +1,9 @@
 import csv
 import functools
+import gc
 import math
+import socket
+import warnings
 
 import pytest
 
@@ -211,6 +214,37 @@ class TestEndToEnd:
             "--backend", "tcp", "--rank", "1", "--hosts", str(hosts),
         ]) == 4
         assert "cannot reach rank 0" in capsys.readouterr().err
+
+    def test_port_in_use_is_transport_error(self, tmp_path, rng, capsys):
+        _, idx_dir, queries = build_indexes(tmp_path, rng, m=2)
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            port = holder.getsockname()[1]
+            hosts = tmp_path / "hosts.txt"
+            hosts.write_text(f"0 127.0.0.1:{port}\n1 127.0.0.1:{free_ports(1)[0]}\n")
+            capsys.readouterr()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                assert main([
+                    "query", "--indexes", str(idx_dir), "--queries", str(queries),
+                    "--backend", "tcp", "--rank", "0", "--hosts", str(hosts),
+                ]) == 4
+                gc.collect()
+        assert f"rank 0: cannot listen on 127.0.0.1:{port}" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    @pytest.mark.parametrize("rank", ["5", "-1"])
+    def test_tcp_rank_outside_hosts_file_is_config_error(self, tmp_path, rng, capsys, rank):
+        _, idx_dir, queries = build_indexes(tmp_path, rng, m=2)
+        hosts = tmp_path / "hosts.txt"
+        hosts.write_text("".join(f"{r} 127.0.0.1:{p}\n" for r, p in enumerate(free_ports(2))))
+        capsys.readouterr()
+        assert main([
+            "query", "--indexes", str(idx_dir), "--queries", str(queries),
+            "--backend", "tcp", "--rank", rank, "--hosts", str(hosts),
+        ]) == 2
+        assert f"rank {rank} is outside the cluster's ranks 0..1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", [
         "0 127.0.0.1:abc", "127.0.0.1:70000", "127.0.0.1:0", "127.0.0.1:-5", "nohost",

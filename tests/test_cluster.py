@@ -18,9 +18,8 @@ from sketchlsh.cluster import (
     SimulatedTransport,
     TcpTransport,
     TransportError,
-    _decode_count_maps,
+    ExactCounts,
     _decode_sketches,
-    _encode_count_maps,
     allgather,
     linear_reduce_sketches,
     tree_reduce_counts,
@@ -28,7 +27,14 @@ from sketchlsh.cluster import (
 )
 from sketchlsh.sketch import ShapeMismatchError, TopkapiSketch, row_seeds_from_master
 
-from oracles import free_ports, run_tcp_threads
+from oracles import (
+    count_maps,
+    count_payload,
+    exact_counts,
+    free_ports,
+    merge_count_maps,
+    run_tcp_threads,
+)
 
 SEEDS = row_seeds_from_master(7, 2)
 
@@ -235,15 +241,49 @@ class TestLinearReduce:
         assert all(s.sends == 1 for s in stats[1:])
 
 
+class TestExactCounts:
+    def test_summed_adds_equal_keys(self):
+        queries = np.array([1, 0, 1, 1, 0], dtype=np.int64)
+        ids = np.array([9, 4, 2, 9, 4], dtype=np.uint64)
+        counts = np.array([1, 2, 3, 4, 5], dtype=np.uint64)
+        got = ExactCounts.summed(3, queries, ids, counts)
+        assert count_maps(got) == [{4: 7}, {2: 3, 9: 5}, {}]
+        assert got.indptr.tolist() == [0, 1, 3, 3]
+        assert count_maps(ExactCounts.summed(2, queries[:0], ids[:0], counts[:0])) == [{}, {}]
+
+    def test_merge_equals_dict_merge(self, rng):
+        maps = [
+            [{int(i): int(c) for i, c in rng.integers(1, 30, size=(6, 2))} for _ in range(4)]
+            for _ in range(2)
+        ]
+        merged = exact_counts(maps[0]).merge(exact_counts(maps[1]))
+        assert count_maps(merged) == merge_count_maps(*maps)
+
+    def test_payload_layout(self):
+        # query 0: {7: 3, 1: 2}, query 1: {}, query 2: {2^53 + 1: 1, 2^64 - 2: 5};
+        # ids past 2^53 have no exact float64 value
+        big = (1 << 53) + 1
+        got = ExactCounts.summed(
+            3,
+            np.array([0, 2, 0, 2], dtype=np.int64),
+            np.array([7, (1 << 64) - 2, 1, big], dtype=np.uint64),
+            np.array([3, 5, 2, 1], dtype=np.uint64),
+        )
+        payload = struct.pack("<11Q", 2, 0, 2, 1, 7, big, (1 << 64) - 2, 2, 3, 1, 5)
+        expected = [{7: 3, 1: 2}, {}, {big: 1, (1 << 64) - 2: 5}]
+        assert got.to_bytes() == payload == count_payload(expected)
+        assert count_maps(ExactCounts.from_bytes(payload, 3)) == count_maps(got)
+
+
 class TestCountReduce:
     def test_sums_across_ranks(self):
         maps = [{1: 2, 5: 1}, {1: 3}, {9: 4}]
 
         def fn(tr):
-            return tree_reduce_counts(tr, [maps[tr.rank]])
+            return tree_reduce_counts(tr, exact_counts([maps[tr.rank]]))
 
         out = SimulatedCluster(3).run(fn)
-        assert out[0] == [{1: 5, 5: 1, 9: 4}]
+        assert count_maps(out[0]) == [{1: 5, 5: 1, 9: 4}]
 
 
 class TestWireFormat:
@@ -256,13 +296,18 @@ class TestWireFormat:
         assert encoded[28:] == b"payload"
 
     def test_malformed_reduce_payloads_are_collective_errors(self, rng):
-        counts = _encode_count_maps([{1: 2, 7: 3}, {}])
+        counts = count_payload([{1: 2, 7: 3}, {}])
         stack = TopkapiSketch.stack([random_sketch(rng), random_sketch(rng)]).to_bytes()
         bad = [
-            (_decode_count_maps, counts[:-1], 2),  # cut inside an entry
-            (_decode_count_maps, counts[:12], 2),  # cut inside a length
-            (_decode_count_maps, counts[:8], 2),  # second map missing
-            (_decode_count_maps, b"\xff" * 8, 1),  # length past the payload
+            (ExactCounts.from_bytes, counts[:-1], 2),  # cut inside a column
+            (ExactCounts.from_bytes, counts[:12], 2),  # cut inside a length
+            (ExactCounts.from_bytes, counts[:8], 2),  # second length missing
+            (ExactCounts.from_bytes, counts[:-16], 2),  # lengths overrun the entries
+            (ExactCounts.from_bytes, counts + b"\0" * 16, 2),  # lengths fall short
+            (ExactCounts.from_bytes, b"\xff" * 8, 1),  # length past the payload
+            (ExactCounts.from_bytes, count_payload([{1: 0}]), 1),  # a count of 0
+            (ExactCounts.from_bytes, struct.pack("<5Q", 2, 7, 1, 3, 2), 1),  # ids descend
+            (ExactCounts.from_bytes, struct.pack("<5Q", 2, 7, 7, 3, 2), 1),  # an id twice
             (_decode_sketches, stack[:-1], 2),
             (_decode_sketches, stack[:5], 2),
             (_decode_sketches, stack, 3),  # fewer members than expected
@@ -271,7 +316,7 @@ class TestWireFormat:
         for decode, payload, expected in bad:
             with pytest.raises(CollectiveError):
                 decode(payload, expected)
-        assert _decode_count_maps(counts, 2) == [{1: 2, 7: 3}, {}]
+        assert count_maps(ExactCounts.from_bytes(counts, 2)) == [{1: 2, 7: 3}, {}]
         assert len(_decode_sketches(stack, 2)) == 2
 
 
@@ -285,16 +330,6 @@ def _replay_reduce(rounds, items, merge, encode):
             frames.append((src, dst, rnd, encode(state[src])))
             state[dst] = merge(state[dst], state[src])
     return frames, state[0]
-
-
-def _merge_counts(a, b):
-    out = []
-    for x, y in zip(a, b):
-        merged = dict(x)
-        for i, c in y.items():
-            merged[i] = merged.get(i, 0) + c
-        out.append(merged)
-    return out
 
 
 class TestReduceFrames:
@@ -330,9 +365,10 @@ class TestReduceFrames:
         )
         return out, sorted(sent), received, stats
 
-    def check(self, monkeypatch, m, reducer, rounds, items, merge, encode):
+    def check(self, monkeypatch, m, reducer, rounds, items, merge, encode, state=None):
+        """``state``, if given, is what the replay runs on in place of ``items``."""
         out, sent, received, stats = self.run_recorded(monkeypatch, m, reducer, items)
-        frames, final = _replay_reduce(rounds, items, merge, encode)
+        frames, final = _replay_reduce(rounds, items if state is None else state, merge, encode)
         assert sent == sorted(frames)
         for rank in range(m):
             incoming = [(src, rnd) for src, dst, rnd, _ in frames if dst == rank]
@@ -360,15 +396,16 @@ class TestReduceFrames:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
     def test_count_frames(self, monkeypatch, rng, m):
-        items = [
+        maps = [
             [{int(i): int(c) for i, c in rng.integers(1, 30, size=(6, 2))} for _ in range(2)]
             for _ in range(m)
         ]
         got, final = self.check(
-            monkeypatch, m, tree_reduce_counts, self.tree_rounds(m), items,
-            merge=_merge_counts, encode=_encode_count_maps,
+            monkeypatch, m, tree_reduce_counts, self.tree_rounds(m),
+            [exact_counts(x) for x in maps], merge=merge_count_maps, encode=count_payload,
+            state=maps,
         )
-        assert got == final
+        assert count_maps(got) == final
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8])
     def test_linear_is_rank0_receiving_in_order(self, monkeypatch, rng, m):

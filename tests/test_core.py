@@ -118,6 +118,10 @@ class TestLshConfig:
         assert base.fingerprint() not in fps
         assert len(fps) == len(variants)
 
+    def test_default_fingerprint_is_pinned(self):
+        # saved index files store it: a new value makes them unloadable
+        assert LshConfig().fingerprint() == 0x1BA58D968EB2035F
+
 
 class TestDatasetPartition:
     def test_accepts_valid(self):

@@ -263,6 +263,10 @@ class TestConfigFiles:
                         sketch_rows=4, sketch_cols=24, master_seed=99, top_k=6)
         path = tmp_path / "config.txt"
         save_lsh_config(cfg, path)
+        assert path.read_text() == (
+            "hashes_per_table=5\nnum_tables=12\ntable_range=1024\nsketch_rows=4\n"
+            "sketch_cols=24\nmaster_seed=99\ntop_k=6\n"
+        )
         kv = load_config(path)
         assert lsh_config_from_mapping(kv) == cfg
         overridden = lsh_config_from_mapping(kv, num_tables=20)

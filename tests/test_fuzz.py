@@ -8,6 +8,7 @@ both aggregation modes without raising.
 from __future__ import annotations
 
 import socket
+import struct
 import time
 
 import numpy as np
@@ -18,17 +19,19 @@ from hypothesis import strategies as st
 from sketchlsh.cluster import (
     _HEADER,
     FRAME_MAGIC,
+    CollectiveError,
+    ExactCounts,
     Frame,
     TcpTransport,
     TransportError,
-    _decode_count_maps,
-    _encode_count_maps,
 )
 from sketchlsh.core import DatasetPartition, LshConfig, SketchLshError, SparseVector
 from sketchlsh.dataio import DatasetManifest, parse_record, read_hosts_file
 from sketchlsh.index import NodeIndex, preprocess
 from sketchlsh.sketch import TopkapiSketch
 from sketchlsh.synthetic import random_sparse_vectors
+
+from oracles import count_maps, count_payload
 
 CFG = LshConfig(hashes_per_table=2, num_tables=4, table_range=1 << 8, top_k=3, master_seed=23)
 FUZZ = settings(max_examples=200, deadline=None, database=None)
@@ -66,8 +69,8 @@ def load_and_probe(path, data: bytes) -> None:
         batch[: addrs.size, t] = addrs
     stack = index.local_candidates(batch)
     assert len(stack) == len(batch)
-    for row in batch:
-        assert all(c > 0 for c in index.exact_candidates(row).values())
+    counts = index.exact_candidates(batch)
+    assert len(counts) == len(batch) and np.all(counts.counts > 0)
 
 
 @FUZZ
@@ -169,18 +172,32 @@ DAMAGE = dict(
     cut=st.integers(min_value=0),
     bits=st.lists(st.integers(min_value=0), max_size=3),
 )
-COUNT_MAPS = [{}, {5: 2, 1 << 63: 1}, {i: i + 1 for i in range(6)}]
+COUNT_MAPS = [{}, {5: 2, (1 << 53) + 1: 3, (1 << 64) - 2: 1}, {i: i + 1 for i in range(6)}]
+ENTRY_COUNTS = st.one_of(st.integers(0, 9), st.integers(0, (1 << 64) - 1))
 
 
 @FUZZ
-@given(expected=st.integers(0, 4), random=st.binary(max_size=200), **DAMAGE)
-def test_count_map_payload(expected, random, cut, bits):
-    for payload in (random, damaged(_encode_count_maps(COUNT_MAPS), cut, bits)):
+@given(
+    expected=st.integers(0, 4),
+    random=st.binary(max_size=200),
+    lengths=st.lists(ENTRY_COUNTS, min_size=3, max_size=3),
+    **DAMAGE,
+)
+def test_count_payload(expected, random, lengths, cut, bits):
+    good = count_payload(COUNT_MAPS)
+    # entry counts rewritten: they may overrun the payload or not add up to it
+    recounted = struct.pack("<3Q", *lengths) + good[24:]
+    for payload, n in ((random, expected), (damaged(good, cut, bits), 3), (recounted, 3)):
         try:
-            maps = _decode_count_maps(payload, expected)
-        except SketchLshError:
+            counts = ExactCounts.from_bytes(payload, n)
+        except CollectiveError:
             continue
-        assert len(maps) == expected
+        assert len(counts) == n and counts.to_bytes() == payload
+        maps = count_maps(counts)
+        assert all(list(m) == sorted(m) and min(m.values(), default=1) >= 1 for m in maps)
+        assert sum(map(len, maps)) == counts.ids.size
+        if payload == good:
+            assert maps == COUNT_MAPS
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchlsh.cli import main
 from sketchlsh.core import (
@@ -23,7 +25,16 @@ from sketchlsh.synthetic import (
     vector_with_swaps,
 )
 
-from oracles import reference_addresses, replay_cells, replayed_sketch
+from oracles import (
+    bucket_ids,
+    bucket_sketch,
+    count_maps,
+    count_payload,
+    exact_count_map,
+    reference_addresses,
+    replay_cells,
+    replayed_sketch,
+)
 
 CFG = LshConfig(hashes_per_table=3, num_tables=8, table_range=1 << 12, top_k=4, master_seed=91)
 
@@ -57,8 +68,7 @@ class TestPreprocess:
         fam = HashFamily.from_config(cfg)
         addrs = fam.addresses(v)
         for t in range(3):
-            hits = idx.sketch_at(t, int(addrs[t])).heavy_hitters(0)
-            assert hits.entries == ((42, 1),)
+            assert bucket_sketch(idx, t, int(addrs[t])).heavy_hitters(0) == ((42, 1),)
 
     def test_total_insert_events(self, rng):
         data = make_dataset(rng, 50)
@@ -73,7 +83,7 @@ class TestPreprocess:
         fam = HashFamily.from_config(cfg)
         addrs = fam.addresses(v)
         # bucket state must equal an independent replay of [1, 2] arrivals
-        probe = idx.sketch_at(0, int(addrs[0]))
+        probe = bucket_sketch(idx, 0, int(addrs[0]))
         expected = replay_cells(probe, np.array([1, 2], dtype=np.uint64))
         for (r, b), (hh, count) in expected.items():
             assert int(probe.counts[r, b]) == count
@@ -125,7 +135,7 @@ class TestLocalCandidates:
     def test_all_empty_slots_yield_empty_sketch(self, rng):
         idx = preprocess(DatasetPartition(0, make_dataset(rng, 5)), CFG)
         probe = 999
-        assert all(idx.tables[t].bucket(probe).size == 0 for t in range(CFG.num_tables))
+        assert all(bucket_ids(tb, probe).size == 0 for tb in idx.tables)
         merged = idx.local_candidates(np.full(CFG.num_tables, probe, dtype=np.uint64))
         assert merged == idx.empty_sketch()
 
@@ -135,22 +145,19 @@ class TestLocalCandidates:
         idx = preprocess(DatasetPartition(0, [(3, v)]), cfg)
         fam = HashFamily.from_config(cfg)
         merged = idx.local_candidates(fam.addresses(v))
-        assert merged.heavy_hitters(0).entries == ((3, 8),)
+        assert merged.heavy_hitters(0) == ((3, 8),)
 
     def test_node_split_is_exact_count_invariant(self, rng):
         data = make_dataset(rng, 60)
         cfg = CFG
         fam = HashFamily.from_config(cfg)
-        query = data[17][1]
-        addrs = fam.addresses(query)
+        addrs = fam.addresses([data[17][1], data[40][1]])
         whole = preprocess(DatasetPartition(0, data), cfg)
         parts = round_robin_partitions(data, 2)
-        nodes = [preprocess(p, cfg) for p in parts]
-        whole_counts = whole.exact_candidates(addrs)
-        split_counts: Counter = Counter()
-        for node in nodes:
-            split_counts.update(node.exact_candidates(addrs))
-        assert dict(split_counts) == whole_counts
+        a, b = (preprocess(p, cfg).exact_candidates(addrs) for p in parts)
+        merged = a.merge(b)
+        assert count_maps(merged) == count_maps(whole.exact_candidates(addrs))
+        assert merged.to_bytes() == whole.exact_candidates(addrs).to_bytes()
 
     def test_validates_address_shape_and_range(self, rng):
         idx = preprocess(DatasetPartition(0, make_dataset(rng, 3)), CFG)
@@ -166,16 +173,18 @@ class TestLocalCandidates:
     def test_exact_probe_validates_like_sketch_probe(self, rng):
         idx = preprocess(DatasetPartition(0, make_dataset(rng, 3)), CFG)
         for bad in (
-            np.zeros(2, dtype=np.uint64),
-            np.full(CFG.num_tables, CFG.table_range, dtype=np.uint64),
-            np.zeros((1, CFG.num_tables), dtype=np.uint64),  # one query at a time
+            np.zeros((1, 2), dtype=np.uint64),
+            np.full((1, CFG.num_tables), CFG.table_range, dtype=np.uint64),
+            np.zeros(CFG.num_tables, dtype=np.uint64),  # a batch, not a single row
+            np.zeros((2, 2, CFG.num_tables), dtype=np.uint64),
         ):
             with pytest.raises(ConfigError):
                 idx.exact_candidates(bad)
+        out_of_range = np.full((1, CFG.num_tables), CFG.table_range, dtype=np.uint64)
         with pytest.raises(ConfigError, match="table range"):
-            idx.local_candidates(np.full(CFG.num_tables, CFG.table_range, dtype=np.uint64))
+            idx.local_candidates(out_of_range)
         with pytest.raises(ConfigError, match="table range"):
-            idx.exact_candidates(np.full(CFG.num_tables, CFG.table_range, dtype=np.uint64))
+            idx.exact_candidates(out_of_range)
 
 
 def planted_node():
@@ -200,9 +209,18 @@ def skewed_node():
     return node, protos
 
 
-@pytest.fixture(scope="module", params=["planted", "skewed"])
+def with_empty_table(node):
+    """``node`` with its first table emptied."""
+    none = np.empty(0, dtype=np.uint64)
+    tables = [_TableBuckets.build(none, none)] + node.tables[1:]
+    return NodeIndex(CFG, node.node_id, tables, node.vector_count)
+
+
+@pytest.fixture(scope="module", params=["planted", "skewed", "empty-table"])
 def probe_case(request):
-    node, queries = planted_node() if request.param == "planted" else skewed_node()
+    node, queries = skewed_node() if request.param == "skewed" else planted_node()
+    if request.param == "empty-table":
+        node = with_empty_table(node)
     fam = HashFamily.from_config(CFG)
     hits = np.vstack([fam.addresses(v) for v in queries])
     empty = np.array(
@@ -222,7 +240,7 @@ def reference_local_candidates(node, row, replayed):
     over the tables left to right with merge."""
     merged = node.empty_sketch()
     for t, addr in enumerate(row.tolist()):
-        ids = node.tables[t].bucket(addr)
+        ids = bucket_ids(node.tables[t], addr)
         if ids.size:
             if (t, addr) not in replayed:
                 replayed[(t, addr)] = replayed_sketch(merged, ids)
@@ -234,7 +252,7 @@ class TestBatchProbe:
     def test_stack_equals_rows_and_replay_reference(self, probe_case):
         case, node, batch = probe_case
         if case == "skewed":  # the first query is the hot vector itself
-            sizes = [node.tables[t].bucket(int(a)).size for t, a in enumerate(batch[0])]
+            sizes = [bucket_ids(node.tables[t], a).size for t, a in enumerate(batch[0].tolist())]
             assert min(sizes) >= HOT_BUCKET
         stack = node.local_candidates(batch)
         assert stack.ids.shape == (len(batch), CFG.sketch_rows, CFG.sketch_cols)
@@ -250,6 +268,33 @@ class TestBatchProbe:
         assert len(one) == 1 and one[0] == node.local_candidates(batch[0])
 
 
+@pytest.fixture(scope="module")
+def exact_reference(probe_case):
+    """The per-query oracle's count map of every row of the probe batch."""
+    _, node, batch = probe_case
+    return [exact_count_map(node, row) for row in batch]
+
+
+class TestExactBatch:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(rows=st.lists(st.integers(min_value=0), min_size=1, max_size=60))
+    def test_equals_per_query_oracle(self, probe_case, exact_reference, rows):
+        # any rows of the probe batch, repeats included, in any order
+        _, node, batch = probe_case
+        rows = [r % len(batch) for r in rows]
+        got = node.exact_candidates(batch[rows])
+        expected = [exact_reference[r] for r in rows]
+        assert len(got) == len(rows)
+        assert count_maps(got) == expected
+        assert got.to_bytes() == count_payload(expected)  # ids ascending per query
+
+    def test_every_row_alone(self, probe_case, exact_reference):
+        _, node, batch = probe_case
+        for row, expected in zip(batch, exact_reference):
+            assert count_maps(node.exact_candidates(row[None, :])) == [expected]
+        assert exact_reference[-1] == {}  # the all-empty row
+
+
 class TestBoundedObservations:
     def test_probed_sketch_size_is_skew_independent(self):
         # a pathologically hot bucket must still be observed at fixed size
@@ -259,7 +304,7 @@ class TestBoundedObservations:
         big = preprocess(DatasetPartition(0, [(i, v) for i in range(500)]), cfg)
         fam = HashFamily.from_config(cfg)
         addr = int(fam.addresses(v)[0])
-        assert len(small.sketch_at(0, addr).to_bytes()) == len(big.sketch_at(0, addr).to_bytes())
+        assert len(bucket_sketch(small, 0, addr).to_bytes()) == len(bucket_sketch(big, 0, addr).to_bytes())
 
     def test_storage_within_slotwise_sketch_budget(self, rng):
         idx = preprocess(DatasetPartition(0, make_dataset(rng, 300)), CFG)

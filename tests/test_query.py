@@ -26,6 +26,8 @@ from sketchlsh.synthetic import (
     round_robin_partitions,
 )
 
+from oracles import exact_counts, top_k_counts
+
 
 def run_modes(dataset, queries, cfg, m, mode):
     parts = round_robin_partitions(dataset, m)
@@ -38,28 +40,38 @@ def run_modes(dataset, queries, cfg, m, mode):
 
 class TestTopKExtract:
     def test_fewer_than_k_returns_all(self):
-        assert top_k_extract({3: 2}, 5) == ((3, 2),)
+        assert top_k_extract(exact_counts([{3: 2}]), 5) == (((3, 2),),)
 
     def test_tie_breaks_by_ascending_id(self):
-        counts = {7: 5, 2: 5, 9: 3}
-        assert top_k_extract(counts, 2) == ((2, 5), (7, 5))
+        counts = exact_counts([{7: 5, 2: 5, 9: 3}])
+        assert top_k_extract(counts, 2) == (((2, 5), (7, 5)),)
 
     def test_zipf_matches_sort_oracle(self, rng):
-        raw = rng.zipf(1.4, size=5000)
-        counts = Counter(int(x) % 300 for x in raw)
-        got = top_k_extract(counts, 10)
-        oracle = sorted(counts.items(), key=lambda ic: (-ic[1], ic[0]))[:10]
-        assert list(got) == oracle
+        maps = [Counter(int(x) % 300 for x in rng.zipf(1.4, size=5000)) for _ in range(3)]
+        got = top_k_extract(exact_counts(maps), 10)
+        oracle = [sorted(m.items(), key=lambda ic: (-ic[1], ic[0]))[:10] for m in maps]
+        assert [list(hits) for hits in got] == oracle
+
+    def test_batch_equals_per_query_oracle(self, rng):
+        # empty queries, queries with fewer than k ids and queries with ties
+        maps = [
+            {int(i): int(c) for i, c in rng.integers(1, 6, size=(int(size), 2))}
+            for size in rng.integers(0, 12, size=40)
+        ]
+        for k in (1, 3, 8):
+            got = top_k_extract(exact_counts(maps), k)
+            assert got == tuple(top_k_counts(m, k) for m in maps)
 
     def test_sketch_source_and_zero_exclusion(self):
         s = TopkapiSketch(1, 4, row_seeds_from_master(3, 1))
         s.insert_many(np.full(4, 11, dtype=np.uint64))
-        assert top_k_extract(s, 3) == ((11, 4),)
-        assert top_k_extract({5: 0}, 3) == ()
+        emptied = TopkapiSketch(1, 1, row_seeds_from_master(3, 1))
+        emptied.insert_many(np.array([5, 6], dtype=np.uint64))  # 6 counts 5 down to 0
+        assert top_k_extract([s, emptied], 3) == (((11, 4),), ())
 
     def test_rejects_bad_k(self):
         with pytest.raises(ConfigError):
-            top_k_extract({}, 0)
+            top_k_extract(exact_counts([]), 0)
 
 
 class TestQueryBatchPipeline:

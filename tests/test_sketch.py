@@ -244,7 +244,7 @@ class TestQuery:
         s = fresh()
         s.insert_many(np.full(10, 3, dtype=np.uint64))
         hits = s.heavy_hitters(5)
-        assert hits.entries == ((3, 10),)
+        assert hits == ((3, 10),)
 
     def test_sorted_desc_count_then_asc_id(self):
         s = fresh(2, 32)
@@ -257,7 +257,7 @@ class TestQuery:
                 ]
             )
         )
-        entries = s.heavy_hitters(0).entries
+        entries = s.heavy_hitters(0)
         assert entries == ((2, 5), (10, 5), (30, 3))
 
     def test_zipf_threshold_behaviour(self, rng):
@@ -268,7 +268,7 @@ class TestQuery:
         s = fresh(4, 64)
         s.insert_many(stream)
         truth = exact_counter(stream)
-        reported = {i for i, _ in s.heavy_hitters(length // 100).entries}
+        reported = {i for i, _ in s.heavy_hitters(length // 100)}
         must_have = {i for i, c in truth.items() if c > length * 0.02}
         must_not = {i for i, c in truth.items() if c < length * 0.001}
         assert must_have <= reported

@@ -21,7 +21,7 @@ from .core import (
     VectorId,
     derive_seeds,
 )
-from .hashing import HashFamily, doph_hashes, minhash, table_address
+from .hashing import HashFamily, minhash
 from .sketch import (
     ShapeMismatchError,
     SketchFormatError,
@@ -94,7 +94,6 @@ __all__ = [
     "cosine_similarity",
     "derive_seeds",
     "distance_counter",
-    "doph_hashes",
     "linear_reduce_sketches",
     "minhash",
     "preprocess",
@@ -102,7 +101,6 @@ __all__ = [
     "recommend_params",
     "s_at_k",
     "snr_simulation",
-    "table_address",
     "top_k_extract",
     "tree_reduce_sketches",
 ]

@@ -384,41 +384,44 @@ def _decode_sketches(payload: bytes, expected: int) -> TopkapiSketch:
     return stack
 
 
-def _reduce_sketches(transport, sketches, schedule, batch_id, stats):
-    out = _reduce(
-        transport, TopkapiSketch.stack(sketches), schedule,
+def _reduce_sketches(transport, stack, schedule, batch_id, stats):
+    return _reduce(
+        transport, stack, schedule,
         merge=TopkapiSketch.merge, encode=TopkapiSketch.to_bytes, decode=_decode_sketches,
         batch_id=batch_id, stats=stats,
     )
-    return None if out is None else list(out)
 
 
 def tree_reduce_sketches(
     transport: Transport,
-    sketches: Sequence[TopkapiSketch],
+    stack: TopkapiSketch,
     batch_id: int = 0,
     stats: ReduceStats | None = None,
-) -> list[TopkapiSketch] | None:
-    """Pairwise tree merge of per-query sketches; rank 0 gets the result.
-
-    ``sketches`` is a list of sketches or a stack. They travel and merge as
-    one stack: one encode per send, one decode and one merge per receive.
-    Each rank performs at most ceil(log2(m)) merge rounds and one send, so
+) -> TopkapiSketch | None:
+    """Pairwise tree merge of a batch's (n, W, B) sketch stack; rank 0 gets
+    the merged stack, the other ranks ``None``. The stack travels and merges
+    whole: one encode per send, one decode and one merge per receive. Each
+    rank performs at most ceil(log2(m)) merge rounds and one send, so
     per-rank communication is O(log m * sketch size * #queries).
     """
     schedule = ReductionSchedule.for_world(transport.world_size)
-    return _reduce_sketches(transport, sketches, schedule, batch_id, stats)
+    return _reduce_sketches(transport, stack, schedule, batch_id, stats)
 
 
 def linear_reduce_sketches(
     transport: Transport,
-    sketches: Sequence[TopkapiSketch],
+    stack: TopkapiSketch,
     batch_id: int = 0,
     stats: ReduceStats | None = None,
-) -> list[TopkapiSketch] | None:
+) -> TopkapiSketch | None:
     """Baseline: rank 0 receives from every rank in order, merging serially."""
     schedule = ReductionSchedule.linear(transport.world_size)
-    return _reduce_sketches(transport, sketches, schedule, batch_id, stats)
+    return _reduce_sketches(transport, stack, schedule, batch_id, stats)
+
+
+def _total(counts: np.ndarray) -> int:
+    """The exact sum of u64 counts; each 32-bit half sums without wrapping."""
+    return (int((counts >> np.uint64(32)).sum()) << 32) + int((counts & np.uint64(0xFFFFFFFF)).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,10 +443,10 @@ class ExactCounts:
 
     @classmethod
     def summed(
-        cls, n: int, queries: np.ndarray, ids: np.ndarray, counts: np.ndarray
+        cls, n: int, queries: np.ndarray, ids: np.ndarray, counts: np.ndarray, combine=np.add
     ) -> "ExactCounts":
         """Counts of n queries from (query, id, count) entries; the counts
-        of equal (query, id) keys add up."""
+        of equal (query, id) keys add up, or combine by the ufunc ``combine``."""
         order = np.lexsort((ids, queries))
         queries, ids, counts = queries[order], ids[order], counts[order]
         first = np.ones(ids.size, dtype=bool)
@@ -452,7 +455,7 @@ class ExactCounts:
         return cls(
             indptr=np.searchsorted(queries[starts], np.arange(n + 1)),
             ids=ids[starts],
-            counts=np.add.reduceat(counts, starts) if starts.size else counts,
+            counts=combine.reduceat(counts, starts) if starts.size else counts,
         )
 
     def queries(self) -> np.ndarray:
@@ -460,13 +463,18 @@ class ExactCounts:
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
     def merge(self, other: "ExactCounts") -> "ExactCounts":
-        """Counts over both batches' streams: per query, the ids' counts add up."""
-        return ExactCounts.summed(
+        """Counts over both batches' streams: per query, the ids' counts add
+        up. A sum past 2^64 - 1 raises :class:`CollectiveError`."""
+        out = ExactCounts.summed(
             len(self),
             np.concatenate((self.queries(), other.queries())),
             np.concatenate((self.ids, other.ids)),
             np.concatenate((self.counts, other.counts)),
         )
+        # a sum that wrapped leaves the grand total 2^64 short
+        if _total(out.counts) != _total(self.counts) + _total(other.counts):
+            raise CollectiveError("a merged count passes 2^64 - 1")
+        return out
 
     def to_bytes(self) -> bytes:
         # int64 with uint64 would promote to float64, which rounds ids past 2^53

@@ -7,8 +7,9 @@ share a master seed compute bit-identical hashes without communicating.
 querying. It hashes a whole batch of vectors (a partition or a query slice)
 in one array pass over their indices held back to back; densification
 keeps no state between vectors, so the batch gives each vector exactly the
-slots of :func:`doph_hashes`, which stays as the per-vector reference along
-with :func:`table_address`.
+slots that densified one-permutation hashing of that vector alone gives.
+The per-vector reference of that hash and of the table fold lives with
+the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from ._bits import UINT64_MAX, mix64, range_map, seed_stream
 from .core import (
-    ConfigError,
     EmptyVectorError,
     LshConfig,
     SparseRows,
@@ -78,8 +78,8 @@ def _densify_coins(seed: np.uint64, n_bins: int) -> np.ndarray:
 
     Coins depend only on the seed and bin lane, never on the data, so the
     same bins densify in the same direction for every vector. Only attempt 0
-    is ever consumed: the directional scan below always terminates because
-    it wraps circularly and the vector is non-empty.
+    is ever consumed: the directional scan of :func:`_densified_rows` always
+    terminates because it wraps circularly and the row is non-empty.
     """
     attempt = np.uint64(0)
     lanes = (np.arange(n_bins, dtype=np.uint64) << np.uint64(1)) | attempt
@@ -87,67 +87,15 @@ def _densify_coins(seed: np.uint64, n_bins: int) -> np.ndarray:
     return (mix64(mix64(lanes) ^ dseed) & np.uint64(1)).astype(bool)
 
 
-def doph_hashes(v: SparseVector, n_bins: int, seed: int) -> np.ndarray:
-    """Densified one-permutation hashing: n_bins hash values in one pass.
-
-    Each active index is hashed exactly once and routed to bin
-    floor(hash * n_bins / 2**64); each bin keeps its minimum. Empty bins copy
-    the value of the nearest non-empty bin, scanning circularly left or right
-    according to a seeded per-bin coin.
-    """
-    if v.nnz == 0:
-        raise EmptyVectorError("cannot hash a vector with no active indices")
-    if n_bins < 1:
-        raise ConfigError("n_bins must be >= 1")
-    h = _index_hashes(v.indices, np.uint64(seed))
-    bins = range_map(h, n_bins).astype(np.intp)
-    mins = np.full(n_bins, UINT64_MAX, dtype=np.uint64)
-    np.minimum.at(mins, bins, h)
-    occupied = np.zeros(n_bins, dtype=bool)
-    occupied[bins] = True
-    if occupied.all():
-        return mins
-
-    idx = np.arange(n_bins)
-    occ_idx = np.flatnonzero(occupied)
-    # Nearest occupied bin at-or-left of each bin, wrapping past 0.
-    left = np.where(occupied, idx, -1)
-    np.maximum.accumulate(left, out=left)
-    left = np.where(left >= 0, left, occ_idx[-1])
-    # Nearest occupied bin at-or-right of each bin, wrapping past the end.
-    right = np.where(occupied, idx, n_bins)
-    right = np.minimum.accumulate(right[::-1])[::-1]
-    right = np.where(right < n_bins, right, occ_idx[0])
-
-    coins = _densify_coins(np.uint64(seed), n_bins)
-    source = np.where(coins, right, left)
-    empty = ~occupied
-    mins[empty] = mins[source[empty]]
-    return mins
-
-
-def table_address(hashes, table_seed: int, table_range: int) -> int:
-    """Combine one table's hash slots into an address in [0, table_range).
-
-    Folds the slots through the mixer under the table's own seed, then masks
-    to log2(table_range) bits; table_range must be a power of two. Two inputs
-    with all slots equal always map to the same address.
-    """
-    if table_range < 2 or table_range & (table_range - 1):
-        raise ConfigError("table_range must be a power of two >= 2")
-    acc = np.uint64(table_seed)
-    for h in np.asarray(hashes, dtype=np.uint64):
-        acc = mix64(acc ^ h)
-    return int(acc & np.uint64(table_range - 1))
-
-
 def _fold_addresses(
     slot_hashes: np.ndarray, table_seeds: np.ndarray, table_range: int
 ) -> np.ndarray:
-    """Vectorized :func:`table_address` across all tables at once.
+    """Combine each table's hash slots into an address in [0, table_range).
 
-    ``slot_hashes`` is (..., num_tables, slots); the fold runs along the last
-    axis and gives (..., num_tables) addresses.
+    ``slot_hashes`` is (..., num_tables, slots); the slots fold through the
+    mixer under the table's own seed along the last axis, and the result is
+    masked to log2(table_range) bits, giving (..., num_tables) addresses.
+    Two inputs with all slots equal always map to the same address.
     """
     acc = table_seeds
     for j in range(slot_hashes.shape[-1]):
@@ -158,12 +106,15 @@ def _fold_addresses(
 def _densified_rows(
     indptr: np.ndarray, indices: np.ndarray, n_bins: int, seed: int, coins: np.ndarray
 ) -> np.ndarray:
-    """:func:`doph_hashes` of every CSR row in one pass, shape (n, n_bins).
+    """Densified one-permutation hashes of every CSR row in one pass,
+    shape (n, n_bins).
 
     Row i is ``indices[indptr[i]:indptr[i + 1]]``; ``indptr`` may be a slice
-    of a larger batch's row pointer. The rows' indices are hashed back to
-    back and every hash is folded into its row's bin minimum with one
-    scatter. Per row, the nearest occupied bin on each side comes from
+    of a larger batch's row pointer. Each active index is hashed exactly
+    once and routed to bin floor(hash * n_bins / 2**64), and every hash is
+    folded into its row's bin minimum with one scatter. Empty bins copy the
+    value of the nearest non-empty bin of their row, scanning circularly
+    left or right according to a seeded per-bin coin. Per row, the nearest occupied bin on each side comes from
     running max/min scans, and rows wrap to their own last or first occupied
     bin. An occupied bin is its own nearest neighbour on both sides, so one
     gather through the coin choice fills empty bins and keeps occupied ones.
@@ -231,17 +182,6 @@ class HashFamily:
     @property
     def hashes_per_table(self) -> int:
         return self.seeds.shape[1]
-
-    def slot_hashes(self, v: SparseVector) -> np.ndarray:
-        """All (num_tables x hashes_per_table) hash slots from one pass.
-
-        One densified one-permutation evaluation produces every slot; row i
-        holds the slots feeding table i.
-        """
-        rows = _densified_rows(
-            np.array([0, v.nnz]), v.indices, self.seeds.size, self.perm_seed, self.coins
-        )
-        return rows.reshape(self.seeds.shape)
 
     def addresses(
         self, vectors: SparseVector | Sequence[SparseVector] | SparseRows

@@ -139,14 +139,14 @@ class NodeIndex:
             self.config.sketch_rows, self.config.sketch_cols, self.row_seeds, members
         )
 
-    def _checked(self, addresses, ndims: tuple[int, ...]) -> np.ndarray:
-        """``addresses`` as uint64 rows of one address per table, each below
-        ``table_range``; anything else is a :class:`ConfigError`."""
+    def _checked(self, addresses) -> np.ndarray:
+        """``addresses`` as an (n, L) uint64 matrix of one address per table,
+        each below ``table_range``; anything else is a :class:`ConfigError`."""
         addresses = np.asarray(addresses, dtype=np.uint64)
         num_tables = self.config.num_tables
-        if addresses.ndim not in ndims or addresses.shape[-1] != num_tables:
+        if addresses.ndim != 2 or addresses.shape[1] != num_tables:
             raise ConfigError(
-                f"expected {num_tables} addresses per query, got {addresses.shape}"
+                f"expected an (n, {num_tables}) address matrix, got shape {addresses.shape}"
             )
         if addresses.size and int(addresses.max()) >= self.config.table_range:
             raise ConfigError("address out of table range")
@@ -163,27 +163,27 @@ class NodeIndex:
     def local_candidates(self, addresses: np.ndarray) -> TopkapiSketch:
         """Merges of this node's addressed bucket sketches for a query batch.
 
-        ``addresses`` is the batch's (n, L) address matrix; the result is an
-        (n, W, B) stack whose member q merges query q's buckets. A single
-        (L,) row gives a single sketch. Per table, every addressed bucket is
-        built in one stacked insert and the table is folded into the stack
-        with one merge. Tables fold left to right (the merge rule is not
-        associative); empty buckets contribute the identity. No distance
-        computation is involved anywhere on this path.
+        ``addresses`` is the batch's (n, L) address matrix, and only that:
+        a single (L,) row is a :class:`ConfigError`. The result is an
+        (n, W, B) stack whose member q merges query q's buckets; it goes to
+        the reduce and the extraction as it is. Per table, every addressed
+        bucket is built in one stacked insert and the table is folded into
+        the stack with one merge. Tables fold left to right (the merge rule
+        is not associative); empty buckets contribute the identity. No
+        distance computation is involved anywhere on this path.
         """
-        addresses = self._checked(addresses, ndims=(1, 2))
-        batch = addresses.reshape(-1, self.config.num_tables)
+        batch = self._checked(addresses)
         merged = self.empty_sketch(len(batch))
         for items, queries in self._addressed(batch):
             table = self.empty_sketch(len(batch))
             table.insert_many(items, queries)
             merged = merged.merge(table)
-        return merged if addresses.ndim == 2 else merged[0]
+        return merged
 
     def exact_candidates(self, addresses: np.ndarray) -> ExactCounts:
         """Exact per-id occurrence counts over each query's addressed buckets,
         for the batch's (n, L) address matrix."""
-        batch = self._checked(addresses, ndims=(2,))
+        batch = self._checked(addresses)
         walk = list(self._addressed(batch))
         ids = np.concatenate([items for items, _ in walk] + [np.empty(0, np.uint64)])
         queries = np.concatenate([q for _, q in walk] + [np.empty(0, np.int64)])

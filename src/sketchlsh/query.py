@@ -4,8 +4,7 @@ The pipeline runs the same way on every rank. Each rank hashes its
 contiguous slice of the batch, the per-table addresses are allgathered so
 every rank knows every query's buckets, each rank merges its own addressed
 bucket sketches per query (one stack for the whole batch), and the per-node
-merged sketches are reduced to rank 0, which extracts the top-k candidates
-by estimated frequency.
+stacks are reduced to rank 0, which ranks every query's top k in one pass.
 
 In the sketch modes the whole path performs zero similarity computations;
 an instrumentation counter guards that claim. The cosine metric below is
@@ -22,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ConfigError, SparseVector
+from .core import NULL_ID, ConfigError, SparseVector
 from .cluster import (
     CollectiveError,
     ExactCounts,
@@ -130,9 +129,9 @@ class QueryMetrics:
     extract_s: float = 0.0
     reduce_stats: ReduceStats = field(default_factory=ReduceStats)
     capture_reduced: bool = False
-    # rank 0's reduced batch as bytes: per query one sketch record in the
-    # sketch modes, the batch's one count payload in exact mode
-    reduced_payloads: list[bytes] | None = None
+    # rank 0's reduced batch as its wire bytes: the stack's n member sketch
+    # records back to back in the sketch modes, the count payload in exact mode
+    reduced_payload: bytes | None = None
 
     def to_line(self) -> str:
         return (
@@ -145,16 +144,19 @@ class QueryMetrics:
 def top_k_extract(reduced, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Top k candidates by count for every query of a reduced batch.
 
-    ``reduced`` is an :class:`ExactCounts` or a sequence of sketches, one
-    per query; the result holds one hit tuple per query. Deterministic:
-    descending count, ties by ascending id. Counts of zero never appear, so
-    every reported frequency is at least 1. A query with fewer than k
-    candidates gets fewer entries; no padding.
+    ``reduced`` is an :class:`ExactCounts` or an (n, W, B) sketch stack, in
+    which each live cell (a real id, a counter above 0) counts its id at the
+    largest counter in the member, as :meth:`TopkapiSketch.heavy_hitters`
+    does. One ranking pass gives one hit tuple per query: descending count,
+    ties by ascending id, every count at least 1, no padding past a query's
+    candidates.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
-    if not isinstance(reduced, ExactCounts):
-        return tuple(sketch.heavy_hitters(0)[:k] for sketch in reduced)
+    if not isinstance(reduced, ExactCounts):  # a sketch stack
+        live = (reduced.ids != np.uint64(NULL_ID)) & (reduced.counts > 0)
+        members, ids, counts = np.nonzero(live)[0], reduced.ids[live], reduced.counts[live]
+        reduced = ExactCounts.summed(len(reduced), members, ids, counts, np.maximum)
     starts, lengths = reduced.indptr[:-1], np.diff(reduced.indptr)
     # grouped by query; ~count (2^64 - 1 - count) ranks larger counts first
     order = np.lexsort((reduced.ids, ~reduced.counts, reduced.queries()))
@@ -256,8 +258,7 @@ def query_batch(
     t0 = time.perf_counter()
     assert reduced is not None
     if metrics.capture_reduced:
-        members = [reduced] if mode == "exact" else reduced
-        metrics.reduced_payloads = [r.to_bytes() for r in members]
+        metrics.reduced_payload = reduced.to_bytes()
     hits = top_k_extract(reduced, config.top_k)
     results = [QueryResult(query_id=qid, hits=h) for (qid, _), h in zip(batch.queries, hits)]
     metrics.extract_s += time.perf_counter() - t0

@@ -17,7 +17,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from sketchlsh.core import SketchLshError, SparseVector
+from sketchlsh import hashing
+from sketchlsh._bits import UINT64_MAX, mix64, range_map
+from sketchlsh.core import ConfigError, EmptyVectorError, SketchLshError, SparseVector
 from sketchlsh.dataio import (
     DatasetManifest,
     PartitionInfo,
@@ -26,7 +28,6 @@ from sketchlsh.dataio import (
     _utf8_text,
     parse_record,
 )
-from sketchlsh.hashing import doph_hashes, table_address
 
 
 def exact_jaccard(a: SparseVector, b: SparseVector) -> float:
@@ -55,6 +56,70 @@ def pair_with_jaccard(rng, shared: int, only_a: int, only_b: int, dim: int = 1 <
     va = SparseVector(np.sort(np.concatenate([s, a])), dim)
     vb = SparseVector(np.sort(np.concatenate([s, b])), dim)
     return va, vb
+
+
+def doph_hashes(v: SparseVector, n_bins: int, seed: int) -> np.ndarray:
+    """Densified one-permutation hashing of one vector: n_bins hash values
+    in one pass, the per-vector reference of :meth:`HashFamily.addresses`.
+
+    Each active index is hashed exactly once and routed to bin
+    floor(hash * n_bins / 2**64); each bin keeps its minimum. Empty bins copy
+    the value of the nearest non-empty bin, scanning circularly left or right
+    according to a seeded per-bin coin.
+    """
+    if v.nnz == 0:
+        raise EmptyVectorError("cannot hash a vector with no active indices")
+    if n_bins < 1:
+        raise ConfigError("n_bins must be >= 1")
+    h = hashing._index_hashes(v.indices, np.uint64(seed))  # read at call time: tests patch it
+    bins = range_map(h, n_bins).astype(np.intp)
+    mins = np.full(n_bins, UINT64_MAX, dtype=np.uint64)
+    np.minimum.at(mins, bins, h)
+    occupied = np.zeros(n_bins, dtype=bool)
+    occupied[bins] = True
+    if occupied.all():
+        return mins
+
+    idx = np.arange(n_bins)
+    occ_idx = np.flatnonzero(occupied)
+    # Nearest occupied bin at-or-left of each bin, wrapping past 0.
+    left = np.where(occupied, idx, -1)
+    np.maximum.accumulate(left, out=left)
+    left = np.where(left >= 0, left, occ_idx[-1])
+    # Nearest occupied bin at-or-right of each bin, wrapping past the end.
+    right = np.where(occupied, idx, n_bins)
+    right = np.minimum.accumulate(right[::-1])[::-1]
+    right = np.where(right < n_bins, right, occ_idx[0])
+
+    coins = hashing._densify_coins(np.uint64(seed), n_bins)
+    source = np.where(coins, right, left)
+    empty = ~occupied
+    mins[empty] = mins[source[empty]]
+    return mins
+
+
+def table_address(hashes, table_seed: int, table_range: int) -> int:
+    """Combine one table's hash slots into an address in [0, table_range).
+
+    Folds the slots through the mixer under the table's own seed, then masks
+    to log2(table_range) bits; table_range must be a power of two. Two inputs
+    with all slots equal always map to the same address.
+    """
+    if table_range < 2 or table_range & (table_range - 1):
+        raise ConfigError("table_range must be a power of two >= 2")
+    acc = np.uint64(table_seed)
+    for h in np.asarray(hashes, dtype=np.uint64):
+        acc = mix64(acc ^ h)
+    return int(acc & np.uint64(table_range - 1))
+
+
+def slot_hashes(family, v: SparseVector) -> np.ndarray:
+    """All (num_tables x hashes_per_table) hash slots of one vector from the
+    batched densification; row i holds the slots feeding table i."""
+    rows = hashing._densified_rows(
+        np.array([0, v.nnz]), v.indices, family.seeds.size, family.perm_seed, family.coins
+    )
+    return rows.reshape(family.seeds.shape)
 
 
 def reference_addresses(family, vectors) -> np.ndarray:

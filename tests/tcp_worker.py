@@ -40,7 +40,7 @@ def tcp_rank_main(rank, members, seed, world, mode, queue):
             transport.close()
         if rank == 0:
             queue.put(
-                ("ok", rank, [r.to_bytes() for r in results], metrics.reduced_payloads)
+                ("ok", rank, [r.to_bytes() for r in results], metrics.reduced_payload)
             )
         else:
             queue.put(("ok", rank, None, None))

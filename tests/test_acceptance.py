@@ -269,13 +269,17 @@ def test_c6_reduction_complexity():
             base.append(s)
         tree_stats = [ReduceStats() for _ in range(m)]
         SimulatedCluster(m).run(
-            lambda tr: tree_reduce_sketches(tr, [base[tr.rank]], stats=tree_stats[tr.rank])
+            lambda tr: tree_reduce_sketches(
+                tr, TopkapiSketch.stack([base[tr.rank]]), stats=tree_stats[tr.rank]
+            )
         )
         bound = math.ceil(math.log2(m))
         assert max(s.merge_rounds for s in tree_stats) == bound, f"tree bound at m={m}"
         linear_stats = [ReduceStats() for _ in range(m)]
         SimulatedCluster(m).run(
-            lambda tr: linear_reduce_sketches(tr, [base[tr.rank]], stats=linear_stats[tr.rank])
+            lambda tr: linear_reduce_sketches(
+                tr, TopkapiSketch.stack([base[tr.rank]]), stats=linear_stats[tr.rank]
+            )
         )
         assert linear_stats[0].merge_rounds == m - 1, f"linear count at m={m}"
         assert max((s.merge_rounds for s in linear_stats[1:]), default=0) == 0
@@ -303,7 +307,7 @@ def test_c7_backend_equivalence():
         )
     )
     sim_results = [r.to_bytes() for r in sim_out[0]]
-    sim_reduced = sim_metrics[0].reduced_payloads
+    sim_reduced = sim_metrics[0].reduced_payload
 
     # 4 OS processes over localhost TCP
     ctx = multiprocessing.get_context("spawn")

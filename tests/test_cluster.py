@@ -123,14 +123,14 @@ class TestAllgather:
 class TestTreeReduce:
     def test_single_rank_identity(self, rng):
         s = random_sketch(rng)
-        out = SimulatedCluster(1).run(lambda tr: tree_reduce_sketches(tr, [s]))
-        assert out[0] == [s]
+        out = SimulatedCluster(1).run(lambda tr: tree_reduce_sketches(tr, TopkapiSketch.stack([s])))
+        assert out[0] == TopkapiSketch.stack([s])
 
     def test_two_ranks_sum_counts(self):
         sketches = [cell_sketch(4, 5), cell_sketch(4, 3)]
 
         def fn(tr):
-            return tree_reduce_sketches(tr, [sketches[tr.rank]])
+            return tree_reduce_sketches(tr, TopkapiSketch.stack([sketches[tr.rank]]))
 
         out = SimulatedCluster(2).run(fn)
         merged = out[0][0]
@@ -142,7 +142,7 @@ class TestTreeReduce:
         stats = [ReduceStats() for _ in range(8)]
 
         def fn(tr):
-            return tree_reduce_sketches(tr, [base[tr.rank]], stats=stats[tr.rank])
+            return tree_reduce_sketches(tr, TopkapiSketch.stack([base[tr.rank]]), stats=stats[tr.rank])
 
         SimulatedCluster(8).run(fn)
         assert stats[0].merge_rounds == 3
@@ -156,7 +156,7 @@ class TestTreeReduce:
         stats = [ReduceStats() for _ in range(m)]
 
         def fn(tr):
-            return tree_reduce_sketches(tr, [base[tr.rank]], stats=stats[tr.rank])
+            return tree_reduce_sketches(tr, TopkapiSketch.stack([base[tr.rank]]), stats=stats[tr.rank])
 
         out = SimulatedCluster(m).run(fn)
         bound = math.ceil(math.log2(m)) if m > 1 else 0
@@ -167,7 +167,7 @@ class TestTreeReduce:
         base = [random_sketch(rng) for _ in range(5)]
 
         def fn(tr):
-            return tree_reduce_sketches(tr, [base[tr.rank]])
+            return tree_reduce_sketches(tr, TopkapiSketch.stack([base[tr.rank]]))
 
         a = SimulatedCluster(5).run(fn)[0][0].to_bytes()
         b = SimulatedCluster(5).run(fn)[0][0].to_bytes()
@@ -176,7 +176,7 @@ class TestTreeReduce:
     def test_shape_mismatch_aborts(self):
         def fn(tr):
             s = TopkapiSketch(1, 1 + tr.rank, row_seeds_from_master(3, 1))
-            return tree_reduce_sketches(tr, [s])
+            return tree_reduce_sketches(tr, TopkapiSketch.stack([s]))
 
         with pytest.raises(ShapeMismatchError):
             SimulatedCluster(2, default_timeout=1.0).run(fn)
@@ -185,7 +185,7 @@ class TestTreeReduce:
         base = [random_sketch(rng) for _ in range(4)]
 
         def fn(tr):
-            out = tree_reduce_sketches(tr, [base[tr.rank]])
+            out = tree_reduce_sketches(tr, TopkapiSketch.stack([base[tr.rank]]))
             return None if out is None else out[0].to_bytes()
 
         sim = SimulatedCluster(4).run(fn)
@@ -206,23 +206,23 @@ class TestTreeReduce:
 
         out = SimulatedCluster(2).run(fn)
         assert sent == [b"".join(s.to_bytes() for s in base[1])]
-        assert out[0] == [a.merge(b) for a, b in zip(*base)]
+        assert out[0] == TopkapiSketch.stack([a.merge(b) for a, b in zip(*base)])
 
 
 class TestLinearReduce:
     def test_single_rank_identity(self, rng):
         s = random_sketch(rng)
-        out = SimulatedCluster(1).run(lambda tr: linear_reduce_sketches(tr, [s]))
-        assert out[0] == [s]
+        out = SimulatedCluster(1).run(lambda tr: linear_reduce_sketches(tr, TopkapiSketch.stack([s])))
+        assert out[0] == TopkapiSketch.stack([s])
 
     def test_two_ranks_match_tree(self):
         sketches = [cell_sketch(4, 5), cell_sketch(9, 3)]
 
         def lin(tr):
-            return linear_reduce_sketches(tr, [sketches[tr.rank]])
+            return linear_reduce_sketches(tr, TopkapiSketch.stack([sketches[tr.rank]]))
 
         def tree(tr):
-            return tree_reduce_sketches(tr, [sketches[tr.rank]])
+            return tree_reduce_sketches(tr, TopkapiSketch.stack([sketches[tr.rank]]))
 
         a = SimulatedCluster(2).run(lin)[0][0]
         b = SimulatedCluster(2).run(tree)[0][0]
@@ -234,7 +234,7 @@ class TestLinearReduce:
         stats = [ReduceStats() for _ in range(m)]
 
         def fn(tr):
-            return linear_reduce_sketches(tr, [base[tr.rank]], stats=stats[tr.rank])
+            return linear_reduce_sketches(tr, TopkapiSketch.stack([base[tr.rank]]), stats=stats[tr.rank])
 
         SimulatedCluster(m).run(fn)
         assert stats[0].merge_rounds == m - 1
@@ -258,6 +258,17 @@ class TestExactCounts:
         ]
         merged = exact_counts(maps[0]).merge(exact_counts(maps[1]))
         assert count_maps(merged) == merge_count_maps(*maps)
+
+    def test_merged_count_past_u64_is_collective_error(self):
+        # a peer payload that decodes fine can still push a sum past 2^64 - 1,
+        # which would wrap to a hit of frequency 0
+        peer = ExactCounts.from_bytes(count_payload([{7: (1 << 64) - 1}]), 1)
+        local = exact_counts([{7: 1}])
+        with pytest.raises(CollectiveError, match="2\\^64"):
+            local.merge(peer)
+        # the largest sum that fits is kept exactly
+        fits = exact_counts([{7: (1 << 64) - 2, 9: 4}]).merge(local)
+        assert count_maps(fits) == [{7: (1 << 64) - 1, 9: 4}]
 
     def test_payload_layout(self):
         # query 0: {7: 3, 1: 2}, query 1: {}, query 2: {2^53 + 1: 1, 2^64 - 2: 5};
@@ -392,7 +403,7 @@ class TestReduceFrames:
             monkeypatch, m, reducer, rounds, items,
             merge=lambda a, b: a.merge(b), encode=lambda s: s.to_bytes(),
         )
-        assert TopkapiSketch.stack(got).to_bytes() == final.to_bytes()
+        assert got.to_bytes() == final.to_bytes()
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
     def test_count_frames(self, monkeypatch, rng, m):

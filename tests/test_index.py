@@ -136,16 +136,16 @@ class TestLocalCandidates:
         idx = preprocess(DatasetPartition(0, make_dataset(rng, 5)), CFG)
         probe = 999
         assert all(bucket_ids(tb, probe).size == 0 for tb in idx.tables)
-        merged = idx.local_candidates(np.full(CFG.num_tables, probe, dtype=np.uint64))
-        assert merged == idx.empty_sketch()
+        merged = idx.local_candidates(np.full((1, CFG.num_tables), probe, dtype=np.uint64))
+        assert merged == idx.empty_sketch(1)
 
     def test_single_vector_count_equals_tables(self):
         cfg = LshConfig(hashes_per_table=2, num_tables=8, table_range=1 << 12, top_k=2, master_seed=13)
         v = SparseVector([5, 9, 700], 1024)
         idx = preprocess(DatasetPartition(0, [(3, v)]), cfg)
         fam = HashFamily.from_config(cfg)
-        merged = idx.local_candidates(fam.addresses(v))
-        assert merged.heavy_hitters(0) == ((3, 8),)
+        merged = idx.local_candidates(fam.addresses([v]))
+        assert merged[0].heavy_hitters(0) == ((3, 8),)
 
     def test_node_split_is_exact_count_invariant(self, rng):
         data = make_dataset(rng, 60)
@@ -164,7 +164,9 @@ class TestLocalCandidates:
         with pytest.raises(ConfigError):
             idx.local_candidates(np.zeros(2, dtype=np.uint64))
         with pytest.raises(ConfigError):
-            idx.local_candidates(np.full(CFG.num_tables, CFG.table_range, dtype=np.uint64))
+            idx.local_candidates(np.zeros(CFG.num_tables, dtype=np.uint64))  # a row, not a batch
+        with pytest.raises(ConfigError):
+            idx.local_candidates(np.full((1, CFG.num_tables), CFG.table_range, dtype=np.uint64))
         with pytest.raises(ConfigError):
             idx.local_candidates(np.zeros((2, 3), dtype=np.uint64))
         with pytest.raises(ConfigError):
@@ -256,7 +258,7 @@ class TestBatchProbe:
             assert min(sizes) >= HOT_BUCKET
         stack = node.local_candidates(batch)
         assert stack.ids.shape == (len(batch), CFG.sketch_rows, CFG.sketch_cols)
-        rows = [node.local_candidates(row) for row in batch]
+        rows = [node.local_candidates(row[None])[0] for row in batch]
         replayed: dict = {}
         reference = [reference_local_candidates(node, row, replayed) for row in batch]
         assert list(stack) == rows == reference
@@ -265,7 +267,9 @@ class TestBatchProbe:
     def test_single_row_batch(self, probe_case):
         _, node, batch = probe_case
         one = node.local_candidates(batch[:1])
-        assert len(one) == 1 and one[0] == node.local_candidates(batch[0])
+        assert len(one) == 1 and one[0] == node.local_candidates(batch)[0]
+        with pytest.raises(ConfigError):
+            node.local_candidates(batch[0])
 
 
 @pytest.fixture(scope="module")
@@ -355,7 +359,7 @@ class TestPersistence:
         idx.save(path)
         loaded = NodeIndex.load(path, CFG)
         fam = HashFamily.from_config(CFG)
-        addrs = fam.addresses(data[11][1])
+        addrs = fam.addresses([data[11][1]])
         assert loaded.local_candidates(addrs) == idx.local_candidates(addrs)
 
     def test_config_mismatch_rejected(self, rng, tmp_path):

@@ -1,14 +1,19 @@
+import dataclasses
+import hashlib
 import struct
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchlsh.cluster import CollectiveError, SimulatedCluster
-from sketchlsh.core import ConfigError, DatasetPartition, LshConfig, SparseVector
+from sketchlsh.core import NULL_ID, ConfigError, DatasetPartition, LshConfig, SparseVector
 from sketchlsh.hashing import HashFamily
 from sketchlsh.index import preprocess
 from sketchlsh.query import (
+    MODES,
     QueryBatch,
     QueryMetrics,
     QueryResult,
@@ -27,6 +32,7 @@ from sketchlsh.synthetic import (
 )
 
 from oracles import exact_counts, top_k_counts
+import tcp_worker
 
 
 def run_modes(dataset, queries, cfg, m, mode):
@@ -38,7 +44,35 @@ def run_modes(dataset, queries, cfg, m, mode):
     return outs[0]
 
 
+# small ids, ids near 2^64 - 2 and the null id, so that one id often
+# lands in several rows of a member and some cells are null
+CELL_IDS = (0, 1, 2, 3, NULL_ID - 2, NULL_ID - 1, NULL_ID)
+
+
+@st.composite
+def sketch_stacks(draw):
+    """A stack of random cells, some of them count-0 cells that hold a real
+    id, and maybe one member with no candidates at all."""
+    n, rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    size = n * rows * cols
+    ids = draw(st.lists(st.sampled_from(CELL_IDS), min_size=size, max_size=size))
+    counts = st.one_of(st.integers(0, 4), st.just((1 << 64) - 1))
+    stack = TopkapiSketch(rows, cols, row_seeds_from_master(1, rows), members=n)
+    stack.ids[...] = np.array(ids, dtype=np.uint64).reshape(stack.ids.shape)
+    stack.counts[...] = np.array(
+        draw(st.lists(counts, min_size=size, max_size=size)), dtype=np.uint64
+    ).reshape(stack.ids.shape)
+    if draw(st.booleans()):
+        stack.counts[draw(st.integers(0, n - 1))] = 0
+    return stack
+
+
 class TestTopKExtract:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(stack=sketch_stacks(), k=st.integers(1, 14))  # up to past the 12 cells of a member
+    def test_stack_ranking_equals_heavy_hitters(self, stack, k):
+        assert top_k_extract(stack, k) == tuple(m.heavy_hitters(0)[:k] for m in stack)
+
     def test_fewer_than_k_returns_all(self):
         assert top_k_extract(exact_counts([{3: 2}]), 5) == (((3, 2),),)
 
@@ -63,18 +97,45 @@ class TestTopKExtract:
             assert got == tuple(top_k_counts(m, k) for m in maps)
 
     def test_sketch_source_and_zero_exclusion(self):
-        s = TopkapiSketch(1, 4, row_seeds_from_master(3, 1))
-        s.insert_many(np.full(4, 11, dtype=np.uint64))
-        emptied = TopkapiSketch(1, 1, row_seeds_from_master(3, 1))
-        emptied.insert_many(np.array([5, 6], dtype=np.uint64))  # 6 counts 5 down to 0
-        assert top_k_extract([s, emptied], 3) == (((11, 4),), ())
+        stack = TopkapiSketch(1, 1, row_seeds_from_master(3, 1), members=2)
+        # member 0 holds (11, 4); in member 1, 6 counts 5 down to 0
+        stack.insert_many(np.array([11, 11, 11, 11, 5, 6], dtype=np.uint64), [0, 0, 0, 0, 1, 1])
+        assert (int(stack.ids[1, 0, 0]), int(stack.counts[1, 0, 0])) == (5, 0)
+        assert top_k_extract(stack, 3) == (((11, 4),), ())
 
     def test_rejects_bad_k(self):
         with pytest.raises(ConfigError):
             top_k_extract(exact_counts([]), 0)
 
 
+# sha256 of every QueryResult's bytes, rank 0's reduced bytes and every
+# rank's ReduceStats for tcp_worker's instance (seed 11) at m = 1, 2, 4 in
+# every mode. Taken from the list-based sketch reduce, whose per-query
+# records joined give the same bytes as one stack's payload; any change to
+# a result, a reduced byte or a reduce counter shows here.
+PINNED_DIGEST = "83c094deefdf25b4692bcb05d5a08560e502c703c6d564f692c30374bc56aad5"
+
+
 class TestQueryBatchPipeline:
+    def test_results_reduced_bytes_and_stats_are_pinned(self):
+        digest = hashlib.sha256()
+        for m in (1, 2, 4):
+            inst, _cfg, indexes = tcp_worker.build_state(11, m)
+            batch = QueryBatch(inst.queries)
+            for mode in MODES:
+                metrics = [QueryMetrics(capture_reduced=True) for _ in range(m)]
+                out = SimulatedCluster(m).run(
+                    lambda tr: query_batch(
+                        indexes[tr.rank], batch, tr, mode, metrics=metrics[tr.rank]
+                    )
+                )
+                for result in out[0]:
+                    digest.update(result.to_bytes())
+                digest.update(metrics[0].reduced_payload)
+                for mt in metrics:
+                    digest.update(struct.pack("<5Q", *dataclasses.astuple(mt.reduce_stats)))
+        assert digest.hexdigest() == PINNED_DIGEST
+
     def test_planted_vector_ranks_first_with_near_full_count(self, rng):
         cfg = LshConfig(hashes_per_table=4, num_tables=16, table_range=1 << 16, top_k=4, master_seed=31)
         vecs = random_sparse_vectors(rng, 300, 1 << 14, 30)
@@ -185,7 +246,9 @@ class TestQueryBatchPipeline:
         results = query_batch(idx, batch, SimulatedCluster(1).transport(0), "sketch_tree", metrics=metrics)
         assert results is not None
         assert metrics.hash_s > 0 and metrics.local_merge_s > 0
-        assert metrics.reduced_payloads and len(metrics.reduced_payloads) == 1
+        # one rank: the reduced batch is the local stack, one member record per query
+        local = idx.local_candidates(HashFamily.from_config(cfg).addresses([dataset[0][1]]))
+        assert metrics.reduced_payload == local.to_bytes()
         line = metrics.to_line()
         assert line.startswith("# phases hash=")
 

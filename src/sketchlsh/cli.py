@@ -161,8 +161,10 @@ def cmd_query(args) -> int:
             index = _load_index(args.indexes, args.rank, config)
             metrics = QueryMetrics()
             results = query_batch(index, batch, transport, args.mode, metrics=metrics)
-            if transport.rank == 0 and results is not None:
+            if results is not None:  # rank 0
                 _write_results(args.out, results, metrics)
+            else:
+                print(metrics.to_line())
         finally:
             transport.close()
     return EXIT_OK

@@ -384,10 +384,18 @@ def _decode_sketches(payload: bytes, expected: int) -> TopkapiSketch:
     return stack
 
 
+def _merge_sketches(local: TopkapiSketch, peer: TopkapiSketch) -> TopkapiSketch:
+    """``local.merge(peer)``; a counter sum past 2^64 - 1 is a :class:`CollectiveError`."""
+    merged = local.merge(peer)  # checks shape and seeds first
+    if np.any((local.ids == peer.ids) & (local.counts > ~peer.counts)):
+        raise CollectiveError("a merged sketch counter passes 2^64 - 1")
+    return merged
+
+
 def _reduce_sketches(transport, stack, schedule, batch_id, stats):
     return _reduce(
         transport, stack, schedule,
-        merge=TopkapiSketch.merge, encode=TopkapiSketch.to_bytes, decode=_decode_sketches,
+        merge=_merge_sketches, encode=TopkapiSketch.to_bytes, decode=_decode_sketches,
         batch_id=batch_id, stats=stats,
     )
 

@@ -1,10 +1,12 @@
 """The batch query pipeline: hash, gather, local merge, reduce, extract.
 
 The pipeline runs the same way on every rank. Each rank hashes its
-contiguous slice of the batch, the per-table addresses are allgathered so
-every rank knows every query's buckets, each rank merges its own addressed
-bucket sketches per query (one stack for the whole batch), and the per-node
-stacks are reduced to rank 0, which ranks every query's top k in one pass.
+contiguous slice of the batch, and one allgather per batch gives every rank
+each rank's config fingerprint and per-table addresses: every rank checks
+that the configs agree and learns every query's buckets. Each rank then
+merges its own addressed bucket sketches per query (one stack for the whole
+batch), and the per-node stacks are reduced to rank 0, which ranks every
+query's top k in one pass.
 
 In the sketch modes the whole path performs zero similarity computations;
 an instrumentation counter guards that claim. The cosine metric below is
@@ -21,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import NULL_ID, ConfigError, SparseVector
+from .core import NULL_ID, ConfigError, LshConfig, SparseVector
 from .cluster import (
     CollectiveError,
     ExactCounts,
@@ -94,10 +96,10 @@ class QueryBatch:
         return len(self.queries)
 
     def fingerprint(self) -> int:
-        acc = np.uint64(0xBA7C4)
-        for qid, _ in self.queries:
-            acc = mix64(acc ^ np.uint64(qid & 0xFFFFFFFFFFFFFFFF))
-        return int(acc)
+        """The batch id: each query id mixed with its position, folded."""
+        ids = np.array([qid & 0xFFFFFFFFFFFFFFFF for qid, _ in self.queries], dtype=np.uint64)
+        positions = mix64(np.arange(ids.size, dtype=np.uint64) ^ np.uint64(0xBA7C4))
+        return int(mix64(np.bitwise_xor.reduce(mix64(ids ^ positions))))
 
 
 @dataclass(frozen=True)
@@ -172,18 +174,23 @@ def _slice_bounds(n: int, world_size: int, rank: int) -> tuple[int, int]:
     return lo, lo + base + (1 if rank < extra else 0)
 
 
-def _decode_address_rows(blob: bytes, num_tables: int, table_range: int) -> np.ndarray:
-    """One rank's allgathered (rows, num_tables) address block, every
-    address below ``table_range``."""
-    if len(blob) < 4:
-        raise CollectiveError("truncated address payload")
-    (cnt,) = struct.unpack_from("<I", blob, 0)
-    if len(blob) != 4 + 8 * cnt * num_tables:
-        raise CollectiveError(
-            f"address payload of {len(blob)} bytes does not hold {cnt} rows"
-        )
-    rows = np.frombuffer(blob, dtype="<u8", offset=4).reshape(cnt, num_tables)
-    if rows.size and int(rows.max()) >= table_range:
+def _gathered_addresses(payloads: Sequence[bytes], n: int, config: LshConfig) -> np.ndarray:
+    """The batch's (n, L) address rows from every rank's exchange payload:
+    a u64 config fingerprint, then that rank's rows. Every fingerprint is
+    checked before any row is read, so a peer with another config (rows of
+    another width, say) is a :class:`ConfigError` on every rank."""
+    if any(len(p) < 8 for p in payloads):
+        raise CollectiveError("address payload shorter than its config fingerprint")
+    fingerprints = [struct.unpack_from("<Q", p)[0] for p in payloads]
+    bad = [r for r, fp in enumerate(fingerprints) if fp != fingerprints[0]]
+    if bad:
+        raise ConfigError(f"configuration mismatch across ranks (differs on {bad})")
+    if any((len(p) - 8) % (8 * config.num_tables) for p in payloads):
+        raise CollectiveError("address payload does not hold whole rows")
+    rows = np.frombuffer(b"".join(p[8:] for p in payloads), "<u8").reshape(-1, config.num_tables)
+    if rows.shape[0] != n:
+        raise CollectiveError("gathered address count does not match batch size")
+    if rows.size and int(rows.max()) >= config.table_range:
         raise CollectiveError("gathered address beyond the table range")
     return rows
 
@@ -197,44 +204,29 @@ def query_batch(
 ) -> list[QueryResult] | None:
     """Run one batch against the distributed index; results land on rank 0.
 
-    All ranks must call collectively with the same batch and mode. Aborts
-    before any hashing if the ranks' configurations disagree.
+    All ranks must call collectively with the same batch and mode. The
+    ranks' config fingerprints travel with the addresses, in one allgather;
+    if they disagree, every rank aborts before any probing.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     metrics = metrics if metrics is not None else QueryMetrics()
     config = index.config
-    # the batch id must agree across ranks even when configs do not, so the
-    # config skew check below can run before anything else desynchronizes
+    # the batch id must agree across ranks even when configs do not, so that
+    # the config check in the address exchange is reached on every rank
     batch_id = batch.fingerprint()
-
-    # Config skew check, before any hashing happens.
-    fps = allgather(
-        transport, struct.pack("<Q", config.fingerprint()), batch_id=batch_id
-    )
-    if any(len(p) != 8 for p in fps):
-        raise CollectiveError("malformed configuration fingerprint payload")
-    fingerprints = [struct.unpack("<Q", p)[0] for p in fps]
-    if len(set(fingerprints)) != 1:
-        bad = [r for r, fp in enumerate(fingerprints) if fp != fingerprints[0]]
-        raise ConfigError(f"configuration mismatch across ranks (differs on {bad})")
-
-    family = HashFamily.from_config(config)
     n = len(batch)
     lo, hi = _slice_bounds(n, transport.world_size, transport.rank)
 
+    family = HashFamily.from_config(config)
     t0 = time.perf_counter()
-    my_addrs = family.addresses([v for _, v in batch.queries[lo:hi]]).astype("<u8")
-    payload = struct.pack("<I", my_addrs.shape[0]) + my_addrs.tobytes()
+    my_addrs = family.addresses([v for _, v in batch.queries[lo:hi]])
+    payload = struct.pack("<Q", config.fingerprint()) + my_addrs.astype("<u8").tobytes()
     metrics.hash_s += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     gathered = allgather(transport, payload, batch_id=batch_id)
-    all_addrs = np.vstack(
-        [_decode_address_rows(b, config.num_tables, config.table_range) for b in gathered]
-    )
-    if all_addrs.shape[0] != n:
-        raise CollectiveError("gathered address count does not match batch size")
+    all_addrs = _gathered_addresses(gathered, n, config)
     metrics.gather_s += time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -198,7 +198,8 @@ class TopkapiSketch:
         between two real ids resolves to the smaller id with counter 0 (no
         surviving majority); the null placeholder always loses, which makes
         the empty sketch an exact identity element. The result is
-        independent of argument order, cell for cell.
+        independent of argument order, cell for cell. An equal-id sum past
+        2^64 - 1 wraps; the cluster's sketch reducers raise on it.
         """
         if not self.same_shape(other):
             raise ShapeMismatchError(
@@ -215,10 +216,8 @@ class TopkapiSketch:
             a_ids == _NULL, b_ids, np.where(b_ids == _NULL, a_ids, np.minimum(a_ids, b_ids))
         )
         ids = np.where(same, a_ids, np.where(a_wins, a_ids, np.where(b_wins, b_ids, tie_ids)))
-        with np.errstate(over="ignore"):
-            summed = a_cnt + b_cnt
-            diff = np.where(a_wins, a_cnt - b_cnt, b_cnt - a_cnt)
-        return self._with_cells(ids, np.where(same, summed, diff))
+        diff = np.maximum(a_cnt, b_cnt) - np.minimum(a_cnt, b_cnt)
+        return self._with_cells(ids, np.where(same, a_cnt + b_cnt, diff))
 
     # -- reporting ---------------------------------------------------------------
 
@@ -270,7 +269,8 @@ class TopkapiSketch:
     ) -> tuple["TopkapiSketch", int]:
         """Parse one serialized sketch, or with ``members=n`` a stack of n
         records of one shape and seeds; returns (sketch, offset past it).
-        Malformed bytes raise :class:`SketchFormatError`."""
+        Malformed bytes raise :class:`SketchFormatError`, and so does a
+        null cell with a counter above 0, which no insert or merge makes."""
         if len(buf) - offset < 12:
             raise SketchFormatError("truncated sketch: missing length prefix or shape")
         plen, rows, cols = struct.unpack_from("<III", buf, offset)
@@ -296,6 +296,8 @@ class TopkapiSketch:
         out = cls(rows, cols, row_seeds.astype(np.uint64), members)
         out.ids[:] = cells[..., 0].reshape(out.ids.shape)
         out.counts[:] = cells[..., 1].reshape(out.ids.shape)
+        if np.any((out.ids == _NULL) & (out.counts > 0)):
+            raise SketchFormatError("a null cell carries a count")
         return out, end
 
     # -- dunder ----------------------------------------------------------------

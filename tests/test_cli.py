@@ -3,6 +3,7 @@ import functools
 import gc
 import math
 import socket
+import threading
 import warnings
 
 import pytest
@@ -233,6 +234,33 @@ class TestEndToEnd:
                 gc.collect()
         assert f"rank 0: cannot listen on 127.0.0.1:{port}" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_every_tcp_rank_reports_its_phases(self, tmp_path, rng, capsys):
+        _, idx_dir, queries = build_indexes(tmp_path, rng, m=2)
+        hosts = tmp_path / "hosts.txt"
+        hosts.write_text("".join(f"{r} 127.0.0.1:{p}\n" for r, p in enumerate(free_ports(2))))
+        results = tmp_path / "r.txt"
+        codes = [None, None]
+
+        def rank_main(rank):
+            codes[rank] = main([
+                "query", "--indexes", str(idx_dir), "--queries", str(queries),
+                "--backend", "tcp", "--rank", str(rank), "--hosts", str(hosts),
+                "--out", str(results),
+            ])
+
+        capsys.readouterr()
+        threads = [threading.Thread(target=rank_main, args=(r,)) for r in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert codes == [0, 0]
+        # rank 0 writes its hits and phases to --out; rank 1 prints its phases
+        lines = results.read_text().splitlines()
+        assert len(lines) == 2 and lines[-1].startswith("# phases hash=")
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith("# phases hash=")
 
     @pytest.mark.parametrize("rank", ["5", "-1"])
     def test_tcp_rank_outside_hosts_file_is_config_error(self, tmp_path, rng, capsys, rank):

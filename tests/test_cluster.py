@@ -25,6 +25,7 @@ from sketchlsh.cluster import (
     tree_reduce_counts,
     tree_reduce_sketches,
 )
+from sketchlsh.core import NULL_ID
 from sketchlsh.sketch import ShapeMismatchError, TopkapiSketch, row_seeds_from_master
 
 from oracles import (
@@ -136,6 +137,18 @@ class TestTreeReduce:
         merged = out[0][0]
         assert (int(merged.ids[0, 0]), int(merged.counts[0, 0])) == (4, 8)
         assert out[1] is None
+
+    @pytest.mark.parametrize("reduce", [tree_reduce_sketches, linear_reduce_sketches])
+    def test_merged_counter_past_u64_is_collective_error(self, reduce):
+        # summed as u64, (7, 1) and a peer's (7, 2^64 - 1) would wrap to (7, 0)
+        def run(local, peer):
+            stacks = [TopkapiSketch.stack([cell_sketch(7, c)]) for c in (local, peer)]
+            return SimulatedCluster(2).run(lambda tr: reduce(tr, stacks[tr.rank]))[0]
+
+        with pytest.raises(CollectiveError, match="2\\^64"):
+            run(1, (1 << 64) - 1)
+        # the largest sum that fits is kept exactly
+        assert int(run(1, (1 << 64) - 2).counts[0, 0, 0]) == (1 << 64) - 1
 
     def test_m8_merge_and_send_counts(self, rng):
         base = [random_sketch(rng) for _ in range(8)]
@@ -323,6 +336,7 @@ class TestWireFormat:
             (_decode_sketches, stack[:5], 2),
             (_decode_sketches, stack, 3),  # fewer members than expected
             (_decode_sketches, stack + b"\0", 2),
+            (_decode_sketches, cell_sketch(NULL_ID, 5).to_bytes(), 1),  # a null cell with a count
         ]
         for decode, payload, expected in bad:
             with pytest.raises(CollectiveError):

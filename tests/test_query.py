@@ -8,16 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchlsh.cluster import CollectiveError, SimulatedCluster
+from sketchlsh.cluster import (
+    FRAME_ALLGATHER,
+    FRAME_REDUCE,
+    CollectiveError,
+    SimulatedCluster,
+    SimulatedTransport,
+)
 from sketchlsh.core import NULL_ID, ConfigError, DatasetPartition, LshConfig, SparseVector
 from sketchlsh.hashing import HashFamily
-from sketchlsh.index import preprocess
+from sketchlsh.index import NodeIndex, preprocess
 from sketchlsh.query import (
     MODES,
     QueryBatch,
     QueryMetrics,
     QueryResult,
-    _decode_address_rows,
+    _gathered_addresses,
     cosine_similarity,
     distance_counter,
     query_batch,
@@ -136,6 +142,26 @@ class TestQueryBatchPipeline:
                     digest.update(struct.pack("<5Q", *dataclasses.astuple(mt.reduce_stats)))
         assert digest.hexdigest() == PINNED_DIGEST
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_one_allgather_and_at_most_one_reduce_send_per_rank(self, monkeypatch, m):
+        inst, _cfg, indexes = tcp_worker.build_state(11, m)
+        batch = QueryBatch(inst.queries)
+        sent = []
+        send = SimulatedTransport.send
+
+        def counting_send(tr, dst, frame):
+            sent.append((tr.rank, frame.frame_type))
+            send(tr, dst, frame)
+
+        monkeypatch.setattr(SimulatedTransport, "send", counting_send)
+        for mode in MODES:
+            sent.clear()
+            SimulatedCluster(m).run(lambda tr: query_batch(indexes[tr.rank], batch, tr, mode))
+            for rank in range(m):
+                types = sorted(t for r, t in sent if r == rank)
+                # one allgather ring of m - 1 steps; every rank but 0 sends one reduce frame
+                assert types == [FRAME_ALLGATHER] * (m - 1) + [FRAME_REDUCE] * (rank > 0)
+
     def test_planted_vector_ranks_first_with_near_full_count(self, rng):
         cfg = LshConfig(hashes_per_table=4, num_tables=16, table_range=1 << 16, top_k=4, master_seed=31)
         vecs = random_sparse_vectors(rng, 300, 1 << 14, 30)
@@ -214,19 +240,32 @@ class TestQueryBatchPipeline:
 
         assert recall(32) >= recall(8)
 
-    def test_config_mismatch_aborts_before_hashing(self, rng):
+    @pytest.mark.parametrize(
+        "field, value", [("master_seed", 2), ("num_tables", 6)], ids=["seed", "num_tables"]
+    )
+    def test_config_mismatch_aborts_before_probing(self, rng, monkeypatch, field, value):
+        # a peer whose rows have another width is still a config mismatch
         vecs = random_sparse_vectors(rng, 20, 1 << 10, 10)
         dataset = [(i, v) for i, v in enumerate(vecs)]
-        cfgs = [
-            LshConfig(hashes_per_table=3, num_tables=4, table_range=1 << 10, top_k=2, master_seed=1),
-            LshConfig(hashes_per_table=3, num_tables=4, table_range=1 << 10, top_k=2, master_seed=2),
-        ]
+        base = LshConfig(hashes_per_table=3, num_tables=4, table_range=1 << 10, top_k=2, master_seed=1)
+        cfgs = [base, dataclasses.replace(base, **{field: value})]
         parts = round_robin_partitions(dataset, 2)
         indexes = [preprocess(p, cfgs[r]) for r, p in enumerate(parts)]
-        batch = QueryBatch([(0, dataset[0][1])])
-        cluster = SimulatedCluster(2, default_timeout=2.0)
-        with pytest.raises(ConfigError, match="mismatch"):
-            cluster.run(lambda tr: query_batch(indexes[tr.rank], batch, tr, "sketch_tree"))
+        probes = []
+        for name in ("local_candidates", "exact_candidates"):
+            monkeypatch.setattr(NodeIndex, name, lambda *a, name=name: probes.append(name))
+        batch = QueryBatch([(0, dataset[0][1]), (1, dataset[1][1]), (2, dataset[2][1])])
+
+        def rank_main(tr, mode):
+            try:
+                query_batch(indexes[tr.rank], batch, tr, mode)
+            except ConfigError as exc:
+                return exc
+
+        for mode in MODES:
+            errors = SimulatedCluster(2, default_timeout=2.0).run(lambda tr: rank_main(tr, mode))
+            assert all("mismatch" in str(e) and "[1]" in str(e) for e in errors)
+        assert probes == []
 
     def test_unknown_mode_rejected(self, rng):
         vecs = random_sparse_vectors(rng, 5, 1 << 10, 5)
@@ -254,14 +293,28 @@ class TestQueryBatchPipeline:
 
 
     def test_malformed_address_payload_is_collective_error(self, rng, monkeypatch):
+        cfg = LshConfig(num_tables=4, table_range=16)
         rows = np.arange(12, dtype="<u8").reshape(3, 4)
-        blob = struct.pack("<I", 3) + rows.tobytes()
-        assert np.array_equal(_decode_address_rows(blob, 4, 12), rows)
-        for bad in (b"", b"\x03\0", blob[:-1], blob + b"\0" * 8, struct.pack("<I", 4) + rows.tobytes()):
+        fp = struct.pack("<Q", cfg.fingerprint())
+        blobs = [fp + rows[:2].tobytes(), fp, fp + rows[2:].tobytes()]  # rank 1's slice is empty
+        assert np.array_equal(_gathered_addresses(blobs, 3, cfg), rows)
+        for bad in (
+            [b"", fp, fp],  # too short for a fingerprint
+            [blobs[0], fp[:7], blobs[2]],
+            [blobs[0][:-1], fp, blobs[2]],  # rows that are not whole
+            [blobs[0] + b"\0" * 8, fp, blobs[2]],
+            [blobs[0], fp, fp],  # rows that fall short of the batch
+            [blobs[0], fp + rows[:1].tobytes(), blobs[2]],  # or overrun it
+        ):
             with pytest.raises(CollectiveError):
-                _decode_address_rows(bad, 4, 12)
+                _gathered_addresses(bad, 3, cfg)
+        out_of_range = fp + np.array([8, 9, 10, 16], dtype="<u8").tobytes()
         with pytest.raises(CollectiveError, match="table range"):
-            _decode_address_rows(blob, 4, 11)  # the last row holds address 11
+            _gathered_addresses([blobs[0], fp, out_of_range], 3, cfg)
+        # the fingerprints are read first: another one is a ConfigError even
+        # when that rank's rows would not decode
+        with pytest.raises(ConfigError, match=r"differs on \[2\]"):
+            _gathered_addresses([blobs[0], fp, struct.pack("<Q", 98) + b"\0" * 5], 3, cfg)
         # a rank that gathers an out-of-range row rejects it in every mode
         cfg = LshConfig(hashes_per_table=2, num_tables=4, table_range=1 << 10, top_k=2, master_seed=5)
         vecs = random_sparse_vectors(rng, 30, 1 << 10, 10)
@@ -284,6 +337,16 @@ class TestResultFormat:
     def test_line_format(self):
         r = QueryResult(query_id=12, hits=((4, 9), (2, 3)))
         assert r.to_line() == "12\t4:9\t2:3"
+
+    def test_batch_id_depends_on_every_id_and_their_order(self):
+        v = SparseVector([1, 2], 8)
+        ids = [5, 9, 2, (1 << 64) - 1, 0]
+        fp = QueryBatch([(q, v) for q in ids]).fingerprint()
+        assert fp == QueryBatch([(q, v) for q in ids]).fingerprint()
+        variants = [ids[::-1], ids[1:], ids + [7]]
+        variants += [ids[:i] + [ids[i] ^ 1] + ids[i + 1 :] for i in range(len(ids))]
+        variants += [ids[:i] + [ids[i + 1], ids[i]] + ids[i + 2 :] for i in range(len(ids) - 1)]
+        assert fp not in {QueryBatch([(q, v) for q in x]).fingerprint() for x in variants}
 
     def test_batch_validation(self):
         with pytest.raises(ConfigError):

@@ -4,6 +4,7 @@ import pytest
 from sketchlsh.core import NULL_ID
 from sketchlsh.sketch import (
     ShapeMismatchError,
+    SketchFormatError,
     TopkapiSketch,
     row_seeds_from_master,
 )
@@ -329,6 +330,16 @@ class TestSerialization:
         first, off = TopkapiSketch.from_bytes(blob)
         second, end = TopkapiSketch.from_bytes(blob, off)
         assert first == a and second == b and end == len(blob)
+
+    def test_null_cell_with_count_rejected(self):
+        # a (null, 5) cell merged into a real (7, 3) would give (null, 2)
+        s = fresh(1, 1)
+        s.counts[0, 0] = 5
+        with pytest.raises(SketchFormatError, match="null cell"):
+            TopkapiSketch.from_bytes(s.to_bytes())
+        # a real id with counter 0 is a counted-down cell, and stays valid
+        s.ids[0, 0], s.counts[0, 0] = 7, 0
+        assert TopkapiSketch.from_bytes(s.to_bytes())[0] == s
 
     def test_truncated_rejected(self):
         blob = fresh(2, 4).to_bytes()

@@ -19,7 +19,6 @@ from .core import (
     SparseRows,
     SparseVector,
     VectorId,
-    derive_seeds,
 )
 from .hashing import HashFamily, minhash
 from .sketch import (
@@ -92,7 +91,6 @@ __all__ = [
     "allgather",
     "compute_rho",
     "cosine_similarity",
-    "derive_seeds",
     "distance_counter",
     "linear_reduce_sketches",
     "minhash",

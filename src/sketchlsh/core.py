@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._bits import mix64, seed_stream
+from ._bits import mix64
 
 VectorId = int
 """Global 64-bit unsigned vector identifier, unique across all partitions."""
@@ -19,8 +19,6 @@ VectorId = int
 #: Sentinel marking an unoccupied sketch cell. Never a valid VectorId; data
 #: admission rejects it.
 NULL_ID = 0xFFFFFFFFFFFFFFFF
-
-_TAG_SLOT_SEEDS = 0x5EED
 
 
 class SketchLshError(Exception):
@@ -248,18 +246,3 @@ class DatasetPartition:
             for vid, lo, hi in zip(self.ids.tolist(), bounds, bounds[1:])
         )
 
-
-def derive_seeds(master_seed: int, hashes_per_table: int, num_tables: int) -> np.ndarray:
-    """Expand one master seed into a (num_tables x hashes_per_table) seed matrix.
-
-    Pure function of its arguments: every node that starts from the same
-    master seed obtains bit-identical hash functions. Uses a counter-mode
-    expansion, so all entries are pairwise distinct with overwhelming
-    probability.
-    """
-    if hashes_per_table < 1 or num_tables < 1:
-        raise ConfigError("hashes_per_table and num_tables must be >= 1")
-    flat = seed_stream(master_seed, hashes_per_table * num_tables, tag=_TAG_SLOT_SEEDS)
-    out = flat.reshape(num_tables, hashes_per_table)
-    out.setflags(write=False)
-    return out

@@ -235,16 +235,17 @@ def _parse_block(
 
 def _parse_lines(
     f: BinaryIO, dim: int | None, fallback: Callable[[str, int], np.ndarray | None]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_parse_block` over every block of ``f``: the numbers of the
-    kept lines, their index counts and their indices back to back."""
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_parse_block` over every block of ``f``: the line count, then
+    the numbers of the kept lines, their index counts and their indices
+    back to back."""
     parsed = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.uint64))]
     first = 0
     for block in _line_blocks(f):
         count, *columns = _parse_block(block, dim, first, fallback)
         parsed.append(columns)
         first += count
-    return tuple(np.concatenate(column) for column in zip(*parsed))
+    return (first, *(np.concatenate(column) for column in zip(*parsed)))
 
 
 def parse_query_file(path, dim: int | None = None) -> list[tuple[int, SparseVector]]:
@@ -265,7 +266,7 @@ def parse_query_file(path, dim: int | None = None) -> list[tuple[int, SparseVect
         return parse_record(line, dim=dim, line_no=line_no)[1].indices
 
     # the lines hold no separator of splitlines, so joined by \n they keep their numbers
-    kept, counts, indices = _parse_lines(io.BytesIO("\n".join(lines).encode()), dim, fallback)
+    _, kept, counts, indices = _parse_lines(io.BytesIO("\n".join(lines).encode()), dim, fallback)
     bounds = np.cumsum(counts).tolist()
     return [
         (line_no, SparseVector(row, dim if dim is not None else int(row[-1]) + 1))
@@ -327,6 +328,8 @@ class DatasetManifest:
             )
             for i in range(m)
         )
+        if m < 1 or sorted(p.offset for p in parts) != list(range(m)):
+            raise ConfigError(f"manifest partition offsets are not a permutation of 0..m-1, m={m}")
         return cls(
             total=field("total"),
             dim=field("dim"),
@@ -418,7 +421,8 @@ def load_partition(
 ) -> tuple[DatasetPartition, list[RecordIssue]]:
     """Load one partition's vectors; malformed records, lines that are not
     UTF-8 among them, become issues, not aborts. A ``rank`` outside
-    ``0..manifest.m - 1`` is a :class:`ConfigError`.
+    ``0..manifest.m - 1`` is a :class:`ConfigError`, and a file whose line
+    count is not the manifest's record count a :class:`RecordParseError`.
 
     The file is parsed in array passes over blocks of whole lines; only the
     lines a pass cannot prove clean go through :func:`parse_record`, one by
@@ -439,7 +443,9 @@ def load_partition(
             return None
 
     with open(path, "rb") as f:
-        lines, counts, indices = _parse_lines(f, manifest.dim, fallback)
+        n_lines, lines, counts, indices = _parse_lines(f, manifest.dim, fallback)
+    if n_lines != info.records:
+        raise RecordParseError(f"{path} holds {n_lines} lines; the manifest says {info.records}")
     ids = lines.astype(np.uint64)
     if lines.size:
         # ids rise with the line number, so the first and last bound them all

@@ -25,7 +25,6 @@ from .core import (
     LshConfig,
     SparseRows,
     SparseVector,
-    derive_seeds,
 )
 
 _TAG_TABLE_SEEDS = 0x7AB1E
@@ -146,13 +145,14 @@ def _densified_rows(
 class HashFamily:
     """The full per-deployment hash family, derived from one master seed.
 
-    ``seeds`` is the (num_tables x hashes_per_table) slot seed matrix that
-    identifies the family; the one-permutation seed, per-table folding
-    seeds and densification coins are derived alongside it. Stateless and
+    Each vector's num_tables x hashes_per_table slots come from one
+    densified one-permutation hash under ``perm_seed`` and ``coins``; table
+    t folds its row of slots under ``table_seeds[t]``. Stateless and
     reentrant.
     """
 
-    seeds: np.ndarray
+    num_tables: int
+    hashes_per_table: int
     table_seeds: np.ndarray
     perm_seed: int
     table_range: int
@@ -160,28 +160,15 @@ class HashFamily:
 
     @classmethod
     def from_config(cls, config: LshConfig) -> "HashFamily":
-        seeds = derive_seeds(
-            config.master_seed, config.hashes_per_table, config.num_tables
-        )
-        table_seeds = seed_stream(
-            config.master_seed, config.num_tables, tag=_TAG_TABLE_SEEDS
-        )
         perm = int(seed_stream(config.master_seed, 1, tag=_TAG_PERM_SEED)[0])
         return cls(
-            seeds=seeds,
-            table_seeds=table_seeds,
+            num_tables=config.num_tables,
+            hashes_per_table=config.hashes_per_table,
+            table_seeds=seed_stream(config.master_seed, config.num_tables, tag=_TAG_TABLE_SEEDS),
             perm_seed=perm,
             table_range=config.table_range,
-            coins=_densify_coins(np.uint64(perm), seeds.size),
+            coins=_densify_coins(np.uint64(perm), config.num_tables * config.hashes_per_table),
         )
-
-    @property
-    def num_tables(self) -> int:
-        return self.seeds.shape[0]
-
-    @property
-    def hashes_per_table(self) -> int:
-        return self.seeds.shape[1]
 
     def addresses(
         self, vectors: SparseVector | Sequence[SparseVector] | SparseRows
@@ -201,17 +188,17 @@ class HashFamily:
         else:
             rows = SparseRows.stack([vectors] if single else list(vectors))
         out = np.empty((len(rows), self.num_tables), dtype=np.uint64)
-        step = max(1, _CHUNK_BINS // self.seeds.size)
+        n_bins = self.num_tables * self.hashes_per_table
+        step = max(1, _CHUNK_BINS // n_bins)
         lo = 0
         while lo < len(rows):
             # the rows from lo whose indices fit in one pass, at least one
             fit = int(np.searchsorted(rows.indptr, rows.indptr[lo] + _CHUNK_BINS, "right")) - 1
             hi = max(lo + 1, min(lo + step, fit))
             hashed = _densified_rows(
-                rows.indptr[lo : hi + 1], rows.indices,
-                self.seeds.size, self.perm_seed, self.coins,
+                rows.indptr[lo : hi + 1], rows.indices, n_bins, self.perm_seed, self.coins
             )
-            slots = hashed.reshape((-1,) + self.seeds.shape)
+            slots = hashed.reshape(-1, self.num_tables, self.hashes_per_table)
             out[lo:hi] = _fold_addresses(slots, self.table_seeds, self.table_range)
             lo = hi
         return out[0] if single else out

@@ -36,6 +36,7 @@ from .cluster import (
 )
 from .hashing import HashFamily
 from .index import NodeIndex
+from .sketch import TopkapiSketch
 from ._bits import mix64
 
 MODES = ("sketch_tree", "sketch_linear", "exact")
@@ -130,10 +131,9 @@ class QueryMetrics:
     reduce_s: float = 0.0
     extract_s: float = 0.0
     reduce_stats: ReduceStats = field(default_factory=ReduceStats)
-    capture_reduced: bool = False
-    # rank 0's reduced batch as its wire bytes: the stack's n member sketch
-    # records back to back in the sketch modes, the count payload in exact mode
-    reduced_payload: bytes | None = None
+    # the batch as the reduce left it, not copied: on rank 0 the (n, W, B)
+    # sketch stack or the ExactCounts, on every other rank None
+    reduced: TopkapiSketch | ExactCounts | None = None
 
     def to_line(self) -> str:
         return (
@@ -243,14 +243,13 @@ def query_batch(
     t0 = time.perf_counter()
     reduced = reducer(transport, local, batch_id=batch_id, stats=metrics.reduce_stats)
     metrics.reduce_s += time.perf_counter() - t0
+    metrics.reduced = reduced
 
     if transport.rank != 0:
         return None
 
     t0 = time.perf_counter()
     assert reduced is not None
-    if metrics.capture_reduced:
-        metrics.reduced_payload = reduced.to_bytes()
     hits = top_k_extract(reduced, config.top_k)
     results = [QueryResult(query_id=qid, hits=h) for (qid, _), h in zip(batch.queries, hits)]
     metrics.extract_s += time.perf_counter() - t0

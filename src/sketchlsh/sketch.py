@@ -13,8 +13,8 @@ Memory is fixed at construction: no insert ever grows the sketch.
 
 A sketch may carry a leading axis: a stack of n same-shape sketches that
 share one row-seed vector, held as (n, W, B) arrays. Merging is cell by
-cell, so it works on stacks as written, and a stack serializes to the
-concatenation of its members' records.
+cell, so it works on stacks as written, and a stack serializes to one
+record: the shared header once, then every member's cells in turn.
 """
 
 from __future__ import annotations
@@ -249,26 +249,21 @@ class TopkapiSketch:
 
         Layout: u32 payload length, then u32 rows, u32 cols, rows x u64 row
         seed, then rows*cols cells of (u64 id, u64 count) in row-major order.
-        A stack gives its members' records back to back.
+        A stack writes that header once and then each member's cells in
+        turn; the length stays one member's, so a stack of one is a single
+        sketch's record.
         """
-        header = struct.pack("<II", self.rows, self.cols) + self.row_seeds.astype(
-            "<u8"
-        ).tobytes()
-        payload_len = len(header) + 16 * self.rows * self.cols
-        prefix = np.frombuffer(struct.pack("<I", payload_len) + header, dtype=np.uint8)
-        cells = np.empty(self.ids.shape + (2,), dtype="<u8")
-        cells[..., 0] = self.ids
-        cells[..., 1] = self.counts
-        members = cells.reshape(-1, 2 * self.rows * self.cols).view(np.uint8)
-        head = np.broadcast_to(prefix, (members.shape[0], prefix.size))
-        return np.concatenate([head, members], axis=1).tobytes()
+        plen = 8 + 8 * self.rows + 16 * self.rows * self.cols
+        cells = np.stack((self.ids, self.counts), axis=-1).astype("<u8", copy=False)
+        head = struct.pack("<III", plen, self.rows, self.cols)
+        return b"".join((head, self.row_seeds.astype("<u8"), cells))
 
     @classmethod
     def from_bytes(
         cls, buf: bytes, offset: int = 0, members: int | None = None
     ) -> tuple["TopkapiSketch", int]:
         """Parse one serialized sketch, or with ``members=n`` a stack of n
-        records of one shape and seeds; returns (sketch, offset past it).
+        members' cells under one header; returns (sketch, offset past it).
         Malformed bytes raise :class:`SketchFormatError`, and so does a
         null cell with a counter above 0, which no insert or merge makes."""
         if len(buf) - offset < 12:
@@ -279,23 +274,18 @@ class TopkapiSketch:
         expected = 8 + 8 * rows + 16 * rows * cols
         if plen != expected:
             raise SketchFormatError(f"sketch payload length {plen} != expected {expected}")
-        record = 4 + plen
         n = 1 if members is None else members
         if n < 1:
             raise SketchFormatError("a sketch stack needs at least one member")
-        end = offset + n * record
+        head = offset + 12 + 8 * rows
+        end = head + n * 16 * rows * cols
         if len(buf) < end:
             raise SketchFormatError("truncated sketch payload")
-        records = np.frombuffer(buf, dtype=np.uint8, count=n * record, offset=offset)
-        records = records.reshape(n, record)
-        head = 12 + 8 * rows
-        if not np.array_equal(records[:, :head], np.broadcast_to(records[0, :head], (n, head))):
-            raise SketchFormatError("stacked sketch records differ in shape or row seeds")
         row_seeds = np.frombuffer(buf, dtype="<u8", count=rows, offset=offset + 12)
-        cells = np.ascontiguousarray(records[:, head:]).view("<u8").reshape(n, rows, cols, 2)
         out = cls(rows, cols, row_seeds.astype(np.uint64), members)
-        out.ids[:] = cells[..., 0].reshape(out.ids.shape)
-        out.counts[:] = cells[..., 1].reshape(out.ids.shape)
+        cells = np.frombuffer(buf, "<u8", 2 * out.ids.size, head).reshape(out.ids.shape + (2,))
+        out.ids[:] = cells[..., 0]
+        out.counts[:] = cells[..., 1]
         if np.any((out.ids == _NULL) & (out.counts > 0)):
             raise SketchFormatError("a null cell carries a count")
         return out, end

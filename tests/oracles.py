@@ -116,16 +116,17 @@ def table_address(hashes, table_seed: int, table_range: int) -> int:
 def slot_hashes(family, v: SparseVector) -> np.ndarray:
     """All (num_tables x hashes_per_table) hash slots of one vector from the
     batched densification; row i holds the slots feeding table i."""
+    num_tables, k = family.num_tables, family.hashes_per_table
     rows = hashing._densified_rows(
-        np.array([0, v.nnz]), v.indices, family.seeds.size, family.perm_seed, family.coins
+        np.array([0, v.nnz]), v.indices, num_tables * k, family.perm_seed, family.coins
     )
-    return rows.reshape(family.seeds.shape)
+    return rows.reshape(num_tables, k)
 
 
 def reference_addresses(family, vectors) -> np.ndarray:
     """Per-vector (n, L) bucket addresses: one :func:`doph_hashes` call per
     vector and one :func:`table_address` fold per table."""
-    num_tables, k = family.seeds.shape
+    num_tables, k = family.num_tables, family.hashes_per_table
     out = np.empty((len(vectors), num_tables), dtype=np.uint64)
     for i, v in enumerate(vectors):
         slots = doph_hashes(v, num_tables * k, family.perm_seed).reshape(num_tables, k)

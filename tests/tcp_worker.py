@@ -34,13 +34,13 @@ def tcp_rank_main(rank, members, seed, world, mode, queue):
         batch = QueryBatch(inst.queries)
         transport = TcpTransport(rank, members)
         try:
-            metrics = QueryMetrics(capture_reduced=True)
+            metrics = QueryMetrics()
             results = query_batch(indexes[rank], batch, transport, mode, metrics=metrics)
         finally:
             transport.close()
         if rank == 0:
             queue.put(
-                ("ok", rank, [r.to_bytes() for r in results], metrics.reduced_payload)
+                ("ok", rank, [r.to_bytes() for r in results], metrics.reduced.to_bytes())
             )
         else:
             queue.put(("ok", rank, None, None))

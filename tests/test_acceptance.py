@@ -300,14 +300,14 @@ def test_c7_backend_equivalence():
     from sketchlsh.query import QueryMetrics
 
     batch = QueryBatch(inst.queries)
-    sim_metrics = [QueryMetrics(capture_reduced=True) for _ in range(world)]
+    sim_metrics = [QueryMetrics() for _ in range(world)]
     sim_out = SimulatedCluster(world).run(
         lambda tr: query_batch(
             indexes[tr.rank], batch, tr, mode, metrics=sim_metrics[tr.rank]
         )
     )
     sim_results = [r.to_bytes() for r in sim_out[0]]
-    sim_reduced = sim_metrics[0].reduced_payload
+    sim_reduced = sim_metrics[0].reduced.to_bytes()
 
     # 4 OS processes over localhost TCP
     ctx = multiprocessing.get_context("spawn")

@@ -307,6 +307,30 @@ class TestEndToEnd:
         assert main(["index", "--manifest", str(manifest), "--out", str(tmp_path / "again")]) == 2
         assert f"manifest key {drop} " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new", [
+        ("partition.1.offset=1\n", "partition.1.offset=0\n"),  # ids 0, 2, ... on both ranks
+        ("\nm=2\n", "\nm=0\n"),  # nothing indexed, yet exit 0
+    ])
+    def test_inconsistent_manifest_is_config_error(self, tmp_path, rng, capsys, old, new):
+        manifest, _, _ = build_indexes(tmp_path, rng, m=2)
+        text = manifest.read_text()
+        assert old in text
+        manifest.write_text(text.replace(old, new))
+        capsys.readouterr()
+        assert main(["index", "--manifest", str(manifest), "--out", str(tmp_path / "again")]) == 2
+        assert "offsets are not a permutation of 0..m-1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("records", [9, 11])
+    def test_partition_line_count_off_its_records_is_data_error(self, tmp_path, rng, capsys, records):
+        # 11: the file lost a line, so the partition would index short
+        manifest, _, _ = build_indexes(tmp_path, rng, m=2)
+        text = manifest.read_text()
+        assert "partition.0.records=10\n" in text
+        manifest.write_text(text.replace("partition.0.records=10\n", f"partition.0.records={records}\n"))
+        capsys.readouterr()
+        assert main(["index", "--manifest", str(manifest), "--out", str(tmp_path / "again")]) == 3
+        assert f"holds 10 lines; the manifest says {records}" in capsys.readouterr().err
+
     def test_missing_input_is_data_error(self, tmp_path):
         rc = main(["partition", "--input", str(tmp_path / "nope.txt"), "--m", "1",
                    "--out", str(tmp_path / "o")])

@@ -207,7 +207,8 @@ class TestTreeReduce:
 
 
     def test_payload_is_member_concatenation(self, rng):
-        # a rank sends its batch as one stack; the bytes are its members' wire forms
+        # a rank sends its batch as one stack record: one header, then each
+        # member's cells, the bytes of its wire form past the header
         base = [[random_sketch(rng) for _ in range(3)] for _ in range(2)]
         sent = []
 
@@ -218,7 +219,8 @@ class TestTreeReduce:
             return tree_reduce_sketches(tr, TopkapiSketch.stack(base[tr.rank]))
 
         out = SimulatedCluster(2).run(fn)
-        assert sent == [b"".join(s.to_bytes() for s in base[1])]
+        head = 12 + 8 * base[1][0].rows
+        assert sent == [base[1][0].to_bytes() + b"".join(s.to_bytes()[head:] for s in base[1][1:])]
         assert out[0] == TopkapiSketch.stack([a.merge(b) for a, b in zip(*base)])
 
 
@@ -322,6 +324,7 @@ class TestWireFormat:
     def test_malformed_reduce_payloads_are_collective_errors(self, rng):
         counts = count_payload([{1: 2, 7: 3}, {}])
         stack = TopkapiSketch.stack([random_sketch(rng), random_sketch(rng)]).to_bytes()
+        one = random_sketch(rng).to_bytes()
         bad = [
             (ExactCounts.from_bytes, counts[:-1], 2),  # cut inside a column
             (ExactCounts.from_bytes, counts[:12], 2),  # cut inside a length
@@ -335,6 +338,8 @@ class TestWireFormat:
             (_decode_sketches, stack[:-1], 2),
             (_decode_sketches, stack[:5], 2),
             (_decode_sketches, stack, 3),  # fewer members than expected
+            (_decode_sketches, stack, 1),  # more members than expected
+            (_decode_sketches, one + one, 2),  # two single records: a second header
             (_decode_sketches, stack + b"\0", 2),
             (_decode_sketches, cell_sketch(NULL_ID, 5).to_bytes(), 1),  # a null cell with a count
         ]

@@ -9,7 +9,6 @@ from sketchlsh.core import (
     NULL_ID,
     SparseRows,
     SparseVector,
-    derive_seeds,
 )
 
 
@@ -60,29 +59,6 @@ class TestSparseVector:
         v = SparseVector([1, 2], 5)
         with pytest.raises(ValueError):
             v.indices[0] = 3
-
-
-class TestDeriveSeeds:
-    def test_deterministic(self):
-        a = derive_seeds(12345, 1, 1)
-        b = derive_seeds(12345, 1, 1)
-        assert a.shape == (1, 1)
-        assert np.array_equal(a, b)
-
-    def test_k4_l24_all_distinct(self):
-        m = derive_seeds(999, 4, 24)
-        assert m.shape == (24, 4)
-        assert len(set(m.ravel().tolist())) == 96
-
-    def test_different_masters_differ_in_most_cells(self):
-        a = derive_seeds(1, 8, 64)
-        b = derive_seeds(2, 8, 64)
-        equal_cells = int(np.sum(a == b))
-        assert equal_cells <= 0.05 * a.size
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ConfigError):
-            derive_seeds(1, 0, 4)
 
 
 class TestLshConfig:

@@ -376,7 +376,8 @@ class TestArrayParser:
     def test_partition_equals_per_line_oracle(self, tmp_path_factory, data, block, m, offset):
         path = tmp_path_factory.mktemp("parse") / "part.txt"
         path.write_bytes(data)
-        info = PartitionInfo(path=path.name, records=0, offset=offset)
+        records = len(list(BlockLineReader(path)))
+        info = PartitionInfo(path=path.name, records=records, offset=offset)
         manifest = DatasetManifest(total=0, dim=DIM, m=m, checksum="", partitions=(info,))
         with mock.patch.object(dataio, "_BLOCK_BYTES", block):
             part, issues = load_partition(manifest, path.parent, 0)

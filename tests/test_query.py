@@ -114,33 +114,48 @@ class TestTopKExtract:
             top_k_extract(exact_counts([]), 0)
 
 
-# sha256 of every QueryResult's bytes, rank 0's reduced bytes and every
-# rank's ReduceStats for tcp_worker's instance (seed 11) at m = 1, 2, 4 in
-# every mode. Taken from the list-based sketch reduce, whose per-query
-# records joined give the same bytes as one stack's payload; any change to
-# a result, a reduced byte or a reduce counter shows here.
-PINNED_DIGEST = "83c094deefdf25b4692bcb05d5a08560e502c703c6d564f692c30374bc56aad5"
+# sha256 of every QueryResult's bytes for tcp_worker's instance (seed 11)
+# at m = 1, 2, 4 in every mode; any change to a result shows here. Taken
+# while every stack member still carried its own header: the results did
+# not change with the one-header record.
+PINNED_RESULTS = "ff094fe55d5a5708b39f0742b9c97a25f67be7030f4e69a3a4607f15245593c4"
+# sha256 of rank 0's reduced bytes and every rank's ReduceStats for the same
+# runs; any change to a reduced byte or a reduce counter shows here.
+PINNED_REDUCED = "980d1cc3f93c0c3bea1efef70636e4406525974ef834fdbd93deb1bad9690e64"
 
 
 class TestQueryBatchPipeline:
     def test_results_reduced_bytes_and_stats_are_pinned(self):
-        digest = hashlib.sha256()
+        results, reduced = hashlib.sha256(), hashlib.sha256()
         for m in (1, 2, 4):
             inst, _cfg, indexes = tcp_worker.build_state(11, m)
             batch = QueryBatch(inst.queries)
             for mode in MODES:
-                metrics = [QueryMetrics(capture_reduced=True) for _ in range(m)]
+                metrics = [QueryMetrics() for _ in range(m)]
                 out = SimulatedCluster(m).run(
                     lambda tr: query_batch(
                         indexes[tr.rank], batch, tr, mode, metrics=metrics[tr.rank]
                     )
                 )
                 for result in out[0]:
-                    digest.update(result.to_bytes())
-                digest.update(metrics[0].reduced_payload)
+                    results.update(result.to_bytes())
+                reduced.update(metrics[0].reduced.to_bytes())
                 for mt in metrics:
-                    digest.update(struct.pack("<5Q", *dataclasses.astuple(mt.reduce_stats)))
-        assert digest.hexdigest() == PINNED_DIGEST
+                    reduced.update(struct.pack("<5Q", *dataclasses.astuple(mt.reduce_stats)))
+        assert results.hexdigest() == PINNED_RESULTS
+        assert reduced.hexdigest() == PINNED_REDUCED
+
+    @pytest.mark.parametrize("mode", ["sketch_tree", "sketch_linear"])
+    def test_sketch_batch_sends_one_header(self, mode):
+        inst, cfg, indexes = tcp_worker.build_state(11, 2)
+        batch = QueryBatch(inst.queries)
+        metrics = [QueryMetrics() for _ in range(2)]
+        SimulatedCluster(2).run(
+            lambda tr: query_batch(indexes[tr.rank], batch, tr, mode, metrics=metrics[tr.rank])
+        )
+        w, b, n = cfg.sketch_rows, cfg.sketch_cols, len(batch)
+        assert metrics[1].reduce_stats.bytes_sent == 12 + 8 * w + 16 * n * w * b
+        assert metrics[0].reduce_stats.bytes_received == metrics[1].reduce_stats.bytes_sent
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_one_allgather_and_at_most_one_reduce_send_per_rank(self, monkeypatch, m):
@@ -281,13 +296,13 @@ class TestQueryBatchPipeline:
         dataset = [(i, v) for i, v in enumerate(vecs)]
         idx = preprocess(DatasetPartition(0, dataset), cfg)
         batch = QueryBatch([(0, dataset[0][1])])
-        metrics = QueryMetrics(capture_reduced=True)
+        metrics = QueryMetrics()
         results = query_batch(idx, batch, SimulatedCluster(1).transport(0), "sketch_tree", metrics=metrics)
         assert results is not None
         assert metrics.hash_s > 0 and metrics.local_merge_s > 0
-        # one rank: the reduced batch is the local stack, one member record per query
+        # one rank: the reduced batch is the local stack
         local = idx.local_candidates(HashFamily.from_config(cfg).addresses([dataset[0][1]]))
-        assert metrics.reduced_payload == local.to_bytes()
+        assert metrics.reduced.to_bytes() == local.to_bytes()
         line = metrics.to_line()
         assert line.startswith("# phases hash=")
 

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchlsh.core import NULL_ID
 from sketchlsh.sketch import (
@@ -173,12 +177,15 @@ class TestStack:
         assert list(merged) == [x.merge(y) for x, y in zip(a, b)]
 
     def test_wire_form_is_member_concatenation(self, rng):
+        # one header, whose length is a single member's, then each member's cells
         members = self._members(rng)
-        stack = TopkapiSketch.stack(members)
-        blob = stack.to_bytes()
-        assert blob == b"".join(s.to_bytes() for s in members)
+        blob = TopkapiSketch.stack(members).to_bytes()
+        head = 12 + 8 * 4
+        assert struct.unpack_from("<III", blob) == (head - 4 + 16 * 4 * 16, 4, 16)
+        assert blob == members[0].to_bytes()[:head] + b"".join(s.to_bytes()[head:] for s in members)
+        assert TopkapiSketch.stack(members[:1]).to_bytes() == members[0].to_bytes()
         back, end = TopkapiSketch.from_bytes(blob, members=5)
-        assert end == len(blob) and back == stack
+        assert end == len(blob) and back == TopkapiSketch.stack(members)
 
     def test_mixed_or_short_stacks_rejected(self, rng):
         members = self._members(rng, 2)
@@ -186,11 +193,39 @@ class TestStack:
             TopkapiSketch.stack([members[0], fresh(4, 8)])
         with pytest.raises(ShapeMismatchError):
             TopkapiSketch.stack([members[0], fresh(master=78)])
-        mixed = members[0].to_bytes() + fresh(master=78).to_bytes()
-        with pytest.raises(ValueError):
-            TopkapiSketch.from_bytes(mixed, members=2)
-        with pytest.raises(ValueError):
+        # a stack has one header: other seeds make another stack, which does not merge
+        other = TopkapiSketch.stack([fresh(master=78), fresh(master=78)]).to_bytes()
+        with pytest.raises(ShapeMismatchError):
+            TopkapiSketch.stack(members).merge(TopkapiSketch.from_bytes(other, members=2)[0])
+        with pytest.raises(SketchFormatError):
             TopkapiSketch.from_bytes(members[0].to_bytes(), members=2)
+        with pytest.raises(SketchFormatError):
+            TopkapiSketch.from_bytes(TopkapiSketch.stack(members).to_bytes()[:-1], members=2)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        rows=st.integers(1, 4),
+        cols=st.integers(1, 6),
+        streams=st.lists(
+            st.lists(st.one_of(st.integers(0, 20), st.integers(0, NULL_ID - 1)), max_size=30),
+            min_size=1,
+            max_size=6,
+        ),
+        pad=st.binary(max_size=5),
+    )
+    def test_stack_record_is_first_record_then_cells(self, rows, cols, streams, pad):
+        members = []
+        for stream in streams:
+            s = fresh(rows, cols)
+            s.insert_many(np.array(stream, dtype=np.uint64))
+            members.append(s)
+        stack, n = TopkapiSketch.stack(members), len(members)
+        blob = stack.to_bytes()
+        cells = [members[q].to_bytes()[12 + 8 * rows :] for q in range(1, n)]
+        assert blob == members[0].to_bytes() + b"".join(cells)
+        back, end = TopkapiSketch.from_bytes(pad + blob + pad, len(pad), members=n)
+        assert back == stack and end == len(pad) + len(blob)
+        assert back.to_bytes() == blob
 
     def test_single_sketch_is_not_a_sequence(self):
         with pytest.raises(TypeError):

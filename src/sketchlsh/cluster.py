@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ConfigError, SketchLshError
+from .core import MAX_TABLES, ConfigError, SketchLshError
 from .sketch import SketchFormatError, TopkapiSketch
 
 FRAME_MAGIC = 0x534B4C48  # "SKLH"
@@ -81,7 +81,7 @@ class SimulatedCluster:
 
     def __init__(self, world_size: int, default_timeout: float = 30.0):
         if world_size < 1:
-            raise ValueError("world_size must be >= 1")
+            raise ConfigError("world_size must be >= 1")
         self.world_size = world_size
         self.default_timeout = default_timeout
         self._queues = {
@@ -310,7 +310,7 @@ class ReductionSchedule:
 
     def __post_init__(self):
         if self.world_size < 1:
-            raise ValueError("world_size must be >= 1")
+            raise ConfigError("world_size must be >= 1")
 
     @classmethod
     def for_world(cls, world_size: int) -> "ReductionSchedule":
@@ -374,6 +374,12 @@ def allgather(transport: Transport, payload: bytes, batch_id: int = 0) -> list[b
     return list(out)  # type: ignore[return-value]
 
 
+def _check_bound(counts: np.ndarray, what: str) -> None:
+    """No legitimate count passes the table count, and merges of bounded counts cannot wrap."""
+    if np.any(counts > MAX_TABLES):
+        raise CollectiveError(f"{what} holds a count above {MAX_TABLES}, the largest table count")
+
+
 def _decode_sketches(payload: bytes, expected: int) -> TopkapiSketch:
     try:
         stack, end = TopkapiSketch.from_bytes(payload, members=expected)
@@ -381,23 +387,8 @@ def _decode_sketches(payload: bytes, expected: int) -> TopkapiSketch:
         raise CollectiveError(f"malformed sketch payload: {exc}") from None
     if end != len(payload):
         raise CollectiveError("trailing bytes after sketch payload")
+    _check_bound(stack.counts, "sketch payload")
     return stack
-
-
-def _merge_sketches(local: TopkapiSketch, peer: TopkapiSketch) -> TopkapiSketch:
-    """``local.merge(peer)``; a counter sum past 2^64 - 1 is a :class:`CollectiveError`."""
-    merged = local.merge(peer)  # checks shape and seeds first
-    if np.any((local.ids == peer.ids) & (local.counts > ~peer.counts)):
-        raise CollectiveError("a merged sketch counter passes 2^64 - 1")
-    return merged
-
-
-def _reduce_sketches(transport, stack, schedule, batch_id, stats):
-    return _reduce(
-        transport, stack, schedule,
-        merge=_merge_sketches, encode=TopkapiSketch.to_bytes, decode=_decode_sketches,
-        batch_id=batch_id, stats=stats,
-    )
 
 
 def tree_reduce_sketches(
@@ -413,7 +404,7 @@ def tree_reduce_sketches(
     per-rank communication is O(log m * sketch size * #queries).
     """
     schedule = ReductionSchedule.for_world(transport.world_size)
-    return _reduce_sketches(transport, stack, schedule, batch_id, stats)
+    return _reduce(transport, stack, schedule, _decode_sketches, batch_id, stats)
 
 
 def linear_reduce_sketches(
@@ -424,12 +415,7 @@ def linear_reduce_sketches(
 ) -> TopkapiSketch | None:
     """Baseline: rank 0 receives from every rank in order, merging serially."""
     schedule = ReductionSchedule.linear(transport.world_size)
-    return _reduce_sketches(transport, stack, schedule, batch_id, stats)
-
-
-def _total(counts: np.ndarray) -> int:
-    """The exact sum of u64 counts; each 32-bit half sums without wrapping."""
-    return (int((counts >> np.uint64(32)).sum()) << 32) + int((counts & np.uint64(0xFFFFFFFF)).sum())
+    return _reduce(transport, stack, schedule, _decode_sketches, batch_id, stats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,18 +457,13 @@ class ExactCounts:
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
     def merge(self, other: "ExactCounts") -> "ExactCounts":
-        """Counts over both batches' streams: per query, the ids' counts add
-        up. A sum past 2^64 - 1 raises :class:`CollectiveError`."""
-        out = ExactCounts.summed(
+        """Counts over both batches' streams: per query, the ids' counts add up."""
+        return ExactCounts.summed(
             len(self),
             np.concatenate((self.queries(), other.queries())),
             np.concatenate((self.ids, other.ids)),
             np.concatenate((self.counts, other.counts)),
         )
-        # a sum that wrapped leaves the grand total 2^64 short
-        if _total(out.counts) != _total(self.counts) + _total(other.counts):
-            raise CollectiveError("a merged count passes 2^64 - 1")
-        return out
 
     def to_bytes(self) -> bytes:
         # int64 with uint64 would promote to float64, which rounds ids past 2^53
@@ -491,8 +472,8 @@ class ExactCounts:
 
     @classmethod
     def from_bytes(cls, payload: bytes, n: int) -> "ExactCounts":
-        """Decode the counts of an n-query batch; malformed bytes raise
-        :class:`CollectiveError`."""
+        """Decode the counts of an n-query batch; malformed bytes, and a
+        count above ``MAX_TABLES``, raise :class:`CollectiveError`."""
         rest = len(payload) - 8 * n
         if rest < 0 or rest % 16:
             raise CollectiveError(f"count payload of {len(payload)} bytes for {n} queries")
@@ -505,6 +486,7 @@ class ExactCounts:
         queries, ids = out.queries(), out.ids
         if np.any((queries[1:] == queries[:-1]) & (ids[1:] <= ids[:-1])) or 0 in out.counts:
             raise CollectiveError("count payload ids not ascending or a count of 0")
+        _check_bound(out.counts, "count payload")
         return out
 
 
@@ -515,24 +497,22 @@ def tree_reduce_counts(
     stats: ReduceStats | None = None,
 ) -> ExactCounts | None:
     """Exact-mode reduction: per-id counts summed over ranks, tree pattern."""
-    return _reduce(
-        transport, counts, ReductionSchedule.for_world(transport.world_size),
-        merge=ExactCounts.merge, encode=ExactCounts.to_bytes, decode=ExactCounts.from_bytes,
-        batch_id=batch_id, stats=stats,
-    )
+    schedule = ReductionSchedule.for_world(transport.world_size)
+    return _reduce(transport, counts, schedule, ExactCounts.from_bytes, batch_id, stats)
 
 
-def _reduce(transport, items, schedule, merge, encode, decode, batch_id, stats):
+def _reduce(transport, items, schedule, decode, batch_id, stats):
     """Run ``schedule`` on this rank; rank 0 returns the merged items.
 
-    A received payload must decode, by ``decode(payload, len(items))``, to
-    as many items as this rank holds.
+    A sender ships ``items.to_bytes()``; a receiver decodes the payload, by
+    ``decode(payload, len(items))``, to as many items as it holds and
+    merges them in by ``items.merge``.
     """
     stats = stats if stats is not None else ReduceStats()
     for rnd, pairs in enumerate(schedule.rounds):
         for dst, src in pairs:
             if transport.rank == src:
-                payload = encode(items)
+                payload = items.to_bytes()
                 transport.send(dst, Frame(FRAME_REDUCE, batch_id, rnd, payload))
                 stats.sends += 1
                 stats.bytes_sent += len(payload)
@@ -542,6 +522,6 @@ def _reduce(transport, items, schedule, merge, encode, decode, batch_id, stats):
                 _check(frame, FRAME_REDUCE, batch_id, rnd, src)
                 stats.recvs += 1
                 stats.bytes_received += len(frame.payload)
-                items = merge(items, decode(frame.payload, len(items)))
+                items = items.merge(decode(frame.payload, len(items)))
                 stats.merge_rounds += 1
     return items if transport.rank == 0 else None

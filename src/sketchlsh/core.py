@@ -20,6 +20,11 @@ VectorId = int
 #: admission rejects it.
 NULL_ID = 0xFFFFFFFFFFFFFFFF
 
+#: The largest table count L: the index file header stores it as a u32. An
+#: id lives on one rank and in one bucket per table, so no count that ranks
+#: exchange can exceed it.
+MAX_TABLES = 2**32 - 1
+
 
 class SketchLshError(Exception):
     """Base class for all engine errors."""
@@ -117,8 +122,8 @@ class LshConfig:
     def __post_init__(self) -> None:
         if self.hashes_per_table < 1:
             raise ConfigError("hashes_per_table must be >= 1")
-        if self.num_tables < 1:
-            raise ConfigError("num_tables must be >= 1")
+        if not 1 <= self.num_tables <= MAX_TABLES:
+            raise ConfigError(f"num_tables must be in 1..{MAX_TABLES}")
         if self.table_range < 2 or not _is_power_of_two(self.table_range):
             raise ConfigError("table_range must be a power of two >= 2")
         if self.top_k < 1:

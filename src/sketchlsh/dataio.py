@@ -330,13 +330,12 @@ class DatasetManifest:
         )
         if m < 1 or sorted(p.offset for p in parts) != list(range(m)):
             raise ConfigError(f"manifest partition offsets are not a permutation of 0..m-1, m={m}")
-        return cls(
-            total=field("total"),
-            dim=field("dim"),
-            m=m,
-            checksum=field("checksum", str),
-            partitions=parts,
-        )
+        total, dim = field("total"), field("dim")
+        if dim < 1:
+            raise ConfigError(f"manifest dim={dim} must be >= 1")
+        if total != sum(p.records for p in parts):
+            raise ConfigError(f"manifest total={total} is not the sum of its partitions' records")
+        return cls(total=total, dim=dim, m=m, checksum=field("checksum", str), partitions=parts)
 
 
 def partition_dataset(input_path, m: int, out_dir, dim: int | None = None) -> DatasetManifest:

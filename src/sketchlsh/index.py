@@ -2,8 +2,9 @@
 
 Buckets are addressed by the combined hash of a vector's slots for that
 table. A probed bucket is always observed as a fixed-size heavy-hitter
-sketch of the ids inserted there, so bucket aggregation never depends on
-how skewed the underlying bucket is.
+sketch of the ids inserted there, so the sketch and the payload it adds to
+are the same size however skewed the bucket is. Building that sketch
+replays every id of the bucket, so probe time still grows with bucket size.
 
 Storage note: bucket contents are kept columnar, as per-table sorted
 (address -> id stream) arrays, and a bucket's sketch is materialized on

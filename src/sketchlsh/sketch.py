@@ -199,7 +199,8 @@ class TopkapiSketch:
         surviving majority); the null placeholder always loses, which makes
         the empty sketch an exact identity element. The result is
         independent of argument order, cell for cell. An equal-id sum past
-        2^64 - 1 wraps; the cluster's sketch reducers raise on it.
+        2^64 - 1 wraps; the cluster's decoders bound every peer counter, so
+        the reducers' merges cannot reach it.
         """
         if not self.same_shape(other):
             raise ShapeMismatchError(

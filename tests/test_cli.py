@@ -320,12 +320,38 @@ class TestEndToEnd:
         assert main(["index", "--manifest", str(manifest), "--out", str(tmp_path / "again")]) == 2
         assert "offsets are not a permutation of 0..m-1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("dim", "0", "manifest dim=0 must be >= 1"),  # every line a parse issue, yet exit 0
+        ("total", "99", "manifest total=99 is not the sum"),
+    ])
+    def test_manifest_dim_or_total_off_is_config_error(self, tmp_path, rng, capsys, key, value, message):
+        manifest, _, _ = build_indexes(tmp_path, rng, m=2)
+        lines = manifest.read_text().splitlines()
+        edited = [f"{key}={value}" if ln.startswith(f"{key}=") else ln for ln in lines]
+        assert edited != lines
+        manifest.write_text("\n".join(edited) + "\n")
+        capsys.readouterr()
+        assert main(["index", "--manifest", str(manifest), "--out", str(tmp_path / "again")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("world", ["0", "-1"])
+    def test_query_world_size_below_one_is_config_error(self, tmp_path, rng, capsys, world):
+        _, idx_dir, queries = build_indexes(tmp_path, rng, m=1)
+        capsys.readouterr()
+        assert main([
+            "query", "--indexes", str(idx_dir), "--queries", str(queries),
+            "--world-size", world, "--out", str(tmp_path / "r.txt"),
+        ]) == 2
+        assert "config error: world_size must be >= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("records", [9, 11])
     def test_partition_line_count_off_its_records_is_data_error(self, tmp_path, rng, capsys, records):
-        # 11: the file lost a line, so the partition would index short
+        # 11: the file lost a line, so the partition would index short; the
+        # total follows the records, so the manifest itself stays consistent
         manifest, _, _ = build_indexes(tmp_path, rng, m=2)
         text = manifest.read_text()
-        assert "partition.0.records=10\n" in text
+        assert "partition.0.records=10\n" in text and "total=20\n" in text
+        text = text.replace("total=20\n", f"total={10 + records}\n")
         manifest.write_text(text.replace("partition.0.records=10\n", f"partition.0.records={records}\n"))
         capsys.readouterr()
         assert main(["index", "--manifest", str(manifest), "--out", str(tmp_path / "again")]) == 3
@@ -338,6 +364,13 @@ class TestEndToEnd:
 
 
 class TestBenchCommand:
+    def test_cluster_size_below_one_is_config_error(self, capsys):
+        assert main([
+            "bench", "--n", "40", "--queries", "2", "--per-query", "2", "--dim", "1024",
+            "--nnz", "8", "--m-list", "0", "--modes", "exact",
+        ]) == 2
+        assert "config error: world_size must be >= 1" in capsys.readouterr().err
+
     def test_emits_expected_csv_columns(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         rc = main([

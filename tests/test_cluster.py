@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchlsh.cluster import (
     FRAME_MAGIC,
@@ -25,7 +27,7 @@ from sketchlsh.cluster import (
     tree_reduce_counts,
     tree_reduce_sketches,
 )
-from sketchlsh.core import NULL_ID
+from sketchlsh.core import MAX_TABLES, NULL_ID
 from sketchlsh.sketch import ShapeMismatchError, TopkapiSketch, row_seeds_from_master
 
 from oracles import (
@@ -137,18 +139,6 @@ class TestTreeReduce:
         merged = out[0][0]
         assert (int(merged.ids[0, 0]), int(merged.counts[0, 0])) == (4, 8)
         assert out[1] is None
-
-    @pytest.mark.parametrize("reduce", [tree_reduce_sketches, linear_reduce_sketches])
-    def test_merged_counter_past_u64_is_collective_error(self, reduce):
-        # summed as u64, (7, 1) and a peer's (7, 2^64 - 1) would wrap to (7, 0)
-        def run(local, peer):
-            stacks = [TopkapiSketch.stack([cell_sketch(7, c)]) for c in (local, peer)]
-            return SimulatedCluster(2).run(lambda tr: reduce(tr, stacks[tr.rank]))[0]
-
-        with pytest.raises(CollectiveError, match="2\\^64"):
-            run(1, (1 << 64) - 1)
-        # the largest sum that fits is kept exactly
-        assert int(run(1, (1 << 64) - 2).counts[0, 0, 0]) == (1 << 64) - 1
 
     def test_m8_merge_and_send_counts(self, rng):
         base = [random_sketch(rng) for _ in range(8)]
@@ -274,17 +264,6 @@ class TestExactCounts:
         merged = exact_counts(maps[0]).merge(exact_counts(maps[1]))
         assert count_maps(merged) == merge_count_maps(*maps)
 
-    def test_merged_count_past_u64_is_collective_error(self):
-        # a peer payload that decodes fine can still push a sum past 2^64 - 1,
-        # which would wrap to a hit of frequency 0
-        peer = ExactCounts.from_bytes(count_payload([{7: (1 << 64) - 1}]), 1)
-        local = exact_counts([{7: 1}])
-        with pytest.raises(CollectiveError, match="2\\^64"):
-            local.merge(peer)
-        # the largest sum that fits is kept exactly
-        fits = exact_counts([{7: (1 << 64) - 2, 9: 4}]).merge(local)
-        assert count_maps(fits) == [{7: (1 << 64) - 1, 9: 4}]
-
     def test_payload_layout(self):
         # query 0: {7: 3, 1: 2}, query 1: {}, query 2: {2^53 + 1: 1, 2^64 - 2: 5};
         # ids past 2^53 have no exact float64 value
@@ -310,6 +289,83 @@ class TestCountReduce:
 
         out = SimulatedCluster(3).run(fn)
         assert count_maps(out[0]) == [{1: 5, 5: 1, 9: 4}]
+
+
+REDUCERS = [tree_reduce_sketches, linear_reduce_sketches, tree_reduce_counts]
+
+
+def cell_items(reduce, counts):
+    """One rank's one-query batch for ``reduce``: id c + 1 holding counts[c].
+
+    Built without decoding, so a count may pass the decoders' bound.
+    """
+    ids = np.arange(1, len(counts) + 1, dtype=np.uint64)
+    counts = np.array(counts, dtype=np.uint64)
+    if reduce is tree_reduce_counts:
+        return ExactCounts.summed(1, np.zeros(ids.size, dtype=np.int64), ids, counts)
+    stack = TopkapiSketch(1, ids.size, row_seeds_from_master(3, 1), members=1)
+    stack.ids[0, 0], stack.counts[0, 0] = ids, counts
+    return stack
+
+
+def rank0_outcome(reduce, per_rank):
+    """Rank 0's reduced counts of ``per_rank`` count lists, or the
+    :class:`CollectiveError` it raised; every other rank returns None."""
+
+    def fn(tr):
+        try:
+            return reduce(tr, cell_items(reduce, per_rank[tr.rank]))
+        except CollectiveError as exc:
+            return exc
+
+    out = SimulatedCluster(len(per_rank), default_timeout=5.0).run(fn)
+    assert all(o is None for o in out[1:])
+    if isinstance(out[0], CollectiveError):
+        return out[0]
+    counts = out[0].counts.reshape(-1) if reduce is tree_reduce_counts else out[0].counts[0, 0]
+    return counts.tolist()
+
+
+class TestPeerCountBound:
+    """No legitimate count passes the table count, so the decoders reject a
+    peer count above ``MAX_TABLES`` and merges of bounded counts are exact."""
+
+    @pytest.mark.parametrize("reduce", REDUCERS)
+    def test_bound_is_inclusive(self, reduce):
+        assert rank0_outcome(reduce, [[1], [MAX_TABLES]]) == [MAX_TABLES + 1]
+        for peer in (MAX_TABLES + 1, (1 << 64) - 1):
+            err = rank0_outcome(reduce, [[1], [peer]])
+            assert isinstance(err, CollectiveError) and str(MAX_TABLES) in str(err)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        reduce=st.sampled_from(REDUCERS),
+        per_rank=st.integers(2, 5).flatmap(
+            lambda m: st.lists(
+                st.lists(st.integers(1, MAX_TABLES), min_size=3, max_size=3),
+                min_size=m, max_size=m,
+            )
+        ),
+    )
+    def test_sums_are_exact(self, reduce, per_rank):
+        # replay the schedule on Python ints: a payload holding a count past
+        # the bound (a merged sum a rank forwards) is rejected, else rank 0
+        # holds the exact sums
+        m = len(per_rank)
+        linear = reduce is linear_reduce_sketches
+        schedule = ReductionSchedule.linear(m) if linear else ReductionSchedule.for_world(m)
+        held = {r: list(c) for r, c in enumerate(per_rank)}
+        rejected = False
+        for pairs in schedule.rounds:
+            for dst, src in pairs:
+                sent = held.pop(src)
+                rejected |= max(sent) > MAX_TABLES
+                held[dst] = [a + b for a, b in zip(held[dst], sent)]
+        got = rank0_outcome(reduce, per_rank)
+        if rejected:
+            assert isinstance(got, CollectiveError)
+        else:
+            assert got == held[0]
 
 
 class TestWireFormat:

@@ -6,10 +6,12 @@ from sketchlsh.core import (
     DatasetPartition,
     InvalidVectorError,
     LshConfig,
+    MAX_TABLES,
     NULL_ID,
     SparseRows,
     SparseVector,
 )
+from sketchlsh.dataio import lsh_config_from_mapping
 
 
 class TestSparseVector:
@@ -78,6 +80,17 @@ class TestLshConfig:
             LshConfig(num_tables=0)
         with pytest.raises(ConfigError):
             LshConfig(top_k=0)
+
+    def test_table_count_fits_the_index_header(self):
+        # the index header stores L as a u32, and the reduce's decoders bound
+        # every peer count by it; construction builds no hash family
+        assert MAX_TABLES == 2**32 - 1
+        assert LshConfig(num_tables=MAX_TABLES).num_tables == MAX_TABLES
+        with pytest.raises(ConfigError, match="num_tables"):
+            LshConfig(num_tables=MAX_TABLES + 1)
+        with pytest.raises(ConfigError, match="num_tables"):
+            lsh_config_from_mapping({"num_tables": str(MAX_TABLES + 1)})
+        assert lsh_config_from_mapping({"num_tables": str(MAX_TABLES)}).num_tables == MAX_TABLES
 
     def test_fingerprint_sensitive_to_every_field(self):
         base = LshConfig()

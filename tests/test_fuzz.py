@@ -24,8 +24,9 @@ from sketchlsh.cluster import (
     Frame,
     TcpTransport,
     TransportError,
+    _decode_sketches,
 )
-from sketchlsh.core import DatasetPartition, LshConfig, SketchLshError, SparseVector
+from sketchlsh.core import MAX_TABLES, DatasetPartition, LshConfig, SketchLshError, SparseVector
 from sketchlsh.dataio import DatasetManifest, parse_record, read_hosts_file
 from sketchlsh.index import NodeIndex, preprocess
 from sketchlsh.sketch import TopkapiSketch
@@ -193,6 +194,7 @@ def test_count_payload(expected, random, lengths, cut, bits):
         except CollectiveError:
             continue
         assert len(counts) == n and counts.to_bytes() == payload
+        assert int(counts.counts.max(initial=0)) <= MAX_TABLES
         maps = count_maps(counts)
         assert all(list(m) == sorted(m) and min(m.values(), default=1) >= 1 for m in maps)
         assert sum(map(len, maps)) == counts.ids.size
@@ -214,8 +216,15 @@ def test_sketch_payload(sketch_stack, members, random, cut, bits):
         try:
             stack, end = TopkapiSketch.from_bytes(payload, members=members)
         except SketchLshError:
+            pass
+        else:
+            assert len(stack) == members and end <= len(payload)
+        # a reduce payload: the whole of it, every count within the bound
+        try:
+            stack = _decode_sketches(payload, members)
+        except CollectiveError:
             continue
-        assert len(stack) == members and end <= len(payload)
+        assert len(stack) == members and int(stack.counts.max(initial=0)) <= MAX_TABLES
 
 
 # indices around 2**64, where numpy's uint64 stops

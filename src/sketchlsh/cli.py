@@ -31,7 +31,7 @@ from .params import (
     recommend_params,
     snr_simulation,
 )
-from .query import MODES, QueryBatch, QueryMetrics, query_batch, s_at_k
+from .query import MODES, QueryBatch, QueryMetrics, QueryResult, query_batch, s_at_k
 from .synthetic import planted_instance, round_robin_partitions
 
 EXIT_OK = 0
@@ -120,8 +120,16 @@ def _index_shape(node: NodeIndex) -> str:
     )
 
 
-def _load_queries(path, dim: int | None) -> QueryBatch:
-    return QueryBatch(parse_query_file(path, dim))
+def _run_simulated(
+    indexes: list[NodeIndex], batch: QueryBatch, mode: str
+) -> tuple[list[QueryResult], list[QueryMetrics]]:
+    """One batch over a simulated cluster of ``len(indexes)`` ranks: rank
+    0's results and every rank's metrics."""
+    metrics = [QueryMetrics() for _ in indexes]
+    outs = SimulatedCluster(len(indexes)).run(
+        lambda tr: query_batch(indexes[tr.rank], batch, tr, mode, metrics=metrics[tr.rank])
+    )
+    return outs[0], metrics
 
 
 def _write_results(out, results, metrics: QueryMetrics) -> None:
@@ -138,21 +146,12 @@ def cmd_query(args) -> int:
     config = lsh_config_from_mapping(load_config(Path(args.indexes) / "config.txt"))
     manifest = DatasetManifest.load(args.manifest) if args.manifest else None
     dim = manifest.dim if manifest else None  # without a manifest, parse unbounded
-    batch = _load_queries(args.queries, dim)
+    batch = QueryBatch(parse_query_file(args.queries, dim))
     if args.backend == "sim":
         world = manifest.m if manifest else args.world_size
         indexes = [_load_index(args.indexes, r, config) for r in range(world)]
-        cluster = SimulatedCluster(world)
-        metrics = [QueryMetrics() for _ in range(world)]
-
-        def rank_main(transport):
-            return query_batch(
-                indexes[transport.rank], batch, transport, args.mode,
-                metrics=metrics[transport.rank],
-            )
-
-        outs = cluster.run(rank_main)
-        _write_results(args.out, outs[0], metrics[0])
+        results, metrics = _run_simulated(indexes, batch, args.mode)
+        _write_results(args.out, results, metrics[0])
         print(f"queried {len(batch)} vectors in mode {args.mode} over {world} ranks")
     else:
         members = read_hosts_file(args.hosts)
@@ -171,6 +170,10 @@ def cmd_query(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    try:
+        m_values = [int(x) for x in args.m_list.split(",")]
+    except ValueError:
+        raise ConfigError(f"--m-list {args.m_list!r} must be comma-separated integers") from None
     inst = planted_instance(
         n_background=args.n,
         n_queries=args.queries,
@@ -191,7 +194,6 @@ def cmd_bench(args) -> int:
     dataset_map = dict(inst.dataset)
     query_map = dict(inst.queries)
     modes = args.modes.split(",")
-    m_values = [int(x) for x in args.m_list.split(",")]
     rows = []
     for m in m_values:
         parts = round_robin_partitions(inst.dataset, m)
@@ -199,19 +201,9 @@ def cmd_bench(args) -> int:
         indexes = [preprocess(p, config) for p in parts]
         index_s = time.perf_counter() - t0
         for mode in modes:
-            cluster = SimulatedCluster(m)
-            metrics = [QueryMetrics() for _ in range(m)]
-
-            def rank_main(transport):
-                return query_batch(
-                    indexes[transport.rank], batch, transport, mode,
-                    metrics=metrics[transport.rank],
-                )
-
             t0 = time.perf_counter()
-            outs = cluster.run(rank_main)
+            results, metrics = _run_simulated(indexes, batch, mode)
             wall = time.perf_counter() - t0
-            results = outs[0]
             hit_rates = []
             for res in results:
                 want = inst.planted[res.query_id]

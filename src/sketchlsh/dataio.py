@@ -17,7 +17,7 @@ import os
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -203,49 +203,53 @@ def _scan_block(block: bytes, dim: int | None) -> tuple[np.ndarray, ...]:
 
 
 def _parse_block(
-    block: bytes,
-    dim: int | None,
-    first: int,
-    fallback: Callable[[str, int], np.ndarray | None],
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    block: bytes, dim: int | None, first: int
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, list[tuple[int, str]]]:
     """Parse a block of whole lines numbered from ``first``.
 
     Clean lines come from :func:`_scan_block`; each flagged line goes, as
-    text, to ``fallback(line, line_no)``, which returns its indices or
-    ``None`` to drop it. Returns the block's line count, then the numbers
-    of the kept lines, their index counts and their indices back to back.
+    text, through :func:`parse_record`. Returns the block's line count, the
+    numbers of the kept lines, their index counts, their indices back to
+    back, and (line number, message) for each rejected line, in line order.
+    Messages, not exceptions, so no traceback keeps the block alive.
     """
     starts, ends, flagged, counts, indices = _scan_block(block, dim)
-    keep = ~flagged
+    rejected = []
     if flagged.any():
         row_start = np.cumsum(counts) - counts
         pieces, cut = [], 0
         for i in np.flatnonzero(flagged).tolist():
-            raw = block[starts[i] : ends[i]]
-            got = fallback(raw.decode("utf-8", errors="surrogateescape").rstrip("\r"), first + i)
-            if got is not None:
-                pieces += [indices[cut : row_start[i]], got]
-                cut = row_start[i]
-                counts[i] = got.size
-                keep[i] = True
+            no = first + i
+            line = block[starts[i] : ends[i]].decode("utf-8", errors="surrogateescape").rstrip("\r")
+            try:
+                got = parse_record(_utf8_text(line, no), dim, no)[1].indices
+            except SketchLshError as exc:
+                rejected.append((no, str(exc)))
+                continue
+            pieces += [indices[cut : row_start[i]], got]
+            cut = row_start[i]
+            counts[i] = got.size
+            flagged[i] = False
         indices = np.concatenate(pieces + [indices[cut:]])
-    kept = np.flatnonzero(keep)
-    return ends.size, first + kept, counts[kept], indices
+    kept = np.flatnonzero(~flagged)
+    return ends.size, first + kept, counts[kept], indices, rejected
 
 
 def _parse_lines(
-    f: BinaryIO, dim: int | None, fallback: Callable[[str, int], np.ndarray | None]
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_parse_block` over every block of ``f``: the line count, then
-    the numbers of the kept lines, their index counts and their indices
-    back to back."""
+    f: BinaryIO, dim: int | None
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, list[tuple[int, str]]]:
+    """:func:`_parse_block` over every block of ``f``: the line count, the
+    numbers of the kept lines, their index counts, their indices back to
+    back, and (line number, message) for each rejected line."""
     parsed = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.uint64))]
+    rejected = []
     first = 0
     for block in _line_blocks(f):
-        count, *columns = _parse_block(block, dim, first, fallback)
+        count, *columns, bad = _parse_block(block, dim, first)
         parsed.append(columns)
+        rejected += bad
         first += count
-    return (first, *(np.concatenate(column) for column in zip(*parsed)))
+    return (first, *(np.concatenate(column) for column in zip(*parsed)), rejected)
 
 
 def parse_query_file(path, dim: int | None = None) -> list[tuple[int, SparseVector]]:
@@ -260,13 +264,11 @@ def parse_query_file(path, dim: int | None = None) -> list[tuple[int, SparseVect
     except UnicodeDecodeError as exc:
         raise RecordParseError(f"query file {path} is not UTF-8 text: {exc}") from None
 
-    def fallback(line: str, line_no: int) -> np.ndarray | None:
-        if not line.strip():
-            return None
-        return parse_record(line, dim=dim, line_no=line_no)[1].indices
-
     # the lines hold no separator of splitlines, so joined by \n they keep their numbers
-    _, kept, counts, indices = _parse_lines(io.BytesIO("\n".join(lines).encode()), dim, fallback)
+    _, kept, counts, indices, rejected = _parse_lines(io.BytesIO("\n".join(lines).encode()), dim)
+    for line_no, _ in rejected:
+        if lines[line_no].strip():
+            parse_record(lines[line_no], dim, line_no)  # raises the line's own error
     bounds = np.cumsum(counts).tolist()
     return [
         (line_no, SparseVector(row, dim if dim is not None else int(row[-1]) + 1))
@@ -359,20 +361,14 @@ def partition_dataset(input_path, m: int, out_dir, dim: int | None = None) -> Da
     hasher = hashlib.sha256()
     counts = [0] * m
     max_index = -1
-
-    def widest(line: str, line_no: int) -> np.ndarray | None:
-        try:
-            return parse_record(_utf8_text(line))[1].indices
-        except SketchLshError:
-            return None  # malformed lines are still distributed verbatim
-
     try:
         with open(input_path, "rb") as raw, ExitStack() as stack:
             files = [stack.enter_context(open(p, "wb")) for p in paths]
             for block in _line_blocks(raw):
                 hasher.update(block)
                 if dim is None:
-                    indices = _parse_block(block, None, 0, widest)[3]
+                    # rejected lines widen nothing; they are still distributed verbatim
+                    indices = _parse_block(block, None, 0)[3]
                     if indices.size:
                         max_index = max(max_index, int(indices.max()))
                 lines = block.split(b"\n")
@@ -425,24 +421,15 @@ def load_partition(
 
     The file is parsed in array passes over blocks of whole lines; only the
     lines a pass cannot prove clean go through :func:`parse_record`, one by
-    one, so ids, vectors and issues are those of parsing every line with it.
+    one, so ids, vectors and issues (one per line the parser returns as
+    rejected) are those of parsing every line with it.
     """
     if not 0 <= rank < manifest.m:
         raise ConfigError(f"rank {rank} is outside the manifest's ranks 0..{manifest.m - 1}")
     info = manifest.partitions[rank]
     path = Path(manifest_dir) / info.path
-    issues = []
-
-    def fallback(line: str, j: int) -> np.ndarray | None:
-        try:
-            return parse_record(_utf8_text(line, j), dim=manifest.dim, line_no=j)[1].indices
-        except SketchLshError as exc:
-            vid = info.offset + j * manifest.m
-            issues.append(RecordIssue(vector_id=vid, line_no=j, message=str(exc)))
-            return None
-
     with open(path, "rb") as f:
-        n_lines, lines, counts, indices = _parse_lines(f, manifest.dim, fallback)
+        n_lines, lines, counts, indices, rejected = _parse_lines(f, manifest.dim)
     if n_lines != info.records:
         raise RecordParseError(f"{path} holds {n_lines} lines; the manifest says {info.records}")
     ids = lines.astype(np.uint64)
@@ -454,6 +441,7 @@ def load_partition(
                 raise InvalidVectorError(f"vector id {vid} outside the admissible range")
         ids = ids * np.uint64(manifest.m) + np.uint64(info.offset)
     rows = SparseRows(np.concatenate(([0], np.cumsum(counts))), indices, manifest.dim)
+    issues = [RecordIssue(info.offset + j * manifest.m, j, message) for j, message in rejected]
     return DatasetPartition.from_rows(rank, ids, rows), issues
 
 

@@ -2,8 +2,8 @@
 
 The pipeline runs the same way on every rank. Each rank hashes its
 contiguous slice of the batch, and one allgather per batch gives every rank
-each rank's config fingerprint and per-table addresses: every rank checks
-that the configs agree and learns every query's buckets. Each rank then
+each rank's config and mode fingerprint and per-table addresses: every rank
+checks that both agree and learns every query's buckets. Each rank then
 merges its own addressed bucket sketches per query (one stack for the whole
 batch), and the per-node stacks are reduced to rank 0, which ranks every
 query's top k in one pass.
@@ -176,15 +176,15 @@ def _slice_bounds(n: int, world_size: int, rank: int) -> tuple[int, int]:
 
 def _gathered_addresses(payloads: Sequence[bytes], n: int, config: LshConfig) -> np.ndarray:
     """The batch's (n, L) address rows from every rank's exchange payload:
-    a u64 config fingerprint, then that rank's rows. Every fingerprint is
-    checked before any row is read, so a peer with another config (rows of
-    another width, say) is a :class:`ConfigError` on every rank."""
+    a u64 fingerprint of its config and mode, then its rows. Every fingerprint
+    is checked before any row is read, so a peer with another config (rows of
+    another width, say) or mode is a :class:`ConfigError` on every rank."""
     if any(len(p) < 8 for p in payloads):
         raise CollectiveError("address payload shorter than its config fingerprint")
     fingerprints = [struct.unpack_from("<Q", p)[0] for p in payloads]
     bad = [r for r, fp in enumerate(fingerprints) if fp != fingerprints[0]]
     if bad:
-        raise ConfigError(f"configuration mismatch across ranks (differs on {bad})")
+        raise ConfigError(f"configuration or mode mismatch across ranks (differs on {bad})")
     if any((len(p) - 8) % (8 * config.num_tables) for p in payloads):
         raise CollectiveError("address payload does not hold whole rows")
     rows = np.frombuffer(b"".join(p[8:] for p in payloads), "<u8").reshape(-1, config.num_tables)
@@ -205,8 +205,8 @@ def query_batch(
     """Run one batch against the distributed index; results land on rank 0.
 
     All ranks must call collectively with the same batch and mode. The
-    ranks' config fingerprints travel with the addresses, in one allgather;
-    if they disagree, every rank aborts before any probing.
+    ranks' fingerprints of config and mode travel with the addresses, in
+    one allgather; if they disagree, every rank aborts before any probing.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -221,7 +221,9 @@ def query_batch(
     family = HashFamily.from_config(config)
     t0 = time.perf_counter()
     my_addrs = family.addresses([v for _, v in batch.queries[lo:hi]])
-    payload = struct.pack("<Q", config.fingerprint()) + my_addrs.astype("<u8").tobytes()
+    # the mode rides in the fingerprint word, so ranks in different modes fail alike
+    fingerprint = mix64(np.uint64(config.fingerprint() ^ MODES.index(mode)))
+    payload = struct.pack("<Q", fingerprint) + my_addrs.astype("<u8").tobytes()
     metrics.hash_s += time.perf_counter() - t0
 
     t0 = time.perf_counter()

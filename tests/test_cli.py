@@ -371,6 +371,11 @@ class TestBenchCommand:
         ]) == 2
         assert "config error: world_size must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m_list", ["a", "1,,2"])
+    def test_m_list_not_integers_is_config_error(self, capsys, m_list):
+        assert main(["bench", "--n", "40", "--m-list", m_list]) == 2
+        assert f"config error: --m-list {m_list!r}" in capsys.readouterr().err
+
     def test_emits_expected_csv_columns(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         rc = main([

@@ -1,3 +1,4 @@
+import io
 import os
 from pathlib import Path
 from unittest import mock
@@ -464,6 +465,48 @@ class TestArrayParser:
             blocks = list(dataio._line_blocks(f))
         assert len(part) == 30 and not issues
         assert len(blocks) > 1 and len(calls) == len(blocks)
+
+
+# the line list of test_rejected_lines_give_the_oracle_issues, read from its mark
+REJECTED_LINES = next(
+    mark.args[1]
+    for mark in TestArrayParser.test_rejected_lines_give_the_oracle_issues.pytestmark
+    if mark.name == "parametrize"
+)
+
+
+class TestRejectedLines:
+    @pytest.mark.parametrize("line", REJECTED_LINES)
+    def test_query_file_raises_the_oracle_error_or_skips_a_blank(self, tmp_path, line):
+        path = tmp_path / "q.txt"
+        path.write_bytes(b"1 1:1\n" + line + b"\n1 4:1\n")
+        if line.strip():
+            with pytest.raises(SketchLshError) as want:
+                per_line_queries(path, DIM)
+            with pytest.raises(type(want.value)) as got:
+                parse_query_file(path, DIM)
+            assert str(got.value) == str(want.value)
+        else:
+            assert parse_query_file(path, DIM) == per_line_queries(path, DIM)
+            assert [no for no, _ in parse_query_file(path, DIM)] == [0, 2]
+
+    @pytest.mark.parametrize("line", REJECTED_LINES)
+    def test_inferred_dim_equals_per_line_oracle(self, tmp_path, line):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"1 1:1\n" + line + b"\n1 4:1\n")
+        assert partition_dataset(path, 2, tmp_path / "out").dim == per_line_dim(path)
+
+    def test_parse_lines_returns_numbers_and_messages(self):
+        data = b"1 1:1\n1 3:1 2:1\n1 2:1\n\n1 x:1\n"
+        n_lines, kept, counts, indices, rejected = dataio._parse_lines(io.BytesIO(data), DIM)
+        assert (n_lines, kept.tolist(), counts.tolist()) == (5, [0, 2], [1, 1])
+        assert rejected == [
+            (1, "line 1: feature indices must be strictly increasing (saw 2)"),
+            (3, "line 3: blank record"),
+            (4, "line 4: feature index 'x' is not an integer"),
+        ]
+        # plain pairs: an exception object would keep its traceback, and so the block, alive
+        assert all(type(no) is int and type(message) is str for no, message in rejected)
 
 
 # -- the one-pass split against the per-line oracle ---------------------------------

@@ -37,7 +37,7 @@ from sketchlsh.synthetic import (
     round_robin_partitions,
 )
 
-from oracles import exact_counts, top_k_counts
+from oracles import exact_counts, run_tcp_threads, top_k_counts
 import tcp_worker
 
 
@@ -280,6 +280,34 @@ class TestQueryBatchPipeline:
         for mode in MODES:
             errors = SimulatedCluster(2, default_timeout=2.0).run(lambda tr: rank_main(tr, mode))
             assert all("mismatch" in str(e) and "[1]" in str(e) for e in errors)
+        assert probes == []
+
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    @pytest.mark.parametrize(
+        "modes",
+        [("exact", "sketch_tree"), ("sketch_tree", "sketch_tree", "sketch_linear"),
+         ("sketch_tree", "sketch_linear")],
+        ids=["exact-tree", "one-linear-of-3", "tree-linear"],
+    )
+    def test_mode_mismatch_aborts_every_rank_before_probing(self, monkeypatch, backend, modes):
+        m = len(modes)
+        inst, _cfg, indexes = tcp_worker.build_state(11, m)
+        batch = QueryBatch(inst.queries)
+        probes = []
+        for name in ("local_candidates", "exact_candidates"):
+            monkeypatch.setattr(NodeIndex, name, lambda *a, name=name: probes.append(name))
+
+        def rank_main(tr):
+            try:
+                query_batch(indexes[tr.rank], batch, tr, modes[tr.rank])
+            except ConfigError as exc:
+                return exc
+
+        if backend == "sim":
+            errors = SimulatedCluster(m, default_timeout=2.0).run(rank_main)
+        else:
+            errors = run_tcp_threads(m, rank_main, io_timeout=5.0)
+        assert all("configuration or mode mismatch" in str(e) for e in errors)
         assert probes == []
 
     def test_unknown_mode_rejected(self, rng):

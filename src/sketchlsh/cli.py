@@ -106,7 +106,8 @@ def cmd_index(args) -> int:
 
 
 def _index_shape(node: NodeIndex) -> str:
-    """Bucket-size distribution and table occupancy, from the index columns."""
+    """Bucket-size distribution, table occupancy and heavy buckets (those
+    kept as finished sketches), from the index columns."""
     occupied = node.occupied_slots
     sizes = np.concatenate([np.diff(t.offsets) for t in node.tables])
     buckets = (
@@ -114,9 +115,12 @@ def _index_shape(node: NodeIndex) -> str:
         if sizes.size
         else "none"
     )
+    heavy = [np.diff(node.tables[t].offsets)[pos] for t, (pos, _) in node.heavy.items()]
+    held = sum(int(h.sum()) for h in heavy)
     return (
         f"buckets: {buckets}; occupied per table: mean {np.mean(occupied):.1f}, "
-        f"min {min(occupied)}, max {max(occupied)}"
+        f"min {min(occupied)}, max {max(occupied)}; heavy: "
+        f"{sum(h.size for h in heavy)} buckets holding {held / max(sizes.sum(), 1):.1%} of ids"
     )
 
 

@@ -331,10 +331,6 @@ class ReductionSchedule:
         pairs = tuple((0, src) for src in range(1, world_size))
         return cls(world_size=world_size, rounds=(pairs,) if pairs else ())
 
-    @property
-    def num_rounds(self) -> int:
-        return len(self.rounds)
-
 
 @dataclass
 class ReduceStats:

@@ -3,23 +3,27 @@
 Buckets are addressed by the combined hash of a vector's slots for that
 table. A probed bucket is always observed as a fixed-size heavy-hitter
 sketch of the ids inserted there, so the sketch and the payload it adds to
-are the same size however skewed the bucket is. Building that sketch
-replays every id of the bucket, so probe time still grows with bucket size.
+are the same size however skewed the bucket is.
 
 Storage note: bucket contents are kept columnar, as per-table sorted
-(address -> id stream) arrays, and a bucket's sketch is materialized on
-probe by replaying its insertion stream. The replay reproduces the exact
-sketch state that incremental per-insert updates would have produced, while
-keeping the resident footprint near the raw data size even when the address
-space is much larger than the partition. The same storage serves the exact
-(sketch-free) aggregation mode directly, and the index file holds these
-columns and nothing else.
+(address -> id stream) arrays, and the index file holds these columns and
+nothing else. A bucket of at most W·B ids (a sketch's cell count) has its
+sketch materialized on probe by replaying its insertion stream, which
+reproduces the exact state that incremental per-insert updates would have
+produced. A *heavy* bucket, one of more ids, is also kept as its finished
+sketch, computed in closed form whenever a :class:`NodeIndex` is built
+(by :func:`preprocess` and by :meth:`NodeIndex.load`). A probe therefore
+replays at most W·B ids or copies W·B cells per (query, table), however
+skewed the data, and the heavy sketches take at most 16 B per vector per
+table. The same columns serve the exact (sketch-free) aggregation mode
+directly.
 
 Both aggregation modes probe a whole query batch with one walk over the
-tables, which yields per table the id streams of every bucket the batch
-addresses. The sketch mode builds them in one stacked sketch insert and
-folds the table into the batch's stack of merged sketches with one merge;
-the exact mode counts every (query, id) pair of the walk in one keyed sum.
+tables, which yields per table the buckets that the batch addresses. The
+sketch mode copies the addressed heavy sketches and builds the other
+buckets in one stacked sketch insert, then folds the table into the
+batch's stack of merged sketches with one merge; the exact mode counts
+every (query, id) pair of the walk in one keyed sum.
 """
 
 from __future__ import annotations
@@ -75,17 +79,22 @@ class _TableBuckets:
             offsets = np.zeros(1, dtype=np.int64)
         return cls(addrs=uniq, offsets=offsets, ids=sorted_ids)
 
-    def streams(self, addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Id streams of the buckets at ``addrs``, one address per query, back
-        to back, and for each id its query; an empty address adds nothing."""
+    def find(self, addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of ``addrs`` (one address per query) that address an
+        occupied bucket, and the position of that bucket in the columns."""
         pos = np.searchsorted(self.addrs, addrs)
         hit = np.flatnonzero(pos < self.occupied)
         hit = hit[self.addrs[pos[hit]] == addrs[hit]]
-        starts = self.offsets[pos[hit]]
-        lengths = self.offsets[pos[hit] + 1] - starts
+        return hit, pos[hit]
+
+    def streams(self, owners: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Id streams of the buckets at positions ``pos``, back to back, and
+        for each id the owner listed with its bucket."""
+        starts = self.offsets[pos]
+        lengths = self.offsets[pos + 1] - starts
         first = np.cumsum(lengths) - lengths  # where each stream starts in the output
         take = np.arange(int(lengths.sum())) + np.repeat(starts - first, lengths)
-        return self.ids[take], np.repeat(hit, lengths)
+        return self.ids[take], np.repeat(owners, lengths)
 
     @property
     def occupied(self) -> int:
@@ -97,22 +106,66 @@ class _TableBuckets:
             return f"{self.ids.size} ids for {vector_count} vectors"
         if self.offsets[0] != 0 or self.offsets[-1] != self.ids.size:
             return "offsets do not run from 0 to the id count"
-        if np.any(self.offsets[1:] <= self.offsets[:-1]):
+        if (self.offsets[1:] <= self.offsets[:-1]).any():
             return "offsets do not strictly increase"
-        if np.any(self.addrs[1:] <= self.addrs[:-1]):
+        if (self.addrs[1:] <= self.addrs[:-1]).any():
             return "addresses do not strictly increase"
         if self.addrs.size and self.addrs[-1] >= np.uint64(table_range):
             return "address beyond the table range"
-        if np.any(self.ids == np.uint64(NULL_ID)):
+        if self.ids.max(initial=0) == np.uint64(NULL_ID):  # the null id is the largest u64
             return "null id in a bucket"
         return None
+
+
+def _closed_form(
+    empty: TopkapiSketch, ids: np.ndarray, lengths: np.ndarray, table: int
+) -> TopkapiSketch:
+    """A stack of the sketches of table ``table``'s buckets whose id streams
+    are ``ids``, back to back and ``lengths`` long.
+
+    An id lands in one bucket per table, so each cell of a bucket's sketch
+    sees a stream of distinct ids. Under the majority rule, k distinct
+    arrivals leave a cell at (last id, 1) if k is odd and at
+    (second-to-last id, 0) if k is even (Boyer and Moore, MJRTY, 1981). One
+    bincount and two ``np.maximum.at`` passes over the (id, row) arrivals
+    give every cell. An id that appears twice among the buckets raises
+    :class:`IndexFileError`: no build makes one.
+    """
+    rows, cols = empty.rows, empty.cols
+    ranked = np.sort(ids)
+    twice = np.flatnonzero(ranked[1:] == ranked[:-1])
+    if twice.size:
+        raise IndexFileError(
+            f"malformed index table {table}: id {ranked[twice[0]]} appears twice "
+            f"among its buckets of more than {rows * cols} ids"
+        )
+    # each arrival's cell, arrival-major, so a cell's arrivals stay in stream order
+    cell = empty._row_bins(ids)
+    cell += np.arange(rows) * cols
+    cell += np.repeat(np.arange(lengths.size) * (rows * cols), lengths)[:, None]
+    cell = cell.ravel()
+    n_cells = lengths.size * rows * cols
+    odd = np.bincount(cell, minlength=n_cells) % 2 == 1
+    arrival = np.arange(cell.size)
+    last = np.full(n_cells, -1)
+    np.maximum.at(last, cell, arrival)
+    arrival[last[last >= 0]] = -1  # drop each cell's last arrival
+    second = np.full(n_cells, -1)
+    np.maximum.at(second, cell, arrival)
+    holder = np.where(odd, last, second)  # -1 only where nothing arrived
+    out = TopkapiSketch(rows, cols, empty.row_seeds, lengths.size)
+    out.ids.flat = np.where(holder >= 0, ids[holder // rows], np.uint64(NULL_ID))
+    out.counts.flat = odd
+    return out
 
 
 class NodeIndex:
     """One node's LSH tables over its partition, plus the shared hash family.
 
     Frozen after :func:`preprocess` returns; all reads (probes, exact
-    counting) may then run fully concurrently.
+    counting) may then run fully concurrently. ``heavy`` maps each table
+    that has heavy buckets to their positions in its columns and the stack
+    of their finished sketches, in the same order.
     """
 
     def __init__(
@@ -131,6 +184,35 @@ class NodeIndex:
         self.vector_count = vector_count
         self.rejected = rejected
         self.row_seeds = row_seeds_from_master(config.master_seed, config.sketch_rows)
+        self.heavy = self._heavy_sketches()
+
+    def _heavy_sketches(self) -> dict[int, tuple[np.ndarray, TopkapiSketch]]:
+        """The finished sketch of every heavy bucket, a bucket of more ids
+        than a sketch has cells: per table that has any, their positions in
+        its columns and a stack of their sketches (:func:`_closed_form`) in
+        the same order. An index whose tables have too few ids per bucket
+        to hold one costs a comparison per table and allocates nothing;
+        otherwise one pass over every table's offsets finds them.
+        """
+        cells = self.config.sketch_rows * self.config.sketch_cols
+        # a table's largest bucket holds at most the ids its other buckets leave
+        if all(tb.ids.size - tb.occupied < cells for tb in self.tables):
+            return {}
+        # every table's bucket sizes in one pass; each table boundary gives one size <= 0
+        offsets = np.concatenate([tb.offsets for tb in self.tables])
+        sizes = offsets[1:] - offsets[:-1]
+        if sizes.max(initial=0) <= cells:
+            return {}
+        starts = np.cumsum([0] + [tb.offsets.size for tb in self.tables])  # of each table in sizes
+        heavy = np.flatnonzero(sizes > cells)
+        table_of = np.searchsorted(starts, heavy, side="right") - 1
+        empty = self.empty_sketch()
+        out = {}
+        for t in np.unique(table_of).tolist():
+            pos = heavy[table_of == t] - starts[t]
+            ids, _ = self.tables[t].streams(pos, pos)
+            out[t] = (pos, _closed_form(empty, ids, sizes[starts[t] + pos], t))
+        return out
 
     # -- probing -----------------------------------------------------------------
 
@@ -154,12 +236,13 @@ class NodeIndex:
         return addresses
 
     def _addressed(self, batch: np.ndarray):
-        """Per table with a hit, the ids of every bucket the (n, L) ``batch``
-        addresses, back to back, and for each id the query it belongs to."""
+        """Per table with a hit in the (n, L) ``batch``: the table number,
+        its columns, the queries whose bucket is occupied and the positions
+        of those buckets."""
         for t, tb in enumerate(self.tables):
-            items, queries = tb.streams(batch[:, t])
-            if items.size:
-                yield items, queries
+            hit, pos = tb.find(batch[:, t])
+            if hit.size:
+                yield t, tb, hit, pos
 
     def local_candidates(self, addresses: np.ndarray) -> TopkapiSketch:
         """Merges of this node's addressed bucket sketches for a query batch.
@@ -167,17 +250,26 @@ class NodeIndex:
         ``addresses`` is the batch's (n, L) address matrix, and only that:
         a single (L,) row is a :class:`ConfigError`. The result is an
         (n, W, B) stack whose member q merges query q's buckets; it goes to
-        the reduce and the extraction as it is. Per table, every addressed
-        bucket is built in one stacked insert and the table is folded into
-        the stack with one merge. Tables fold left to right (the merge rule
-        is not associative); empty buckets contribute the identity. No
-        distance computation is involved anywhere on this path.
+        the reduce and the extraction as it is. Per table, the addressed
+        heavy buckets' finished sketches are copied in, every other
+        addressed bucket is built in one stacked insert, and the table is
+        folded into the stack with one merge. Tables fold left to right (the
+        merge rule is not associative); empty buckets contribute the
+        identity. No distance computation is involved anywhere on this path.
         """
         batch = self._checked(addresses)
         merged = self.empty_sketch(len(batch))
-        for items, queries in self._addressed(batch):
+        for t, tb, hit, pos in self._addressed(batch):
             table = self.empty_sketch(len(batch))
-            table.insert_many(items, queries)
+            if t in self.heavy:
+                where, sketches = self.heavy[t]
+                j = np.minimum(np.searchsorted(where, pos), where.size - 1)
+                big = where[j] == pos
+                table.ids[hit[big]] = sketches.ids[j[big]]
+                table.counts[hit[big]] = sketches.counts[j[big]]
+                hit, pos = hit[~big], pos[~big]
+            if hit.size:
+                table.insert_many(*tb.streams(hit, pos))
             merged = merged.merge(table)
         return merged
 
@@ -185,7 +277,7 @@ class NodeIndex:
         """Exact per-id occurrence counts over each query's addressed buckets,
         for the batch's (n, L) address matrix."""
         batch = self._checked(addresses)
-        walk = list(self._addressed(batch))
+        walk = [tb.streams(hit, pos) for _, tb, hit, pos in self._addressed(batch)]
         ids = np.concatenate([items for items, _ in walk] + [np.empty(0, np.uint64)])
         queries = np.concatenate([q for _, q in walk] + [np.empty(0, np.int64)])
         return ExactCounts.summed(len(batch), queries, ids, np.ones(ids.size, np.uint64))
@@ -201,7 +293,8 @@ class NodeIndex:
 
         Each table is ``(n_addr, n_ids)`` followed by the ``addrs``,
         ``offsets`` and ``ids`` columns, little-endian. No sketch is stored:
-        probes rebuild them from the id streams bit for bit.
+        probes rebuild them from the id streams, and :meth:`load` the heavy
+        ones, bit for bit.
         """
         with open(path, "wb") as f:
             f.write(
@@ -226,8 +319,11 @@ class NodeIndex:
 
         Every length is checked against the file before it is read, and
         every table against the invariants :func:`preprocess` guarantees, so
-        a truncated or malformed file raises :class:`IndexFileError`. The
-        columns are read-only views of the file's bytes.
+        a truncated or malformed file raises :class:`IndexFileError`; so
+        does an id that appears twice among a table's heavy buckets, which
+        the closed form of their sketches rules out. The columns are
+        read-only views of the file's bytes; the heavy sketches are built
+        from them.
         """
         with open(path, "rb") as f:
             data = f.read()
@@ -309,10 +405,10 @@ def preprocess(partition: DatasetPartition, config: LshConfig) -> NodeIndex:
         # an empty row starts where the next one does, so dropping its start
         # from the row pointer drops the row and leaves the indices as they are
         rows = SparseRows(rows.indptr[np.append(~empty, True)], rows.indices, rows.dim)
-    addr_matrix = HashFamily.from_config(config).addresses(rows)
+    # one column per table; the address matrix is freed before the heavy build
     tables = [
-        _TableBuckets.build(addr_matrix[:, t].copy(), ids)
-        for t in range(config.num_tables)
+        _TableBuckets.build(column.copy(), ids)
+        for column in HashFamily.from_config(config).addresses(rows).T
     ]
     return NodeIndex(
         config=config,

@@ -288,6 +288,22 @@ def bucket_sketch(index, t: int, addr: int):
     return sketch
 
 
+def replayed_candidates(index, batch: np.ndarray):
+    """The replay probe of a batch, heavy buckets included: per table, every
+    addressed bucket's id stream goes into one stacked insert, and the
+    table folds into the batch's stack with one merge, left to right."""
+    batch = np.asarray(batch, dtype=np.uint64)
+    merged = index.empty_sketch(len(batch))
+    for t, table in enumerate(index.tables):
+        streams = [bucket_ids(table, addr) for addr in batch[:, t].tolist()]
+        items = np.concatenate(streams)
+        if items.size:
+            sketch = index.empty_sketch(len(batch))
+            sketch.insert_many(items, np.repeat(np.arange(len(batch)), [s.size for s in streams]))
+            merged = merged.merge(sketch)
+    return merged
+
+
 def exact_count_map(index, row) -> dict[int, int]:
     """One query's exact per-id counts over its L addressed buckets, looked
     up one address at a time."""

@@ -6,12 +6,14 @@ import socket
 import threading
 import warnings
 
+import numpy as np
 import pytest
 
 from sketchlsh import cli
 from sketchlsh.cli import main
 from sketchlsh.cluster import TcpTransport
-from sketchlsh.dataio import format_record
+from sketchlsh.dataio import format_record, load_config, lsh_config_from_mapping
+from sketchlsh.index import NodeIndex
 from sketchlsh.params import LshSensitivity, recommend_params
 from sketchlsh.synthetic import random_sparse_vectors
 
@@ -183,6 +185,31 @@ class TestEndToEnd:
         assert "rank 0 buckets: size max 2, p99 2.0, mean 1.50; " in printed
         assert "occupied per table: mean 2.0, min 2, max 2" in printed
         assert "rank 1 rejected: 0 parse issues, 0 empty vectors" in printed
+
+    def test_index_reports_heavy_buckets(self, tmp_path, rng, capsys):
+        # 150 copies of one vector among 30 others; a sketch of 2 x 4 cells
+        # keeps every bucket of more than 8 ids as a finished sketch
+        vecs = random_sparse_vectors(rng, 30, 256, 8)
+        vecs += vecs[:1] * 150
+        data = tmp_path / "data.txt"
+        data.write_text("".join(format_record(v) + "\n" for v in vecs))
+        out = tmp_path / "parts"
+        assert main(["partition", "--input", str(data), "--m", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([
+            "index", "--manifest", str(out / "manifest.txt"), "--out", str(tmp_path / "idx"),
+            "--k", "2", "--tables", "4", "--table-range", "4096", "--sketch-rows", "2",
+            "--sketch-cols", "4",
+        ]) == 0
+        printed = capsys.readouterr().out
+        config = lsh_config_from_mapping(load_config(tmp_path / "idx" / "config.txt"))
+        index = NodeIndex.load(tmp_path / "idx" / "index-00000.bin", config)
+        sizes = [np.diff(t.offsets) for t in index.tables]
+        heavy = [s[s > 8] for s in sizes]
+        count = sum(h.size for h in heavy)
+        share = sum(h.sum() for h in heavy) / sum(s.sum() for s in sizes)
+        assert count >= 4 and share >= 151 / 180
+        assert f"; heavy: {count} buckets holding {share:.1%} of ids" in printed
 
     def test_index_saved_for_another_rank_is_data_error(self, tmp_path, rng, capsys):
         manifest, idx_dir, queries = build_indexes(tmp_path, rng, m=2)

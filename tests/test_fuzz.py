@@ -28,11 +28,11 @@ from sketchlsh.cluster import (
 )
 from sketchlsh.core import MAX_TABLES, DatasetPartition, LshConfig, SketchLshError, SparseVector
 from sketchlsh.dataio import DatasetManifest, parse_record, read_hosts_file
-from sketchlsh.index import NodeIndex, preprocess
+from sketchlsh.index import IndexFileError, NodeIndex, preprocess
 from sketchlsh.sketch import TopkapiSketch
 from sketchlsh.synthetic import random_sparse_vectors
 
-from oracles import count_maps, count_payload
+from oracles import count_maps, count_payload, replayed_candidates
 
 CFG = LshConfig(hashes_per_table=2, num_tables=4, table_range=1 << 8, top_k=3, master_seed=23)
 FUZZ = settings(max_examples=200, deadline=None, database=None)
@@ -69,7 +69,7 @@ def load_and_probe(path, data: bytes) -> None:
     for t, addrs in enumerate(stored):
         batch[: addrs.size, t] = addrs
     stack = index.local_candidates(batch)
-    assert len(stack) == len(batch)
+    assert len(stack) == len(batch) and stack == replayed_candidates(index, batch)
     counts = index.exact_candidates(batch)
     assert len(counts) == len(batch) and np.all(counts.counts > 0)
 
@@ -96,6 +96,54 @@ def test_random_bytes_after_a_valid_prefix(workdir, blob, tail, keep):
     # keeping the header (32 bytes) gets the random bytes past the magic,
     # version and fingerprint checks into the column reader
     load_and_probe(workdir / "random.bin", blob[:keep] + tail)
+
+
+@pytest.fixture(scope="module")
+def heavy_blob(workdir):
+    """A saved version-2 index of 80 vectors, 60 of them copies of one, so
+    that every table holds a bucket of more ids than a sketch has cells."""
+    rng = np.random.default_rng(9)
+    vecs = random_sparse_vectors(rng, 20, 512, 10)
+    vecs += vecs[:1] * 60
+    path = workdir / "heavy.bin"
+    index = preprocess(DatasetPartition(0, list(enumerate(vecs))), CFG)
+    assert len(index.heavy) == CFG.num_tables
+    index.save(path)
+    return path.read_bytes()
+
+
+@FUZZ
+@given(bits=st.lists(st.integers(min_value=0), min_size=1, max_size=4))
+def test_bit_flipped_heavy_index(workdir, heavy_blob, bits):
+    data = bytearray(heavy_blob)
+    for bit in bits:
+        bit %= 8 * len(data)
+        data[bit // 8] ^= 1 << (bit % 8)
+    load_and_probe(workdir / "flip-heavy.bin", bytes(data))
+
+
+@FUZZ
+@given(table=st.integers(0, CFG.num_tables - 1), pair=st.tuples(st.integers(0), st.integers(0)))
+def test_repeated_id_in_a_heavy_bucket(workdir, heavy_blob, table, pair):
+    # one id of a heavy bucket is written over another id of the same bucket
+    path = workdir / "repeat.bin"
+    path.write_bytes(heavy_blob)
+    index = NodeIndex.load(path, CFG)
+    tb = index.tables[table]
+    pos = int(index.heavy[table][0][0])
+    start, size = int(tb.offsets[pos]), int(tb.offsets[pos + 1] - tb.offsets[pos])
+    src, dst = (start + i % size for i in pair)
+    if src == dst:
+        return
+    # the header, then per table its two counts and its addrs, offsets and ids
+    column = [16 + 8 * (2 * t.addrs.size + 1) + 8 * t.ids.size for t in index.tables]
+    ids_at = 32 + sum(column[:table]) + 16 + 8 * (2 * tb.addrs.size + 1)
+    src, dst = ids_at + 8 * src, ids_at + 8 * dst
+    data = bytearray(heavy_blob)
+    data[dst : dst + 8] = heavy_blob[src : src + 8]
+    path.write_bytes(bytes(data))
+    with pytest.raises(IndexFileError, match=f"table {table}: id .* appears twice"):
+        NodeIndex.load(path, CFG)
 
 
 TEXT = st.text(st.characters(codec="utf-8"), max_size=40)

@@ -28,11 +28,13 @@ from sketchlsh.synthetic import (
 from oracles import (
     bucket_ids,
     bucket_sketch,
+    cell_arrival_counts,
     count_maps,
     count_payload,
     exact_count_map,
     reference_addresses,
     replay_cells,
+    replayed_candidates,
     replayed_sketch,
 )
 
@@ -264,6 +266,11 @@ class TestBatchProbe:
         assert list(stack) == rows == reference
         assert rows[-1] == node.empty_sketch()  # the all-empty row
 
+    def test_stack_equals_replay_oracle(self, probe_case):
+        case, node, batch = probe_case
+        assert bool(node.heavy) == (case == "skewed")
+        assert node.local_candidates(batch) == replayed_candidates(node, batch)
+
     def test_single_row_batch(self, probe_case):
         _, node, batch = probe_case
         one = node.local_candidates(batch[:1])
@@ -297,6 +304,117 @@ class TestExactBatch:
         for row, expected in zip(batch, exact_reference):
             assert count_maps(node.exact_candidates(row[None, :])) == [expected]
         assert exact_reference[-1] == {}  # the all-empty row
+
+
+def grouped_partitions(rng, sizes, m: int, dim=4096, nnz=24):
+    """m partitions, each holding one group of identical vectors per entry
+    of ``sizes`` in its own random order, split as round_robin_partitions
+    splits their interleaving; and one vector per group. A group fills a
+    bucket of ``sizes[g]`` ids in every table of every rank, unless two
+    groups collide in a table."""
+    protos = random_sparse_vectors(rng, len(sizes), dim, nnz)
+    orders = [rng.permutation(np.repeat(np.arange(len(sizes)), sizes)) for _ in range(m)]
+    # rank r's vector at position pos gets id pos·m + r, which round robin sends to rank r
+    data = [
+        (pos * m + r, protos[order[pos]])
+        for pos in range(sum(sizes))
+        for r, order in enumerate(orders)
+    ]
+    return round_robin_partitions(data, m), protos
+
+
+def heavy_config(rows: int, cols: int) -> LshConfig:
+    return LshConfig(
+        hashes_per_table=3, num_tables=4, table_range=1 << 16, top_k=2,
+        sketch_rows=rows, sketch_cols=cols, master_seed=37,
+    )
+
+
+def assert_heavy_sketches_replay(node: NodeIndex) -> None:
+    """The heavy buckets are exactly those over W·B ids, and each one's
+    sketch equals an insert_many replay of its bucket into an empty sketch."""
+    cells = node.config.sketch_rows * node.config.sketch_cols
+    assert set(node.heavy) <= set(range(node.config.num_tables))
+    for t, tb in enumerate(node.tables):
+        where, sketches = node.heavy.get(t, (np.empty(0, np.int64), None))
+        assert where.tolist() == np.flatnonzero(np.diff(tb.offsets) > cells).tolist()
+        for j, pos in enumerate(where.tolist()):
+            replay = node.empty_sketch()
+            replay.insert_many(tb.ids[tb.offsets[pos] : tb.offsets[pos + 1]])
+            assert sketches[j] == replay
+
+
+# (W, B): a sketch of 1, 8, 15 and 128 cells
+SHAPES = [(1, 1), (2, 4), (3, 5), (4, 32)]
+
+
+class TestHeavyBuckets:
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        shape=st.sampled_from(SHAPES),
+        around=st.lists(
+            st.sampled_from(["W·B-1", "W·B", "W·B+1", "2W·B+1"]), min_size=1, max_size=4
+        ),
+        small=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        m=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+        picks=st.lists(st.integers(0, 1 << 16), max_size=10),
+    )
+    def test_probe_equals_replay_oracle(self, shape, around, small, m, seed, picks):
+        cells = shape[0] * shape[1]
+        sizes = {"W·B-1": cells - 1, "W·B": cells, "W·B+1": cells + 1, "2W·B+1": 2 * cells + 1}
+        heavy = [sizes[a] for a in around if sizes[a] > 0]
+        rng = np.random.default_rng(seed)
+        parts, protos = grouped_partitions(rng, heavy + small, m)
+        cfg = heavy_config(*shape)
+        fam = HashFamily.from_config(cfg)
+        absent = random_sparse_vectors(rng, 1, 4096, 24)
+        # a heavy or boundary group, a small group and an absent vector in
+        # every batch, so each table mixes heavy, small and empty buckets;
+        # then any groups, repeats included
+        queries = [protos[0], protos[len(heavy)], absent[0]] + [
+            protos[p % len(protos)] for p in picks
+        ]
+        batch = fam.addresses(queries)
+        for part in parts:
+            node = preprocess(part, cfg)
+            assert_heavy_sketches_replay(node)
+            assert node.local_candidates(batch) == replayed_candidates(node, batch)
+
+    def test_boundary_sizes_and_both_parities(self, rng):
+        # W·B = 8: groups of 7 and 8 ids stay raw streams, 9 and 17 are heavy
+        cfg = heavy_config(2, 4)
+        (part,), protos = grouped_partitions(rng, [7, 8, 9, 17, 1, 2], 1)
+        node = preprocess(part, cfg)
+        for tb in node.tables:
+            assert sorted(np.diff(tb.offsets).tolist()) == [1, 2, 7, 8, 9, 17]
+        assert_heavy_sketches_replay(node)
+        assert [w.size for w, _ in node.heavy.values()] == [2] * cfg.num_tables
+        # the heavy cells hold odd (count 1) and even (count 0, a real id) arrivals
+        parities = set()
+        for t, (where, sketches) in node.heavy.items():
+            tb = node.tables[t]
+            for j, pos in enumerate(where.tolist()):
+                stream = tb.ids[tb.offsets[pos] : tb.offsets[pos + 1]]
+                for (r, b), arrived in cell_arrival_counts(sketches[j], stream).items():
+                    k = sum(arrived.values())
+                    assert int(sketches[j].counts[r, b]) == k % 2
+                    parities.add(k % 2)
+        assert parities == {0, 1}
+        batch = HashFamily.from_config(cfg).addresses(protos + protos[::-1])
+        assert node.local_candidates(batch) == replayed_candidates(node, batch)
+
+    def test_heavy_sketches_survive_reload(self, rng, tmp_path):
+        cfg = heavy_config(2, 4)
+        (part,), protos = grouped_partitions(rng, [9, 30, 3], 1)
+        node = preprocess(part, cfg)
+        node.save(tmp_path / "index.bin")
+        loaded = NodeIndex.load(tmp_path / "index.bin", cfg)
+        assert loaded.heavy.keys() == node.heavy.keys()
+        for t, (where, sketches) in node.heavy.items():
+            assert np.array_equal(loaded.heavy[t][0], where) and loaded.heavy[t][1] == sketches
+        batch = HashFamily.from_config(cfg).addresses(protos)
+        assert loaded.local_candidates(batch) == node.local_candidates(batch)
 
 
 class TestBoundedObservations:
@@ -441,6 +559,52 @@ class TestPersistence:
             "query", "--indexes", str(tmp_path), "--queries", str(queries),
             "--world-size", "1", "--mode", "exact", "--out", str(tmp_path / "r.txt"),
         ]) == 3
+
+
+def repeat_an_id(path, index: NodeIndex, t: int, pos: int) -> None:
+    """Overwrite the last id of table ``t``'s bucket at ``pos`` in the saved
+    file with the bucket's first id; every length and other check holds."""
+    tb = index.tables[t]
+    at = column_starts(index)[t]["ids"] + 8 * (int(tb.offsets[pos + 1]) - 1)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<Q", blob, at, int(tb.ids[tb.offsets[pos]]))
+    path.write_bytes(bytes(blob))
+
+
+class TestRepeatedIds:
+    def test_in_a_heavy_bucket_is_a_data_error(self, rng, tmp_path):
+        cfg = heavy_config(2, 4)
+        (part,), protos = grouped_partitions(rng, [20, 2, 1], 1)
+        node = preprocess(part, cfg)
+        path = tmp_path / "index-00000.bin"
+        node.save(path)
+        repeat_an_id(path, node, 2, int(node.heavy[2][0][0]))
+        with pytest.raises(IndexFileError, match="table 2: id .* appears twice"):
+            NodeIndex.load(path, cfg)
+        save_lsh_config(cfg, tmp_path / "config.txt")
+        queries = tmp_path / "q.txt"
+        queries.write_text(format_record(protos[0]) + "\n")
+        assert main([
+            "query", "--indexes", str(tmp_path), "--queries", str(queries),
+            "--world-size", "1", "--mode", "sketch_tree", "--out", str(tmp_path / "r.txt"),
+        ]) == 3
+
+    @pytest.mark.parametrize("size", [2, 8])  # W·B = 8: the largest small bucket
+    def test_in_a_small_bucket_still_loads_and_probes_as_the_replay(self, rng, tmp_path, size):
+        cfg = heavy_config(2, 4)
+        (part,), protos = grouped_partitions(rng, [size, 20, 1], 1)
+        node = preprocess(part, cfg)
+        path = tmp_path / "index.bin"
+        node.save(path)
+        tb = node.tables[1]
+        pos = int(np.flatnonzero(np.diff(tb.offsets) == size)[0])
+        repeat_an_id(path, node, 1, pos)
+        loaded = NodeIndex.load(path, cfg)
+        stream = bucket_ids(loaded.tables[1], int(tb.addrs[pos]))
+        assert stream.size == size and np.unique(stream).size == size - 1
+        batch = HashFamily.from_config(cfg).addresses(protos + protos[:1])
+        assert loaded.local_candidates(batch) == replayed_candidates(loaded, batch)
+        assert loaded.local_candidates(batch) != node.local_candidates(batch)
 
 
 def reference_index_bytes(idx: NodeIndex) -> bytes:

@@ -109,18 +109,17 @@ def _index_shape(node: NodeIndex) -> str:
     """Bucket-size distribution, table occupancy and heavy buckets (those
     kept as finished sketches), from the index columns."""
     occupied = node.occupied_slots
-    sizes = np.concatenate([np.diff(t.offsets) for t in node.tables])
+    sizes = np.diff(node.offsets)
     buckets = (
         f"size max {sizes.max()}, p99 {np.percentile(sizes, 99):.1f}, mean {sizes.mean():.2f}"
         if sizes.size
         else "none"
     )
-    heavy = [np.diff(node.tables[t].offsets)[pos] for t, (pos, _) in node.heavy.items()]
-    held = sum(int(h.sum()) for h in heavy)
+    heavy = sizes[node.heavy_pos]
     return (
         f"buckets: {buckets}; occupied per table: mean {np.mean(occupied):.1f}, "
         f"min {min(occupied)}, max {max(occupied)}; heavy: "
-        f"{sum(h.size for h in heavy)} buckets holding {held / max(sizes.sum(), 1):.1%} of ids"
+        f"{heavy.size} buckets holding {heavy.sum() / max(sizes.sum(), 1):.1%} of ids"
     )
 
 
@@ -158,6 +157,8 @@ def cmd_query(args) -> int:
         _write_results(args.out, results, metrics[0])
         print(f"queried {len(batch)} vectors in mode {args.mode} over {world} ranks")
     else:
+        if args.hosts is None:
+            raise ConfigError("--backend tcp needs --hosts, the membership file")
         members = read_hosts_file(args.hosts)
         transport = TcpTransport(args.rank, members)
         try:

@@ -126,6 +126,9 @@ class LshConfig:
             raise ConfigError(f"num_tables must be in 1..{MAX_TABLES}")
         if self.table_range < 2 or not _is_power_of_two(self.table_range):
             raise ConfigError("table_range must be a power of two >= 2")
+        if self.table_range * self.num_tables > 1 << 64:
+            # an index keys its buckets t·R + address in one u64 column
+            raise ConfigError("table_range * num_tables must be at most 2^64")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
         if self.sketch_cols == 0:

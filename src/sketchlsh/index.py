@@ -1,35 +1,33 @@
-"""Per-node LSH index: one bucket table per hash table over a data partition.
+"""Per-node LSH index: one bucket directory over all hash tables of a data partition.
 
 Buckets are addressed by the combined hash of a vector's slots for that
 table. A probed bucket is always observed as a fixed-size heavy-hitter
 sketch of the ids inserted there, so the sketch and the payload it adds to
 are the same size however skewed the bucket is.
 
-Storage note: bucket contents are kept columnar, as per-table sorted
-(address -> id stream) arrays, and the index file holds these columns and
+Storage note: the L tables' buckets are kept columnar, as one directory
+(see :class:`NodeIndex`), and the index file holds its three columns and
 nothing else. A bucket of at most W·B ids (a sketch's cell count) has its
 sketch materialized on probe by replaying its insertion stream, which
 reproduces the exact state that incremental per-insert updates would have
 produced. A *heavy* bucket, one of more ids, is also kept as its finished
-sketch, computed in closed form whenever a :class:`NodeIndex` is built
-(by :func:`preprocess` and by :meth:`NodeIndex.load`). A probe therefore
-replays at most W·B ids or copies W·B cells per (query, table), however
-skewed the data, and the heavy sketches take at most 16 B per vector per
-table. The same columns serve the exact (sketch-free) aggregation mode
-directly.
+sketch, computed in closed form whenever a :class:`NodeIndex` is built. A
+probe therefore replays at most W·B ids or copies W·B cells per (query,
+table), however skewed the data, and the heavy sketches take at most 16 B
+per vector per table.
 
-Both aggregation modes probe a whole query batch with one walk over the
-tables, which yields per table the buckets that the batch addresses. The
-sketch mode copies the addressed heavy sketches and builds the other
-buckets in one stacked sketch insert, then folds the table into the
-batch's stack of merged sketches with one merge; the exact mode counts
-every (query, id) pair of the walk in one keyed sum.
+Both aggregation modes probe a whole query batch with one walk: one
+``searchsorted`` of the batch's n·L keys and one gather of the id streams
+of the buckets it finds, table-major, then query order. The sketch mode
+folds each table's buckets into the batch's stack of merged sketches,
+table after table; the exact mode counts every (query, id) pair of the
+walk in one keyed sum.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -47,100 +45,66 @@ from .hashing import HashFamily
 from .sketch import TopkapiSketch, row_seeds_from_master
 
 _INDEX_MAGIC = 0x58494C53  # "SLIX"
-_INDEX_VERSION = 2
-_HEADER = struct.Struct("<IIQIIQ")
-_COUNTS = struct.Struct("<QQ")
+_INDEX_VERSION = 3
+_HEADER = struct.Struct("<IIQIIQQ")
 
 
 class IndexFileError(SketchLshError):
     """A saved index file is truncated or malformed."""
 
 
-@dataclass(frozen=True)
-class _TableBuckets:
-    """Columnar buckets of one table: sorted addresses with id streams."""
-
-    addrs: np.ndarray  # (n_occupied,) uint64, sorted ascending
-    offsets: np.ndarray  # (n_occupied + 1,) int64 into ids
-    ids: np.ndarray  # (n_inserts,) uint64, per-bucket insertion order
-
-    @classmethod
-    def build(cls, addrs: np.ndarray, ids: np.ndarray) -> "_TableBuckets":
-        order = np.argsort(addrs, kind="stable")  # stable keeps arrival order
-        sorted_addrs = addrs[order]
-        sorted_ids = ids[order]
-        if sorted_addrs.size:
-            boundaries = np.flatnonzero(sorted_addrs[1:] != sorted_addrs[:-1]) + 1
-            starts = np.concatenate(([0], boundaries))
-            uniq = sorted_addrs[starts]
-            offsets = np.concatenate((starts, [sorted_addrs.size])).astype(np.int64)
-        else:
-            uniq = np.empty(0, dtype=np.uint64)
-            offsets = np.zeros(1, dtype=np.int64)
-        return cls(addrs=uniq, offsets=offsets, ids=sorted_ids)
-
-    def find(self, addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The entries of ``addrs`` (one address per query) that address an
-        occupied bucket, and the position of that bucket in the columns."""
-        pos = np.searchsorted(self.addrs, addrs)
-        hit = np.flatnonzero(pos < self.occupied)
-        hit = hit[self.addrs[pos[hit]] == addrs[hit]]
-        return hit, pos[hit]
-
-    def streams(self, owners: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Id streams of the buckets at positions ``pos``, back to back, and
-        for each id the owner listed with its bucket."""
-        starts = self.offsets[pos]
-        lengths = self.offsets[pos + 1] - starts
-        first = np.cumsum(lengths) - lengths  # where each stream starts in the output
-        take = np.arange(int(lengths.sum())) + np.repeat(starts - first, lengths)
-        return self.ids[take], np.repeat(owners, lengths)
-
-    @property
-    def occupied(self) -> int:
-        return int(self.addrs.size)
-
-    def defect(self, vector_count: int, table_range: int) -> str | None:
-        """The first invariant of :func:`preprocess` these columns break, if any."""
-        if self.ids.size != vector_count:
-            return f"{self.ids.size} ids for {vector_count} vectors"
-        if self.offsets[0] != 0 or self.offsets[-1] != self.ids.size:
-            return "offsets do not run from 0 to the id count"
-        if (self.offsets[1:] <= self.offsets[:-1]).any():
-            return "offsets do not strictly increase"
-        if (self.addrs[1:] <= self.addrs[:-1]).any():
-            return "addresses do not strictly increase"
-        if self.addrs.size and self.addrs[-1] >= np.uint64(table_range):
-            return "address beyond the table range"
-        if self.ids.max(initial=0) == np.uint64(NULL_ID):  # the null id is the largest u64
-            return "null id in a bucket"
-        return None
+# one table's buckets on their own: sorted addresses, stream offsets, ids
+BucketTable = namedtuple("BucketTable", "addrs offsets ids")
 
 
-def _closed_form(
-    empty: TopkapiSketch, ids: np.ndarray, lengths: np.ndarray, table: int
-) -> TopkapiSketch:
-    """A stack of the sketches of table ``table``'s buckets whose id streams
-    are ``ids``, back to back and ``lengths`` long.
+def _table_bases(config: LshConfig) -> np.ndarray:
+    """The first key of each table, t·R; every one fits in a u64."""
+    return np.arange(config.num_tables, dtype=np.uint64) * np.uint64(config.table_range)
+
+
+def _table_bounds(keys: np.ndarray, config: LshConfig) -> np.ndarray:
+    """Where each table's buckets start in the sorted ``keys``, then the
+    directory's end, which ends the last table: its bound L·R may be 2^64,
+    which no u64 holds."""
+    return np.append(np.searchsorted(keys, _table_bases(config)), keys.size)
+
+
+def _defect(
+    keys: np.ndarray, offsets: np.ndarray, ids: np.ndarray, vector_count: int, config: LshConfig
+) -> str | None:
+    """The first invariant of :func:`preprocess` that a directory breaks, if any."""
+    if offsets[0] != 0 or offsets[-1] != ids.size:
+        return "offsets do not run from 0 to the id count"
+    if (offsets[1:] <= offsets[:-1]).any():
+        return "offsets do not strictly increase"
+    if (keys[1:] <= keys[:-1]).any():
+        return "keys do not strictly increase"
+    if keys.size and int(keys[-1]) >= config.num_tables * config.table_range:
+        return "key beyond the last table"
+    held = np.diff(offsets[_table_bounds(keys, config)])
+    wrong = np.flatnonzero(held != vector_count)
+    if wrong.size:
+        return f"table {wrong[0]} holds {held[wrong[0]]} ids for {vector_count} vectors"
+    if ids.max(initial=0) == np.uint64(NULL_ID):  # the null id is the largest u64
+        return "null id in a bucket"
+    return None
+
+
+def _closed_form(out: TopkapiSketch, ids: np.ndarray, lengths: np.ndarray) -> None:
+    """Fill the empty stack ``out`` with the sketches of the buckets whose id
+    streams are ``ids``, back to back and ``lengths`` long, each stream of
+    distinct ids.
 
     An id lands in one bucket per table, so each cell of a bucket's sketch
     sees a stream of distinct ids. Under the majority rule, k distinct
     arrivals leave a cell at (last id, 1) if k is odd and at
     (second-to-last id, 0) if k is even (Boyer and Moore, MJRTY, 1981). One
     bincount and two ``np.maximum.at`` passes over the (id, row) arrivals
-    give every cell. An id that appears twice among the buckets raises
-    :class:`IndexFileError`: no build makes one.
+    give every cell.
     """
-    rows, cols = empty.rows, empty.cols
-    ranked = np.sort(ids)
-    twice = np.flatnonzero(ranked[1:] == ranked[:-1])
-    if twice.size:
-        raise IndexFileError(
-            f"malformed index table {table}: id {ranked[twice[0]]} appears twice "
-            f"among its buckets of more than {rows * cols} ids"
-        )
+    rows, cols = out.rows, out.cols
     # each arrival's cell, arrival-major, so a cell's arrivals stay in stream order
-    cell = empty._row_bins(ids)
+    cell = out._row_bins(ids)
     cell += np.arange(rows) * cols
     cell += np.repeat(np.arange(lengths.size) * (rows * cols), lengths)[:, None]
     cell = cell.ravel()
@@ -153,66 +117,95 @@ def _closed_form(
     second = np.full(n_cells, -1)
     np.maximum.at(second, cell, arrival)
     holder = np.where(odd, last, second)  # -1 only where nothing arrived
-    out = TopkapiSketch(rows, cols, empty.row_seeds, lengths.size)
     out.ids.flat = np.where(holder >= 0, ids[holder // rows], np.uint64(NULL_ID))
     out.counts.flat = odd
-    return out
 
 
 class NodeIndex:
-    """One node's LSH tables over its partition, plus the shared hash family.
+    """One node's LSH tables over its partition, as one bucket directory.
 
-    Frozen after :func:`preprocess` returns; all reads (probes, exact
-    counting) may then run fully concurrently. ``heavy`` maps each table
-    that has heavy buckets to their positions in its columns and the stack
-    of their finished sketches, in the same order.
+    ``keys`` (u64, strictly rising) holds t·R + address for every occupied
+    bucket of table t, ``offsets`` (i64, one per bucket plus the end) its
+    id stream's place in ``ids`` (u64, L·n of them, in bucket order).
+    ``heavy_pos`` lists the directory positions of the heavy buckets,
+    ascending, and ``heavy_sketches`` holds their finished sketches in the
+    same order. Frozen after :func:`preprocess` returns; all reads (probes,
+    exact counting) may then run fully concurrently.
     """
 
     def __init__(
         self,
         config: LshConfig,
         node_id: int,
-        tables: list[_TableBuckets],
+        keys: np.ndarray,
+        offsets: np.ndarray,
+        ids: np.ndarray,
         vector_count: int,
         rejected: tuple[tuple[VectorId, str], ...] = (),
     ):
-        if len(tables) != config.num_tables:
-            raise ConfigError("table count does not match configuration")
         self.config = config
         self.node_id = node_id
-        self.tables = tables
+        self.keys = keys
+        self.offsets = offsets
+        self.ids = ids
         self.vector_count = vector_count
         self.rejected = rejected
         self.row_seeds = row_seeds_from_master(config.master_seed, config.sketch_rows)
-        self.heavy = self._heavy_sketches()
+        self._bases = _table_bases(config)
+        self._bounds = _table_bounds(keys, config)
+        self.heavy_pos, self.heavy_sketches = self._heavy_sketches()
 
-    def _heavy_sketches(self) -> dict[int, tuple[np.ndarray, TopkapiSketch]]:
-        """The finished sketch of every heavy bucket, a bucket of more ids
-        than a sketch has cells: per table that has any, their positions in
-        its columns and a stack of their sketches (:func:`_closed_form`) in
-        the same order. An index whose tables have too few ids per bucket
-        to hold one costs a comparison per table and allocates nothing;
-        otherwise one pass over every table's offsets finds them.
+    def _heavy_sketches(self) -> tuple[np.ndarray, TopkapiSketch]:
+        """The directory positions of the heavy buckets, those of more ids
+        than a sketch has cells, and a stack of their finished sketches
+        (:func:`_closed_form`) in the same order.
+
+        An id that appears twice among one table's heavy buckets raises
+        :class:`IndexFileError`: no build makes one, and the closed form
+        needs distinct ids.
         """
         cells = self.config.sketch_rows * self.config.sketch_cols
-        # a table's largest bucket holds at most the ids its other buckets leave
-        if all(tb.ids.size - tb.occupied < cells for tb in self.tables):
-            return {}
-        # every table's bucket sizes in one pass; each table boundary gives one size <= 0
-        offsets = np.concatenate([tb.offsets for tb in self.tables])
-        sizes = offsets[1:] - offsets[:-1]
-        if sizes.max(initial=0) <= cells:
-            return {}
-        starts = np.cumsum([0] + [tb.offsets.size for tb in self.tables])  # of each table in sizes
-        heavy = np.flatnonzero(sizes > cells)
-        table_of = np.searchsorted(starts, heavy, side="right") - 1
-        empty = self.empty_sketch()
-        out = {}
-        for t in np.unique(table_of).tolist():
-            pos = heavy[table_of == t] - starts[t]
-            ids, _ = self.tables[t].streams(pos, pos)
-            out[t] = (pos, _closed_form(empty, ids, sizes[starts[t] + pos], t))
-        return out
+        where = np.flatnonzero(np.diff(self.offsets) > cells)
+        sketches = self.empty_sketch(where.size)
+        if not where.size:
+            return where, sketches
+        ids, lengths = self._streams(where)
+        # per table, where its heavy buckets and their ids start; one closed
+        # form per table keeps the scratch arrays to one table's heavy ids
+        first = np.searchsorted(where, self._bounds)
+        cut = np.append(0, np.cumsum(lengths))[first]
+        for t in np.flatnonzero(np.diff(first)).tolist():
+            table_ids = ids[cut[t] : cut[t + 1]]
+            ranked = np.sort(table_ids)
+            twice = np.flatnonzero(ranked[1:] == ranked[:-1])
+            if twice.size:
+                raise IndexFileError(
+                    f"malformed index table {t}: id {ranked[twice[0]]} appears twice "
+                    f"among its buckets of more than {cells} ids"
+                )
+            heavy = slice(first[t], first[t + 1])
+            _closed_form(sketches[heavy], table_ids, lengths[heavy])
+        return where, sketches
+
+    @property
+    def tables(self) -> list[BucketTable]:
+        """Each table's buckets on their own, derived from the directory on
+        every call: rebased copies of its keys and offsets, and a view of
+        its ids."""
+        bounds = self._bounds.tolist()
+        starts = self.offsets[self._bounds].tolist()
+        return [
+            BucketTable(
+                addrs=self.keys[bounds[t] : bounds[t + 1]] - self._bases[t],
+                offsets=self.offsets[bounds[t] : bounds[t + 1] + 1] - starts[t],
+                ids=self.ids[starts[t] : starts[t + 1]],
+            )
+            for t in range(self.config.num_tables)
+        ]
+
+    @property
+    def occupied_slots(self) -> list[int]:
+        return np.diff(self._bounds).tolist()
 
     # -- probing -----------------------------------------------------------------
 
@@ -224,25 +217,43 @@ class NodeIndex:
 
     def _checked(self, addresses) -> np.ndarray:
         """``addresses`` as an (n, L) uint64 matrix of one address per table,
-        each below ``table_range``; anything else is a :class:`ConfigError`."""
-        addresses = np.asarray(addresses, dtype=np.uint64)
+        each below ``table_range``; anything else, such as a float array or
+        a negative address, is a :class:`ConfigError`."""
+        if not isinstance(addresses, np.ndarray):
+            try:  # without the dtype, Python ints past 2^63 would read as float64
+                addresses = np.asarray(addresses, dtype=np.uint64)
+            except (OverflowError, TypeError, ValueError) as exc:
+                raise ConfigError(f"addresses must be integers of 0 or more: {exc}") from None
         num_tables = self.config.num_tables
-        if addresses.ndim != 2 or addresses.shape[1] != num_tables:
+        if addresses.dtype.kind not in "iu" or addresses.shape[1:] != (num_tables,):
             raise ConfigError(
-                f"expected an (n, {num_tables}) address matrix, got shape {addresses.shape}"
+                f"expected an (n, {num_tables}) integer address matrix, "
+                f"got {addresses.dtype} of shape {addresses.shape}"
             )
-        if addresses.size and int(addresses.max()) >= self.config.table_range:
+        if addresses.size and (
+            addresses.min() < 0 or int(addresses.max()) >= self.config.table_range
+        ):
             raise ConfigError("address out of table range")
-        return addresses
+        return addresses.astype(np.uint64, copy=False)
 
-    def _addressed(self, batch: np.ndarray):
-        """Per table with a hit in the (n, L) ``batch``: the table number,
-        its columns, the queries whose bucket is occupied and the positions
-        of those buckets."""
-        for t, tb in enumerate(self.tables):
-            hit, pos = tb.find(batch[:, t])
-            if hit.size:
-                yield t, tb, hit, pos
+    def _walk(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The occupied buckets that the (n, L) ``batch`` addresses, table-major,
+        then query order: the table and query of each, and its directory position."""
+        probe = batch.T + self._bases[:, None]  # (L, n) keys
+        pos = np.searchsorted(self.keys, probe)
+        found = pos < self.keys.size
+        found[found] = self.keys[pos[found]] == probe[found]
+        tables, queries = np.nonzero(found)
+        return tables, queries, pos[found]
+
+    def _streams(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The id streams of the buckets at directory positions ``pos``, back
+        to back, and their lengths."""
+        starts = self.offsets[pos]
+        lengths = self.offsets[pos + 1] - starts
+        first = np.cumsum(lengths) - lengths  # where each stream starts in the output
+        take = np.arange(int(lengths.sum())) + np.repeat(starts - first, lengths)
+        return self.ids[take], lengths
 
     def local_candidates(self, addresses: np.ndarray) -> TopkapiSketch:
         """Merges of this node's addressed bucket sketches for a query batch.
@@ -258,18 +269,26 @@ class NodeIndex:
         identity. No distance computation is involved anywhere on this path.
         """
         batch = self._checked(addresses)
+        tables, queries, pos = self._walk(batch)
+        j = np.searchsorted(self.heavy_pos, pos)
+        heavy = j < self.heavy_pos.size
+        heavy[heavy] = self.heavy_pos[j[heavy]] == pos[heavy]
+        heavy_queries, heavy_j = queries[heavy], j[heavy]
+        ids, lengths = self._streams(pos[~heavy])
+        owners = np.repeat(queries[~heavy], lengths)
+        # where each table starts among the heavy hits and among the replayed ids
+        cut = np.arange(self.config.num_tables + 1)
+        heavy_cut = np.searchsorted(tables[heavy], cut).tolist()
+        id_cut = np.append(0, np.cumsum(lengths))[np.searchsorted(tables[~heavy], cut)].tolist()
         merged = self.empty_sketch(len(batch))
-        for t, tb, hit, pos in self._addressed(batch):
+        for t in np.unique(tables).tolist():
+            h0, h1, i0, i1 = heavy_cut[t], heavy_cut[t + 1], id_cut[t], id_cut[t + 1]
             table = self.empty_sketch(len(batch))
-            if t in self.heavy:
-                where, sketches = self.heavy[t]
-                j = np.minimum(np.searchsorted(where, pos), where.size - 1)
-                big = where[j] == pos
-                table.ids[hit[big]] = sketches.ids[j[big]]
-                table.counts[hit[big]] = sketches.counts[j[big]]
-                hit, pos = hit[~big], pos[~big]
-            if hit.size:
-                table.insert_many(*tb.streams(hit, pos))
+            if h1 > h0:
+                table.ids[heavy_queries[h0:h1]] = self.heavy_sketches.ids[heavy_j[h0:h1]]
+                table.counts[heavy_queries[h0:h1]] = self.heavy_sketches.counts[heavy_j[h0:h1]]
+            if i1 > i0:
+                table.insert_many(ids[i0:i1], owners[i0:i1])
             merged = merged.merge(table)
         return merged
 
@@ -277,24 +296,20 @@ class NodeIndex:
         """Exact per-id occurrence counts over each query's addressed buckets,
         for the batch's (n, L) address matrix."""
         batch = self._checked(addresses)
-        walk = [tb.streams(hit, pos) for _, tb, hit, pos in self._addressed(batch)]
-        ids = np.concatenate([items for items, _ in walk] + [np.empty(0, np.uint64)])
-        queries = np.concatenate([q for _, q in walk] + [np.empty(0, np.int64)])
-        return ExactCounts.summed(len(batch), queries, ids, np.ones(ids.size, np.uint64))
-
-    @property
-    def occupied_slots(self) -> list[int]:
-        return [t.occupied for t in self.tables]
+        _, queries, pos = self._walk(batch)
+        ids, lengths = self._streams(pos)
+        return ExactCounts.summed(
+            len(batch), np.repeat(queries, lengths), ids, np.ones(ids.size, np.uint64)
+        )
 
     # -- persistence ----------------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the index: the header, then per table its bucket columns.
+        """Write the index: the header, then the ``keys``, ``offsets`` and
+        ``ids`` columns, little-endian.
 
-        Each table is ``(n_addr, n_ids)`` followed by the ``addrs``,
-        ``offsets`` and ``ids`` columns, little-endian. No sketch is stored:
-        probes rebuild them from the id streams, and :meth:`load` the heavy
-        ones, bit for bit.
+        No sketch is stored: probes rebuild them from the id streams, and
+        :meth:`load` the heavy ones, bit for bit.
         """
         with open(path, "wb") as f:
             f.write(
@@ -305,20 +320,18 @@ class NodeIndex:
                     self.node_id,
                     self.config.num_tables,
                     self.vector_count,
+                    self.keys.size,
                 )
             )
-            for tb in self.tables:
-                f.write(_COUNTS.pack(tb.addrs.size, tb.ids.size))
-                f.write(tb.addrs.astype("<u8").tobytes())
-                f.write(tb.offsets.astype("<i8").tobytes())
-                f.write(tb.ids.astype("<u8").tobytes())
+            for column, dtype in ((self.keys, "<u8"), (self.offsets, "<i8"), (self.ids, "<u8")):
+                f.write(np.ascontiguousarray(column, dtype=dtype).data)
 
     @classmethod
     def load(cls, path, config: LshConfig) -> "NodeIndex":
         """Reload a saved index; the caller supplies the deployment config.
 
-        Every length is checked against the file before it is read, and
-        every table against the invariants :func:`preprocess` guarantees, so
+        Every length is checked against the file before it is read, and the
+        directory against the invariants :func:`preprocess` guarantees, so
         a truncated or malformed file raises :class:`IndexFileError`; so
         does an id that appears twice among a table's heavy buckets, which
         the closed form of their sketches rules out. The columns are
@@ -327,10 +340,9 @@ class NodeIndex:
         """
         with open(path, "rb") as f:
             data = f.read()
-        reader = _Reader(data)
-        magic, version, fp, node_id, num_tables, vector_count = reader.unpack(
-            _HEADER, "header"
-        )
+        if len(data) < _HEADER.size:
+            raise IndexFileError(f"index file truncated in its header: {len(data)} bytes")
+        magic, version, fp, node_id, num_tables, vector_count, n_keys = _HEADER.unpack_from(data)
         if magic != _INDEX_MAGIC:
             raise IndexFileError("not an index file (bad magic)")
         if version != _INDEX_VERSION:
@@ -341,52 +353,25 @@ class NodeIndex:
             raise ConfigError("index was built under a different configuration")
         if num_tables != config.num_tables:
             raise ConfigError("table count mismatch against configuration")
-        tables = []
-        for t in range(num_tables):
-            what = f"table {t}"
-            n_addr, n_ids = reader.unpack(_COUNTS, what)
-            tb = _TableBuckets(
-                addrs=reader.array("<u8", n_addr, what),
-                offsets=reader.array("<i8", n_addr + 1, what),
-                ids=reader.array("<u8", n_ids, what),
-            )
-            defect = tb.defect(vector_count, config.table_range)
-            if defect:
-                raise IndexFileError(f"malformed index {what}: {defect}")
-            tables.append(tb)
-        if reader.off != len(data):
-            raise IndexFileError("trailing bytes after the last table")
-        return cls(
-            config=config,
-            node_id=node_id,
-            tables=tables,
-            vector_count=vector_count,
-        )
-
-
-class _Reader:
-    """Bounds-checked sequential reads from an index file's bytes."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
-
-    def _take(self, nbytes: int, what: str) -> int:
-        if self.off + nbytes > len(self.data):
+        # the columns' starts and the file's size from the header's counts,
+        # in Python ints: a damaged count can be near 2^64
+        n_ids = num_tables * vector_count
+        offsets_at = _HEADER.size + 8 * n_keys
+        ids_at = offsets_at + 8 * (n_keys + 1)
+        size = ids_at + 8 * n_ids
+        if len(data) != size:
             raise IndexFileError(
-                f"index file truncated in {what}: needs {nbytes} bytes at offset "
-                f"{self.off}, file has {len(self.data)}"
+                f"index file truncated: its header needs {size} bytes, file has {len(data)}"
+                if len(data) < size
+                else "trailing bytes after the ids"
             )
-        start = self.off
-        self.off += nbytes
-        return start
-
-    def unpack(self, fmt: struct.Struct, what: str) -> tuple:
-        return fmt.unpack_from(self.data, self._take(fmt.size, what))
-
-    def array(self, dtype, count: int, what: str) -> np.ndarray:
-        start = self._take(count * np.dtype(dtype).itemsize, what)
-        return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
+        keys = np.frombuffer(data, "<u8", n_keys, _HEADER.size)
+        offsets = np.frombuffer(data, "<i8", n_keys + 1, offsets_at)
+        ids = np.frombuffer(data, "<u8", n_ids, ids_at)
+        defect = _defect(keys, offsets, ids, vector_count, config)
+        if defect:
+            raise IndexFileError(f"malformed index: {defect}")
+        return cls(config, node_id, keys, offsets, ids, vector_count)
 
 
 def preprocess(partition: DatasetPartition, config: LshConfig) -> NodeIndex:
@@ -405,15 +390,23 @@ def preprocess(partition: DatasetPartition, config: LshConfig) -> NodeIndex:
         # an empty row starts where the next one does, so dropping its start
         # from the row pointer drops the row and leaves the indices as they are
         rows = SparseRows(rows.indptr[np.append(~empty, True)], rows.indices, rows.dim)
-    # one column per table; the address matrix is freed before the heavy build
-    tables = [
-        _TableBuckets.build(column.copy(), ids)
-        for column in HashFamily.from_config(config).addresses(rows).T
-    ]
+    # one row of keys per table; the address matrix is freed before the sorts
+    sorted_keys = HashFamily.from_config(config).addresses(rows).T.copy()
+    table_ids = np.empty(sorted_keys.shape, dtype=np.uint64)
+    for t, (column, base) in enumerate(zip(sorted_keys, _table_bases(config))):
+        order = np.argsort(column, kind="stable")  # stable keeps arrival order
+        table_ids[t] = ids[order]
+        np.add(column[order], base, out=column)
+    flat = sorted_keys.ravel()
+    first = np.ones(flat.size + 1, dtype=bool)  # of its bucket, then the end
+    np.not_equal(flat[1:], flat[:-1], out=first[1:-1])  # tables differ in key
+    offsets = np.flatnonzero(first)
     return NodeIndex(
         config=config,
         node_id=partition.node_id,
-        tables=tables,
+        keys=flat[offsets[:-1]],
+        offsets=offsets,
+        ids=table_ids.ravel(),
         vector_count=int(ids.size),
         rejected=rejected,
     )

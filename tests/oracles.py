@@ -270,6 +270,20 @@ def replayed_sketch(template, stream: np.ndarray):
     return out
 
 
+def table_buckets(addrs: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One table's columns built on their own from its address column and
+    the partition's ids: the sorted distinct addresses, the offsets of
+    their id streams, and the ids in bucket order. One stable argsort keeps
+    each bucket's ids in arrival order."""
+    order = np.argsort(addrs, kind="stable")
+    sorted_addrs = addrs[order]
+    if not sorted_addrs.size:
+        return np.empty(0, dtype=np.uint64), np.zeros(1, dtype=np.int64), ids[order]
+    starts = np.concatenate(([0], np.flatnonzero(sorted_addrs[1:] != sorted_addrs[:-1]) + 1))
+    offsets = np.concatenate((starts, [sorted_addrs.size])).astype(np.int64)
+    return sorted_addrs[starts], offsets, ids[order]
+
+
 def bucket_ids(table, addr: int) -> np.ndarray:
     """The id stream of the bucket at ``addr`` in a table's columns; empty
     if no bucket is there."""

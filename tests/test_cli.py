@@ -289,6 +289,24 @@ class TestEndToEnd:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 1 and out[0].startswith("# phases hash=")
 
+    def test_index_key_range_past_2_64_is_config_error(self, tmp_path, rng, capsys):
+        manifest, _, _ = build_indexes(tmp_path, rng, m=1)
+        capsys.readouterr()
+        assert main([
+            "index", "--manifest", str(manifest), "--out", str(tmp_path / "idx2"),
+            "--tables", "8", "--table-range", str(1 << 62),
+        ]) == 2
+        assert "table_range * num_tables must be at most 2^64" in capsys.readouterr().err
+        assert not any((tmp_path / "idx2").glob("index-*"))
+
+    def test_tcp_without_hosts_is_config_error(self, tmp_path, rng, capsys):
+        _, idx_dir, queries = build_indexes(tmp_path, rng, m=1)
+        capsys.readouterr()
+        assert main([
+            "query", "--indexes", str(idx_dir), "--queries", str(queries), "--backend", "tcp",
+        ]) == 2
+        assert "--hosts" in capsys.readouterr().err
+
     @pytest.mark.parametrize("rank", ["5", "-1"])
     def test_tcp_rank_outside_hosts_file_is_config_error(self, tmp_path, rng, capsys, rank):
         _, idx_dir, queries = build_indexes(tmp_path, rng, m=2)

@@ -92,6 +92,17 @@ class TestLshConfig:
             lsh_config_from_mapping({"num_tables": str(MAX_TABLES + 1)})
         assert lsh_config_from_mapping({"num_tables": str(MAX_TABLES)}).num_tables == MAX_TABLES
 
+    def test_bucket_keys_fit_a_u64(self):
+        # an index keys table t's buckets t·R + address, so R·L <= 2^64
+        assert LshConfig(num_tables=2, table_range=1 << 63).table_range == 1 << 63
+        assert LshConfig(num_tables=1 << 20, table_range=1 << 44).num_tables == 1 << 20
+        with pytest.raises(ConfigError, match="table_range \\* num_tables"):
+            LshConfig(num_tables=4, table_range=1 << 63)
+        with pytest.raises(ConfigError, match="table_range \\* num_tables"):
+            lsh_config_from_mapping({"num_tables": "8", "table_range": str(1 << 62)})
+        with pytest.raises(ConfigError, match="table_range \\* num_tables"):
+            lsh_config_from_mapping({"num_tables": "3"}, table_range=1 << 63)
+
     def test_fingerprint_sensitive_to_every_field(self):
         base = LshConfig()
         variants = [

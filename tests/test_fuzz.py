@@ -45,7 +45,7 @@ def workdir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def blob(workdir):
-    """A saved version-2 index of 40 vectors, a few of them duplicates so
+    """A saved version-3 index of 40 vectors, a few of them duplicates so
     that some buckets hold several ids."""
     rng = np.random.default_rng(5)
     vecs = random_sparse_vectors(rng, 36, 512, 10)
@@ -93,21 +93,21 @@ def test_bit_flipped_index(workdir, blob, bits):
 @FUZZ
 @given(tail=st.binary(max_size=600), keep=st.integers(min_value=0, max_value=80))
 def test_random_bytes_after_a_valid_prefix(workdir, blob, tail, keep):
-    # keeping the header (32 bytes) gets the random bytes past the magic,
+    # keeping the header (40 bytes) gets the random bytes past the magic,
     # version and fingerprint checks into the column reader
     load_and_probe(workdir / "random.bin", blob[:keep] + tail)
 
 
 @pytest.fixture(scope="module")
 def heavy_blob(workdir):
-    """A saved version-2 index of 80 vectors, 60 of them copies of one, so
+    """A saved version-3 index of 80 vectors, 60 of them copies of one, so
     that every table holds a bucket of more ids than a sketch has cells."""
     rng = np.random.default_rng(9)
     vecs = random_sparse_vectors(rng, 20, 512, 10)
     vecs += vecs[:1] * 60
     path = workdir / "heavy.bin"
     index = preprocess(DatasetPartition(0, list(enumerate(vecs))), CFG)
-    assert len(index.heavy) == CFG.num_tables
+    assert np.unique(index.keys[index.heavy_pos] // CFG.table_range).size == CFG.num_tables
     index.save(path)
     return path.read_bytes()
 
@@ -129,15 +129,14 @@ def test_repeated_id_in_a_heavy_bucket(workdir, heavy_blob, table, pair):
     path = workdir / "repeat.bin"
     path.write_bytes(heavy_blob)
     index = NodeIndex.load(path, CFG)
-    tb = index.tables[table]
-    pos = int(index.heavy[table][0][0])
-    start, size = int(tb.offsets[pos]), int(tb.offsets[pos + 1] - tb.offsets[pos])
+    in_table = index.keys[index.heavy_pos] // CFG.table_range == table
+    pos = int(index.heavy_pos[in_table][0])
+    start, size = int(index.offsets[pos]), int(index.offsets[pos + 1] - index.offsets[pos])
     src, dst = (start + i % size for i in pair)
     if src == dst:
         return
-    # the header, then per table its two counts and its addrs, offsets and ids
-    column = [16 + 8 * (2 * t.addrs.size + 1) + 8 * t.ids.size for t in index.tables]
-    ids_at = 32 + sum(column[:table]) + 16 + 8 * (2 * tb.addrs.size + 1)
+    # the 40-byte header, then the keys, offsets and ids columns
+    ids_at = 40 + 8 * (2 * index.keys.size + 1)
     src, dst = ids_at + 8 * src, ids_at + 8 * dst
     data = bytearray(heavy_blob)
     data[dst : dst + 8] = heavy_blob[src : src + 8]

@@ -17,7 +17,7 @@ from sketchlsh.core import (
 )
 from sketchlsh.dataio import format_record, save_lsh_config
 from sketchlsh.hashing import HashFamily
-from sketchlsh.index import IndexFileError, NodeIndex, _TableBuckets, preprocess
+from sketchlsh.index import IndexFileError, NodeIndex, preprocess
 from sketchlsh.synthetic import (
     planted_instance,
     random_sparse_vectors,
@@ -36,6 +36,7 @@ from oracles import (
     replay_cells,
     replayed_candidates,
     replayed_sketch,
+    table_buckets,
 )
 
 CFG = LshConfig(hashes_per_table=3, num_tables=8, table_range=1 << 12, top_k=4, master_seed=91)
@@ -49,11 +50,20 @@ def event_multiset(index: NodeIndex) -> Counter:
     """Exact-counter view of all (table, address, id) insertion events."""
     events: Counter = Counter()
     for t, tb in enumerate(index.tables):
-        for pos in range(tb.occupied):
+        for pos in range(tb.addrs.size):
             addr = int(tb.addrs[pos])
             for vid in tb.ids[tb.offsets[pos] : tb.offsets[pos + 1]].tolist():
                 events[(t, addr, int(vid))] += 1
     return events
+
+
+def assert_tables_equal_per_table_build(index: NodeIndex, addrs: np.ndarray, ids: np.ndarray) -> None:
+    """Every table of ``index``, as its ``tables`` view gives it, equals the
+    per-table build of the (n, L) address matrix ``addrs`` over ``ids``."""
+    assert len(index.tables) == index.config.num_tables
+    for t, tb in enumerate(index.tables):
+        for got, want in zip(tb, table_buckets(addrs[:, t], ids)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestPreprocess:
@@ -116,11 +126,7 @@ class TestPreprocess:
         addrs = reference_addresses(HashFamily.from_config(CFG), [v for _, v in kept])
         ids = np.array([vid for vid, _ in kept], dtype=np.uint64)
         assert idx.vector_count == len(kept)
-        for t, tb in enumerate(idx.tables):
-            ref = _TableBuckets.build(addrs[:, t].copy(), ids)
-            assert np.array_equal(tb.addrs, ref.addrs)
-            assert np.array_equal(tb.offsets, ref.offsets)
-            assert np.array_equal(tb.ids, ref.ids)
+        assert_tables_equal_per_table_build(idx, addrs, ids)
 
     def test_partition_invariance_exact_level(self, rng):
         data = make_dataset(rng, 120)
@@ -174,6 +180,32 @@ class TestLocalCandidates:
         with pytest.raises(ConfigError):
             idx.local_candidates(np.zeros((2, 2, CFG.num_tables), dtype=np.uint64))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[0.5, 1.0] * (CFG.num_tables // 2)]),  # would probe bucket 0
+            np.ones((1, CFG.num_tables), dtype=bool),
+            np.array([[-1] + [0] * (CFG.num_tables - 1)]),
+            [[-1] + [0] * (CFG.num_tables - 1)],
+            [[2**64] + [0] * (CFG.num_tables - 1)],
+            [[2**63] + [0] * (CFG.num_tables - 1)],  # read as u64: out of table range
+        ],
+        ids=["float", "bool", "negative", "negative-list", "past-u64-list", "past-range-list"],
+    )
+    def test_non_integer_or_negative_addresses_are_config_errors(self, rng, bad):
+        idx = preprocess(DatasetPartition(0, make_dataset(rng, 3)), CFG)
+        for probe in (idx.local_candidates, idx.exact_candidates):
+            with pytest.raises(ConfigError):
+                probe(bad)
+
+    def test_python_int_lists_probe_as_u64(self, rng):
+        data = make_dataset(rng, 20)
+        idx = preprocess(DatasetPartition(0, data), CFG)
+        addrs = HashFamily.from_config(CFG).addresses([data[3][1], data[9][1]])
+        rows = addrs.tolist()
+        assert idx.local_candidates(rows) == idx.local_candidates(addrs)
+        assert idx.exact_candidates(rows).to_bytes() == idx.exact_candidates(addrs).to_bytes()
+
     def test_exact_probe_validates_like_sketch_probe(self, rng):
         idx = preprocess(DatasetPartition(0, make_dataset(rng, 3)), CFG)
         for bad in (
@@ -191,16 +223,20 @@ class TestLocalCandidates:
             idx.exact_candidates(out_of_range)
 
 
-def planted_node():
+def planted_partition():
     inst = planted_instance(n_background=600, n_queries=20, per_query=8, dim=4096, nnz=24, seed=8)
-    node = preprocess(round_robin_partitions(list(inst.dataset), 2)[0], CFG)
-    return node, [v for _, v in inst.queries]
+    return round_robin_partitions(list(inst.dataset), 2)[0], [v for _, v in inst.queries]
+
+
+def planted_node():
+    part, queries = planted_partition()
+    return preprocess(part, CFG), queries
 
 
 HOT_BUCKET = 10_000
 
 
-def skewed_node():
+def skewed_partition():
     """Near duplicates in Zipf-sized groups, plus HOT_BUCKET copies of one
     vector interleaved with them, so one bucket per table holds >= 10^4 ids."""
     rng = np.random.default_rng(17)
@@ -209,15 +245,36 @@ def skewed_node():
     pairs = [vector_with_swaps(rng, protos[g], 1) for g in range(len(protos)) for _ in range(sizes[g])]
     pairs += [protos[0]] * HOT_BUCKET
     order = rng.permutation(len(pairs))
-    node = preprocess(DatasetPartition(0, [(i, pairs[j]) for i, j in enumerate(order)]), CFG)
-    return node, protos
+    return DatasetPartition(0, [(i, pairs[j]) for i, j in enumerate(order)]), protos
+
+
+def skewed_node():
+    part, protos = skewed_partition()
+    return preprocess(part, CFG), protos
 
 
 def with_empty_table(node):
-    """``node`` with its first table emptied."""
-    none = np.empty(0, dtype=np.uint64)
-    tables = [_TableBuckets.build(none, none)] + node.tables[1:]
-    return NodeIndex(CFG, node.node_id, tables, node.vector_count)
+    """``node`` with its first table emptied: its buckets and ids cut from
+    the directory, which no build makes and no load accepts."""
+    cut, n = node.occupied_slots[0], node.vector_count
+    return NodeIndex(
+        CFG, node.node_id, node.keys[cut:], node.offsets[cut:] - n, node.ids[n:], n
+    )
+
+
+@pytest.mark.parametrize("case", ["planted", "skewed", "empty"])
+def test_directory_equals_per_table_build(case):
+    part = {
+        "planted": lambda: planted_partition()[0],
+        "skewed": lambda: skewed_partition()[0],
+        "empty": lambda: DatasetPartition(0, []),
+    }[case]()
+    node = preprocess(part, CFG)
+    addrs = HashFamily.from_config(CFG).addresses(part.rows)
+    assert_tables_equal_per_table_build(node, addrs, part.ids)
+    assert node.occupied_slots == [tb.addrs.size for tb in node.tables]
+    assert node.keys.dtype == np.uint64 and node.offsets.dtype == np.int64
+    assert node.ids.size == CFG.num_tables * node.vector_count
 
 
 @pytest.fixture(scope="module", params=["planted", "skewed", "empty-table"])
@@ -268,7 +325,7 @@ class TestBatchProbe:
 
     def test_stack_equals_replay_oracle(self, probe_case):
         case, node, batch = probe_case
-        assert bool(node.heavy) == (case == "skewed")
+        assert (node.heavy_pos.size > 0) == (case == "skewed")
         assert node.local_candidates(batch) == replayed_candidates(node, batch)
 
     def test_single_row_batch(self, probe_case):
@@ -330,18 +387,27 @@ def heavy_config(rows: int, cols: int) -> LshConfig:
     )
 
 
+def heavy_streams(node: NodeIndex):
+    """Per heavy bucket: its table, its finished sketch and its id stream."""
+    for j, pos in enumerate(node.heavy_pos.tolist()):
+        table = int(node.keys[pos]) // node.config.table_range
+        yield table, node.heavy_sketches[j], node.ids[node.offsets[pos] : node.offsets[pos + 1]]
+
+
 def assert_heavy_sketches_replay(node: NodeIndex) -> None:
     """The heavy buckets are exactly those over W·B ids, and each one's
     sketch equals an insert_many replay of its bucket into an empty sketch."""
     cells = node.config.sketch_rows * node.config.sketch_cols
-    assert set(node.heavy) <= set(range(node.config.num_tables))
-    for t, tb in enumerate(node.tables):
-        where, sketches = node.heavy.get(t, (np.empty(0, np.int64), None))
-        assert where.tolist() == np.flatnonzero(np.diff(tb.offsets) > cells).tolist()
-        for j, pos in enumerate(where.tolist()):
-            replay = node.empty_sketch()
-            replay.insert_many(tb.ids[tb.offsets[pos] : tb.offsets[pos + 1]])
-            assert sketches[j] == replay
+    heavy = [
+        np.flatnonzero(np.diff(tb.offsets) > cells) + start
+        for tb, start in zip(node.tables, np.cumsum([0] + node.occupied_slots))
+    ]
+    assert node.heavy_pos.tolist() == np.concatenate(heavy).tolist()
+    assert len(node.heavy_sketches) == node.heavy_pos.size
+    for _, sketch, stream in heavy_streams(node):
+        replay = node.empty_sketch()
+        replay.insert_many(stream)
+        assert sketch == replay
 
 
 # (W, B): a sketch of 1, 8, 15 and 128 cells
@@ -389,17 +455,15 @@ class TestHeavyBuckets:
         for tb in node.tables:
             assert sorted(np.diff(tb.offsets).tolist()) == [1, 2, 7, 8, 9, 17]
         assert_heavy_sketches_replay(node)
-        assert [w.size for w, _ in node.heavy.values()] == [2] * cfg.num_tables
+        tables = [t for t, _, _ in heavy_streams(node)]
+        assert np.bincount(tables, minlength=cfg.num_tables).tolist() == [2] * cfg.num_tables
         # the heavy cells hold odd (count 1) and even (count 0, a real id) arrivals
         parities = set()
-        for t, (where, sketches) in node.heavy.items():
-            tb = node.tables[t]
-            for j, pos in enumerate(where.tolist()):
-                stream = tb.ids[tb.offsets[pos] : tb.offsets[pos + 1]]
-                for (r, b), arrived in cell_arrival_counts(sketches[j], stream).items():
-                    k = sum(arrived.values())
-                    assert int(sketches[j].counts[r, b]) == k % 2
-                    parities.add(k % 2)
+        for _, sketch, stream in heavy_streams(node):
+            for (r, b), arrived in cell_arrival_counts(sketch, stream).items():
+                k = sum(arrived.values())
+                assert int(sketch.counts[r, b]) == k % 2
+                parities.add(k % 2)
         assert parities == {0, 1}
         batch = HashFamily.from_config(cfg).addresses(protos + protos[::-1])
         assert node.local_candidates(batch) == replayed_candidates(node, batch)
@@ -410,9 +474,8 @@ class TestHeavyBuckets:
         node = preprocess(part, cfg)
         node.save(tmp_path / "index.bin")
         loaded = NodeIndex.load(tmp_path / "index.bin", cfg)
-        assert loaded.heavy.keys() == node.heavy.keys()
-        for t, (where, sketches) in node.heavy.items():
-            assert np.array_equal(loaded.heavy[t][0], where) and loaded.heavy[t][1] == sketches
+        assert node.heavy_pos.size and np.array_equal(loaded.heavy_pos, node.heavy_pos)
+        assert loaded.heavy_sketches == node.heavy_sketches
         batch = HashFamily.from_config(cfg).addresses(protos)
         assert loaded.local_candidates(batch) == node.local_candidates(batch)
 
@@ -430,25 +493,35 @@ class TestBoundedObservations:
 
     def test_storage_within_slotwise_sketch_budget(self, rng):
         idx = preprocess(DatasetPartition(0, make_dataset(rng, 300)), CFG)
-        raw_bytes = sum(t.addrs.nbytes + t.offsets.nbytes + t.ids.nbytes for t in idx.tables)
+        raw_bytes = idx.keys.nbytes + idx.offsets.nbytes + idx.ids.nbytes
         budget = sum(idx.occupied_slots) * len(idx.empty_sketch().to_bytes())
         assert raw_bytes <= budget
 
 
 # Per case: (column, position in it, new value, the error it must raise). A
 # header "position" is the byte offset of the field: 4 is the version, 24 the
-# vector count.
+# vector count. A column position is a directory position, or a function of
+# the index that gives one.
 BROKEN_COLUMNS = {
     "version-1": ("header", 4, lambda idx: 1, "version 1 .*rebuild it with `sketchlsh index`"),
-    "id-count": ("header", 24, lambda idx: idx.vector_count + 1, "ids for"),
-    "offsets-start": ("offsets", 0, lambda tb: 1, "offsets do not run from 0"),
-    "offsets-end": ("offsets", -1, lambda tb: tb.ids.size - 1, "offsets do not run from 0"),
-    "empty-bucket": ("offsets", 1, lambda tb: 0, "offsets do not strictly increase"),
-    "offset-past-ids": ("offsets", 1, lambda tb: tb.ids.size + 1, "offsets do not strictly increase"),
-    "negative-offset": ("offsets", 1, lambda tb: -1, "offsets do not strictly increase"),
-    "addrs-order": ("addrs", 1, lambda tb: int(tb.addrs[0]), "addresses do not strictly increase"),
-    "addrs-range": ("addrs", -1, lambda tb: CFG.table_range, "beyond the table range"),
-    "null-id": ("ids", 3, lambda tb: NULL_ID, "null id"),
+    "version-2": ("header", 4, lambda idx: 2, "version 2 .*rebuild it with `sketchlsh index`"),
+    # the id column's length is L times the vector count
+    "id-count": ("header", 24, lambda idx: idx.vector_count + 1, "truncated: its header needs"),
+    "offsets-start": ("offsets", 0, lambda idx: 1, "offsets do not run from 0"),
+    "offsets-end": ("offsets", -1, lambda idx: idx.ids.size - 1, "offsets do not run from 0"),
+    "empty-bucket": ("offsets", 1, lambda idx: 0, "offsets do not strictly increase"),
+    "offset-past-ids": ("offsets", 1, lambda idx: idx.ids.size + 1, "offsets do not strictly increase"),
+    "negative-offset": ("offsets", 1, lambda idx: -1, "offsets do not strictly increase"),
+    "addrs-order": ("keys", 1, lambda idx: int(idx.keys[0]), "keys do not strictly increase"),
+    "addrs-range": (
+        "keys", -1, lambda idx: CFG.num_tables * CFG.table_range, "key beyond the last table"
+    ),
+    # table 1's first bucket, of one id, moved to the end of table 0's key range
+    "table-bound": (
+        "keys", lambda idx: idx.occupied_slots[0], lambda idx: CFG.table_range - 1,
+        "table 0 holds 31 ids for 30 vectors",
+    ),
+    "null-id": ("ids", 3, lambda idx: NULL_ID, "null id"),
 }
 
 
@@ -461,10 +534,8 @@ class TestPersistence:
         loaded = NodeIndex.load(path, CFG)
         assert loaded.node_id == 2
         assert loaded.vector_count == idx.vector_count
-        for a, b in zip(idx.tables, loaded.tables):
-            assert np.array_equal(a.addrs, b.addrs)
-            assert np.array_equal(a.offsets, b.offsets)
-            assert np.array_equal(a.ids, b.ids)
+        for column in ("keys", "offsets", "ids"):
+            assert np.array_equal(getattr(idx, column), getattr(loaded, column))
         # saving again reproduces the file bit for bit
         path2 = tmp_path / "again.bin"
         loaded.save(path2)
@@ -489,28 +560,26 @@ class TestPersistence:
             NodeIndex.load(path, other)
 
     def test_file_equals_column_reference(self, rng, tmp_path):
-        # buckets of several ids, and an empty table
+        # buckets of several ids, and an empty index
         cfg = LshConfig(hashes_per_table=2, num_tables=3, table_range=1 << 11, top_k=4, master_seed=5)
         idx = preprocess(DatasetPartition(1, make_dataset(rng, 1500)), cfg)
-        assert max(int(np.diff(t.offsets).max()) for t in idx.tables) > 1
+        assert int(np.diff(idx.offsets).max()) > 1
         empty = preprocess(DatasetPartition(0, []), cfg)
         for index in (idx, empty):
             path = tmp_path / "index.bin"
             index.save(path)
             blob = path.read_bytes()
             assert blob == reference_index_bytes(index)
-            assert len(blob) == 32 + sum(
-                16 + 8 * (2 * t.occupied + 1) + 8 * t.ids.size for t in index.tables
-            )
+            n_keys = sum(index.occupied_slots)
+            assert len(blob) == 40 + 8 * (2 * n_keys + 1) + 8 * cfg.num_tables * index.vector_count
 
     def test_loaded_columns_are_views_of_the_file(self, rng, tmp_path):
         idx = preprocess(DatasetPartition(0, make_dataset(rng, 20)), CFG)
         path = tmp_path / "index.bin"
         idx.save(path)
         loaded = NodeIndex.load(path, CFG)
-        for tb in loaded.tables:
-            for column in (tb.addrs, tb.offsets, tb.ids):
-                assert not column.flags.owndata and not column.flags.writeable
+        for column in (loaded.keys, loaded.offsets, loaded.ids):
+            assert not column.flags.owndata and not column.flags.writeable
 
     def test_truncation_at_every_section_boundary_is_typed(self, rng, tmp_path):
         idx = preprocess(DatasetPartition(0, make_dataset(rng, 30)), CFG)
@@ -534,20 +603,21 @@ class TestPersistence:
 
     @pytest.mark.parametrize("case", BROKEN_COLUMNS)
     def test_broken_invariant_is_a_data_error(self, rng, tmp_path, case):
-        # each case breaks one invariant of table 0 (or the header) and
-        # leaves every length intact
+        # each case breaks one invariant of the directory (or the header)
+        # and leaves every length intact, but for the vector count's
         column, pos, value, match = BROKEN_COLUMNS[case]
         idx = preprocess(DatasetPartition(0, make_dataset(rng, 30)), CFG)
         path = tmp_path / "index-00000.bin"
         idx.save(path)
         blob = bytearray(path.read_bytes())
-        tb = idx.tables[0]
         if column == "header":
             struct.pack_into("<Q" if pos == 24 else "<I", blob, pos, value(idx))
         else:
-            start = column_starts(idx)[0][column]
-            length = getattr(tb, column).size
-            struct.pack_into("<Q", blob, start + 8 * (pos % length), value(tb) % 2**64)
+            if callable(pos):
+                pos = pos(idx)
+            length = getattr(idx, column).size
+            at = column_starts(idx)[column] + 8 * (pos % length)
+            struct.pack_into("<Q", blob, at, value(idx) % 2**64)
         path.write_bytes(bytes(blob))
         with pytest.raises(IndexFileError, match=match):
             NodeIndex.load(path, CFG)
@@ -561,13 +631,39 @@ class TestPersistence:
         ]) == 3
 
 
-def repeat_an_id(path, index: NodeIndex, t: int, pos: int) -> None:
-    """Overwrite the last id of table ``t``'s bucket at ``pos`` in the saved
-    file with the bucket's first id; every length and other check holds."""
-    tb = index.tables[t]
-    at = column_starts(index)[t]["ids"] + 8 * (int(tb.offsets[pos + 1]) - 1)
+class TestKeyBound:
+    def test_table_range_times_tables_of_2_64_builds_saves_loads_and_probes(self, rng, tmp_path):
+        # L·R = 2^64: table 1's keys reach 2^64 - 1, and L·R itself is no u64
+        cfg = LshConfig(hashes_per_table=2, num_tables=2, table_range=1 << 63, top_k=4, master_seed=7)
+        data = make_dataset(rng, 40)
+        data += data[:5]  # some buckets of two ids
+        node = preprocess(DatasetPartition(0, [(i, v) for i, (_, v) in enumerate(data)]), cfg)
+        addrs = HashFamily.from_config(cfg).addresses([v for _, v in data])
+        assert int(addrs[:, 1].max()) >= 1 << 62  # table 1 keys in the top quarter of u64
+        assert_tables_equal_per_table_build(node, addrs, np.arange(len(data), dtype=np.uint64))
+        # the end of the last table comes from the directory length
+        assert all(0 < k <= 40 for k in node.occupied_slots)
+        assert sum(node.occupied_slots) == node.keys.size
+        path = tmp_path / "index.bin"
+        node.save(path)
+        loaded = NodeIndex.load(path, cfg)
+        assert loaded.occupied_slots == node.occupied_slots
+        batch = np.vstack([addrs[[0, 3, 40]], np.full((1, 2), (1 << 63) - 1, dtype=np.uint64)])
+        stack = loaded.local_candidates(batch)
+        assert stack == replayed_candidates(loaded, batch) == node.local_candidates(batch)
+        assert count_maps(loaded.exact_candidates(batch)) == [
+            exact_count_map(loaded, row) for row in batch
+        ]
+        assert count_maps(loaded.exact_candidates(batch))[2] == {0: 2, 40: 2}
+
+
+def repeat_an_id(path, index: NodeIndex, pos: int) -> None:
+    """Overwrite the last id of the bucket at directory position ``pos`` in
+    the saved file with the bucket's first id; every length and other
+    check holds."""
+    at = column_starts(index)["ids"] + 8 * (int(index.offsets[pos + 1]) - 1)
     blob = bytearray(path.read_bytes())
-    struct.pack_into("<Q", blob, at, int(tb.ids[tb.offsets[pos]]))
+    struct.pack_into("<Q", blob, at, int(index.ids[index.offsets[pos]]))
     path.write_bytes(bytes(blob))
 
 
@@ -578,7 +674,8 @@ class TestRepeatedIds:
         node = preprocess(part, cfg)
         path = tmp_path / "index-00000.bin"
         node.save(path)
-        repeat_an_id(path, node, 2, int(node.heavy[2][0][0]))
+        in_table_2 = node.keys[node.heavy_pos] // cfg.table_range == 2
+        repeat_an_id(path, node, int(node.heavy_pos[in_table_2][0]))
         with pytest.raises(IndexFileError, match="table 2: id .* appears twice"):
             NodeIndex.load(path, cfg)
         save_lsh_config(cfg, tmp_path / "config.txt")
@@ -598,7 +695,7 @@ class TestRepeatedIds:
         node.save(path)
         tb = node.tables[1]
         pos = int(np.flatnonzero(np.diff(tb.offsets) == size)[0])
-        repeat_an_id(path, node, 1, pos)
+        repeat_an_id(path, node, node.occupied_slots[0] + pos)
         loaded = NodeIndex.load(path, cfg)
         stream = bucket_ids(loaded.tables[1], int(tb.addrs[pos]))
         assert stream.size == size and np.unique(stream).size == size - 1
@@ -608,37 +705,37 @@ class TestRepeatedIds:
 
 
 def reference_index_bytes(idx: NodeIndex) -> bytes:
-    """The version-2 index file assembled field by field with struct."""
+    """The version-3 index file assembled field by field with struct from
+    the per-table view: the header, then every table's keys t·R + address,
+    its offsets shifted by the ids before it, and its ids."""
     cfg = idx.config
-    parts = [
-        struct.pack("<IIQIIQ", 0x58494C53, 2, cfg.fingerprint(), idx.node_id, cfg.num_tables, idx.vector_count)
-    ]
-    for tb in idx.tables:
-        n_addr, n_ids = tb.addrs.size, tb.ids.size
-        parts.append(struct.pack("<QQ", n_addr, n_ids))
-        parts.append(struct.pack(f"<{n_addr}Q", *tb.addrs.tolist()))
-        parts.append(struct.pack(f"<{n_addr + 1}q", *tb.offsets.tolist()))
-        parts.append(struct.pack(f"<{n_ids}Q", *tb.ids.tolist()))
-    return b"".join(parts)
+    keys, offsets, ids = [], [0], []
+    for t, tb in enumerate(idx.tables):
+        keys += [t * cfg.table_range + a for a in tb.addrs.tolist()]
+        offsets += [len(ids) + o for o in tb.offsets[1:].tolist()]
+        ids += tb.ids.tolist()
+    return b"".join([
+        struct.pack(
+            "<IIQIIQQ", 0x58494C53, 3, cfg.fingerprint(), idx.node_id, cfg.num_tables,
+            idx.vector_count, len(keys),
+        ),
+        struct.pack(f"<{len(keys)}Q", *keys),
+        struct.pack(f"<{len(offsets)}q", *offsets),
+        struct.pack(f"<{len(ids)}Q", *ids),
+    ])
 
 
-def column_starts(idx: NodeIndex) -> list[dict[str, int]]:
-    """Per table, the file offset where each column of a saved index starts."""
-    off = struct.calcsize("<IIQIIQ")
-    starts = []
-    for tb in idx.tables:
-        off += 16  # (n_addr, n_ids)
-        starts.append({"addrs": off, "offsets": off + 8 * tb.addrs.size, "ids": off + 8 * (2 * tb.addrs.size + 1)})
-        off = starts[-1]["ids"] + 8 * tb.ids.size
-    return starts
+def column_starts(idx: NodeIndex) -> dict[str, int]:
+    """The file offset where each column of a saved index starts."""
+    header = struct.calcsize("<IIQIIQQ")
+    return {
+        "keys": header,
+        "offsets": header + 8 * idx.keys.size,
+        "ids": header + 8 * (2 * idx.keys.size + 1),
+    }
 
 
 def section_boundaries(idx: NodeIndex) -> list[int]:
-    """File offsets where the header and each count and column of a saved index end."""
-    off = struct.calcsize("<IIQIIQ")
-    cuts = [off]
-    for tb in idx.tables:
-        for nbytes in (16, 8 * tb.addrs.size, 8 * tb.offsets.size, 8 * tb.ids.size):
-            off += nbytes
-            cuts.append(off)
-    return cuts
+    """File offsets where the header and each column of a saved index end."""
+    starts = column_starts(idx)
+    return [starts["keys"], starts["offsets"], starts["ids"], starts["ids"] + 8 * idx.ids.size]

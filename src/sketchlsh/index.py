@@ -8,20 +8,20 @@ are the same size however skewed the bucket is.
 Storage note: the L tables' buckets are kept columnar, as one directory
 (see :class:`NodeIndex`), and the index file holds its three columns and
 nothing else. A bucket of at most W·B ids (a sketch's cell count) has its
-sketch materialized on probe by replaying its insertion stream, which
-reproduces the exact state that incremental per-insert updates would have
-produced. A *heavy* bucket, one of more ids, is also kept as its finished
-sketch, computed in closed form whenever a :class:`NodeIndex` is built. A
-probe therefore replays at most W·B ids or copies W·B cells per (query,
-table), however skewed the data, and the heavy sketches take at most 16 B
-per vector per table.
+sketch built on probe from its insertion stream, in the exact state that
+incremental per-insert updates would have produced. A *heavy* bucket, one
+of more ids, is also kept as its finished sketch, computed in closed form
+whenever a :class:`NodeIndex` is built. A probe therefore inserts at most
+W·B ids or copies W·B cells per (query, table), however skewed the data,
+and the heavy sketches take at most 16 B per vector per table.
 
 Both aggregation modes probe a whole query batch with one walk: one
 ``searchsorted`` of the batch's n·L keys and one gather of the id streams
 of the buckets it finds, table-major, then query order. The sketch mode
-folds each table's buckets into the batch's stack of merged sketches,
-table after table; the exact mode counts every (query, id) pair of the
-walk in one keyed sum.
+builds all the small buckets' sketches with one stacked insert and folds
+the live cells of every bucket's sketch into the batch's stack of merged
+sketches, each cell's in table order; the exact mode counts every
+(query, id) pair of the walk in one keyed sum.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .core import (
 )
 from .cluster import ExactCounts
 from .hashing import HashFamily
-from .sketch import TopkapiSketch, row_seeds_from_master
+from .sketch import TopkapiSketch, merge_cells, row_seeds_from_master
 
 _INDEX_MAGIC = 0x58494C53  # "SLIX"
 _INDEX_VERSION = 3
@@ -217,11 +217,17 @@ class NodeIndex:
 
     def _checked(self, addresses) -> np.ndarray:
         """``addresses`` as an (n, L) uint64 matrix of one address per table,
-        each below ``table_range``; anything else, such as a float array or
-        a negative address, is a :class:`ConfigError`."""
+        each below ``table_range``; anything else, such as floats or bools
+        (in an array or a list) or a negative address, is a
+        :class:`ConfigError`."""
         if not isinstance(addresses, np.ndarray):
-            try:  # without the dtype, Python ints past 2^63 would read as float64
-                addresses = np.asarray(addresses, dtype=np.uint64)
+            try:  # as objects: numpy would read Python ints past 2^63 as float64
+                cells = np.asarray(addresses, dtype=object)
+                if not all(
+                    isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in cells.flat
+                ):
+                    raise TypeError("not every address is an integer")
+                addresses = cells.astype(np.uint64)
             except (OverflowError, TypeError, ValueError) as exc:
                 raise ConfigError(f"addresses must be integers of 0 or more: {exc}") from None
         num_tables = self.config.num_tables
@@ -261,35 +267,51 @@ class NodeIndex:
         ``addresses`` is the batch's (n, L) address matrix, and only that:
         a single (L,) row is a :class:`ConfigError`. The result is an
         (n, W, B) stack whose member q merges query q's buckets; it goes to
-        the reduce and the extraction as it is. Per table, the addressed
-        heavy buckets' finished sketches are copied in, every other
-        addressed bucket is built in one stacked insert, and the table is
-        folded into the stack with one merge. Tables fold left to right (the
-        merge rule is not associative); empty buckets contribute the
-        identity. No distance computation is involved anywhere on this path.
+        the reduce and the extraction as it is. Every bucket the walk finds
+        gets one member of a stack, in walk order: a heavy bucket's finished
+        sketch is copied in, and every other bucket is built by one stacked
+        insert for the whole batch. Then only the live cells of that stack,
+        those holding a real id (a count-0 cell decides ties), are folded
+        into the result: an untouched cell is the merge identity. A result
+        cell takes its contributions table after table (the merge rule is
+        not associative), so round r merges every cell's r-th one; there are
+        at most L rounds. No distance computation is involved anywhere on
+        this path.
         """
         batch = self._checked(addresses)
-        tables, queries, pos = self._walk(batch)
+        _, queries, pos = self._walk(batch)
         j = np.searchsorted(self.heavy_pos, pos)
         heavy = j < self.heavy_pos.size
         heavy[heavy] = self.heavy_pos[j[heavy]] == pos[heavy]
-        heavy_queries, heavy_j = queries[heavy], j[heavy]
-        ids, lengths = self._streams(pos[~heavy])
-        owners = np.repeat(queries[~heavy], lengths)
-        # where each table starts among the heavy hits and among the replayed ids
-        cut = np.arange(self.config.num_tables + 1)
-        heavy_cut = np.searchsorted(tables[heavy], cut).tolist()
-        id_cut = np.append(0, np.cumsum(lengths))[np.searchsorted(tables[~heavy], cut)].tolist()
+        hits = self.empty_sketch(pos.size)
+        hits.ids[heavy] = self.heavy_sketches.ids[j[heavy]]
+        hits.counts[heavy] = self.heavy_sketches.counts[j[heavy]]
+        light = np.flatnonzero(~heavy)
+        ids, lengths = self._streams(pos[light])
+        hits.insert_many(ids, np.repeat(light, lengths))
+        # the live cells in walk order and where each lands in the result;
+        # a stable sort by result cell keeps each one's contributions in table order
+        cells = self.config.sketch_rows * self.config.sketch_cols
+        live = np.flatnonzero(hits.ids != np.uint64(NULL_ID))
+        target = queries[live // cells] * cells + live % cells
+        order = np.argsort(target, kind="stable")
+        target, live = target[order], live[order]
+        ids, counts = hits.ids.reshape(-1)[live], hits.counts.reshape(-1)[live]
+        # merging (a, c) then (a, d) is merging (a, c + d): sum each run of one id first
+        run = np.ones(target.size, dtype=bool)
+        run[1:] = (target[1:] != target[:-1]) | (ids[1:] != ids[:-1])
+        run = np.flatnonzero(run)
+        target, ids, counts = target[run], ids[run], np.add.reduceat(counts, run)
+        first = np.flatnonzero(np.append(True, target[1:] != target[:-1]))
+        depth = np.diff(np.append(first, target.size))  # runs per result cell
         merged = self.empty_sketch(len(batch))
-        for t in np.unique(tables).tolist():
-            h0, h1, i0, i1 = heavy_cut[t], heavy_cut[t + 1], id_cut[t], id_cut[t + 1]
-            table = self.empty_sketch(len(batch))
-            if h1 > h0:
-                table.ids[heavy_queries[h0:h1]] = self.heavy_sketches.ids[heavy_j[h0:h1]]
-                table.counts[heavy_queries[h0:h1]] = self.heavy_sketches.counts[heavy_j[h0:h1]]
-            if i1 > i0:
-                table.insert_many(ids[i0:i1], owners[i0:i1])
-            merged = merged.merge(table)
+        out_ids, out_counts = merged.ids.reshape(-1), merged.counts.reshape(-1)
+        for r in range(int(depth.max(initial=0))):
+            at = first[depth > r] + r
+            cell = target[at]
+            out_ids[cell], out_counts[cell] = merge_cells(
+                out_ids[cell], out_counts[cell], ids[at], counts[at]
+            )
         return merged
 
     def exact_candidates(self, addresses: np.ndarray) -> ExactCounts:

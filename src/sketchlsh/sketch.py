@@ -52,6 +52,24 @@ def row_seeds_from_master(master_seed: int, rows: int) -> np.ndarray:
     return seed_stream(master_seed, rows, tag=_TAG_ROW_SEEDS)
 
 
+def merge_cells(
+    a_ids: np.ndarray, a_cnt: np.ndarray, b_ids: np.ndarray, b_cnt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The merge rule of :meth:`TopkapiSketch.merge` on any same-shape cell
+    arrays: the merged cells' ids and counters."""
+    same = a_ids == b_ids
+    a_wins = a_cnt > b_cnt
+    b_wins = b_cnt > a_cnt
+    # Tie between differing ids: the null placeholder loses, otherwise
+    # the smaller id survives with counter 0.
+    tie_ids = np.where(
+        a_ids == _NULL, b_ids, np.where(b_ids == _NULL, a_ids, np.minimum(a_ids, b_ids))
+    )
+    ids = np.where(same, a_ids, np.where(a_wins, a_ids, np.where(b_wins, b_ids, tie_ids)))
+    diff = np.maximum(a_cnt, b_cnt) - np.minimum(a_cnt, b_cnt)
+    return ids, np.where(same, a_cnt + b_cnt, diff)
+
+
 class TopkapiSketch:
     """W x B grid of (candidate id, majority counter) cells.
 
@@ -145,10 +163,14 @@ class TopkapiSketch:
         On a stack, ``slots[i]`` names the member that receives ``items[i]``
         (required there, rejected on a single sketch). Equivalent to
         repeated :meth:`insert` into each member. Cells are independent, so
-        the routing of every (item, row) event to its cell vectorizes; the
-        counter rule is order-sensitive, so one plain-Python pass over the
-        touched cells, held as lists, applies it in stream order before one
-        scatter writes them back.
+        every (item, row) event is routed to its cell at once, and one
+        stable argsort groups the events by cell in stream order. A cell
+        whose counter starts at 0 alternates between (x, 1) and (x, 0) under
+        the counter rule, unless an arrival at an even place (2nd, 4th, ...)
+        equals the one before it: after k arrivals it holds (last id, 1) for
+        odd k and (second-to-last id, 0) for even k (Boyer and Moore's
+        MJRTY). Such cells are set in closed form; only the others go
+        through one plain-Python pass over their events, in stream order.
         """
         items = np.ascontiguousarray(items, dtype=np.uint64)
         if self.is_stack:
@@ -167,19 +189,39 @@ class TopkapiSketch:
             cells = self._row_bins(chunk) + cell_base  # (chunk, rows), item-major
             if slots is not None:
                 cells += slots[lo : lo + _INSERT_CHUNK, None] * (self.rows * self.cols)
-            touched, event_cell = np.unique(cells.ravel(), return_inverse=True)
-            ids = self.ids.flat[touched].tolist()
-            counts = self.counts.flat[touched].tolist()
-            for k, x in zip(event_cell.tolist(), np.repeat(chunk, self.rows).tolist()):
-                if ids[k] == x:
-                    counts[k] += 1
-                elif counts[k] == 0:
-                    ids[k] = x
-                    counts[k] = 1
-                else:
-                    counts[k] -= 1
-            self.ids.flat[touched] = np.array(ids, dtype=np.uint64)
-            self.counts.flat[touched] = np.array(counts, dtype=np.uint64)
+            order = np.argsort(cells.ravel(), kind="stable")  # by cell, then stream order
+            cell = cells.ravel()[order]
+            arrival = chunk[order // self.rows]
+            starts = np.flatnonzero(np.append(True, cell[1:] != cell[:-1]))
+            touched = cell[starts]
+            k = np.diff(np.append(starts, cell.size))  # arrivals per touched cell
+            ids = np.take(self.ids, touched)
+            counts = np.take(self.counts, touched)
+            slow = counts != 0
+            # an arrival equal to the one before it in its cell, at an even place
+            again = np.flatnonzero((arrival[1:] == arrival[:-1]) & (cell[1:] == cell[:-1])) + 1
+            owner = np.searchsorted(starts, again, side="right") - 1
+            slow[owner[(again - starts[owner]) % 2 == 1]] = True
+            odd = (k & 1).astype(bool)
+            holder = starts + k - 2 + odd  # the last arrival for odd k, else the one before
+            ids = np.where(slow, ids, arrival[holder])
+            counts = np.where(slow, counts, odd)
+            if slow.any():  # the other cells: the counter rule, event by event
+                rest = np.flatnonzero(slow)
+                held, count = ids[rest].tolist(), counts[rest].tolist()
+                events = np.repeat(np.arange(rest.size), k[rest]).tolist()
+                for c, x in zip(events, arrival[np.repeat(slow, k)].tolist()):
+                    if held[c] == x:
+                        count[c] += 1
+                    elif count[c] == 0:
+                        held[c] = x
+                        count[c] = 1
+                    else:
+                        count[c] -= 1
+                ids[rest] = np.array(held, dtype=np.uint64)
+                counts[rest] = np.array(count, dtype=np.uint64)
+            np.put(self.ids, touched, ids)
+            np.put(self.counts, touched, counts)
 
     # -- merging ---------------------------------------------------------------
 
@@ -206,19 +248,7 @@ class TopkapiSketch:
             raise ShapeMismatchError(
                 "cannot merge sketches with different shape or row seeds"
             )
-        a_ids, a_cnt = self.ids, self.counts
-        b_ids, b_cnt = other.ids, other.counts
-        same = a_ids == b_ids
-        a_wins = a_cnt > b_cnt
-        b_wins = b_cnt > a_cnt
-        # Tie between differing ids: the null placeholder loses, otherwise
-        # the smaller id survives with counter 0.
-        tie_ids = np.where(
-            a_ids == _NULL, b_ids, np.where(b_ids == _NULL, a_ids, np.minimum(a_ids, b_ids))
-        )
-        ids = np.where(same, a_ids, np.where(a_wins, a_ids, np.where(b_wins, b_ids, tie_ids)))
-        diff = np.maximum(a_cnt, b_cnt) - np.minimum(a_cnt, b_cnt)
-        return self._with_cells(ids, np.where(same, a_cnt + b_cnt, diff))
+        return self._with_cells(*merge_cells(self.ids, self.counts, other.ids, other.counts))
 
     # -- reporting ---------------------------------------------------------------
 

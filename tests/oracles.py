@@ -270,6 +270,31 @@ def replayed_sketch(template, stream: np.ndarray):
     return out
 
 
+def insert_per_event(sketch, items: np.ndarray, slots: np.ndarray | None = None) -> None:
+    """The per-event insert that :meth:`TopkapiSketch.insert_many` must equal
+    bit for bit: every (item, row) event is routed to its cell, one
+    ``np.unique`` numbers the touched cells, and one plain-Python pass
+    applies the counter rule to every event in stream order. ``slots``
+    names each item's member on a stack."""
+    items = np.ascontiguousarray(items, dtype=np.uint64)
+    cells = sketch._row_bins(items) + np.arange(sketch.rows, dtype=np.int64) * sketch.cols
+    if slots is not None:
+        cells += np.asarray(slots, dtype=np.int64)[:, None] * (sketch.rows * sketch.cols)
+    touched, event_cell = np.unique(cells.ravel(), return_inverse=True)
+    ids = sketch.ids.flat[touched].tolist()
+    counts = sketch.counts.flat[touched].tolist()
+    for k, x in zip(event_cell.tolist(), np.repeat(items, sketch.rows).tolist()):
+        if ids[k] == x:
+            counts[k] += 1
+        elif counts[k] == 0:
+            ids[k] = x
+            counts[k] = 1
+        else:
+            counts[k] -= 1
+    sketch.ids.flat[touched] = np.array(ids, dtype=np.uint64)
+    sketch.counts.flat[touched] = np.array(counts, dtype=np.uint64)
+
+
 def table_buckets(addrs: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One table's columns built on their own from its address column and
     the partition's ids: the sorted distinct addresses, the offsets of
@@ -304,8 +329,9 @@ def bucket_sketch(index, t: int, addr: int):
 
 def replayed_candidates(index, batch: np.ndarray):
     """The replay probe of a batch, heavy buckets included: per table, every
-    addressed bucket's id stream goes into one stacked insert, and the
-    table folds into the batch's stack with one merge, left to right."""
+    addressed bucket's id stream goes into one stacked per-event insert
+    (:func:`insert_per_event`), and the table folds into the batch's stack
+    with one dense merge, left to right."""
     batch = np.asarray(batch, dtype=np.uint64)
     merged = index.empty_sketch(len(batch))
     for t, table in enumerate(index.tables):
@@ -313,7 +339,7 @@ def replayed_candidates(index, batch: np.ndarray):
         items = np.concatenate(streams)
         if items.size:
             sketch = index.empty_sketch(len(batch))
-            sketch.insert_many(items, np.repeat(np.arange(len(batch)), [s.size for s in streams]))
+            insert_per_event(sketch, items, np.repeat(np.arange(len(batch)), [s.size for s in streams]))
             merged = merged.merge(sketch)
     return merged
 

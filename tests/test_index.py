@@ -1,5 +1,6 @@
 import struct
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sketchlsh.core import (
 from sketchlsh.dataio import format_record, save_lsh_config
 from sketchlsh.hashing import HashFamily
 from sketchlsh.index import IndexFileError, NodeIndex, preprocess
+from sketchlsh.sketch import TopkapiSketch
 from sketchlsh.synthetic import (
     planted_instance,
     random_sparse_vectors,
@@ -205,6 +207,31 @@ class TestLocalCandidates:
         rows = addrs.tolist()
         assert idx.local_candidates(rows) == idx.local_candidates(addrs)
         assert idx.exact_candidates(rows).to_bytes() == idx.exact_candidates(addrs).to_bytes()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda a: a + 0.5,  # a u64 cast would truncate it to a
+            lambda a: a + 0.9,
+            float,  # integral, but a float
+            lambda a: bool(a % 2),  # a u64 cast would probe bucket 1 or 0
+            lambda a: np.bool_(a % 2),
+        ],
+        ids=["plus-half", "plus-0.9", "integral-float", "bool", "numpy-bool"],
+    )
+    @pytest.mark.parametrize("where", ["every", "first"])
+    def test_float_or_bool_list_entries_are_config_errors(self, rng, entry, where):
+        data = make_dataset(rng, 20)
+        idx = preprocess(DatasetPartition(0, data), CFG)
+        row = HashFamily.from_config(CFG).addresses([data[7][1]])[0].tolist()
+        bad = [entry(a) for a in row] if where == "every" else [entry(row[0])] + row[1:]
+        for probe in (idx.local_candidates, idx.exact_candidates):
+            with pytest.raises(ConfigError, match="integers"):
+                probe([bad])
+        assert count_maps(idx.exact_candidates([row]))[0][7] == CFG.num_tables
+        # Python ints stay accepted up to 2^64 - 1; that one is out of range
+        with pytest.raises(ConfigError, match="table range"):
+            idx.exact_candidates([[2**64 - 1] + row[1:]])
 
     def test_exact_probe_validates_like_sketch_probe(self, rng):
         idx = preprocess(DatasetPartition(0, make_dataset(rng, 3)), CFG)
@@ -478,6 +505,60 @@ class TestHeavyBuckets:
         assert loaded.heavy_sketches == node.heavy_sketches
         batch = HashFamily.from_config(cfg).addresses(protos)
         assert loaded.local_candidates(batch) == node.local_candidates(batch)
+
+
+def spied_probe(node: NodeIndex, batch: np.ndarray):
+    """``node.local_candidates(batch)`` and the item count of every
+    ``insert_many`` call it made."""
+    sizes = []
+    insert_many = TopkapiSketch.insert_many
+
+    def spy(sketch, items, slots=None):
+        sizes.append(np.asarray(items).size)
+        return insert_many(sketch, items, slots)
+
+    with mock.patch.object(TopkapiSketch, "insert_many", spy):
+        return node.local_candidates(batch), sizes
+
+
+class TestProbeEdges:
+    """One stacked insert per batch, whatever the batch hits; the stack
+    equals the replay oracle's. W·B = 8 throughout."""
+
+    @pytest.mark.parametrize(
+        "case, sizes",
+        [
+            ("all-heavy", [9, 20]),
+            ("no-hit", [3, 9]),
+            ("repeated-rows", [2, 9, 1]),
+            ("W·B", [8, 1]),
+            ("W·B+1", [9, 1]),
+        ],
+    )
+    def test_equals_replay_oracle(self, rng, case, sizes):
+        cfg = heavy_config(2, 4)
+        (part,), protos = grouped_partitions(rng, sizes, 1)
+        node = preprocess(part, cfg)
+        fam = HashFamily.from_config(cfg)
+        heavy_tables = sum(size > 8 for size in sizes) * cfg.num_tables
+        assert node.heavy_pos.size == heavy_tables  # no two groups share a bucket
+        if case == "no-hit":
+            absent = [np.setdiff1d(np.arange(64, dtype=np.uint64), tb.addrs)[:2] for tb in node.tables]
+            batch = np.column_stack(absent)
+        elif case == "repeated-rows":
+            batch = fam.addresses([protos[1], protos[0], protos[1], protos[1], protos[2], protos[0]])
+        else:
+            batch = fam.addresses(protos[:1] * 2 if case == "all-heavy" else protos)
+        stack, inserted = spied_probe(node, batch)
+        assert stack == replayed_candidates(node, batch)
+        hit_sizes = [
+            bucket_ids(tb, a).size for row in batch for tb, a in zip(node.tables, row.tolist())
+        ]
+        assert inserted == [sum(size for size in hit_sizes if size <= 8)]
+        if case in ("all-heavy", "no-hit"):
+            assert inserted == [0]
+        if case == "no-hit":
+            assert stack == node.empty_sketch(len(batch))
 
 
 class TestBoundedObservations:

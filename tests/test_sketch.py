@@ -1,10 +1,12 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchlsh import sketch as sketch_module
 from sketchlsh.core import NULL_ID
 from sketchlsh.sketch import (
     ShapeMismatchError,
@@ -14,7 +16,13 @@ from sketchlsh.sketch import (
 )
 from sketchlsh.synthetic import adversarial_stream, zipf_stream
 
-from oracles import cell_arrival_counts, exact_counter, replay_cells, replayed_sketch
+from oracles import (
+    cell_arrival_counts,
+    exact_counter,
+    insert_per_event,
+    replay_cells,
+    replayed_sketch,
+)
 
 SEEDS4 = row_seeds_from_master(77, 4)
 
@@ -152,6 +160,91 @@ class TestCellKernel:
         for bad in (2, -1):
             with pytest.raises(ValueError):
                 stack.insert_many(items, np.array([0, 1, bad, 0]))
+
+
+def one_cell(ids_counts=None) -> TopkapiSketch:
+    """A 1 x 1 sketch, whose one cell sees every arrival in stream order,
+    optionally starting at the given (id, count)."""
+    s = TopkapiSketch(1, 1, row_seeds_from_master(5, 1))
+    if ids_counts is not None:
+        s.ids[0, 0], s.counts[0, 0] = ids_counts
+    return s
+
+
+class TestInsertManyOracle:
+    """insert_many against the per-event pass of ``oracles.insert_per_event``,
+    bit for bit: closed-form cells and replayed cells alike."""
+
+    @pytest.mark.parametrize(
+        "start, stream, end",
+        [
+            (None, [7], (7, 1)),  # k = 1
+            (None, [7, 8], (7, 0)),  # k = 2: the second-to-last id, counter 0
+            (None, [7, 8, 9], (9, 1)),  # k = 3
+            (None, [7, 8, 9, 10], (9, 0)),
+            (None, [7, 7], (7, 2)),  # a repeat at an even place breaks the alternation
+            (None, [7, 8, 8], (8, 1)),  # a repeat at an odd place does not
+            (None, [7, 8, 7], (7, 1)),
+            ((5, 0), [5], (5, 1)),  # a non-empty cell with counter 0
+            ((5, 0), [6, 7], (6, 0)),
+            ((5, 2), [6], (5, 1)),  # a counter above 0 takes the per-event pass
+            ((5, 1), [5, 6, 7], (5, 0)),
+            ((5, 1), [], (5, 1)),  # empty input
+            (None, [], (NULL_ID, 0)),
+        ],
+    )
+    def test_one_cell_streams(self, start, stream, end):
+        items = np.array(stream, dtype=np.uint64)
+        got, want = one_cell(start), one_cell(start)
+        got.insert_many(items)
+        insert_per_event(want, items)
+        assert got == want
+        assert (int(got.ids[0, 0]), int(got.counts[0, 0])) == end
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        grid=st.sampled_from([(1, 1), (1, 3), (2, 2), (4, 32)]),
+        members=st.sampled_from([None, 1, 3]),
+        # a few ids, so that repeats land at even and odd places; the null
+        # id and one past 2^63 are items like any other
+        stream=st.lists(st.sampled_from([0, 1, 2, 3, 2**63 + 1, NULL_ID]), max_size=40),
+        prefill=st.lists(
+            st.tuples(st.integers(0, 1 << 10), st.sampled_from([0, 1, 2**63 + 1]), st.integers(0, 3)),
+            max_size=8,
+        ),
+        chunk=st.sampled_from([None, 1, 3]),  # None: the real chunk size
+        data=st.data(),
+    )
+    def test_equals_per_event_pass(self, grid, members, stream, prefill, chunk, data):
+        rows, cols = grid
+        got = TopkapiSketch(rows, cols, row_seeds_from_master(11, rows), members)
+        for cell, item, count in prefill:  # cells that start non-empty, (id, 0) included
+            got.ids.flat[cell % got.ids.size] = item
+            got.counts.flat[cell % got.ids.size] = count
+        want = got._with_cells(got.ids.copy(), got.counts.copy())
+        items = np.array(stream, dtype=np.uint64)
+        slots = None
+        if members is not None:
+            slots = np.array(
+                data.draw(st.lists(st.integers(0, members - 1), min_size=items.size, max_size=items.size)),
+                dtype=np.int64,
+            )
+        with mock.patch.object(sketch_module, "_INSERT_CHUNK", chunk or sketch_module._INSERT_CHUNK):
+            got.insert_many(items, slots)
+        insert_per_event(want, items, slots)
+        assert got == want
+
+    def test_stack_stream_across_the_chunk_bound(self, rng):
+        # distinct ids, as a probe inserts them, plus repeats, over 3 members
+        n = sketch_module._INSERT_CHUNK + 500
+        items = rng.permutation(np.arange(1, n + 1, dtype=np.uint64))
+        items[::1000] = items[1::1000]
+        slots = np.sort(rng.integers(0, 3, size=n))
+        got = TopkapiSketch(4, 32, SEEDS4, members=3)
+        want = TopkapiSketch(4, 32, SEEDS4, members=3)
+        got.insert_many(items, slots)
+        insert_per_event(want, items, slots)
+        assert got == want
 
 
 class TestStack:

@@ -135,6 +135,11 @@ def _run_simulated(
     return outs[0], metrics
 
 
+def _bytes_sent(metrics: list[QueryMetrics]) -> int:
+    """Reduce payload bytes that every rank of one batch sent, summed."""
+    return sum(mt.reduce_stats.bytes_sent for mt in metrics)
+
+
 def _write_results(out, results, metrics: QueryMetrics) -> None:
     lines = [r.to_line() for r in results]
     lines.append(metrics.to_line())
@@ -155,7 +160,10 @@ def cmd_query(args) -> int:
         indexes = [_load_index(args.indexes, r, config) for r in range(world)]
         results, metrics = _run_simulated(indexes, batch, args.mode)
         _write_results(args.out, results, metrics[0])
-        print(f"queried {len(batch)} vectors in mode {args.mode} over {world} ranks")
+        print(
+            f"queried {len(batch)} vectors in mode {args.mode} over {world} ranks; "
+            f"the reduce sent {_bytes_sent(metrics)} bytes"
+        )
     else:
         if args.hosts is None:
             raise ConfigError("--backend tcp needs --hosts, the membership file")
@@ -226,9 +234,13 @@ def cmd_bench(args) -> int:
                     "max_merge_rounds": max(
                         mt.reduce_stats.merge_rounds for mt in metrics
                     ),
+                    "wire_bytes_per_query": _bytes_sent(metrics) / len(batch),
                 }
             )
-    fieldnames = ["m", "mode", "mean_query_ms", "recall", "s_at_k", "index_s", "max_merge_rounds"]
+    fieldnames = [
+        "m", "mode", "mean_query_ms", "recall", "s_at_k", "index_s", "max_merge_rounds",
+        "wire_bytes_per_query",
+    ]
     out_f = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.DictWriter(out_f, fieldnames=fieldnames)

@@ -377,12 +377,12 @@ def _check_bound(counts: np.ndarray, what: str) -> None:
 
 
 def _decode_sketches(payload: bytes, expected: int) -> TopkapiSketch:
+    """The stack of ``expected`` members that a masked payload
+    (:meth:`TopkapiSketch.to_masked_bytes`) holds, as a whole."""
     try:
-        stack, end = TopkapiSketch.from_bytes(payload, members=expected)
+        stack = TopkapiSketch.from_masked_bytes(payload, expected)
     except SketchFormatError as exc:
         raise CollectiveError(f"malformed sketch payload: {exc}") from None
-    if end != len(payload):
-        raise CollectiveError("trailing bytes after sketch payload")
     _check_bound(stack.counts, "sketch payload")
     return stack
 
@@ -394,13 +394,15 @@ def tree_reduce_sketches(
     stats: ReduceStats | None = None,
 ) -> TopkapiSketch | None:
     """Pairwise tree merge of a batch's (n, W, B) sketch stack; rank 0 gets
-    the merged stack, the other ranks ``None``. The stack travels and merges
-    whole: one encode per send, one decode and one merge per receive. Each
+    the merged stack, the other ranks ``None``. The stack travels masked
+    (:meth:`TopkapiSketch.to_masked_bytes`) and merges whole: one encode
+    per send, one decode and one merge per receive. Each
     rank performs at most ceil(log2(m)) merge rounds and one send, so
     per-rank communication is O(log m * sketch size * #queries).
     """
     schedule = ReductionSchedule.for_world(transport.world_size)
-    return _reduce(transport, stack, schedule, _decode_sketches, batch_id, stats)
+    encode = TopkapiSketch.to_masked_bytes
+    return _reduce(transport, stack, schedule, encode, _decode_sketches, batch_id, stats)
 
 
 def linear_reduce_sketches(
@@ -411,7 +413,8 @@ def linear_reduce_sketches(
 ) -> TopkapiSketch | None:
     """Baseline: rank 0 receives from every rank in order, merging serially."""
     schedule = ReductionSchedule.linear(transport.world_size)
-    return _reduce(transport, stack, schedule, _decode_sketches, batch_id, stats)
+    encode = TopkapiSketch.to_masked_bytes
+    return _reduce(transport, stack, schedule, encode, _decode_sketches, batch_id, stats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,21 +497,25 @@ def tree_reduce_counts(
 ) -> ExactCounts | None:
     """Exact-mode reduction: per-id counts summed over ranks, tree pattern."""
     schedule = ReductionSchedule.for_world(transport.world_size)
-    return _reduce(transport, counts, schedule, ExactCounts.from_bytes, batch_id, stats)
+    encode, decode = ExactCounts.to_bytes, ExactCounts.from_bytes
+    return _reduce(transport, counts, schedule, encode, decode, batch_id, stats)
 
 
-def _reduce(transport, items, schedule, decode, batch_id, stats):
+def _reduce(transport, items, schedule, encode, decode, batch_id, stats):
     """Run ``schedule`` on this rank; rank 0 returns the merged items.
 
-    A sender ships ``items.to_bytes()``; a receiver decodes the payload, by
-    ``decode(payload, len(items))``, to as many items as it holds and
-    merges them in by ``items.merge``.
+    A sender ships ``encode(items)``: the masked stack of
+    :meth:`TopkapiSketch.to_masked_bytes` in the sketch modes, the count
+    columns of :meth:`ExactCounts.to_bytes` in exact mode. A receiver
+    decodes the payload, by ``decode(payload, len(items))``, to as many
+    items as it holds, as dense as its own, and merges them in by
+    ``items.merge``.
     """
     stats = stats if stats is not None else ReduceStats()
     for rnd, pairs in enumerate(schedule.rounds):
         for dst, src in pairs:
             if transport.rank == src:
-                payload = items.to_bytes()
+                payload = encode(items)
                 transport.send(dst, Frame(FRAME_REDUCE, batch_id, rnd, payload))
                 stats.sends += 1
                 stats.bytes_sent += len(payload)

@@ -135,8 +135,12 @@ class LshConfig:
             object.__setattr__(self, "sketch_cols", 4 * self.top_k)
         if self.sketch_rows < 1 or self.sketch_cols < 1:
             raise ConfigError("sketch shape must be at least 1x1")
-        if not (0 <= self.master_seed <= 0xFFFFFFFFFFFFFFFF):
-            raise ConfigError("master_seed must fit in 64 bits")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be >= 0")
+        # the fingerprint reads every field as a u64, and keys and hashes are u64 arithmetic
+        wide = [f.name for f in fields(self) if getattr(self, f.name) > 0xFFFFFFFFFFFFFFFF]
+        if wide:
+            raise ConfigError(f"{', '.join(wide)} must fit in 64 bits (at most 2^64 - 1)")
 
     def fingerprint(self) -> int:
         """Stable 64-bit digest of every field, in declaration order; used to

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import struct
 from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 
@@ -202,6 +203,12 @@ class NodeIndex:
             )
             for t in range(self.config.num_tables)
         ]
+
+    @cached_property
+    def hash_family(self) -> HashFamily:
+        """The hash family of this index's config, built on first use: a
+        query batch hashes with it, and a load does not pay for it."""
+        return HashFamily.from_config(self.config)
 
     @property
     def occupied_slots(self) -> list[int]:

@@ -34,7 +34,6 @@ from .cluster import (
     tree_reduce_counts,
     tree_reduce_sketches,
 )
-from .hashing import HashFamily
 from .index import NodeIndex
 from .sketch import TopkapiSketch
 from ._bits import mix64
@@ -218,7 +217,7 @@ def query_batch(
     n = len(batch)
     lo, hi = _slice_bounds(n, transport.world_size, transport.rank)
 
-    family = HashFamily.from_config(config)
+    family = index.hash_family
     t0 = time.perf_counter()
     my_addrs = family.addresses([v for _, v in batch.queries[lo:hi]])
     # the mode rides in the fingerprint word, so ranks in different modes fail alike

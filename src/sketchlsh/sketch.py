@@ -14,7 +14,9 @@ Memory is fixed at construction: no insert ever grows the sketch.
 A sketch may carry a leading axis: a stack of n same-shape sketches that
 share one row-seed vector, held as (n, W, B) arrays. Merging is cell by
 cell, so it works on stacks as written, and a stack serializes to one
-record: the shared header once, then every member's cells in turn.
+record: the shared header once, then every member's cells in turn. A stack
+travels between ranks masked: the record's header, a bitmap of the cells
+that are not (null, 0), then those cells only.
 """
 
 from __future__ import annotations
@@ -275,8 +277,14 @@ class TopkapiSketch:
 
     # -- serialization ---------------------------------------------------------
 
+    def _header(self) -> bytes:
+        """The record's header: u32 length (one member's), u32 rows, u32 cols, row seeds."""
+        plen = 8 + 8 * self.rows + 16 * self.rows * self.cols
+        seeds = self.row_seeds.astype("<u8").tobytes()
+        return struct.pack("<III", plen, self.rows, self.cols) + seeds
+
     def to_bytes(self) -> bytes:
-        """Length-prefixed little-endian wire form; bit-exact round trip.
+        """Length-prefixed little-endian record; bit-exact round trip.
 
         Layout: u32 payload length, then u32 rows, u32 cols, rows x u64 row
         seed, then rows*cols cells of (u64 id, u64 count) in row-major order.
@@ -284,10 +292,43 @@ class TopkapiSketch:
         turn; the length stays one member's, so a stack of one is a single
         sketch's record.
         """
-        plen = 8 + 8 * self.rows + 16 * self.rows * self.cols
         cells = np.stack((self.ids, self.counts), axis=-1).astype("<u8", copy=False)
-        head = struct.pack("<III", plen, self.rows, self.cols)
-        return b"".join((head, self.row_seeds.astype("<u8"), cells))
+        return b"".join((self._header(), cells))
+
+    def to_masked_bytes(self) -> bytes:
+        """The record of :meth:`to_bytes` with only the cells that are not
+        (null, 0); bit-exact round trip by :meth:`from_masked_bytes`.
+
+        Layout: the record's header, then one bit per cell in cell order
+        (member, row, column), set for a cell that is not (null, 0), packed
+        8 to a byte from the least significant bit and zero-padded; then
+        the u64 ids of the set cells in cell order, then their u64 counts.
+        A count-0 cell that holds a real id is sent: it decides ties. So is
+        a null cell with a counter above 0, which no insert or merge makes;
+        the decoder rejects it.
+        """
+        live = (self.ids != _NULL) | (self.counts != 0)
+        at = np.flatnonzero(live)  # one index pass serves both columns
+        columns = [c.take(at).astype("<u8", copy=False) for c in (self.ids, self.counts)]
+        return b"".join([self._header(), np.packbits(live, bitorder="little")] + columns)
+
+    @staticmethod
+    def _read_header(buf: bytes, offset: int) -> tuple[int, int, np.ndarray, int]:
+        """The rows, columns and row seeds of the header at ``offset``, and
+        the offset past it."""
+        if len(buf) - offset < 12:
+            raise SketchFormatError("truncated sketch: missing length prefix or shape")
+        plen, rows, cols = struct.unpack_from("<III", buf, offset)
+        if rows < 1 or cols < 1:
+            raise SketchFormatError(f"sketch shape {rows}x{cols} is empty")
+        expected = 8 + 8 * rows + 16 * rows * cols
+        if plen != expected:
+            raise SketchFormatError(f"sketch payload length {plen} != expected {expected}")
+        head = offset + 12 + 8 * rows
+        if len(buf) < head:
+            raise SketchFormatError("truncated sketch header")
+        row_seeds = np.frombuffer(buf, dtype="<u8", count=rows, offset=offset + 12)
+        return rows, cols, row_seeds.astype(np.uint64), head
 
     @classmethod
     def from_bytes(
@@ -297,29 +338,52 @@ class TopkapiSketch:
         members' cells under one header; returns (sketch, offset past it).
         Malformed bytes raise :class:`SketchFormatError`, and so does a
         null cell with a counter above 0, which no insert or merge makes."""
-        if len(buf) - offset < 12:
-            raise SketchFormatError("truncated sketch: missing length prefix or shape")
-        plen, rows, cols = struct.unpack_from("<III", buf, offset)
-        if rows < 1 or cols < 1:
-            raise SketchFormatError(f"sketch shape {rows}x{cols} is empty")
-        expected = 8 + 8 * rows + 16 * rows * cols
-        if plen != expected:
-            raise SketchFormatError(f"sketch payload length {plen} != expected {expected}")
+        rows, cols, row_seeds, head = cls._read_header(buf, offset)
         n = 1 if members is None else members
         if n < 1:
             raise SketchFormatError("a sketch stack needs at least one member")
-        head = offset + 12 + 8 * rows
         end = head + n * 16 * rows * cols
         if len(buf) < end:
             raise SketchFormatError("truncated sketch payload")
-        row_seeds = np.frombuffer(buf, dtype="<u8", count=rows, offset=offset + 12)
-        out = cls(rows, cols, row_seeds.astype(np.uint64), members)
+        out = cls(rows, cols, row_seeds, members)
         cells = np.frombuffer(buf, "<u8", 2 * out.ids.size, head).reshape(out.ids.shape + (2,))
         out.ids[:] = cells[..., 0]
         out.counts[:] = cells[..., 1]
         if np.any((out.ids == _NULL) & (out.counts > 0)):
             raise SketchFormatError("a null cell carries a count")
         return out, end
+
+    @classmethod
+    def from_masked_bytes(cls, buf: bytes, members: int) -> "TopkapiSketch":
+        """Parse the whole of ``buf`` as the :meth:`to_masked_bytes` form of
+        a stack of ``members``. Malformed bytes raise
+        :class:`SketchFormatError`: a short payload, a length other than
+        header + mask + 16 bytes per set bit, a set padding bit, or a set
+        cell that holds the null id."""
+        rows, cols, row_seeds, head = cls._read_header(buf, 0)
+        if members < 1:
+            raise SketchFormatError("a sketch stack needs at least one member")
+        out = cls(rows, cols, row_seeds, members)
+        n_cells = out.ids.size
+        cells_at = head + (n_cells + 7) // 8
+        if len(buf) < cells_at:
+            raise SketchFormatError("truncated sketch cell mask")
+        bits = np.unpackbits(np.frombuffer(buf, np.uint8, cells_at - head, head), bitorder="little")
+        if bits[n_cells:].any():
+            raise SketchFormatError("a padding bit of the cell mask is set")
+        live = bits[:n_cells].view(bool).reshape(out.ids.shape)
+        p = int(np.count_nonzero(live))
+        if len(buf) != cells_at + 16 * p:
+            raise SketchFormatError(
+                f"masked sketch payload of {len(buf)} bytes, expected {cells_at + 16 * p} "
+                f"for {p} set cells"
+            )
+        columns = np.frombuffer(buf, "<u8", 2 * p, cells_at)
+        if np.any(columns[:p] == _NULL):
+            raise SketchFormatError("a set cell holds the null id")
+        out.ids[live] = columns[:p]
+        out.counts[live] = columns[p:]
+        return out
 
     # -- dunder ----------------------------------------------------------------
 

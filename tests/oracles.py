@@ -19,7 +19,7 @@ import numpy as np
 
 from sketchlsh import hashing
 from sketchlsh._bits import UINT64_MAX, mix64, range_map
-from sketchlsh.core import ConfigError, EmptyVectorError, SketchLshError, SparseVector
+from sketchlsh.core import NULL_ID, ConfigError, EmptyVectorError, SketchLshError, SparseVector
 from sketchlsh.dataio import (
     DatasetManifest,
     PartitionInfo,
@@ -374,6 +374,23 @@ def count_payload(maps: list[dict[int, int]]) -> bytes:
     ids = [i for x in items for i, _ in x]
     cnt = [c for x in items for _, c in x]
     return struct.pack(f"<{len(lengths) + 2 * len(ids)}Q", *lengths, *ids, *cnt)
+
+
+def masked_payload(stack) -> bytes:
+    """The masked reduce payload of a sketch stack, packed with struct from
+    its dense record: the record's header, one bit per cell that is not
+    (null, 0), least significant bit first and zero-padded, then those
+    cells' ids, then their counts."""
+    head = 12 + 8 * stack.rows
+    record = stack.to_bytes()
+    words = struct.unpack_from(f"<{2 * stack.ids.size}Q", record, head)
+    cells = list(zip(words[0::2], words[1::2]))
+    kept = [(i, cell) for i, cell in enumerate(cells) if cell != (NULL_ID, 0)]
+    mask = bytearray((len(cells) + 7) // 8)
+    for i, _ in kept:
+        mask[i // 8] |= 1 << (i % 8)
+    columns = [ident for _, (ident, _) in kept] + [count for _, (_, count) in kept]
+    return record[:head] + bytes(mask) + struct.pack(f"<{len(columns)}Q", *columns)
 
 
 def exact_counts(maps: list[dict[int, int]]):

@@ -12,9 +12,10 @@ import pytest
 from sketchlsh import cli
 from sketchlsh.cli import main
 from sketchlsh.cluster import TcpTransport
-from sketchlsh.dataio import format_record, load_config, lsh_config_from_mapping
+from sketchlsh.dataio import format_record, load_config, lsh_config_from_mapping, parse_query_file
 from sketchlsh.index import NodeIndex
 from sketchlsh.params import LshSensitivity, recommend_params
+from sketchlsh.query import QueryBatch
 from sketchlsh.synthetic import random_sparse_vectors
 
 from oracles import free_ports
@@ -299,6 +300,44 @@ class TestEndToEnd:
         assert "table_range * num_tables must be at most 2^64" in capsys.readouterr().err
         assert not any((tmp_path / "idx2").glob("index-*"))
 
+    @pytest.mark.parametrize(
+        "flag, field",
+        [("--table-range", "table_range"), ("--k", "hashes_per_table"),
+         ("--sketch-rows", "sketch_rows"), ("--top-k", "top_k")],
+    )
+    def test_index_field_past_a_u64_is_config_error(self, tmp_path, rng, capsys, flag, field):
+        manifest, _, _ = build_indexes(tmp_path, rng, m=1)
+        capsys.readouterr()
+        assert main([
+            "index", "--manifest", str(manifest), "--out", str(tmp_path / "idx2"),
+            "--tables", "1", flag, str(1 << 64),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{field} must fit in 64 bits" in err
+        assert not any((tmp_path / "idx2").glob("index-*"))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_sim_query_reports_the_reduce_bytes(self, tmp_path, rng, capsys, m):
+        manifest, idx_dir, queries = build_indexes(tmp_path, rng, m)
+        capsys.readouterr()
+        assert main([
+            "query", "--indexes", str(idx_dir), "--queries", str(queries),
+            "--manifest", str(manifest), "--out", str(tmp_path / "r.txt"),
+        ]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        head, _, sent = summary.partition("; the reduce sent ")
+        assert head == f"queried 1 vectors in mode sketch_tree over {m} ranks"
+        config = load_config(idx_dir / "config.txt")
+        indexes = [
+            NodeIndex.load(idx_dir / f"index-{r:05d}.bin", lsh_config_from_mapping(config))
+            for r in range(m)
+        ]
+        batch = QueryBatch(parse_query_file(queries, None))
+        _, metrics = cli._run_simulated(indexes, batch, "sketch_tree")
+        expected = sum(mt.reduce_stats.bytes_sent for mt in metrics)
+        assert sent == f"{expected} bytes" and (expected > 0) == (m > 1)
+        assert (tmp_path / "r.txt").read_text().splitlines()[-1].startswith("# phases hash=")
+
     def test_tcp_without_hosts_is_config_error(self, tmp_path, rng, capsys):
         _, idx_dir, queries = build_indexes(tmp_path, rng, m=1)
         capsys.readouterr()
@@ -441,3 +480,27 @@ class TestBenchCommand:
         for row in rows:
             if row["mode"] == "sketch_tree" and int(row["m"]) > 1:
                 assert int(row["max_merge_rounds"]) == math.ceil(math.log2(int(row["m"])))
+        # every rank's reduce bytes per query: none at m = 1; at m = 2 rank 1's
+        # masked stack, within its header, mask and 128 cells per query
+        wire = {(int(r["m"]), r["mode"]): float(r["wire_bytes_per_query"]) for r in rows}
+        assert wire[1, "sketch_tree"] == wire[1, "exact"] == 0.0
+        assert 0 < wire[2, "sketch_tree"] < (12 + 8 * 4) / 20 + 16 + 16 * 128
+        assert 0 < wire[2, "exact"]
+
+    def test_wire_bytes_are_every_rank_s_bytes_sent_per_query(self, monkeypatch, capsys):
+        runs = []
+        run_simulated = cli._run_simulated
+
+        def recording(indexes, batch, mode):
+            results, metrics = run_simulated(indexes, batch, mode)
+            runs.append(sum(mt.reduce_stats.bytes_sent for mt in metrics) / len(batch))
+            return results, metrics
+
+        monkeypatch.setattr(cli, "_run_simulated", recording)
+        assert main([
+            "bench", "--n", "200", "--queries", "6", "--per-query", "3", "--dim", "4096",
+            "--nnz", "16", "--m-list", "3", "--modes", "sketch_linear,exact", "--tables", "4",
+        ]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [float(r["wire_bytes_per_query"]) for r in rows] == runs
+        assert all(x > 0 for x in runs)

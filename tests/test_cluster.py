@@ -35,6 +35,7 @@ from oracles import (
     count_payload,
     exact_counts,
     free_ports,
+    masked_payload,
     merge_count_maps,
     run_tcp_threads,
 )
@@ -195,11 +196,29 @@ class TestTreeReduce:
         tcp = run_tcp_threads(4, fn)
         assert sim[0] == tcp[0] and sim[0] is not None
 
+    def test_decoded_stack_equals_sent_stack_in_both_backends(self, rng):
+        # rank 0 holds empty sketches, the merge identity, so it ends with
+        # rank 1's stack as decoded: count-0 cells, ids past 2^63, null cells
+        sent = TopkapiSketch.stack([random_sketch(rng) for _ in range(3)])
+        sent.ids[0, 0, :3], sent.counts[0, 0, :3] = [(1 << 63) + 1, NULL_ID - 1, 4], [2, 0, 0]
+        sent.ids[2], sent.counts[2] = NULL_ID, 0
+        empty = TopkapiSketch(2, 8, SEEDS, members=3)
+
+        def fn(tr):
+            out = tree_reduce_sketches(tr, sent if tr.rank else empty)
+            return None if out is None else (out.ids.copy(), out.counts.copy())
+
+        for run in (SimulatedCluster(2).run, lambda fn: run_tcp_threads(2, fn)):
+            ids, counts = run(fn)[0]
+            assert np.array_equal(ids, sent.ids) and np.array_equal(counts, sent.counts)
+
 
     def test_payload_is_member_concatenation(self, rng):
-        # a rank sends its batch as one stack record: one header, then each
-        # member's cells, the bytes of its wire form past the header
+        # a rank sends its batch as one masked stack: the record's header
+        # once, one mask bit per cell of every member in turn, then the ids
+        # and the counts of the set cells, members in turn
         base = [[random_sketch(rng) for _ in range(3)] for _ in range(2)]
+        base[1][1].ids[0, 0], base[1][1].counts[0, 0] = 5, 0  # a count-0 cell travels
         sent = []
 
         def fn(tr):
@@ -210,7 +229,13 @@ class TestTreeReduce:
 
         out = SimulatedCluster(2).run(fn)
         head = 12 + 8 * base[1][0].rows
-        assert sent == [base[1][0].to_bytes() + b"".join(s.to_bytes()[head:] for s in base[1][1:])]
+        stack = TopkapiSketch.stack(base[1])
+        assert sent == [masked_payload(stack)]
+        assert sent[0][:head] == base[1][0].to_bytes()[:head]
+        live = np.concatenate([(s.ids != NULL_ID) | (s.counts > 0) for s in base[1]], axis=None)
+        mask = np.packbits(live, bitorder="little").tobytes()  # 3 x 16 cells: 6 bytes
+        assert sent[0][head : head + 6] == mask
+        assert len(sent[0]) == head + 6 + 16 * int(live.sum())
         assert out[0] == TopkapiSketch.stack([a.merge(b) for a, b in zip(*base)])
 
 
@@ -379,8 +404,20 @@ class TestWireFormat:
 
     def test_malformed_reduce_payloads_are_collective_errors(self, rng):
         counts = count_payload([{1: 2, 7: 3}, {}])
-        stack = TopkapiSketch.stack([random_sketch(rng), random_sketch(rng)]).to_bytes()
-        one = random_sketch(rng).to_bytes()
+        stack = masked_payload(TopkapiSketch.stack([random_sketch(rng), random_sketch(rng)]))
+        one = masked_payload(TopkapiSketch.stack([random_sketch(rng)]))
+        head = 12 + 8 * 2
+        # a 1 x 3 stack of one: 3 mask bits, 5 of padding; its cell 1 holds id 9
+        three = TopkapiSketch(1, 3, row_seeds_from_master(3, 1), members=1)
+        three.ids[0, 0, 1] = 9
+        small = masked_payload(three)
+        mask_at = 12 + 8
+        padded = bytearray(small)
+        padded[mask_at] |= 0x10
+        unset = bytearray(small)
+        unset[mask_at] |= 0x01  # cell 0 set, but its id and count are missing
+        null_id = small[: mask_at + 1] + struct.pack("<QQ", NULL_ID, 0)
+        too_big = small[: mask_at + 1] + struct.pack("<QQ", 9, MAX_TABLES + 1)
         bad = [
             (ExactCounts.from_bytes, counts[:-1], 2),  # cut inside a column
             (ExactCounts.from_bytes, counts[:12], 2),  # cut inside a length
@@ -393,17 +430,25 @@ class TestWireFormat:
             (ExactCounts.from_bytes, struct.pack("<5Q", 2, 7, 7, 3, 2), 1),  # an id twice
             (_decode_sketches, stack[:-1], 2),
             (_decode_sketches, stack[:5], 2),
+            (_decode_sketches, stack[: head + 3], 2),  # cut inside the mask
             (_decode_sketches, stack, 3),  # fewer members than expected
             (_decode_sketches, stack, 1),  # more members than expected
-            (_decode_sketches, one + one, 2),  # two single records: a second header
+            (_decode_sketches, one + one, 2),  # two single stacks: a second header
             (_decode_sketches, stack + b"\0", 2),
-            (_decode_sketches, cell_sketch(NULL_ID, 5).to_bytes(), 1),  # a null cell with a count
+            (_decode_sketches, stack + b"\0" * 16, 2),  # one cell more than the mask sets
+            (_decode_sketches, bytes(unset), 1),  # one mask bit more than the cells
+            (_decode_sketches, bytes(padded), 1),  # a padding bit set
+            (_decode_sketches, null_id, 1),  # a set cell of the null id, count 0
+            (_decode_sketches, masked_payload(cell_sketch(NULL_ID, 5)), 1),  # and a count
+            (_decode_sketches, too_big, 1),  # a count past the largest table count
+            (_decode_sketches, TopkapiSketch.stack([random_sketch(rng)] * 2).to_bytes(), 2),
         ]
         for decode, payload, expected in bad:
             with pytest.raises(CollectiveError):
                 decode(payload, expected)
         assert count_maps(ExactCounts.from_bytes(counts, 2)) == [{1: 2, 7: 3}, {}]
         assert len(_decode_sketches(stack, 2)) == 2
+        assert _decode_sketches(small, 1) == three
 
 
 def _replay_reduce(rounds, items, merge, encode):
@@ -476,7 +521,7 @@ class TestReduceFrames:
         rounds = self.linear_rounds(m) if linear else self.tree_rounds(m)
         got, final = self.check(
             monkeypatch, m, reducer, rounds, items,
-            merge=lambda a, b: a.merge(b), encode=lambda s: s.to_bytes(),
+            merge=lambda a, b: a.merge(b), encode=masked_payload,
         )
         assert got.to_bytes() == final.to_bytes()
 

@@ -12,6 +12,7 @@ from sketchlsh.core import (
     SparseVector,
 )
 from sketchlsh.dataio import lsh_config_from_mapping
+from sketchlsh.index import _table_bases
 
 
 class TestSparseVector:
@@ -102,6 +103,35 @@ class TestLshConfig:
             lsh_config_from_mapping({"num_tables": "8", "table_range": str(1 << 62)})
         with pytest.raises(ConfigError, match="table_range \\* num_tables"):
             lsh_config_from_mapping({"num_tables": "3"}, table_range=1 << 63)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["hashes_per_table", "table_range", "sketch_rows", "sketch_cols", "master_seed", "top_k"],
+    )
+    def test_every_field_fits_a_u64(self, field):
+        # the fingerprint, the index and the hashes hold each field in a u64;
+        # at L = 1, R = 2^64 passes the R·L bound and must still be rejected
+        wide = {field: 1 << 64, "num_tables": 1}
+        with pytest.raises(ConfigError, match=f"{field}.* must fit in 64 bits"):
+            LshConfig(**wide)
+        with pytest.raises(ConfigError, match=f"{field}.* must fit in 64 bits"):
+            lsh_config_from_mapping({k: str(v) for k, v in wide.items()})
+        largest = {field: (1 << 64) - 1, "sketch_cols": 8}  # sketch_cols 0 derives 4·top_k
+        if field == "table_range":
+            largest = {"table_range": 1 << 63, "num_tables": 2}
+        elif field == "sketch_cols":
+            largest = {"sketch_cols": (1 << 64) - 1}
+        config = LshConfig(**largest)
+        assert getattr(config, field) == largest[field]
+        assert 0 <= config.fingerprint() < 1 << 64
+        assert _table_bases(config)[-1] == (config.num_tables - 1) * config.table_range
+
+    def test_derived_sketch_cols_fits_a_u64(self):
+        assert LshConfig(top_k=(1 << 62) - 1).sketch_cols == (1 << 64) - 4
+        with pytest.raises(ConfigError, match="sketch_cols.* must fit in 64 bits"):
+            LshConfig(top_k=1 << 62)
+        with pytest.raises(ConfigError, match="must be >= 0"):
+            LshConfig(master_seed=-1)
 
     def test_fingerprint_sensitive_to_every_field(self):
         base = LshConfig()

@@ -26,7 +26,14 @@ from sketchlsh.cluster import (
     TransportError,
     _decode_sketches,
 )
-from sketchlsh.core import MAX_TABLES, DatasetPartition, LshConfig, SketchLshError, SparseVector
+from sketchlsh.core import (
+    MAX_TABLES,
+    NULL_ID,
+    DatasetPartition,
+    LshConfig,
+    SketchLshError,
+    SparseVector,
+)
 from sketchlsh.dataio import DatasetManifest, parse_record, read_hosts_file
 from sketchlsh.index import IndexFileError, NodeIndex, preprocess
 from sketchlsh.sketch import TopkapiSketch
@@ -251,27 +258,39 @@ def test_count_payload(expected, random, lengths, cut, bits):
 
 @pytest.fixture(scope="module")
 def sketch_stack():
+    """A 3-member stack of 2 x 3 sketches with a count-0 cell of a real id,
+    an id past 2^63 and a count at the bound, and some null cells."""
     stack = TopkapiSketch(2, 3, np.array([7, 11], dtype=np.uint64), members=3)
     stack.insert_many(np.arange(20, dtype=np.uint64), np.arange(20) % 3)
-    return stack.to_bytes()
+    stack.ids[0, 0, :2], stack.counts[0, 0, :2] = [NULL_ID, NULL_ID], 0
+    stack.ids[1, 1, 0], stack.counts[1, 1, 0] = (1 << 63) + 3, MAX_TABLES
+    assert 0 in stack.counts[stack.ids != np.uint64(NULL_ID)]
+    return stack
 
 
 @FUZZ
 @given(members=st.integers(1, 4), random=st.binary(max_size=300), **DAMAGE)
 def test_sketch_payload(sketch_stack, members, random, cut, bits):
-    for payload in (random, damaged(sketch_stack, cut, bits)):
+    masked = sketch_stack.to_masked_bytes()
+    for payload in (random, damaged(sketch_stack.to_bytes(), cut, bits)):
         try:
             stack, end = TopkapiSketch.from_bytes(payload, members=members)
         except SketchLshError:
             pass
         else:
             assert len(stack) == members and end <= len(payload)
-        # a reduce payload: the whole of it, every count within the bound
+    # a reduce payload, masked: the whole of it, no (null, c > 0) cell, every
+    # count within the bound, and the bytes it was decoded from re-encoded
+    for payload in (random, damaged(masked, cut, bits)):
         try:
             stack = _decode_sketches(payload, members)
         except CollectiveError:
             continue
         assert len(stack) == members and int(stack.counts.max(initial=0)) <= MAX_TABLES
+        assert not np.any((stack.ids == np.uint64(NULL_ID)) & (stack.counts > 0))
+        assert stack.to_masked_bytes() == payload
+        if payload == masked:
+            assert stack == sketch_stack
 
 
 # indices around 2**64, where numpy's uint64 stops

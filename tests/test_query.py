@@ -120,8 +120,10 @@ class TestTopKExtract:
 # not change with the one-header record.
 PINNED_RESULTS = "ff094fe55d5a5708b39f0742b9c97a25f67be7030f4e69a3a4607f15245593c4"
 # sha256 of rank 0's reduced bytes and every rank's ReduceStats for the same
-# runs; any change to a reduced byte or a reduce counter shows here.
-PINNED_REDUCED = "980d1cc3f93c0c3bea1efef70636e4406525974ef834fdbd93deb1bad9690e64"
+# runs; any change to a reduced byte or a reduce counter shows here. Re-pinned
+# when the sketch modes' reduce payload became the masked stack: the reduced
+# bytes and every counter but the byte counts of the sketch modes stayed.
+PINNED_REDUCED = "233cfa803582fedc1d244a64dabc7c3c883b45fe778ef7c443be190bd54bde08"
 
 
 class TestQueryBatchPipeline:
@@ -147,6 +149,8 @@ class TestQueryBatchPipeline:
 
     @pytest.mark.parametrize("mode", ["sketch_tree", "sketch_linear"])
     def test_sketch_batch_sends_one_header(self, mode):
+        # one header, one mask bit per cell of the batch, 16 B per cell that
+        # is not (null, 0) in rank 1's stack; fewer bytes than its dense record
         inst, cfg, indexes = tcp_worker.build_state(11, 2)
         batch = QueryBatch(inst.queries)
         metrics = [QueryMetrics() for _ in range(2)]
@@ -154,8 +158,29 @@ class TestQueryBatchPipeline:
             lambda tr: query_batch(indexes[tr.rank], batch, tr, mode, metrics=metrics[tr.rank])
         )
         w, b, n = cfg.sketch_rows, cfg.sketch_cols, len(batch)
-        assert metrics[1].reduce_stats.bytes_sent == 12 + 8 * w + 16 * n * w * b
-        assert metrics[0].reduce_stats.bytes_received == metrics[1].reduce_stats.bytes_sent
+        addresses = HashFamily.from_config(cfg).addresses([v for _, v in batch.queries])
+        local = indexes[1].local_candidates(addresses)
+        live = int(np.count_nonzero((local.ids != np.uint64(NULL_ID)) | (local.counts > 0)))
+        sent = metrics[1].reduce_stats.bytes_sent
+        assert sent == 12 + 8 * w + (n * w * b + 7) // 8 + 16 * live
+        assert sent < len(local.to_bytes()) == 12 + 8 * w + 16 * n * w * b
+        assert metrics[0].reduce_stats.bytes_received == sent
+
+    def test_hash_family_is_built_once_per_index_on_first_query(self, monkeypatch):
+        inst, cfg, indexes = tcp_worker.build_state(11, 2)
+        assert all("hash_family" not in vars(idx) for idx in indexes)
+        built = []
+        from_config = HashFamily.from_config
+        monkeypatch.setattr(
+            HashFamily, "from_config", lambda config: built.append(config) or from_config(config)
+        )
+        batch = QueryBatch(inst.queries)
+        outs = [
+            SimulatedCluster(2).run(lambda tr: query_batch(indexes[tr.rank], batch, tr, mode))[0]
+            for mode in MODES
+        ]
+        assert built == [cfg, cfg]  # one per rank's index, on its first batch
+        assert outs == [run_modes(inst.dataset, inst.queries, cfg, 2, mode) for mode in MODES]
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_one_allgather_and_at_most_one_reduce_send_per_rank(self, monkeypatch, m):

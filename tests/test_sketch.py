@@ -20,6 +20,7 @@ from oracles import (
     cell_arrival_counts,
     exact_counter,
     insert_per_event,
+    masked_payload,
     replay_cells,
     replayed_sketch,
 )
@@ -325,6 +326,106 @@ class TestStack:
             len(fresh())
         with pytest.raises(TypeError):
             fresh()[0]
+
+
+# shapes of the masked-payload tests; 4 x 32 is the deployed W x B of 128 cells
+MASK_SHAPES = [(1, 1), (1, 3), (2, 2), (3, 5), (4, 32)]
+# ids small, around 2^63 and just below the null id
+IDS = np.array([0, 1, 7, 19, 1 << 63, (1 << 63) + 5, NULL_ID - 1], dtype=np.uint64)
+
+
+def random_stack(rng, n, rows, cols, occupied, zero_share):
+    """A stack of n whose cells are each taken with chance ``occupied``; a
+    taken cell holds a real id and a count of 0 with chance ``zero_share``,
+    else a count in 1..2^32 - 1."""
+    stack = TopkapiSketch(rows, cols, row_seeds_from_master(5, rows), members=n)
+    taken = rng.random(stack.ids.shape) < occupied
+    stack.ids[taken] = rng.choice(IDS, size=int(taken.sum()))
+    zero = rng.random(int(taken.sum())) < zero_share
+    stack.counts[taken] = np.where(zero, 0, rng.integers(1, 1 << 32, size=zero.size))
+    return stack
+
+
+def masked_size(stack) -> int:
+    """Header, one mask bit per cell in whole bytes, 16 B per cell not (null, 0)."""
+    live = int(np.count_nonzero((stack.ids != np.uint64(NULL_ID)) | (stack.counts != 0)))
+    return 12 + 8 * stack.rows + (stack.ids.size + 7) // 8 + 16 * live
+
+
+class TestMaskedPayload:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        n=st.integers(1, 4),
+        shape=st.sampled_from(MASK_SHAPES),
+        occupied=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip(self, n, shape, occupied, zero_share, seed):
+        stack = random_stack(np.random.default_rng(seed), n, *shape, occupied, zero_share)
+        payload = stack.to_masked_bytes()
+        assert payload == masked_payload(stack)
+        assert len(payload) == masked_size(stack)
+        back = TopkapiSketch.from_masked_bytes(payload, n)
+        assert back == stack and back.to_bytes() == stack.to_bytes()
+        # past the dense record by at most the mask: one bit per cell, whole bytes
+        dense = len(stack.to_bytes())
+        nulls = int(np.count_nonzero(stack.ids == np.uint64(NULL_ID)))
+        assert len(payload) - dense == (stack.ids.size + 7) // 8 - 16 * nulls
+        assert len(payload) - dense <= (stack.ids.size + 7) // 8
+
+    @pytest.mark.parametrize("n", [1, 3, 50])
+    def test_larger_than_dense_only_below_n_null_cells(self, rng, n):
+        # at W x B = 128 the mask is 16 B per member, one null cell's worth
+        stack = random_stack(rng, n, 4, 32, 1.0, 0.3)
+        dense = len(stack.to_bytes())
+        assert len(stack.to_masked_bytes()) == dense + 16 * n  # the worst case
+        flat = stack.ids.reshape(-1)
+        flat[: n - 1] = NULL_ID
+        stack.counts.reshape(-1)[: n - 1] = 0
+        assert len(stack.to_masked_bytes()) == dense + 16
+        flat[n - 1] = NULL_ID
+        stack.counts.reshape(-1)[n - 1] = 0
+        assert len(stack.to_masked_bytes()) == dense
+        empty = TopkapiSketch(4, 32, SEEDS4, members=n)
+        assert len(empty.to_masked_bytes()) == 12 + 8 * 4 + 16 * n
+
+    def test_malformed_payloads_raise(self, rng):
+        stack = random_stack(rng, 2, 1, 3, 0.5, 0.3)  # 6 cells: 2 padding bits
+        stack.ids[0, 0, 0], stack.counts[0, 0, 0] = 7, 0  # a set cell
+        stack.ids[1, 0, 2], stack.counts[1, 0, 2] = NULL_ID, 0  # an unset one, the last
+        good = stack.to_masked_bytes()
+        head = 12 + 8
+        null_cell = TopkapiSketch(1, 3, row_seeds_from_master(5, 1), members=1)
+        null_cell.ids[0, 0, 1] = 9
+        with_null = bytearray(null_cell.to_masked_bytes())
+        with_null[head + 1 :] = struct.pack("<QQ", NULL_ID, 0)
+        counted_null = TopkapiSketch(1, 3, row_seeds_from_master(5, 1), members=1)
+        counted_null.counts[0, 0, 2] = 4  # no insert or merge makes one; it travels and fails
+        padded = bytearray(good)
+        padded[head] |= 0x80
+        one_more = bytearray(good)
+        one_more[head] |= 1 << 5
+        bad = {
+            "short header": (good[:10], 2),
+            "no row seeds": (good[: head - 1], 2),
+            "no mask": (good[:head], 2),
+            "cut column": (good[:-1], 2),
+            "trailing bytes": (good + b"\0" * 16, 2),
+            "more members": (good, 3),
+            "fewer members": (good, 1),
+            "no members": (good, 0),
+            "padding bit": (bytes(padded), 2),
+            "mask bit without its cell": (bytes(one_more), 2),
+            "set cell of the null id": (bytes(with_null), 1),
+            "null cell with a count": (counted_null.to_masked_bytes(), 1),
+            "dense record": (stack.to_bytes(), 2),
+        }
+        for name, (payload, n) in bad.items():
+            with pytest.raises(SketchFormatError):
+                TopkapiSketch.from_masked_bytes(payload, n)
+                pytest.fail(name)
+        assert TopkapiSketch.from_masked_bytes(good, 2) == stack
 
 
 class TestMerge:

@@ -16,7 +16,8 @@ share one row-seed vector, held as (n, W, B) arrays. Merging is cell by
 cell, so it works on stacks as written, and a stack serializes to one
 record: the shared header once, then every member's cells in turn. A stack
 travels between ranks masked: the record's header, a bitmap of the cells
-that are not (null, 0), then those cells only.
+that are not (null, 0), then those cells only, each column at the fewest
+bytes that hold its largest value.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .core import NULL_ID, SketchLshError
 
 _TAG_ROW_SEEDS = 0x70FFA
 _NULL = np.uint64(NULL_ID)
+# Byte widths a column of the masked payload may take.
+_WIDTHS = (1, 2, 4, 8)
 
 # Items per pass of the cell kernel; bounds its Python lists on long streams.
 _INSERT_CHUNK = 1 << 16
@@ -42,6 +45,13 @@ class ShapeMismatchError(SketchLshError, ValueError):
 
 class SketchFormatError(SketchLshError, ValueError):
     """Bytes that are not a well-formed serialized sketch or stack."""
+
+
+def _width(column: np.ndarray) -> int:
+    """The fewest bytes of ``_WIDTHS`` that hold every value of a u64
+    column; 1 for an empty one."""
+    top = int(column.max(initial=0))
+    return next(w for w in _WIDTHS if top < 1 << (8 * w))
 
 
 def row_seeds_from_master(master_seed: int, rows: int) -> np.ndarray:
@@ -301,16 +311,21 @@ class TopkapiSketch:
 
         Layout: the record's header, then one bit per cell in cell order
         (member, row, column), set for a cell that is not (null, 0), packed
-        8 to a byte from the least significant bit and zero-padded; then
-        the u64 ids of the set cells in cell order, then their u64 counts.
-        A count-0 cell that holds a real id is sent: it decides ties. So is
-        a null cell with a counter above 0, which no insert or merge makes;
-        the decoder rejects it.
+        8 to a byte from the least significant bit and zero-padded; then a
+        u8 id width and a u8 count width; then the ids of the set cells in
+        cell order, then their counts, each column little-endian at its
+        width: the fewest of 1, 2, 4 or 8 bytes that hold its largest value
+        (1 for no set cell). A count-0 cell that holds a real id is sent: it
+        decides ties. So is a null cell with a counter above 0, which no
+        insert or merge makes; the decoder rejects it.
         """
         live = (self.ids != _NULL) | (self.counts != 0)
         at = np.flatnonzero(live)  # one index pass serves both columns
-        columns = [c.take(at).astype("<u8", copy=False) for c in (self.ids, self.counts)]
-        return b"".join([self._header(), np.packbits(live, bitorder="little")] + columns)
+        columns = [c.take(at) for c in (self.ids, self.counts)]
+        widths = [_width(c) for c in columns]
+        narrow = [c.astype(f"<u{w}") for c, w in zip(columns, widths)]
+        mask = np.packbits(live, bitorder="little")
+        return b"".join([self._header(), mask, bytes(widths)] + narrow)
 
     @staticmethod
     def _read_header(buf: bytes, offset: int) -> tuple[int, int, np.ndarray, int]:
@@ -357,32 +372,42 @@ class TopkapiSketch:
     def from_masked_bytes(cls, buf: bytes, members: int) -> "TopkapiSketch":
         """Parse the whole of ``buf`` as the :meth:`to_masked_bytes` form of
         a stack of ``members``. Malformed bytes raise
-        :class:`SketchFormatError`: a short payload, a length other than
-        header + mask + 16 bytes per set bit, a set padding bit, or a set
-        cell that holds the null id."""
+        :class:`SketchFormatError`: a short payload, a set padding bit, a
+        column width other than the fewest bytes that hold the column, a
+        length other than header + mask + 2 + the set cells at those
+        widths, or a set cell that holds the null id. So every stack has
+        one payload, and an accepted payload re-encodes to its own bytes."""
         rows, cols, row_seeds, head = cls._read_header(buf, 0)
         if members < 1:
             raise SketchFormatError("a sketch stack needs at least one member")
         out = cls(rows, cols, row_seeds, members)
         n_cells = out.ids.size
-        cells_at = head + (n_cells + 7) // 8
-        if len(buf) < cells_at:
-            raise SketchFormatError("truncated sketch cell mask")
-        bits = np.unpackbits(np.frombuffer(buf, np.uint8, cells_at - head, head), bitorder="little")
+        widths_at = head + (n_cells + 7) // 8
+        if len(buf) < widths_at + 2:
+            raise SketchFormatError("truncated sketch cell mask or column widths")
+        bits = np.unpackbits(np.frombuffer(buf, np.uint8, widths_at - head, head), bitorder="little")
         if bits[n_cells:].any():
             raise SketchFormatError("a padding bit of the cell mask is set")
         live = bits[:n_cells].view(bool).reshape(out.ids.shape)
         p = int(np.count_nonzero(live))
-        if len(buf) != cells_at + 16 * p:
+        wid, wcount = buf[widths_at], buf[widths_at + 1]
+        if wid not in _WIDTHS or wcount not in _WIDTHS:
+            raise SketchFormatError(f"column widths {wid}, {wcount} not among {_WIDTHS}")
+        ids_at = widths_at + 2
+        expected = ids_at + p * (wid + wcount)
+        if len(buf) != expected:
             raise SketchFormatError(
-                f"masked sketch payload of {len(buf)} bytes, expected {cells_at + 16 * p} "
+                f"masked sketch payload of {len(buf)} bytes, expected {expected} "
                 f"for {p} set cells"
             )
-        columns = np.frombuffer(buf, "<u8", 2 * p, cells_at)
-        if np.any(columns[:p] == _NULL):
+        ids = np.frombuffer(buf, f"<u{wid}", p, ids_at).astype(np.uint64)
+        counts = np.frombuffer(buf, f"<u{wcount}", p, ids_at + p * wid).astype(np.uint64)
+        if (wid, wcount) != (_width(ids), _width(counts)):
+            raise SketchFormatError(f"column widths {wid}, {wcount} are not the fewest bytes")
+        if np.any(ids == _NULL):
             raise SketchFormatError("a set cell holds the null id")
-        out.ids[live] = columns[:p]
-        out.counts[live] = columns[p:]
+        out.ids[live] = ids
+        out.counts[live] = counts
         return out
 
     # -- dunder ----------------------------------------------------------------

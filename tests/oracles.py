@@ -376,11 +376,19 @@ def count_payload(maps: list[dict[int, int]]) -> bytes:
     return struct.pack(f"<{len(lengths) + 2 * len(ids)}Q", *lengths, *ids, *cnt)
 
 
+def column_width(values) -> int:
+    """The byte width of a masked-payload column: the fewest of 1, 2, 4
+    and 8 bytes that hold its largest value, 1 for no value."""
+    top = max((int(v) for v in values), default=0)
+    return min(w for w in (1, 2, 4, 8) if top < 1 << (8 * w))
+
+
 def masked_payload(stack) -> bytes:
     """The masked reduce payload of a sketch stack, packed with struct from
     its dense record: the record's header, one bit per cell that is not
-    (null, 0), least significant bit first and zero-padded, then those
-    cells' ids, then their counts."""
+    (null, 0), least significant bit first and zero-padded, the byte
+    widths of the id and count columns (the fewest of 1, 2, 4, 8 that hold
+    the column), then those cells' ids, then their counts."""
     head = 12 + 8 * stack.rows
     record = stack.to_bytes()
     words = struct.unpack_from(f"<{2 * stack.ids.size}Q", record, head)
@@ -389,8 +397,13 @@ def masked_payload(stack) -> bytes:
     mask = bytearray((len(cells) + 7) // 8)
     for i, _ in kept:
         mask[i // 8] |= 1 << (i % 8)
-    columns = [ident for _, (ident, _) in kept] + [count for _, (_, count) in kept]
-    return record[:head] + bytes(mask) + struct.pack(f"<{len(columns)}Q", *columns)
+    out = record[:head] + bytes(mask)
+    columns = [[ident for _, (ident, _) in kept], [count for _, (_, count) in kept]]
+    widths = [column_width(c) for c in columns]
+    out += bytes(widths)
+    for column, w in zip(columns, widths):
+        out += struct.pack(f"<{len(column)}{'BHIQ'[w.bit_length() - 1]}", *column)
+    return out
 
 
 def exact_counts(maps: list[dict[int, int]]):

@@ -481,10 +481,11 @@ class TestBenchCommand:
             if row["mode"] == "sketch_tree" and int(row["m"]) > 1:
                 assert int(row["max_merge_rounds"]) == math.ceil(math.log2(int(row["m"])))
         # every rank's reduce bytes per query: none at m = 1; at m = 2 rank 1's
-        # masked stack, within its header, mask and 128 cells per query
+        # masked stack, within its header, column widths, mask and 128 cells
+        # of 2-byte ids and 1-byte counts per query
         wire = {(int(r["m"]), r["mode"]): float(r["wire_bytes_per_query"]) for r in rows}
         assert wire[1, "sketch_tree"] == wire[1, "exact"] == 0.0
-        assert 0 < wire[2, "sketch_tree"] < (12 + 8 * 4) / 20 + 16 + 16 * 128
+        assert 0 < wire[2, "sketch_tree"] <= (12 + 8 * 4 + 2) / 20 + 16 + 3 * 128
         assert 0 < wire[2, "exact"]
 
     def test_wire_bytes_are_every_rank_s_bytes_sent_per_query(self, monkeypatch, capsys):

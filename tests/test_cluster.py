@@ -215,8 +215,8 @@ class TestTreeReduce:
 
     def test_payload_is_member_concatenation(self, rng):
         # a rank sends its batch as one masked stack: the record's header
-        # once, one mask bit per cell of every member in turn, then the ids
-        # and the counts of the set cells, members in turn
+        # once, one mask bit per cell of every member in turn, the two column
+        # widths, then the ids and the counts of the set cells, members in turn
         base = [[random_sketch(rng) for _ in range(3)] for _ in range(2)]
         base[1][1].ids[0, 0], base[1][1].counts[0, 0] = 5, 0  # a count-0 cell travels
         sent = []
@@ -235,7 +235,8 @@ class TestTreeReduce:
         live = np.concatenate([(s.ids != NULL_ID) | (s.counts > 0) for s in base[1]], axis=None)
         mask = np.packbits(live, bitorder="little").tobytes()  # 3 x 16 cells: 6 bytes
         assert sent[0][head : head + 6] == mask
-        assert len(sent[0]) == head + 6 + 16 * int(live.sum())
+        assert sent[0][head + 6 : head + 8] == bytes([1, 1])  # ids below 40, counts below 256
+        assert len(sent[0]) == head + 8 + 2 * int(live.sum())
         assert out[0] == TopkapiSketch.stack([a.merge(b) for a, b in zip(*base)])
 
 
@@ -416,8 +417,9 @@ class TestWireFormat:
         padded[mask_at] |= 0x10
         unset = bytearray(small)
         unset[mask_at] |= 0x01  # cell 0 set, but its id and count are missing
-        null_id = small[: mask_at + 1] + struct.pack("<QQ", NULL_ID, 0)
-        too_big = small[: mask_at + 1] + struct.pack("<QQ", 9, MAX_TABLES + 1)
+        null_id = small[: mask_at + 1] + bytes([8, 1]) + struct.pack("<QB", NULL_ID, 0)
+        too_big = small[: mask_at + 1] + bytes([1, 8]) + struct.pack("<BQ", 9, MAX_TABLES + 1)
+        wide = small[: mask_at + 1] + bytes([2, 1]) + struct.pack("<HB", 9, 0)
         bad = [
             (ExactCounts.from_bytes, counts[:-1], 2),  # cut inside a column
             (ExactCounts.from_bytes, counts[:12], 2),  # cut inside a length
@@ -438,6 +440,8 @@ class TestWireFormat:
             (_decode_sketches, stack + b"\0" * 16, 2),  # one cell more than the mask sets
             (_decode_sketches, bytes(unset), 1),  # one mask bit more than the cells
             (_decode_sketches, bytes(padded), 1),  # a padding bit set
+            (_decode_sketches, wide, 1),  # an id column wider than it needs
+            (_decode_sketches, small[: mask_at + 1] + bytes([1, 5, 9, 0]), 1),  # width 5
             (_decode_sketches, null_id, 1),  # a set cell of the null id, count 0
             (_decode_sketches, masked_payload(cell_sketch(NULL_ID, 5)), 1),  # and a count
             (_decode_sketches, too_big, 1),  # a count past the largest table count

@@ -37,7 +37,7 @@ from sketchlsh.synthetic import (
     round_robin_partitions,
 )
 
-from oracles import exact_counts, run_tcp_threads, top_k_counts
+from oracles import column_width, exact_counts, run_tcp_threads, top_k_counts
 import tcp_worker
 
 
@@ -121,9 +121,10 @@ class TestTopKExtract:
 PINNED_RESULTS = "ff094fe55d5a5708b39f0742b9c97a25f67be7030f4e69a3a4607f15245593c4"
 # sha256 of rank 0's reduced bytes and every rank's ReduceStats for the same
 # runs; any change to a reduced byte or a reduce counter shows here. Re-pinned
-# when the sketch modes' reduce payload became the masked stack: the reduced
-# bytes and every counter but the byte counts of the sketch modes stayed.
-PINNED_REDUCED = "233cfa803582fedc1d244a64dabc7c3c883b45fe778ef7c443be190bd54bde08"
+# when the sketch modes' reduce payload became the masked stack, and again
+# when its columns took their fewest bytes: each time the reduced bytes and
+# every counter but the byte counts of the sketch modes stayed.
+PINNED_REDUCED = "4fe7ac7f495001adfcccfc2710fbab6ea8cdf47297798807617231e24ca501d3"
 
 
 class TestQueryBatchPipeline:
@@ -149,8 +150,9 @@ class TestQueryBatchPipeline:
 
     @pytest.mark.parametrize("mode", ["sketch_tree", "sketch_linear"])
     def test_sketch_batch_sends_one_header(self, mode):
-        # one header, one mask bit per cell of the batch, 16 B per cell that
-        # is not (null, 0) in rank 1's stack; fewer bytes than its dense record
+        # one header, one mask bit per cell of the batch, two column widths,
+        # and per cell that is not (null, 0) in rank 1's stack its id and its
+        # count at those widths; fewer bytes than its dense record
         inst, cfg, indexes = tcp_worker.build_state(11, 2)
         batch = QueryBatch(inst.queries)
         metrics = [QueryMetrics() for _ in range(2)]
@@ -160,9 +162,11 @@ class TestQueryBatchPipeline:
         w, b, n = cfg.sketch_rows, cfg.sketch_cols, len(batch)
         addresses = HashFamily.from_config(cfg).addresses([v for _, v in batch.queries])
         local = indexes[1].local_candidates(addresses)
-        live = int(np.count_nonzero((local.ids != np.uint64(NULL_ID)) | (local.counts > 0)))
+        live = (local.ids != np.uint64(NULL_ID)) | (local.counts > 0)
+        cell = column_width(local.ids[live]) + column_width(local.counts[live])
+        assert cell == 2 + 1  # ids below 2^16, counts below 2^8
         sent = metrics[1].reduce_stats.bytes_sent
-        assert sent == 12 + 8 * w + (n * w * b + 7) // 8 + 16 * live
+        assert sent == 12 + 8 * w + (n * w * b + 7) // 8 + 2 + cell * int(live.sum())
         assert sent < len(local.to_bytes()) == 12 + 8 * w + 16 * n * w * b
         assert metrics[0].reduce_stats.bytes_received == sent
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchlsh import sketch as sketch_module
-from sketchlsh.core import NULL_ID
+from sketchlsh.core import MAX_TABLES, NULL_ID
 from sketchlsh.sketch import (
     ShapeMismatchError,
     SketchFormatError,
@@ -20,6 +20,7 @@ from oracles import (
     cell_arrival_counts,
     exact_counter,
     insert_per_event,
+    column_width,
     masked_payload,
     replay_cells,
     replayed_sketch,
@@ -347,9 +348,11 @@ def random_stack(rng, n, rows, cols, occupied, zero_share):
 
 
 def masked_size(stack) -> int:
-    """Header, one mask bit per cell in whole bytes, 16 B per cell not (null, 0)."""
-    live = int(np.count_nonzero((stack.ids != np.uint64(NULL_ID)) | (stack.counts != 0)))
-    return 12 + 8 * stack.rows + (stack.ids.size + 7) // 8 + 16 * live
+    """Header, one mask bit per cell in whole bytes, two width bytes, and
+    per cell not (null, 0) its id and its count at their column widths."""
+    live = (stack.ids != np.uint64(NULL_ID)) | (stack.counts != 0)
+    cell = column_width(stack.ids[live]) + column_width(stack.counts[live])
+    return 12 + 8 * stack.rows + (stack.ids.size + 7) // 8 + 2 + cell * int(live.sum())
 
 
 class TestMaskedPayload:
@@ -368,27 +371,44 @@ class TestMaskedPayload:
         assert len(payload) == masked_size(stack)
         back = TopkapiSketch.from_masked_bytes(payload, n)
         assert back == stack and back.to_bytes() == stack.to_bytes()
-        # past the dense record by at most the mask: one bit per cell, whole bytes
-        dense = len(stack.to_bytes())
-        nulls = int(np.count_nonzero(stack.ids == np.uint64(NULL_ID)))
-        assert len(payload) - dense == (stack.ids.size + 7) // 8 - 16 * nulls
-        assert len(payload) - dense <= (stack.ids.size + 7) // 8
+        # past the dense record by at most the mask and the two width bytes
+        assert len(payload) - len(stack.to_bytes()) <= (stack.ids.size + 7) // 8 + 2
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    def test_columns_take_the_fewest_bytes_that_hold_them(self, width):
+        top = (1 << (8 * width)) - 1
+        for ids, counts, widths in [
+            ([top], [0], (width, 1)),
+            ([5], [top], (1, width)),
+            ([top, 3], [top, 1], (width, width)),
+        ]:
+            stack = TopkapiSketch(1, 2, row_seeds_from_master(5, 1), members=1)
+            # the null id cannot hold a cell: one below it
+            stack.ids[0, 0, : len(ids)] = [min(i, NULL_ID - 1) for i in ids]
+            stack.counts[0, 0, : len(ids)] = counts
+            payload = stack.to_masked_bytes()
+            head = 12 + 8 + 1
+            assert tuple(payload[head : head + 2]) == widths
+            assert len(payload) == head + 2 + sum(len(ids) * w for w in widths)
+            assert TopkapiSketch.from_masked_bytes(payload, 1) == stack
+        empty = TopkapiSketch(4, 32, SEEDS4, members=3)
+        assert empty.to_masked_bytes()[-2:] == bytes([1, 1])
 
     @pytest.mark.parametrize("n", [1, 3, 50])
-    def test_larger_than_dense_only_below_n_null_cells(self, rng, n):
-        # at W x B = 128 the mask is 16 B per member, one null cell's worth
-        stack = random_stack(rng, n, 4, 32, 1.0, 0.3)
+    def test_larger_than_dense_only_past_the_count_bound(self, rng, n):
+        # at W x B = 128 the mask is 16 B per member; a cell costs at most
+        # 8 + 4 B while its counts stay within MAX_TABLES = 2^32 - 1, so only
+        # a full stack with a count past the bound (the receiver rejects it)
+        # outgrows the dense record: by the mask and the two width bytes
+        stack = random_stack(rng, n, 4, 32, 1.0, 0.0)
+        stack.ids.reshape(-1)[0] = 1 << 63  # ids at 8 B
         dense = len(stack.to_bytes())
-        assert len(stack.to_masked_bytes()) == dense + 16 * n  # the worst case
-        flat = stack.ids.reshape(-1)
-        flat[: n - 1] = NULL_ID
-        stack.counts.reshape(-1)[: n - 1] = 0
-        assert len(stack.to_masked_bytes()) == dense + 16
-        flat[n - 1] = NULL_ID
-        stack.counts.reshape(-1)[n - 1] = 0
-        assert len(stack.to_masked_bytes()) == dense
+        stack.counts.reshape(-1)[0] = MAX_TABLES
+        assert len(stack.to_masked_bytes()) == dense - 4 * n * 128 + 16 * n + 2
+        stack.counts.reshape(-1)[0] = MAX_TABLES + 1
+        assert len(stack.to_masked_bytes()) == dense + 16 * n + 2  # the worst case
         empty = TopkapiSketch(4, 32, SEEDS4, members=n)
-        assert len(empty.to_masked_bytes()) == 12 + 8 * 4 + 16 * n
+        assert len(empty.to_masked_bytes()) == 12 + 8 * 4 + 16 * n + 2
 
     def test_malformed_payloads_raise(self, rng):
         stack = random_stack(rng, 2, 1, 3, 0.5, 0.3)  # 6 cells: 2 padding bits
@@ -399,17 +419,21 @@ class TestMaskedPayload:
         null_cell = TopkapiSketch(1, 3, row_seeds_from_master(5, 1), members=1)
         null_cell.ids[0, 0, 1] = 9
         with_null = bytearray(null_cell.to_masked_bytes())
-        with_null[head + 1 :] = struct.pack("<QQ", NULL_ID, 0)
+        with_null[head + 1 :] = bytes([8, 1]) + struct.pack("<QB", NULL_ID, 0)
         counted_null = TopkapiSketch(1, 3, row_seeds_from_master(5, 1), members=1)
         counted_null.counts[0, 0, 2] = 4  # no insert or merge makes one; it travels and fails
         padded = bytearray(good)
         padded[head] |= 0x80
         one_more = bytearray(good)
         one_more[head] |= 1 << 5
+        small = null_cell.to_masked_bytes()  # one set cell, id 9, count 0: widths 1, 1
+        assert small[head + 1 :] == bytes([1, 1, 9, 0])
+        widths = {w: small[: head + 1] + bytes([1, w, 9]) + bytes(w) for w in (0, 3, 2, 16)}
         bad = {
             "short header": (good[:10], 2),
             "no row seeds": (good[: head - 1], 2),
             "no mask": (good[:head], 2),
+            "no column widths": (good[: head + 2], 2),
             "cut column": (good[:-1], 2),
             "trailing bytes": (good + b"\0" * 16, 2),
             "more members": (good, 3),
@@ -417,6 +441,10 @@ class TestMaskedPayload:
             "no members": (good, 0),
             "padding bit": (bytes(padded), 2),
             "mask bit without its cell": (bytes(one_more), 2),
+            "count width 0": (widths[0], 1),
+            "count width 3": (widths[3], 1),
+            "count width 2 for a count below 2^8": (widths[2], 1),
+            "count width 16": (widths[16], 1),
             "set cell of the null id": (bytes(with_null), 1),
             "null cell with a count": (counted_null.to_masked_bytes(), 1),
             "dense record": (stack.to_bytes(), 2),

@@ -377,12 +377,14 @@ def _check_bound(counts: np.ndarray, what: str) -> None:
 
 
 def _decode_sketches(payload: bytes, expected: int) -> TopkapiSketch:
-    """The stack of ``expected`` members that a masked payload
-    (:meth:`TopkapiSketch.to_masked_bytes`) holds, as a whole."""
+    """The stack of ``expected`` members whose record
+    (:meth:`TopkapiSketch.to_bytes`) is the whole payload."""
     try:
-        stack = TopkapiSketch.from_masked_bytes(payload, expected)
+        stack, end = TopkapiSketch.from_bytes(payload, expected)
     except SketchFormatError as exc:
         raise CollectiveError(f"malformed sketch payload: {exc}") from None
+    if end != len(payload):
+        raise CollectiveError(f"sketch payload of {len(payload)} bytes holds a {end}-byte record")
     _check_bound(stack.counts, "sketch payload")
     return stack
 
@@ -394,14 +396,14 @@ def tree_reduce_sketches(
     stats: ReduceStats | None = None,
 ) -> TopkapiSketch | None:
     """Pairwise tree merge of a batch's (n, W, B) sketch stack; rank 0 gets
-    the merged stack, the other ranks ``None``. The stack travels masked
-    (:meth:`TopkapiSketch.to_masked_bytes`) and merges whole: one encode
+    the merged stack, the other ranks ``None``. The stack travels as its
+    record (:meth:`TopkapiSketch.to_bytes`) and merges whole: one encode
     per send, one decode and one merge per receive. Each
     rank performs at most ceil(log2(m)) merge rounds and one send, so
     per-rank communication is O(log m * sketch size * #queries).
     """
     schedule = ReductionSchedule.for_world(transport.world_size)
-    encode = TopkapiSketch.to_masked_bytes
+    encode = TopkapiSketch.to_bytes
     return _reduce(transport, stack, schedule, encode, _decode_sketches, batch_id, stats)
 
 
@@ -413,7 +415,7 @@ def linear_reduce_sketches(
 ) -> TopkapiSketch | None:
     """Baseline: rank 0 receives from every rank in order, merging serially."""
     schedule = ReductionSchedule.linear(transport.world_size)
-    encode = TopkapiSketch.to_masked_bytes
+    encode = TopkapiSketch.to_bytes
     return _reduce(transport, stack, schedule, encode, _decode_sketches, batch_id, stats)
 
 
@@ -504,8 +506,8 @@ def tree_reduce_counts(
 def _reduce(transport, items, schedule, encode, decode, batch_id, stats):
     """Run ``schedule`` on this rank; rank 0 returns the merged items.
 
-    A sender ships ``encode(items)``: the masked stack of
-    :meth:`TopkapiSketch.to_masked_bytes` in the sketch modes, the count
+    A sender ships ``encode(items)``: the stack's record of
+    :meth:`TopkapiSketch.to_bytes` in the sketch modes, the count
     columns of :meth:`ExactCounts.to_bytes` in exact mode. A receiver
     decodes the payload, by ``decode(payload, len(items))``, to as many
     items as it holds, as dense as its own, and merges them in by

@@ -141,6 +141,12 @@ class LshConfig:
         wide = [f.name for f in fields(self) if getattr(self, f.name) > 0xFFFFFFFFFFFFFFFF]
         if wide:
             raise ConfigError(f"{', '.join(wide)} must fit in 64 bits (at most 2^64 - 1)")
+        shape = [n for n in ("sketch_rows", "sketch_cols") if getattr(self, n) > 0xFFFFFFFF]
+        if shape:
+            raise ConfigError(
+                f"{', '.join(shape)} must be at most 2^32 - 1: the sketch record's header "
+                "holds W and B as u32 fields"
+            )
 
     def fingerprint(self) -> int:
         """Stable 64-bit digest of every field, in declaration order; used to

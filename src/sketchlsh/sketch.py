@@ -14,10 +14,9 @@ Memory is fixed at construction: no insert ever grows the sketch.
 A sketch may carry a leading axis: a stack of n same-shape sketches that
 share one row-seed vector, held as (n, W, B) arrays. Merging is cell by
 cell, so it works on stacks as written, and a stack serializes to one
-record: the shared header once, then every member's cells in turn. A stack
-travels between ranks masked: the record's header, a bitmap of the cells
-that are not (null, 0), then those cells only, each column at the fewest
-bytes that hold its largest value.
+record, which is also what travels between ranks: the shared shape and row
+seeds once, a bitmap of the cells that are not (null, 0), then those cells
+only, each column at the fewest bytes that hold its largest value.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .core import NULL_ID, SketchLshError
 
 _TAG_ROW_SEEDS = 0x70FFA
 _NULL = np.uint64(NULL_ID)
-# Byte widths a column of the masked payload may take.
+# Byte widths a column of the sketch record may take.
 _WIDTHS = (1, 2, 4, 8)
 
 # Items per pass of the cell kernel; bounds its Python lists on long streams.
@@ -287,128 +286,79 @@ class TopkapiSketch:
 
     # -- serialization ---------------------------------------------------------
 
-    def _header(self) -> bytes:
-        """The record's header: u32 length (one member's), u32 rows, u32 cols, row seeds."""
-        plen = 8 + 8 * self.rows + 16 * self.rows * self.cols
-        seeds = self.row_seeds.astype("<u8").tobytes()
-        return struct.pack("<III", plen, self.rows, self.cols) + seeds
-
     def to_bytes(self) -> bytes:
-        """Length-prefixed little-endian record; bit-exact round trip.
+        """The sketch's record, little-endian; bit-exact round trip by
+        :meth:`from_bytes`.
 
-        Layout: u32 payload length, then u32 rows, u32 cols, rows x u64 row
-        seed, then rows*cols cells of (u64 id, u64 count) in row-major order.
-        A stack writes that header once and then each member's cells in
-        turn; the length stays one member's, so a stack of one is a single
-        sketch's record.
-        """
-        cells = np.stack((self.ids, self.counts), axis=-1).astype("<u8", copy=False)
-        return b"".join((self._header(), cells))
-
-    def to_masked_bytes(self) -> bytes:
-        """The record of :meth:`to_bytes` with only the cells that are not
-        (null, 0); bit-exact round trip by :meth:`from_masked_bytes`.
-
-        Layout: the record's header, then one bit per cell in cell order
-        (member, row, column), set for a cell that is not (null, 0), packed
-        8 to a byte from the least significant bit and zero-padded; then a
-        u8 id width and a u8 count width; then the ids of the set cells in
-        cell order, then their counts, each column little-endian at its
-        width: the fewest of 1, 2, 4 or 8 bytes that hold its largest value
-        (1 for no set cell). A count-0 cell that holds a real id is sent: it
-        decides ties. So is a null cell with a counter above 0, which no
-        insert or merge makes; the decoder rejects it.
+        Layout: u32 rows, u32 cols, rows x u64 row seed; then one bit per
+        cell in cell order (member, row, column), set for a cell that is not
+        (null, 0), packed 8 to a byte from the least significant bit and
+        zero-padded; then a u8 id width and a u8 count width; then the ids
+        of the set cells in cell order, then their counts, each column at
+        its width: the fewest of 1, 2, 4 or 8 bytes that hold its largest
+        value (1 for no set cell). A stack writes the header once, so a
+        stack of one is a single sketch's record. A count-0 cell that holds
+        a real id is written: it decides ties. So is a null cell with a
+        counter above 0, which no insert or merge makes; the decoder
+        rejects it.
         """
         live = (self.ids != _NULL) | (self.counts != 0)
         at = np.flatnonzero(live)  # one index pass serves both columns
         columns = [c.take(at) for c in (self.ids, self.counts)]
         widths = [_width(c) for c in columns]
         narrow = [c.astype(f"<u{w}") for c, w in zip(columns, widths)]
-        mask = np.packbits(live, bitorder="little")
-        return b"".join([self._header(), mask, bytes(widths)] + narrow)
-
-    @staticmethod
-    def _read_header(buf: bytes, offset: int) -> tuple[int, int, np.ndarray, int]:
-        """The rows, columns and row seeds of the header at ``offset``, and
-        the offset past it."""
-        if len(buf) - offset < 12:
-            raise SketchFormatError("truncated sketch: missing length prefix or shape")
-        plen, rows, cols = struct.unpack_from("<III", buf, offset)
-        if rows < 1 or cols < 1:
-            raise SketchFormatError(f"sketch shape {rows}x{cols} is empty")
-        expected = 8 + 8 * rows + 16 * rows * cols
-        if plen != expected:
-            raise SketchFormatError(f"sketch payload length {plen} != expected {expected}")
-        head = offset + 12 + 8 * rows
-        if len(buf) < head:
-            raise SketchFormatError("truncated sketch header")
-        row_seeds = np.frombuffer(buf, dtype="<u8", count=rows, offset=offset + 12)
-        return rows, cols, row_seeds.astype(np.uint64), head
+        head = struct.pack("<II", self.rows, self.cols) + self.row_seeds.astype("<u8").tobytes()
+        return b"".join([head, np.packbits(live, bitorder="little"), bytes(widths)] + narrow)
 
     @classmethod
-    def from_bytes(
-        cls, buf: bytes, offset: int = 0, members: int | None = None
-    ) -> tuple["TopkapiSketch", int]:
-        """Parse one serialized sketch, or with ``members=n`` a stack of n
-        members' cells under one header; returns (sketch, offset past it).
-        Malformed bytes raise :class:`SketchFormatError`, and so does a
-        null cell with a counter above 0, which no insert or merge makes."""
-        rows, cols, row_seeds, head = cls._read_header(buf, offset)
+    def from_bytes(cls, buf: bytes, members: int | None = None) -> tuple["TopkapiSketch", int]:
+        """Parse the record of :meth:`to_bytes` at the start of ``buf``: a
+        single sketch, or with ``members=n`` a stack of n; returns (sketch,
+        offset past the record). Malformed bytes raise
+        :class:`SketchFormatError`: a buffer shorter than the header, mask
+        and widths (checked before the sketch is allocated) or than the set
+        cells, a set padding bit, a column width other than the fewest
+        bytes that hold the column, or a set cell that holds the null id.
+        So every stack has one record, and an accepted record re-encodes to
+        its own bytes."""
+        if len(buf) < 8:
+            raise SketchFormatError("truncated sketch: missing shape")
+        rows, cols = struct.unpack_from("<II", buf)
+        if rows < 1 or cols < 1:
+            raise SketchFormatError(f"sketch shape {rows}x{cols} is empty")
         n = 1 if members is None else members
         if n < 1:
             raise SketchFormatError("a sketch stack needs at least one member")
-        end = head + n * 16 * rows * cols
-        if len(buf) < end:
-            raise SketchFormatError("truncated sketch payload")
-        out = cls(rows, cols, row_seeds, members)
-        cells = np.frombuffer(buf, "<u8", 2 * out.ids.size, head).reshape(out.ids.shape + (2,))
-        out.ids[:] = cells[..., 0]
-        out.counts[:] = cells[..., 1]
-        if np.any((out.ids == _NULL) & (out.counts > 0)):
-            raise SketchFormatError("a null cell carries a count")
-        return out, end
-
-    @classmethod
-    def from_masked_bytes(cls, buf: bytes, members: int) -> "TopkapiSketch":
-        """Parse the whole of ``buf`` as the :meth:`to_masked_bytes` form of
-        a stack of ``members``. Malformed bytes raise
-        :class:`SketchFormatError`: a short payload, a set padding bit, a
-        column width other than the fewest bytes that hold the column, a
-        length other than header + mask + 2 + the set cells at those
-        widths, or a set cell that holds the null id. So every stack has
-        one payload, and an accepted payload re-encodes to its own bytes."""
-        rows, cols, row_seeds, head = cls._read_header(buf, 0)
-        if members < 1:
-            raise SketchFormatError("a sketch stack needs at least one member")
-        out = cls(rows, cols, row_seeds, members)
-        n_cells = out.ids.size
+        head, n_cells = 8 + 8 * rows, n * rows * cols
         widths_at = head + (n_cells + 7) // 8
         if len(buf) < widths_at + 2:
-            raise SketchFormatError("truncated sketch cell mask or column widths")
+            raise SketchFormatError(
+                f"sketch record of {len(buf)} bytes is shorter than the {widths_at + 2} "
+                f"of its header, cell mask and column widths"
+            )
         bits = np.unpackbits(np.frombuffer(buf, np.uint8, widths_at - head, head), bitorder="little")
         if bits[n_cells:].any():
             raise SketchFormatError("a padding bit of the cell mask is set")
-        live = bits[:n_cells].view(bool).reshape(out.ids.shape)
+        live = bits[:n_cells].view(bool)
         p = int(np.count_nonzero(live))
         wid, wcount = buf[widths_at], buf[widths_at + 1]
         if wid not in _WIDTHS or wcount not in _WIDTHS:
             raise SketchFormatError(f"column widths {wid}, {wcount} not among {_WIDTHS}")
         ids_at = widths_at + 2
-        expected = ids_at + p * (wid + wcount)
-        if len(buf) != expected:
-            raise SketchFormatError(
-                f"masked sketch payload of {len(buf)} bytes, expected {expected} "
-                f"for {p} set cells"
-            )
+        end = ids_at + p * (wid + wcount)
+        if len(buf) < end:
+            raise SketchFormatError(f"truncated sketch cells: {p} set cells need {end} bytes")
         ids = np.frombuffer(buf, f"<u{wid}", p, ids_at).astype(np.uint64)
         counts = np.frombuffer(buf, f"<u{wcount}", p, ids_at + p * wid).astype(np.uint64)
         if (wid, wcount) != (_width(ids), _width(counts)):
             raise SketchFormatError(f"column widths {wid}, {wcount} are not the fewest bytes")
         if np.any(ids == _NULL):
-            raise SketchFormatError("a set cell holds the null id")
+            raise SketchFormatError("a null cell is marked set or carries a count")
+        out = cls(rows, cols, np.frombuffer(buf, "<u8", rows, 8).astype(np.uint64), members)
+        live = live.reshape(out.ids.shape)
         out.ids[live] = ids
         out.counts[live] = counts
-        return out
+        return out, end
 
     # -- dunder ----------------------------------------------------------------
 

@@ -377,27 +377,47 @@ def count_payload(maps: list[dict[int, int]]) -> bytes:
 
 
 def column_width(values) -> int:
-    """The byte width of a masked-payload column: the fewest of 1, 2, 4
+    """The byte width of a sketch record's column: the fewest of 1, 2, 4
     and 8 bytes that hold its largest value, 1 for no value."""
     top = max((int(v) for v in values), default=0)
     return min(w for w in (1, 2, 4, 8) if top < 1 << (8 * w))
 
 
+def dense_record(stack) -> bytes:
+    """A sketch or stack in the dense layout, packed with struct: u32 one
+    member's length past this word, u32 W, u32 B, W x u64 row seeds, then
+    every cell's (u64 id, u64 count) in cell order (member, row, column).
+    The sketch record's former layout; no decoder accepts it."""
+    w, b = stack.rows, stack.cols
+    pairs = zip(stack.ids.ravel().tolist(), stack.counts.ravel().tolist())
+    cells = [word for pair in pairs for word in pair]
+    seeds = stack.row_seeds.tolist()
+    return struct.pack(f"<3I{w + len(cells)}Q", 8 + 8 * w + 16 * w * b, w, b, *seeds, *cells)
+
+
+def record_bound(sketch) -> int:
+    """The most bytes the record of a sketch or stack of n x W x B cells
+    can take: 8 + 8W of header, the cell mask, two width bytes and every
+    cell at 16 bytes."""
+    cells = sketch.ids.size
+    return 8 + 8 * sketch.rows + 16 * cells + (cells + 7) // 8 + 2
+
+
 def masked_payload(stack) -> bytes:
-    """The masked reduce payload of a sketch stack, packed with struct from
-    its dense record: the record's header, one bit per cell that is not
+    """The record of a sketch or stack, packed with struct from its dense
+    record: u32 W, u32 B and the row seeds, one bit per cell that is not
     (null, 0), least significant bit first and zero-padded, the byte
     widths of the id and count columns (the fewest of 1, 2, 4, 8 that hold
     the column), then those cells' ids, then their counts."""
     head = 12 + 8 * stack.rows
-    record = stack.to_bytes()
+    record = dense_record(stack)
     words = struct.unpack_from(f"<{2 * stack.ids.size}Q", record, head)
     cells = list(zip(words[0::2], words[1::2]))
     kept = [(i, cell) for i, cell in enumerate(cells) if cell != (NULL_ID, 0)]
     mask = bytearray((len(cells) + 7) // 8)
     for i, _ in kept:
         mask[i // 8] |= 1 << (i % 8)
-    out = record[:head] + bytes(mask)
+    out = record[4:head] + bytes(mask)  # the dense header without its length word
     columns = [[ident for _, (ident, _) in kept], [count for _, (_, count) in kept]]
     widths = [column_width(c) for c in columns]
     out += bytes(widths)

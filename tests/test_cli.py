@@ -316,6 +316,17 @@ class TestEndToEnd:
         assert err.startswith("config error: ") and f"{field} must fit in 64 bits" in err
         assert not any((tmp_path / "idx2").glob("index-*"))
 
+    def test_index_sketch_cols_past_a_u32_is_config_error(self, tmp_path, rng, capsys):
+        manifest, _, _ = build_indexes(tmp_path, rng, m=1)
+        capsys.readouterr()
+        assert main([
+            "index", "--manifest", str(manifest), "--out", str(tmp_path / "idx2"),
+            "--tables", "1", "--sketch-cols", str(1 << 32),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "sketch_cols must be at most 2^32 - 1" in err
+        assert not any((tmp_path / "idx2").glob("index-*"))
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_sim_query_reports_the_reduce_bytes(self, tmp_path, rng, capsys, m):
         manifest, idx_dir, queries = build_indexes(tmp_path, rng, m)
@@ -481,11 +492,11 @@ class TestBenchCommand:
             if row["mode"] == "sketch_tree" and int(row["m"]) > 1:
                 assert int(row["max_merge_rounds"]) == math.ceil(math.log2(int(row["m"])))
         # every rank's reduce bytes per query: none at m = 1; at m = 2 rank 1's
-        # masked stack, within its header, column widths, mask and 128 cells
+        # sketch record, within its header, column widths, mask and 128 cells
         # of 2-byte ids and 1-byte counts per query
         wire = {(int(r["m"]), r["mode"]): float(r["wire_bytes_per_query"]) for r in rows}
         assert wire[1, "sketch_tree"] == wire[1, "exact"] == 0.0
-        assert 0 < wire[2, "sketch_tree"] <= (12 + 8 * 4 + 2) / 20 + 16 + 3 * 128
+        assert 0 < wire[2, "sketch_tree"] <= (8 + 8 * 4 + 2) / 20 + 16 + 3 * 128
         assert 0 < wire[2, "exact"]
 
     def test_wire_bytes_are_every_rank_s_bytes_sent_per_query(self, monkeypatch, capsys):

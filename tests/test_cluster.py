@@ -2,6 +2,7 @@ import gc
 import math
 import socket
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,6 +34,7 @@ from sketchlsh.sketch import ShapeMismatchError, TopkapiSketch, row_seeds_from_m
 from oracles import (
     count_maps,
     count_payload,
+    dense_record,
     exact_counts,
     free_ports,
     masked_payload,
@@ -214,7 +216,7 @@ class TestTreeReduce:
 
 
     def test_payload_is_member_concatenation(self, rng):
-        # a rank sends its batch as one masked stack: the record's header
+        # a rank sends its batch as one sketch record: the header
         # once, one mask bit per cell of every member in turn, the two column
         # widths, then the ids and the counts of the set cells, members in turn
         base = [[random_sketch(rng) for _ in range(3)] for _ in range(2)]
@@ -228,7 +230,7 @@ class TestTreeReduce:
             return tree_reduce_sketches(tr, TopkapiSketch.stack(base[tr.rank]))
 
         out = SimulatedCluster(2).run(fn)
-        head = 12 + 8 * base[1][0].rows
+        head = 8 + 8 * base[1][0].rows
         stack = TopkapiSketch.stack(base[1])
         assert sent == [masked_payload(stack)]
         assert sent[0][:head] == base[1][0].to_bytes()[:head]
@@ -407,12 +409,12 @@ class TestWireFormat:
         counts = count_payload([{1: 2, 7: 3}, {}])
         stack = masked_payload(TopkapiSketch.stack([random_sketch(rng), random_sketch(rng)]))
         one = masked_payload(TopkapiSketch.stack([random_sketch(rng)]))
-        head = 12 + 8 * 2
+        head = 8 + 8 * 2
         # a 1 x 3 stack of one: 3 mask bits, 5 of padding; its cell 1 holds id 9
         three = TopkapiSketch(1, 3, row_seeds_from_master(3, 1), members=1)
         three.ids[0, 0, 1] = 9
         small = masked_payload(three)
-        mask_at = 12 + 8
+        mask_at = 8 + 8
         padded = bytearray(small)
         padded[mask_at] |= 0x10
         unset = bytearray(small)
@@ -445,7 +447,7 @@ class TestWireFormat:
             (_decode_sketches, null_id, 1),  # a set cell of the null id, count 0
             (_decode_sketches, masked_payload(cell_sketch(NULL_ID, 5)), 1),  # and a count
             (_decode_sketches, too_big, 1),  # a count past the largest table count
-            (_decode_sketches, TopkapiSketch.stack([random_sketch(rng)] * 2).to_bytes(), 2),
+            (_decode_sketches, dense_record(TopkapiSketch.stack([random_sketch(rng)] * 2)), 2),
         ]
         for decode, payload, expected in bad:
             with pytest.raises(CollectiveError):
@@ -453,6 +455,20 @@ class TestWireFormat:
         assert count_maps(ExactCounts.from_bytes(counts, 2)) == [{1: 2, 7: 3}, {}]
         assert len(_decode_sketches(stack, 2)) == 2
         assert _decode_sketches(small, 1) == three
+
+
+    def test_short_sketch_payload_fails_before_its_stack_is_allocated(self):
+        # W = 1, B = 2^18 and 8 members declare a stack of 2^21 cells, 32 MB;
+        # the 18 bytes hold no cell mask, so the decode fails without it
+        payload = struct.pack("<IIQ", 1, 1 << 18, 7) + bytes([1, 1])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CollectiveError, match="shorter than"):
+                _decode_sketches(payload, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _replay_reduce(rounds, items, merge, encode):

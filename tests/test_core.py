@@ -119,19 +119,32 @@ class TestLshConfig:
         largest = {field: (1 << 64) - 1, "sketch_cols": 8}  # sketch_cols 0 derives 4·top_k
         if field == "table_range":
             largest = {"table_range": 1 << 63, "num_tables": 2}
-        elif field == "sketch_cols":
-            largest = {"sketch_cols": (1 << 64) - 1}
+        elif field in ("sketch_rows", "sketch_cols"):
+            largest = {field: (1 << 32) - 1}  # the sketch record's u32 fields bound W and B
         config = LshConfig(**largest)
         assert getattr(config, field) == largest[field]
         assert 0 <= config.fingerprint() < 1 << 64
         assert _table_bases(config)[-1] == (config.num_tables - 1) * config.table_range
 
     def test_derived_sketch_cols_fits_a_u64(self):
-        assert LshConfig(top_k=(1 << 62) - 1).sketch_cols == (1 << 64) - 4
+        # 4·top_k past 2^64 - 1 fails as a u64; below it, past 2^32 - 1, as a u32
+        assert LshConfig(top_k=(1 << 30) - 1).sketch_cols == (1 << 32) - 4
+        with pytest.raises(ConfigError, match="sketch_cols must be at most 2\\^32 - 1"):
+            LshConfig(top_k=(1 << 62) - 1)
         with pytest.raises(ConfigError, match="sketch_cols.* must fit in 64 bits"):
             LshConfig(top_k=1 << 62)
         with pytest.raises(ConfigError, match="must be >= 0"):
             LshConfig(master_seed=-1)
+
+    @pytest.mark.parametrize("field", ["sketch_rows", "sketch_cols"])
+    def test_sketch_shape_fits_the_records_u32_fields(self, field):
+        # checked by rejection only: no sketch of that shape is built
+        reason = f"{field} must be at most 2\\^32 - 1: the sketch record's header holds W and B"
+        with pytest.raises(ConfigError, match=reason):
+            LshConfig(**{field: 1 << 32})
+        with pytest.raises(ConfigError, match=reason):
+            lsh_config_from_mapping({field: str(1 << 32)})
+        assert getattr(LshConfig(**{field: (1 << 32) - 1}), field) == (1 << 32) - 1
 
     def test_fingerprint_sensitive_to_every_field(self):
         base = LshConfig()

@@ -39,7 +39,7 @@ from sketchlsh.index import IndexFileError, NodeIndex, preprocess
 from sketchlsh.sketch import TopkapiSketch
 from sketchlsh.synthetic import random_sparse_vectors
 
-from oracles import count_maps, count_payload, replayed_candidates
+from oracles import count_maps, count_payload, dense_record, replayed_candidates
 
 CFG = LshConfig(hashes_per_table=2, num_tables=4, table_range=1 << 8, top_k=3, master_seed=23)
 FUZZ = settings(max_examples=200, deadline=None, database=None)
@@ -271,25 +271,28 @@ def sketch_stack():
 @FUZZ
 @given(members=st.integers(1, 4), random=st.binary(max_size=300), **DAMAGE)
 def test_sketch_payload(sketch_stack, members, random, cut, bits):
-    masked = sketch_stack.to_masked_bytes()
-    for payload in (random, damaged(sketch_stack.to_bytes(), cut, bits)):
+    record = sketch_stack.to_bytes()
+    # a record at the start of the bytes, re-encoded to the bytes it was
+    # decoded from; the former dense layout is damaged input too
+    damaged_ones = [damaged(r, cut, bits) for r in (record, dense_record(sketch_stack))]
+    for payload in [random, *damaged_ones]:
         try:
             stack, end = TopkapiSketch.from_bytes(payload, members=members)
         except SketchLshError:
-            pass
-        else:
-            assert len(stack) == members and end <= len(payload)
-    # a reduce payload, masked: the whole of it, no (null, c > 0) cell, every
-    # count within the bound, and the bytes it was decoded from re-encoded
-    for payload in (random, damaged(masked, cut, bits)):
+            continue
+        assert len(stack) == members and end <= len(payload)
+        assert stack.to_bytes() == payload[:end]
+    # a reduce payload: the whole of it, no (null, c > 0) cell, every count
+    # within the bound, and the bytes it was decoded from re-encoded
+    for payload in (random, damaged(record, cut, bits)):
         try:
             stack = _decode_sketches(payload, members)
         except CollectiveError:
             continue
         assert len(stack) == members and int(stack.counts.max(initial=0)) <= MAX_TABLES
         assert not np.any((stack.ids == np.uint64(NULL_ID)) & (stack.counts > 0))
-        assert stack.to_masked_bytes() == payload
-        if payload == masked:
+        assert stack.to_bytes() == payload
+        if payload == record:
             assert stack == sketch_stack
 
 

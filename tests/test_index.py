@@ -34,6 +34,7 @@ from oracles import (
     count_maps,
     count_payload,
     exact_count_map,
+    record_bound,
     reference_addresses,
     replay_cells,
     replayed_candidates,
@@ -570,12 +571,17 @@ class TestBoundedObservations:
         big = preprocess(DatasetPartition(0, [(i, v) for i in range(500)]), cfg)
         fam = HashFamily.from_config(cfg)
         addr = int(fam.addresses(v)[0])
-        assert len(bucket_sketch(small, 0, addr).to_bytes()) == len(bucket_sketch(big, 0, addr).to_bytes())
+        observed = [bucket_sketch(idx, 0, addr) for idx in (small, big)]
+        footprint = {s.ids.nbytes + s.counts.nbytes for s in observed}
+        assert footprint == {16 * cfg.sketch_rows * cfg.sketch_cols}
+        assert all(len(s.to_bytes()) <= record_bound(s) for s in observed)
 
     def test_storage_within_slotwise_sketch_budget(self, rng):
         idx = preprocess(DatasetPartition(0, make_dataset(rng, 300)), CFG)
         raw_bytes = idx.keys.nbytes + idx.offsets.nbytes + idx.ids.nbytes
-        budget = sum(idx.occupied_slots) * len(idx.empty_sketch().to_bytes())
+        empty = idx.empty_sketch()
+        assert len(empty.to_bytes()) <= record_bound(empty)
+        budget = sum(idx.occupied_slots) * (empty.ids.nbytes + empty.counts.nbytes)
         assert raw_bytes <= budget
 
 

@@ -21,7 +21,9 @@ from oracles import (
     exact_counter,
     insert_per_event,
     column_width,
+    dense_record,
     masked_payload,
+    record_bound,
     replay_cells,
     replayed_sketch,
 )
@@ -272,15 +274,19 @@ class TestStack:
         assert list(merged) == [x.merge(y) for x, y in zip(a, b)]
 
     def test_wire_form_is_member_concatenation(self, rng):
-        # one header, whose length is a single member's, then each member's cells
+        # one header, whose length is a single member's, then each member's
+        # cells; the record masks those cells under the header's W and B
         members = self._members(rng)
-        blob = TopkapiSketch.stack(members).to_bytes()
-        head = 12 + 8 * 4
-        assert struct.unpack_from("<III", blob) == (head - 4 + 16 * 4 * 16, 4, 16)
-        assert blob == members[0].to_bytes()[:head] + b"".join(s.to_bytes()[head:] for s in members)
+        stack = TopkapiSketch.stack(members)
+        dense, head = dense_record(stack), 12 + 8 * 4
+        assert struct.unpack_from("<III", dense) == (head - 4 + 16 * 4 * 16, 4, 16)
+        cells = b"".join(dense_record(s)[head:] for s in members)
+        assert dense == dense_record(members[0])[:head] + cells
+        blob = stack.to_bytes()
+        assert struct.unpack_from("<II", blob) == (4, 16) and blob == masked_payload(stack)
         assert TopkapiSketch.stack(members[:1]).to_bytes() == members[0].to_bytes()
         back, end = TopkapiSketch.from_bytes(blob, members=5)
-        assert end == len(blob) and back == TopkapiSketch.stack(members)
+        assert end == len(blob) and back == stack
 
     def test_mixed_or_short_stacks_rejected(self, rng):
         members = self._members(rng, 2)
@@ -293,9 +299,9 @@ class TestStack:
         with pytest.raises(ShapeMismatchError):
             TopkapiSketch.stack(members).merge(TopkapiSketch.from_bytes(other, members=2)[0])
         with pytest.raises(SketchFormatError):
-            TopkapiSketch.from_bytes(members[0].to_bytes(), members=2)
+            decode_whole(members[0].to_bytes(), 2)
         with pytest.raises(SketchFormatError):
-            TopkapiSketch.from_bytes(TopkapiSketch.stack(members).to_bytes()[:-1], members=2)
+            decode_whole(TopkapiSketch.stack(members).to_bytes()[:-1], 2)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
@@ -315,11 +321,12 @@ class TestStack:
             s.insert_many(np.array(stream, dtype=np.uint64))
             members.append(s)
         stack, n = TopkapiSketch.stack(members), len(members)
+        cells = [dense_record(members[q])[12 + 8 * rows :] for q in range(1, n)]
+        assert dense_record(stack) == dense_record(members[0]) + b"".join(cells)
         blob = stack.to_bytes()
-        cells = [members[q].to_bytes()[12 + 8 * rows :] for q in range(1, n)]
-        assert blob == members[0].to_bytes() + b"".join(cells)
-        back, end = TopkapiSketch.from_bytes(pad + blob + pad, len(pad), members=n)
-        assert back == stack and end == len(pad) + len(blob)
+        assert blob == masked_payload(stack)
+        back, end = TopkapiSketch.from_bytes(blob + pad, members=n)
+        assert back == stack and end == len(blob)
         assert back.to_bytes() == blob
 
     def test_single_sketch_is_not_a_sequence(self):
@@ -352,7 +359,16 @@ def masked_size(stack) -> int:
     per cell not (null, 0) its id and its count at their column widths."""
     live = (stack.ids != np.uint64(NULL_ID)) | (stack.counts != 0)
     cell = column_width(stack.ids[live]) + column_width(stack.counts[live])
-    return 12 + 8 * stack.rows + (stack.ids.size + 7) // 8 + 2 + cell * int(live.sum())
+    return 8 + 8 * stack.rows + (stack.ids.size + 7) // 8 + 2 + cell * int(live.sum())
+
+
+def decode_whole(buf, members):
+    """The stack of ``members`` whose record is the whole of ``buf``, as
+    the reduce takes it: bytes past the record are malformed too."""
+    stack, end = TopkapiSketch.from_bytes(buf, members)
+    if end != len(buf):
+        raise SketchFormatError(f"{len(buf) - end} bytes past the sketch record")
+    return stack
 
 
 class TestMaskedPayload:
@@ -366,13 +382,14 @@ class TestMaskedPayload:
     )
     def test_round_trip(self, n, shape, occupied, zero_share, seed):
         stack = random_stack(np.random.default_rng(seed), n, *shape, occupied, zero_share)
-        payload = stack.to_masked_bytes()
+        payload = stack.to_bytes()
         assert payload == masked_payload(stack)
-        assert len(payload) == masked_size(stack)
-        back = TopkapiSketch.from_masked_bytes(payload, n)
-        assert back == stack and back.to_bytes() == stack.to_bytes()
-        # past the dense record by at most the mask and the two width bytes
-        assert len(payload) - len(stack.to_bytes()) <= (stack.ids.size + 7) // 8 + 2
+        assert len(payload) == masked_size(stack) <= record_bound(stack)
+        back, end = TopkapiSketch.from_bytes(payload, n)
+        assert back == stack and back.to_bytes() == payload and end == len(payload)
+        # past the dense record by at most the mask and the two width bytes,
+        # less its length word
+        assert len(payload) - len(dense_record(stack)) <= (stack.ids.size + 7) // 8 + 2 - 4
 
     @pytest.mark.parametrize("width", [1, 2, 4, 8])
     def test_columns_take_the_fewest_bytes_that_hold_them(self, width):
@@ -386,39 +403,40 @@ class TestMaskedPayload:
             # the null id cannot hold a cell: one below it
             stack.ids[0, 0, : len(ids)] = [min(i, NULL_ID - 1) for i in ids]
             stack.counts[0, 0, : len(ids)] = counts
-            payload = stack.to_masked_bytes()
-            head = 12 + 8 + 1
+            payload = stack.to_bytes()
+            head = 8 + 8 + 1
             assert tuple(payload[head : head + 2]) == widths
             assert len(payload) == head + 2 + sum(len(ids) * w for w in widths)
-            assert TopkapiSketch.from_masked_bytes(payload, 1) == stack
+            assert decode_whole(payload, 1) == stack
         empty = TopkapiSketch(4, 32, SEEDS4, members=3)
-        assert empty.to_masked_bytes()[-2:] == bytes([1, 1])
+        assert empty.to_bytes()[-2:] == bytes([1, 1])
 
     @pytest.mark.parametrize("n", [1, 3, 50])
     def test_larger_than_dense_only_past_the_count_bound(self, rng, n):
         # at W x B = 128 the mask is 16 B per member; a cell costs at most
         # 8 + 4 B while its counts stay within MAX_TABLES = 2^32 - 1, so only
         # a full stack with a count past the bound (the receiver rejects it)
-        # outgrows the dense record: by the mask and the two width bytes
+        # outgrows the dense record: by the mask and the two width bytes,
+        # less the dense record's length word
         stack = random_stack(rng, n, 4, 32, 1.0, 0.0)
         stack.ids.reshape(-1)[0] = 1 << 63  # ids at 8 B
-        dense = len(stack.to_bytes())
+        dense = len(dense_record(stack))
         stack.counts.reshape(-1)[0] = MAX_TABLES
-        assert len(stack.to_masked_bytes()) == dense - 4 * n * 128 + 16 * n + 2
+        assert len(stack.to_bytes()) == dense - 4 - 4 * n * 128 + 16 * n + 2
         stack.counts.reshape(-1)[0] = MAX_TABLES + 1
-        assert len(stack.to_masked_bytes()) == dense + 16 * n + 2  # the worst case
+        assert len(stack.to_bytes()) == dense - 4 + 16 * n + 2 == record_bound(stack)  # the worst
         empty = TopkapiSketch(4, 32, SEEDS4, members=n)
-        assert len(empty.to_masked_bytes()) == 12 + 8 * 4 + 16 * n + 2
+        assert len(empty.to_bytes()) == 8 + 8 * 4 + 16 * n + 2
 
     def test_malformed_payloads_raise(self, rng):
         stack = random_stack(rng, 2, 1, 3, 0.5, 0.3)  # 6 cells: 2 padding bits
         stack.ids[0, 0, 0], stack.counts[0, 0, 0] = 7, 0  # a set cell
         stack.ids[1, 0, 2], stack.counts[1, 0, 2] = NULL_ID, 0  # an unset one, the last
-        good = stack.to_masked_bytes()
-        head = 12 + 8
+        good = stack.to_bytes()
+        head = 8 + 8
         null_cell = TopkapiSketch(1, 3, row_seeds_from_master(5, 1), members=1)
         null_cell.ids[0, 0, 1] = 9
-        with_null = bytearray(null_cell.to_masked_bytes())
+        with_null = bytearray(null_cell.to_bytes())
         with_null[head + 1 :] = bytes([8, 1]) + struct.pack("<QB", NULL_ID, 0)
         counted_null = TopkapiSketch(1, 3, row_seeds_from_master(5, 1), members=1)
         counted_null.counts[0, 0, 2] = 4  # no insert or merge makes one; it travels and fails
@@ -426,7 +444,7 @@ class TestMaskedPayload:
         padded[head] |= 0x80
         one_more = bytearray(good)
         one_more[head] |= 1 << 5
-        small = null_cell.to_masked_bytes()  # one set cell, id 9, count 0: widths 1, 1
+        small = null_cell.to_bytes()  # one set cell, id 9, count 0: widths 1, 1
         assert small[head + 1 :] == bytes([1, 1, 9, 0])
         widths = {w: small[: head + 1] + bytes([1, w, 9]) + bytes(w) for w in (0, 3, 2, 16)}
         bad = {
@@ -446,14 +464,15 @@ class TestMaskedPayload:
             "count width 2 for a count below 2^8": (widths[2], 1),
             "count width 16": (widths[16], 1),
             "set cell of the null id": (bytes(with_null), 1),
-            "null cell with a count": (counted_null.to_masked_bytes(), 1),
-            "dense record": (stack.to_bytes(), 2),
+            "null cell with a count": (counted_null.to_bytes(), 1),
+            "dense record": (dense_record(stack), 2),
         }
         for name, (payload, n) in bad.items():
             with pytest.raises(SketchFormatError):
-                TopkapiSketch.from_masked_bytes(payload, n)
+                decode_whole(payload, n)
                 pytest.fail(name)
-        assert TopkapiSketch.from_masked_bytes(good, 2) == stack
+        assert decode_whole(good, 2) == stack
+        assert TopkapiSketch.from_bytes(good + b"\0" * 16, 2)[1] == len(good)
 
 
 class TestMerge:
@@ -563,10 +582,10 @@ class TestInvariants:
 
     def test_fixed_footprint_after_a_million_inserts(self, rng):
         s = fresh(4, 32)
-        before = (s.ids.nbytes + s.counts.nbytes, len(s.to_bytes()))
+        before = s.ids.nbytes + s.counts.nbytes
         s.insert_many(rng.integers(0, 1 << 40, size=1_000_000, dtype=np.uint64))
-        after = (s.ids.nbytes + s.counts.nbytes, len(s.to_bytes()))
-        assert before == after
+        assert s.ids.nbytes + s.counts.nbytes == before == 16 * 4 * 32
+        assert len(s.to_bytes()) <= record_bound(s)
 
 
 class TestSerialization:
@@ -585,8 +604,8 @@ class TestSerialization:
         b.insert_many(rng.integers(0, 9, size=50, dtype=np.uint64))
         blob = a.to_bytes() + b.to_bytes()
         first, off = TopkapiSketch.from_bytes(blob)
-        second, end = TopkapiSketch.from_bytes(blob, off)
-        assert first == a and second == b and end == len(blob)
+        second, end = TopkapiSketch.from_bytes(blob[off:])
+        assert first == a and second == b and off + end == len(blob)
 
     def test_null_cell_with_count_rejected(self):
         # a (null, 5) cell merged into a real (7, 3) would give (null, 2)

@@ -33,3 +33,5 @@ def test_traced_run_has_no_failure_and_finite_per_layer_metrics(tmp_path, worklo
     metrics = result["metrics"]
     assert {m["name"] for m in declared} <= metrics.keys()
     assert {name for name, m in metrics.items() if not math.isfinite(m["value"])} == set()
+    # the reduce encodes and decodes with the traced codec
+    assert metrics["sketch.to_bytes_s"]["value"] > 0 and metrics["sketch.from_bytes_s"]["value"] > 0

@@ -89,7 +89,8 @@ def cmd_index(args) -> int:
         t0 = time.perf_counter()
         part, issues = load_partition(manifest, manifest_dir, rank)
         node = preprocess(part, config)
-        node.save(_index_path(out_dir, rank))
+        path = _index_path(out_dir, rank)
+        node.save(path)
         wall = time.perf_counter() - t0
         print(
             f"rank {rank}: indexed {node.vector_count} vectors in {wall:.3f}s "
@@ -99,15 +100,16 @@ def cmd_index(args) -> int:
             f"  rank {rank} rejected: {len(issues)} parse issues, "
             f"{len(node.rejected)} empty vectors"
         )
-        print(f"  rank {rank} {_index_shape(node)}")
+        print(f"  rank {rank} {_index_shape(node, path.stat().st_size)}")
         for issue in issues[:10]:
             print(f"  rank {rank} skipped id {issue.vector_id}: {issue.message}")
     return EXIT_OK
 
 
-def _index_shape(node: NodeIndex) -> str:
+def _index_shape(node: NodeIndex, file_bytes: int) -> str:
     """Bucket-size distribution, table occupancy and heavy buckets (those
-    kept as finished sketches), from the index columns."""
+    kept as finished sketches), from the index columns; then the index
+    file's bytes per vector."""
     occupied = node.occupied_slots
     sizes = np.diff(node.offsets)
     buckets = (
@@ -116,10 +118,13 @@ def _index_shape(node: NodeIndex) -> str:
         else "none"
     )
     heavy = sizes[node.heavy_pos]
+    n = node.vector_count
+    on_disk = f"{file_bytes / n:.1f} B per vector" if n else f"{file_bytes} B, no vectors"
     return (
         f"buckets: {buckets}; occupied per table: mean {np.mean(occupied):.1f}, "
         f"min {min(occupied)}, max {max(occupied)}; heavy: "
-        f"{heavy.size} buckets holding {heavy.sum() / max(sizes.sum(), 1):.1%} of ids"
+        f"{heavy.size} buckets holding {heavy.sum() / max(sizes.sum(), 1):.1%} of ids; "
+        f"file: {on_disk}"
     )
 
 

@@ -147,14 +147,16 @@ class LshConfig:
                 f"{', '.join(shape)} must be at most 2^32 - 1: the sketch record's header "
                 "holds W and B as u32 fields"
             )
+        # the fields are frozen, so their digest is folded once, here
+        acc = np.uint64(0xC0F1C0F1C0F1C0F1)
+        for f in fields(self):
+            acc = mix64(acc ^ np.uint64(getattr(self, f.name)))
+        object.__setattr__(self, "_fingerprint", int(acc))
 
     def fingerprint(self) -> int:
         """Stable 64-bit digest of every field, in declaration order; used to
         detect config skew and stored in index files."""
-        acc = np.uint64(0xC0F1C0F1C0F1C0F1)
-        for f in fields(self):
-            acc = mix64(acc ^ np.uint64(getattr(self, f.name)))
-        return int(acc)
+        return self._fingerprint
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,7 @@ import socket
 import struct
 import threading
 from collections import Counter, defaultdict
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -28,6 +29,15 @@ from sketchlsh.dataio import (
     _utf8_text,
     parse_record,
 )
+
+
+def reference_fingerprint(config) -> int:
+    """An :class:`LshConfig`'s digest folded field by field: every field as
+    a u64, in declaration order, each xored into the accumulator and mixed."""
+    acc = np.uint64(0xC0F1C0F1C0F1C0F1)
+    for f in fields(config):
+        acc = mix64(acc ^ np.uint64(getattr(config, f.name)))
+    return int(acc)
 
 
 def exact_jaccard(a: SparseVector, b: SparseVector) -> float:

@@ -187,6 +187,25 @@ class TestEndToEnd:
         assert "occupied per table: mean 2.0, min 2, max 2" in printed
         assert "rank 1 rejected: 0 parse issues, 0 empty vectors" in printed
 
+    def test_index_prints_its_bytes_per_vector(self, tmp_path, capsys):
+        # rank 0 holds 3 vectors over 2 buckets per table, rank 1 none
+        data = tmp_path / "data.txt"
+        data.write_text("1 2:1 5:1\n\n1 2:1 5:1\n\n1 4:1\n")
+        out = tmp_path / "parts"
+        assert main(["partition", "--input", str(data), "--m", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([
+            "index", "--manifest", str(out / "manifest.txt"), "--out", str(tmp_path / "idx"),
+            "--k", "2", "--tables", "4", "--table-range", "64",
+        ]) == 0
+        shapes = [ln for ln in capsys.readouterr().out.splitlines() if "buckets:" in ln]
+        # 40 B of header, 3 u64 ids, then u32 keys, offsets and rows: 4 tables
+        # of 2 keys, 9 offsets and 12 rows
+        size = 40 + 8 * 3 + 4 * (8 + 9 + 12)
+        assert (tmp_path / "idx" / "index-00000.bin").stat().st_size == size
+        assert shapes[0].endswith(f"; file: {size / 3:.1f} B per vector")
+        assert shapes[1].endswith("; file: 44 B, no vectors")
+
     def test_index_reports_heavy_buckets(self, tmp_path, rng, capsys):
         # 150 copies of one vector among 30 others; a sketch of 2 x 4 cells
         # keeps every bucket of more than 8 ids as a finished sketch

@@ -12,7 +12,9 @@ from sketchlsh.core import (
     SparseVector,
 )
 from sketchlsh.dataio import lsh_config_from_mapping
-from sketchlsh.index import _table_bases
+from sketchlsh.index import _column_types, _table_bases
+
+from oracles import reference_fingerprint
 
 
 class TestSparseVector:
@@ -124,7 +126,8 @@ class TestLshConfig:
         config = LshConfig(**largest)
         assert getattr(config, field) == largest[field]
         assert 0 <= config.fingerprint() < 1 << 64
-        assert _table_bases(config)[-1] == (config.num_tables - 1) * config.table_range
+        key_type, _ = _column_types(config, 0)
+        assert _table_bases(config, key_type)[-1] == (config.num_tables - 1) * config.table_range
 
     def test_derived_sketch_cols_fits_a_u64(self):
         # 4·top_k past 2^64 - 1 fails as a u64; below it, past 2^32 - 1, as a u32
@@ -164,6 +167,24 @@ class TestLshConfig:
     def test_default_fingerprint_is_pinned(self):
         # saved index files store it: a new value makes them unloadable
         assert LshConfig().fingerprint() == 0x1BA58D968EB2035F
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            {"master_seed": 0},
+            {"master_seed": (1 << 64) - 1},
+            {"hashes_per_table": (1 << 64) - 1},
+            {"top_k": (1 << 64) - 1, "sketch_cols": 8},
+            {"table_range": 1 << 63, "num_tables": 2},
+            {"sketch_rows": (1 << 32) - 1, "sketch_cols": (1 << 32) - 1},
+        ],
+    )
+    def test_fingerprint_equals_the_per_call_fold(self, fields):
+        # folded once at construction, bit for bit as the per-call fold did
+        config = LshConfig(**fields)
+        assert config.fingerprint() == reference_fingerprint(config)
+        assert config.fingerprint() == LshConfig(**fields).fingerprint()
 
 
 class TestDatasetPartition:

@@ -52,7 +52,7 @@ def workdir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def blob(workdir):
-    """A saved version-3 index of 40 vectors, a few of them duplicates so
+    """A saved version-4 index of 40 vectors, a few of them duplicates so
     that some buckets hold several ids."""
     rng = np.random.default_rng(5)
     vecs = random_sparse_vectors(rng, 36, 512, 10)
@@ -107,7 +107,7 @@ def test_random_bytes_after_a_valid_prefix(workdir, blob, tail, keep):
 
 @pytest.fixture(scope="module")
 def heavy_blob(workdir):
-    """A saved version-3 index of 80 vectors, 60 of them copies of one, so
+    """A saved version-4 index of 80 vectors, 60 of them copies of one, so
     that every table holds a bucket of more ids than a sketch has cells."""
     rng = np.random.default_rng(9)
     vecs = random_sparse_vectors(rng, 20, 512, 10)
@@ -132,7 +132,8 @@ def test_bit_flipped_heavy_index(workdir, heavy_blob, bits):
 @FUZZ
 @given(table=st.integers(0, CFG.num_tables - 1), pair=st.tuples(st.integers(0), st.integers(0)))
 def test_repeated_id_in_a_heavy_bucket(workdir, heavy_blob, table, pair):
-    # one id of a heavy bucket is written over another id of the same bucket
+    # one row of a heavy bucket is written over another row of the same
+    # bucket, which then holds that row's id twice
     path = workdir / "repeat.bin"
     path.write_bytes(heavy_blob)
     index = NodeIndex.load(path, CFG)
@@ -142,11 +143,11 @@ def test_repeated_id_in_a_heavy_bucket(workdir, heavy_blob, table, pair):
     src, dst = (start + i % size for i in pair)
     if src == dst:
         return
-    # the 40-byte header, then the keys, offsets and ids columns
-    ids_at = 40 + 8 * (2 * index.keys.size + 1)
-    src, dst = ids_at + 8 * src, ids_at + 8 * dst
+    # the 40-byte header, then the ids, keys, offsets and rows columns
+    rows_at = 40 + index.ids.nbytes + index.keys.nbytes + index.offsets.nbytes
+    src, dst = rows_at + 4 * src, rows_at + 4 * dst
     data = bytearray(heavy_blob)
-    data[dst : dst + 8] = heavy_blob[src : src + 8]
+    data[dst : dst + 4] = heavy_blob[src : src + 4]
     path.write_bytes(bytes(data))
     with pytest.raises(IndexFileError, match=f"table {table}: id .* appears twice"):
         NodeIndex.load(path, CFG)

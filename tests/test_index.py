@@ -282,11 +282,11 @@ def skewed_node():
 
 
 def with_empty_table(node):
-    """``node`` with its first table emptied: its buckets and ids cut from
+    """``node`` with its first table emptied: its buckets and rows cut from
     the directory, which no build makes and no load accepts."""
     cut, n = node.occupied_slots[0], node.vector_count
     return NodeIndex(
-        CFG, node.node_id, node.keys[cut:], node.offsets[cut:] - n, node.ids[n:], n
+        CFG, node.node_id, node.keys[cut:], node.offsets[cut:] - n, node.rows[n:], node.ids
     )
 
 
@@ -301,8 +301,10 @@ def test_directory_equals_per_table_build(case):
     addrs = HashFamily.from_config(CFG).addresses(part.rows)
     assert_tables_equal_per_table_build(node, addrs, part.ids)
     assert node.occupied_slots == [tb.addrs.size for tb in node.tables]
-    assert node.keys.dtype == np.uint64 and node.offsets.dtype == np.int64
-    assert node.ids.size == CFG.num_tables * node.vector_count
+    # L·R = 2^15 and L·n < 2^32: keys and offsets take 4 bytes
+    assert node.keys.dtype == node.offsets.dtype == node.rows.dtype == np.uint32
+    assert node.rows.size == CFG.num_tables * node.vector_count
+    assert np.array_equal(node.ids, part.ids)  # each id once, in partition order
 
 
 @pytest.fixture(scope="module", params=["planted", "skewed", "empty-table"])
@@ -419,7 +421,8 @@ def heavy_streams(node: NodeIndex):
     """Per heavy bucket: its table, its finished sketch and its id stream."""
     for j, pos in enumerate(node.heavy_pos.tolist()):
         table = int(node.keys[pos]) // node.config.table_range
-        yield table, node.heavy_sketches[j], node.ids[node.offsets[pos] : node.offsets[pos + 1]]
+        rows = node.rows[node.offsets[pos] : node.offsets[pos + 1]]
+        yield table, node.heavy_sketches[j], node.ids[rows]
 
 
 def assert_heavy_sketches_replay(node: NodeIndex) -> None:
@@ -578,7 +581,7 @@ class TestBoundedObservations:
 
     def test_storage_within_slotwise_sketch_budget(self, rng):
         idx = preprocess(DatasetPartition(0, make_dataset(rng, 300)), CFG)
-        raw_bytes = idx.keys.nbytes + idx.offsets.nbytes + idx.ids.nbytes
+        raw_bytes = idx.keys.nbytes + idx.offsets.nbytes + idx.rows.nbytes + idx.ids.nbytes
         empty = idx.empty_sketch()
         assert len(empty.to_bytes()) <= record_bound(empty)
         budget = sum(idx.occupied_slots) * (empty.ids.nbytes + empty.counts.nbytes)
@@ -587,18 +590,22 @@ class TestBoundedObservations:
 
 # Per case: (column, position in it, new value, the error it must raise). A
 # header "position" is the byte offset of the field: 4 is the version, 24 the
-# vector count. A column position is a directory position, or a function of
-# the index that gives one.
+# vector count. A column position is a directory position, a row's or an
+# id's, or a function of the index that gives one.
 BROKEN_COLUMNS = {
     "version-1": ("header", 4, lambda idx: 1, "version 1 .*rebuild it with `sketchlsh index`"),
     "version-2": ("header", 4, lambda idx: 2, "version 2 .*rebuild it with `sketchlsh index`"),
-    # the id column's length is L times the vector count
+    "version-3": ("header", 4, lambda idx: 3, "version 3 .*rebuild it with `sketchlsh index`"),
+    # the id column holds n ids and the row column L·n rows
     "id-count": ("header", 24, lambda idx: idx.vector_count + 1, "truncated: its header needs"),
     "offsets-start": ("offsets", 0, lambda idx: 1, "offsets do not run from 0"),
-    "offsets-end": ("offsets", -1, lambda idx: idx.ids.size - 1, "offsets do not run from 0"),
+    "offsets-end": ("offsets", -1, lambda idx: idx.rows.size - 1, "offsets do not run from 0"),
     "empty-bucket": ("offsets", 1, lambda idx: 0, "offsets do not strictly increase"),
-    "offset-past-ids": ("offsets", 1, lambda idx: idx.ids.size + 1, "offsets do not strictly increase"),
-    "negative-offset": ("offsets", 1, lambda idx: -1, "offsets do not strictly increase"),
+    "offset-past-rows": (
+        "offsets", 1, lambda idx: idx.rows.size + 1, "offsets do not strictly increase"
+    ),
+    # a u32 offset cannot be negative; the bits of -1 read as the largest one
+    "offset-at-u32-max": ("offsets", 1, lambda idx: 2**32 - 1, "offsets do not strictly increase"),
     "addrs-order": ("keys", 1, lambda idx: int(idx.keys[0]), "keys do not strictly increase"),
     "addrs-range": (
         "keys", -1, lambda idx: CFG.num_tables * CFG.table_range, "key beyond the last table"
@@ -606,8 +613,9 @@ BROKEN_COLUMNS = {
     # table 1's first bucket, of one id, moved to the end of table 0's key range
     "table-bound": (
         "keys", lambda idx: idx.occupied_slots[0], lambda idx: CFG.table_range - 1,
-        "table 0 holds 31 ids for 30 vectors",
+        "table 0 holds 31 rows for 30 vectors",
     ),
+    "row-past-vectors": ("rows", 5, lambda idx: idx.vector_count, "row 30 past the last of 30"),
     "null-id": ("ids", 3, lambda idx: NULL_ID, "null id"),
 }
 
@@ -621,8 +629,9 @@ class TestPersistence:
         loaded = NodeIndex.load(path, CFG)
         assert loaded.node_id == 2
         assert loaded.vector_count == idx.vector_count
-        for column in ("keys", "offsets", "ids"):
-            assert np.array_equal(getattr(idx, column), getattr(loaded, column))
+        for column in ("keys", "offsets", "rows", "ids"):
+            built, read = getattr(idx, column), getattr(loaded, column)
+            assert built.dtype == read.dtype and np.array_equal(built, read)
         # saving again reproduces the file bit for bit
         path2 = tmp_path / "again.bin"
         loaded.save(path2)
@@ -657,15 +666,16 @@ class TestPersistence:
             index.save(path)
             blob = path.read_bytes()
             assert blob == reference_index_bytes(index)
-            n_keys = sum(index.occupied_slots)
-            assert len(blob) == 40 + 8 * (2 * n_keys + 1) + 8 * cfg.num_tables * index.vector_count
+            n_keys, n = sum(index.occupied_slots), index.vector_count
+            # L·R = 3·2^11: keys and offsets take 4 bytes, as every row does
+            assert len(blob) == 40 + 8 * n + 4 * (2 * n_keys + 1) + 4 * cfg.num_tables * n
 
     def test_loaded_columns_are_views_of_the_file(self, rng, tmp_path):
         idx = preprocess(DatasetPartition(0, make_dataset(rng, 20)), CFG)
         path = tmp_path / "index.bin"
         idx.save(path)
         loaded = NodeIndex.load(path, CFG)
-        for column in (loaded.keys, loaded.offsets, loaded.ids):
+        for column in (loaded.keys, loaded.offsets, loaded.rows, loaded.ids):
             assert not column.flags.owndata and not column.flags.writeable
 
     def test_truncation_at_every_section_boundary_is_typed(self, rng, tmp_path):
@@ -702,9 +712,9 @@ class TestPersistence:
         else:
             if callable(pos):
                 pos = pos(idx)
-            length = getattr(idx, column).size
-            at = column_starts(idx)[column] + 8 * (pos % length)
-            struct.pack_into("<Q", blob, at, value(idx) % 2**64)
+            col = getattr(idx, column)
+            at = column_starts(idx)[column] + col.itemsize * (pos % col.size)
+            struct.pack_into("<Q" if col.itemsize == 8 else "<I", blob, at, value(idx))
         path.write_bytes(bytes(blob))
         with pytest.raises(IndexFileError, match=match):
             NodeIndex.load(path, CFG)
@@ -735,6 +745,7 @@ class TestKeyBound:
         node.save(path)
         loaded = NodeIndex.load(path, cfg)
         assert loaded.occupied_slots == node.occupied_slots
+        assert loaded.keys.dtype == node.keys.dtype == np.uint64
         batch = np.vstack([addrs[[0, 3, 40]], np.full((1, 2), (1 << 63) - 1, dtype=np.uint64)])
         stack = loaded.local_candidates(batch)
         assert stack == replayed_candidates(loaded, batch) == node.local_candidates(batch)
@@ -743,14 +754,82 @@ class TestKeyBound:
         ]
         assert count_maps(loaded.exact_candidates(batch))[2] == {0: 2, 40: 2}
 
+    @pytest.mark.parametrize(
+        "table_range, key_type",
+        [(1 << 31, np.uint32), (1 << 32, np.uint64)],
+        ids=["L·R=2^32", "L·R=2^33"],
+    )
+    def test_key_width_at_its_bound(self, rng, tmp_path, table_range, key_type):
+        # L = 2: L·R = 2^32 is the widest range of u32 keys, and its last
+        # key 2^32 - 1 is present; one doubling more needs u64 keys
+        cfg = LshConfig(
+            hashes_per_table=2, num_tables=2, table_range=table_range, top_k=4, master_seed=7
+        )
+        addrs = rng.integers(0, table_range, size=(40, 2), dtype=np.uint64)
+        addrs[5:9] = addrs[0]  # a bucket of five ids in each table
+        addrs[10] = table_range - 1  # the last address of each table
+        node = built_from_addresses(cfg, addrs)
+        assert int(node.keys[-1]) == 2 * table_range - 1
+        assert_tables_equal_per_table_build(node, addrs, np.arange(40, dtype=np.uint64))
+        path = tmp_path / "index.bin"
+        node.save(path)
+        loaded = NodeIndex.load(path, cfg)
+        for column in ("keys", "offsets", "rows", "ids"):
+            assert getattr(node, column).dtype == getattr(loaded, column).dtype
+        assert loaded.keys.dtype == key_type and loaded.offsets.dtype == np.uint32
+        absent = np.setdiff1d(np.array([0, 1, table_range - 2], dtype=np.uint64), addrs[:, 0])[0]
+        batch = np.vstack([addrs[[0, 10, 20]], np.full((1, 2), absent, dtype=np.uint64)])
+        expected = [address_count_map(addrs, row) for row in batch]
+        assert expected[0] == {**{i: 2 for i in range(5, 9)}, 0: 2} and expected[-1] == {}
+        for index in (node, loaded):
+            assert index.local_candidates(batch) == replayed_candidates(index, batch)
+            assert count_maps(index.exact_candidates(batch)) == expected
+        assert loaded.local_candidates(batch) == node.local_candidates(batch)
 
-def repeat_an_id(path, index: NodeIndex, pos: int) -> None:
-    """Overwrite the last id of the bucket at directory position ``pos`` in
-    the saved file with the bucket's first id; every length and other
-    check holds."""
-    at = column_starts(index)["ids"] + 8 * (int(index.offsets[pos + 1]) - 1)
+
+def built_from_addresses(cfg: LshConfig, addrs: np.ndarray) -> NodeIndex:
+    """The index of ids 0 .. n - 1 whose (n, L) address matrix is ``addrs``:
+    :func:`preprocess` with the hash family's addresses replaced by it."""
+    vectors = [(i, SparseVector([0], 1)) for i in range(len(addrs))]
+    with mock.patch.object(HashFamily, "addresses", lambda family, rows: addrs.copy()):
+        return preprocess(DatasetPartition(0, vectors), cfg)
+
+
+def address_count_map(addrs: np.ndarray, row: np.ndarray) -> dict[int, int]:
+    """One query's exact counts read off the (n, L) address matrix: id i
+    counts once per table whose address it shares with ``row``."""
+    return dict(Counter(np.nonzero(addrs == row)[0].tolist()))
+
+
+class TestRowBound:
+    """u32 row numbers bound a rank to 2^32 - 1 vectors."""
+
+    @pytest.mark.parametrize("count, match", [(2**32, "u32"), (2**32 - 1, "truncated")])
+    def test_load_checks_the_vector_count_before_the_sizes(self, rng, tmp_path, count, match):
+        idx = preprocess(DatasetPartition(0, make_dataset(rng, 10)), CFG)
+        path = tmp_path / "index.bin"
+        idx.save(path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<Q", blob, 24, count)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IndexFileError, match=match):
+            NodeIndex.load(path, CFG)
+
+    def test_preprocess_rejects_a_partition_of_2_32_vectors(self):
+        # a stand-in that only claims the size: none that large is built
+        part = mock.MagicMock(spec=DatasetPartition)
+        part.__len__.return_value = 2**32
+        with pytest.raises(ConfigError, match="u32"):
+            preprocess(part, CFG)
+
+
+def repeat_a_row(path, index: NodeIndex, pos: int) -> None:
+    """Overwrite the last row of the bucket at directory position ``pos`` in
+    the saved file with the bucket's first row, so the bucket holds that
+    row's id twice; every length and other check holds."""
+    at = column_starts(index)["rows"] + 4 * (int(index.offsets[pos + 1]) - 1)
     blob = bytearray(path.read_bytes())
-    struct.pack_into("<Q", blob, at, int(index.ids[index.offsets[pos]]))
+    struct.pack_into("<I", blob, at, int(index.rows[index.offsets[pos]]))
     path.write_bytes(bytes(blob))
 
 
@@ -762,7 +841,7 @@ class TestRepeatedIds:
         path = tmp_path / "index-00000.bin"
         node.save(path)
         in_table_2 = node.keys[node.heavy_pos] // cfg.table_range == 2
-        repeat_an_id(path, node, int(node.heavy_pos[in_table_2][0]))
+        repeat_a_row(path, node, int(node.heavy_pos[in_table_2][0]))
         with pytest.raises(IndexFileError, match="table 2: id .* appears twice"):
             NodeIndex.load(path, cfg)
         save_lsh_config(cfg, tmp_path / "config.txt")
@@ -782,7 +861,7 @@ class TestRepeatedIds:
         node.save(path)
         tb = node.tables[1]
         pos = int(np.flatnonzero(np.diff(tb.offsets) == size)[0])
-        repeat_an_id(path, node, node.occupied_slots[0] + pos)
+        repeat_a_row(path, node, node.occupied_slots[0] + pos)
         loaded = NodeIndex.load(path, cfg)
         stream = bucket_ids(loaded.tables[1], int(tb.addrs[pos]))
         assert stream.size == size and np.unique(stream).size == size - 1
@@ -792,37 +871,42 @@ class TestRepeatedIds:
 
 
 def reference_index_bytes(idx: NodeIndex) -> bytes:
-    """The version-3 index file assembled field by field with struct from
-    the per-table view: the header, then every table's keys t·R + address,
-    its offsets shifted by the ids before it, and its ids."""
+    """The version-4 index file assembled field by field with struct from
+    the per-table view: the header, the ids once in partition order, then
+    every table's keys t·R + address, its offsets shifted by the rows
+    before it, and its rows, each id's place among the ids. Keys are u32
+    when L·R <= 2^32 and offsets when L·n < 2^32; u64 otherwise."""
     cfg = idx.config
-    keys, offsets, ids = [], [0], []
+    ids = idx.ids.tolist()
+    row_of = {vid: r for r, vid in enumerate(ids)}
+    keys, offsets, rows = [], [0], []
     for t, tb in enumerate(idx.tables):
         keys += [t * cfg.table_range + a for a in tb.addrs.tolist()]
-        offsets += [len(ids) + o for o in tb.offsets[1:].tolist()]
-        ids += tb.ids.tolist()
+        offsets += [len(rows) + o for o in tb.offsets[1:].tolist()]
+        rows += [row_of[vid] for vid in tb.ids.tolist()]
+    key = "I" if cfg.num_tables * cfg.table_range <= 2**32 else "Q"
+    offset = "I" if len(rows) < 2**32 else "Q"
     return b"".join([
         struct.pack(
-            "<IIQIIQQ", 0x58494C53, 3, cfg.fingerprint(), idx.node_id, cfg.num_tables,
-            idx.vector_count, len(keys),
+            "<IIQIIQQ", 0x58494C53, 4, cfg.fingerprint(), idx.node_id, cfg.num_tables,
+            len(ids), len(keys),
         ),
-        struct.pack(f"<{len(keys)}Q", *keys),
-        struct.pack(f"<{len(offsets)}q", *offsets),
         struct.pack(f"<{len(ids)}Q", *ids),
+        struct.pack(f"<{len(keys)}{key}", *keys),
+        struct.pack(f"<{len(offsets)}{offset}", *offsets),
+        struct.pack(f"<{len(rows)}I", *rows),
     ])
 
 
 def column_starts(idx: NodeIndex) -> dict[str, int]:
     """The file offset where each column of a saved index starts."""
-    header = struct.calcsize("<IIQIIQQ")
-    return {
-        "keys": header,
-        "offsets": header + 8 * idx.keys.size,
-        "ids": header + 8 * (2 * idx.keys.size + 1),
-    }
+    ids = struct.calcsize("<IIQIIQQ")
+    keys = ids + 8 * idx.ids.size
+    offsets = keys + idx.keys.nbytes
+    return {"ids": ids, "keys": keys, "offsets": offsets, "rows": offsets + idx.offsets.nbytes}
 
 
 def section_boundaries(idx: NodeIndex) -> list[int]:
     """File offsets where the header and each column of a saved index end."""
     starts = column_starts(idx)
-    return [starts["keys"], starts["offsets"], starts["ids"], starts["ids"] + 8 * idx.ids.size]
+    return [starts["ids"], starts["keys"], starts["offsets"], starts["rows"], starts["rows"] + idx.rows.nbytes]

@@ -147,6 +147,11 @@ class LshConfig:
                 f"{', '.join(shape)} must be at most 2^32 - 1: the sketch record's header "
                 "holds W and B as u32 fields"
             )
+        if self.hashes_per_table * self.num_tables > 0xFFFFFFFF:
+            raise ConfigError(
+                "hashes_per_table * num_tables must be at most 2^32 - 1: the densified "
+                "hash maps every index into one of K·L bins by a u32 range map"
+            )
         # the fields are frozen, so their digest is folded once, here
         acc = np.uint64(0xC0F1C0F1C0F1C0F1)
         for f in fields(self):

@@ -79,7 +79,8 @@ def cosine_similarity(a: SparseVector, b: SparseVector) -> float:
 
 @dataclass(frozen=True)
 class QueryBatch:
-    """A non-empty batch of (query id, vector) pairs, all vectors valid."""
+    """A non-empty batch of (query id, vector) pairs, all vectors valid and
+    every query id in 0..2^64 - 1 (a result writes it as a u64)."""
 
     queries: tuple[tuple[int, SparseVector], ...]
 
@@ -88,6 +89,8 @@ class QueryBatch:
         if not pairs:
             raise ConfigError("query batch must be non-empty")
         for qid, v in pairs:
+            if not 0 <= qid <= 0xFFFFFFFFFFFFFFFF:
+                raise ConfigError(f"query id {qid} outside 0..2^64 - 1")
             if v.nnz == 0:
                 raise ConfigError(f"query {qid} has no active indices")
         object.__setattr__(self, "queries", pairs)
@@ -97,7 +100,7 @@ class QueryBatch:
 
     def fingerprint(self) -> int:
         """The batch id: each query id mixed with its position, folded."""
-        ids = np.array([qid & 0xFFFFFFFFFFFFFFFF for qid, _ in self.queries], dtype=np.uint64)
+        ids = np.array([qid for qid, _ in self.queries], dtype=np.uint64)
         positions = mix64(np.arange(ids.size, dtype=np.uint64) ^ np.uint64(0xBA7C4))
         return int(mix64(np.bitwise_xor.reduce(mix64(ids ^ positions))))
 

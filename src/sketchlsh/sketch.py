@@ -66,19 +66,13 @@ def row_seeds_from_master(master_seed: int, rows: int) -> np.ndarray:
 def merge_cells(
     a_ids: np.ndarray, a_cnt: np.ndarray, b_ids: np.ndarray, b_cnt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The merge rule of :meth:`TopkapiSketch.merge` on any same-shape cell
-    arrays: the merged cells' ids and counters."""
-    same = a_ids == b_ids
-    a_wins = a_cnt > b_cnt
-    b_wins = b_cnt > a_cnt
-    # Tie between differing ids: the null placeholder loses, otherwise
-    # the smaller id survives with counter 0.
-    tie_ids = np.where(
-        a_ids == _NULL, b_ids, np.where(b_ids == _NULL, a_ids, np.minimum(a_ids, b_ids))
-    )
-    ids = np.where(same, a_ids, np.where(a_wins, a_ids, np.where(b_wins, b_ids, tie_ids)))
+    """The merge rule of :meth:`TopkapiSketch.merge` on same-shape cell
+    arrays: the larger counter's id survives, a tie keeps the smaller id
+    (the null id is the largest u64), and the counter is the sum for equal
+    ids, else the difference."""
+    ids = np.where(a_cnt > b_cnt, a_ids, np.where(b_cnt > a_cnt, b_ids, np.minimum(a_ids, b_ids)))
     diff = np.maximum(a_cnt, b_cnt) - np.minimum(a_cnt, b_cnt)
-    return ids, np.where(same, a_cnt + b_cnt, diff)
+    return ids, np.where(a_ids == b_ids, a_cnt + b_cnt, diff)
 
 
 class TopkapiSketch:
@@ -246,10 +240,10 @@ class TopkapiSketch:
     def merge(self, other: "TopkapiSketch") -> "TopkapiSketch":
         """Combine two sketches over disjoint streams into one.
 
-        Cell rule: equal ids sum their counters; differing ids keep the
-        larger-count id with the difference of the counters. A counter tie
-        between two real ids resolves to the smaller id with counter 0 (no
-        surviving majority); the null placeholder always loses, which makes
+        Cell rule (:func:`merge_cells`): the id with the larger counter
+        survives, a tie keeps the smaller id, and the counter is the sum for
+        equal ids, else the difference (0 on a tie: no surviving majority).
+        The null id is the largest u64, so it loses every tie, which makes
         the empty sketch an exact identity element. The result is
         independent of argument order, cell for cell. An equal-id sum past
         2^64 - 1 wraps; the cluster's decoders bound every peer counter, so

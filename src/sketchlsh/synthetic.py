@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SparseVector
+from .core import ConfigError, SparseVector
 
 QUERY_ID_BASE = 1 << 40  # keeps query ids disjoint from dataset ids
 
@@ -32,9 +32,11 @@ def vector_with_swaps(
     rng: np.random.Generator, base: SparseVector, swaps: int
 ) -> SparseVector:
     """Copy of ``base`` with ``swaps`` indices removed and ``swaps`` fresh ones
-    added; exact Jaccard to the base is (nnz - swaps) / (nnz + swaps)."""
-    if swaps >= base.nnz:
-        raise ValueError("swaps must be smaller than the vector's support")
+    added; exact Jaccard to the base is (nnz - swaps) / (nnz + swaps).
+
+    Raises :class:`ConfigError` unless 0 <= swaps < nnz and swaps <= dim - nnz
+    (enough free indices to draw from), before any draw."""
+    _check_swaps(swaps, base.nnz, base.dim)
     keep = np.sort(rng.choice(base.nnz, size=base.nnz - swaps, replace=False))
     kept = base.indices[keep]
     existing = set(base.indices.tolist())
@@ -45,6 +47,15 @@ def vector_with_swaps(
             fresh.add(cand)
     idx = np.sort(np.concatenate([kept, np.array(sorted(fresh), dtype=np.uint64)]))
     return SparseVector(indices=idx, dim=base.dim)
+
+
+def _check_swaps(swaps: int, nnz: int, dim: int) -> None:
+    if not 0 <= swaps < nnz:
+        raise ConfigError(f"swaps {swaps} must be in 0..nnz - 1 (nnz {nnz})")
+    if swaps > dim - nnz:
+        raise ConfigError(
+            f"swaps {swaps} exceeds the {dim - nnz} indices free of a vector's {nnz} in dim {dim}"
+        )
 
 
 @dataclass(frozen=True)
@@ -66,6 +77,11 @@ def planted_instance(
     swaps: int = 2,
     seed: int = 0,
 ) -> PlantedInstance:
+    """Raises :class:`ConfigError` unless 1 <= nnz <= dim and the swaps
+    satisfy :func:`vector_with_swaps`, before any draw."""
+    if not 1 <= nnz <= dim:
+        raise ConfigError(f"nnz {nnz} must be in 1..dim (dim {dim})")
+    _check_swaps(swaps, nnz, dim)
     rng = np.random.default_rng(seed)
     data: list[tuple[int, SparseVector]] = [
         (i, random_sparse_vector(rng, dim, nnz)) for i in range(n_background)

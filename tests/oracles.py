@@ -305,6 +305,28 @@ def insert_per_event(sketch, items: np.ndarray, slots: np.ndarray | None = None)
     sketch.counts.flat[touched] = np.array(counts, dtype=np.uint64)
 
 
+def reference_merge_cells(
+    a_ids: np.ndarray, a_cnt: np.ndarray, b_ids: np.ndarray, b_cnt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The merge rule spelled out case by case, which
+    :func:`sketchlsh.sketch.merge_cells` must equal bit for bit: equal ids
+    sum their counters, a larger counter wins with the difference, and a
+    counter tie between differing ids keeps the smaller id with counter 0,
+    the null placeholder always losing."""
+    null = np.uint64(NULL_ID)
+    same = a_ids == b_ids
+    a_wins = a_cnt > b_cnt
+    b_wins = b_cnt > a_cnt
+    # Tie between differing ids: the null placeholder loses, otherwise
+    # the smaller id survives with counter 0.
+    tie_ids = np.where(
+        a_ids == null, b_ids, np.where(b_ids == null, a_ids, np.minimum(a_ids, b_ids))
+    )
+    ids = np.where(same, a_ids, np.where(a_wins, a_ids, np.where(b_wins, b_ids, tie_ids)))
+    diff = np.maximum(a_cnt, b_cnt) - np.minimum(a_cnt, b_cnt)
+    return ids, np.where(same, a_cnt + b_cnt, diff)
+
+
 def table_buckets(addrs: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One table's columns built on their own from its address column and
     the partition's ids: the sorted distinct addresses, the offsets of

@@ -12,11 +12,12 @@ import pytest
 from sketchlsh import cli
 from sketchlsh.cli import main
 from sketchlsh.cluster import TcpTransport
+from sketchlsh.core import ConfigError
 from sketchlsh.dataio import format_record, load_config, lsh_config_from_mapping, parse_query_file
 from sketchlsh.index import NodeIndex
 from sketchlsh.params import LshSensitivity, recommend_params
 from sketchlsh.query import QueryBatch
-from sketchlsh.synthetic import random_sparse_vectors
+from sketchlsh.synthetic import planted_instance, random_sparse_vectors, vector_with_swaps
 
 from oracles import free_ports
 
@@ -346,6 +347,17 @@ class TestEndToEnd:
         assert err.startswith("config error: ") and "sketch_cols must be at most 2^32 - 1" in err
         assert not any((tmp_path / "idx2").glob("index-*"))
 
+    def test_index_densified_bins_past_a_u32_is_config_error(self, tmp_path, rng, capsys):
+        manifest, _, _ = build_indexes(tmp_path, rng, m=1)
+        capsys.readouterr()
+        assert main([
+            "index", "--manifest", str(manifest), "--out", str(tmp_path / "idx2"),
+            "--k", "65536", "--tables", "65536",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "densified" in err
+        assert not any((tmp_path / "idx2").glob("index-*"))
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_sim_query_reports_the_reduce_bytes(self, tmp_path, rng, capsys, m):
         manifest, idx_dir, queries = build_indexes(tmp_path, rng, m)
@@ -484,6 +496,39 @@ class TestBenchCommand:
             "--nnz", "8", "--m-list", "0", "--modes", "exact",
         ]) == 2
         assert "config error: world_size must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "dim, nnz, swaps, reason",
+        [
+            (40, 40, 2, "swaps 2 exceeds the 0 indices free"),
+            (41, 40, 2, "swaps 2 exceeds the 1 indices free"),
+            (1024, 0, 2, "nnz 0 must be in 1..dim"),
+            (8, 24, 2, "nnz 24 must be in 1..dim"),
+            (1024, 8, 8, "swaps 8 must be in 0..nnz - 1"),
+            (1024, 8, -1, "swaps -1 must be in 0..nnz - 1"),
+        ],
+    )
+    def test_generator_arguments_it_cannot_meet_are_config_errors(
+        self, capsys, dim, nnz, swaps, reason
+    ):
+        # checked before the first draw: too few free indices once made the
+        # swap draw loop forever
+        with pytest.raises(ConfigError, match=reason):
+            planted_instance(10, 2, 2, dim=dim, nnz=nnz, swaps=swaps)
+        assert main([
+            "bench", "--n", "10", "--queries", "2", "--dim", str(dim), "--nnz", str(nnz),
+            "--swaps", str(swaps),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and reason in err
+
+    @pytest.mark.parametrize("dim, nnz, swaps", [(40, 40, 2), (41, 40, 2), (1024, 8, 8), (1024, 8, -1)])
+    def test_swaps_a_vector_cannot_take_are_rejected_before_any_draw(self, rng, dim, nnz, swaps):
+        base = random_sparse_vectors(rng, 1, dim, nnz)[0]
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match=f"swaps {swaps}"):
+            vector_with_swaps(rng, base, swaps)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("m_list", ["a", "1,,2"])
     def test_m_list_not_integers_is_config_error(self, capsys, m_list):

@@ -86,14 +86,16 @@ class TestLshConfig:
 
     def test_table_count_fits_the_index_header(self):
         # the index header stores L as a u32, and the reduce's decoders bound
-        # every peer count by it; construction builds no hash family
+        # every peer count by it; construction builds no hash family. K = 1
+        # keeps the densified hash's K·L bins below 2^32
         assert MAX_TABLES == 2**32 - 1
-        assert LshConfig(num_tables=MAX_TABLES).num_tables == MAX_TABLES
+        assert LshConfig(hashes_per_table=1, num_tables=MAX_TABLES).num_tables == MAX_TABLES
         with pytest.raises(ConfigError, match="num_tables"):
             LshConfig(num_tables=MAX_TABLES + 1)
         with pytest.raises(ConfigError, match="num_tables"):
             lsh_config_from_mapping({"num_tables": str(MAX_TABLES + 1)})
-        assert lsh_config_from_mapping({"num_tables": str(MAX_TABLES)}).num_tables == MAX_TABLES
+        wide = lsh_config_from_mapping({"hashes_per_table": "1", "num_tables": str(MAX_TABLES)})
+        assert wide.num_tables == MAX_TABLES
 
     def test_bucket_keys_fit_a_u64(self):
         # an index keys table t's buckets t·R + address, so R·L <= 2^64
@@ -119,7 +121,9 @@ class TestLshConfig:
         with pytest.raises(ConfigError, match=f"{field}.* must fit in 64 bits"):
             lsh_config_from_mapping({k: str(v) for k, v in wide.items()})
         largest = {field: (1 << 64) - 1, "sketch_cols": 8}  # sketch_cols 0 derives 4·top_k
-        if field == "table_range":
+        if field == "hashes_per_table":
+            largest = {field: (1 << 28) - 1}  # the densified hash bounds K·L, here L = 16
+        elif field == "table_range":
             largest = {"table_range": 1 << 63, "num_tables": 2}
         elif field in ("sketch_rows", "sketch_cols"):
             largest = {field: (1 << 32) - 1}  # the sketch record's u32 fields bound W and B
@@ -149,6 +153,17 @@ class TestLshConfig:
             lsh_config_from_mapping({field: str(1 << 32)})
         assert getattr(LshConfig(**{field: (1 << 32) - 1}), field) == (1 << 32) - 1
 
+    def test_densified_bins_fit_a_u32(self):
+        # the densified hash range-maps every index into one of K·L bins,
+        # which needs K·L < 2^32; checked by construction only, nothing hashes
+        reason = "hashes_per_table \\* num_tables must be at most 2\\^32 - 1: the densified"
+        with pytest.raises(ConfigError, match=reason):
+            LshConfig(hashes_per_table=1 << 16, num_tables=1 << 16)
+        with pytest.raises(ConfigError, match=reason):
+            lsh_config_from_mapping({"hashes_per_table": str(1 << 16), "num_tables": str(1 << 16)})
+        config = LshConfig(hashes_per_table=65535, num_tables=65537)
+        assert config.hashes_per_table * config.num_tables == (1 << 32) - 1
+
     def test_fingerprint_sensitive_to_every_field(self):
         base = LshConfig()
         variants = [
@@ -174,7 +189,7 @@ class TestLshConfig:
             {},
             {"master_seed": 0},
             {"master_seed": (1 << 64) - 1},
-            {"hashes_per_table": (1 << 64) - 1},
+            {"hashes_per_table": (1 << 28) - 1},
             {"top_k": (1 << 64) - 1, "sketch_cols": 8},
             {"table_range": 1 << 63, "num_tables": 2},
             {"sketch_rows": (1 << 32) - 1, "sketch_cols": (1 << 32) - 1},

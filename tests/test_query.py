@@ -429,6 +429,13 @@ class TestResultFormat:
             QueryBatch([])
         with pytest.raises(ConfigError):
             QueryBatch([(0, SparseVector([], 4))])
+        # a result writes its query id as a u64, and the batch id folds it as one
+        v = SparseVector([1, 2], 8)
+        for qid in (-1, 1 << 64):
+            with pytest.raises(ConfigError, match=f"query id {qid} outside 0..2\\^64 - 1"):
+                QueryBatch([(0, v), (qid, v)])
+        for qid, _ in QueryBatch([(0, v), ((1 << 64) - 1, v)]).queries:
+            assert struct.unpack_from("<Q", QueryResult(qid, ()).to_bytes())[0] == qid
 
 
 class TestSAtK:

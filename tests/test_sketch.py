@@ -12,6 +12,7 @@ from sketchlsh.sketch import (
     ShapeMismatchError,
     SketchFormatError,
     TopkapiSketch,
+    merge_cells,
     row_seeds_from_master,
 )
 from sketchlsh.synthetic import adversarial_stream, zipf_stream
@@ -24,6 +25,7 @@ from oracles import (
     dense_record,
     masked_payload,
     record_bound,
+    reference_merge_cells,
     replay_cells,
     replayed_sketch,
 )
@@ -514,6 +516,30 @@ class TestMerge:
             a.merge(fresh(2, 16))
         with pytest.raises(ShapeMismatchError):
             a.merge(fresh(4, 16, master=78))
+
+
+# ids and counts drawn apart, so null cells with counts, equal ids with
+# different counts and ties at the ends of the u64 order all occur
+MERGE_IDS = (0, 1, 2, 1 << 63, NULL_ID - 1, NULL_ID)
+MERGE_COUNTS = (0, 1, 2, 3, MAX_TABLES)
+
+
+def cell_columns(n):
+    pools = (MERGE_IDS, MERGE_COUNTS) * 2  # a's ids and counts, then b's
+    return st.tuples(*[st.lists(st.sampled_from(p), min_size=n, max_size=n) for p in pools])
+
+
+class TestMergeCellsOracle:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.integers(1, 24).flatmap(cell_columns))
+    def test_equals_the_spelled_out_rule(self, cells):
+        a_ids, a_cnt, b_ids, b_cnt = (np.array(c, dtype=np.uint64) for c in cells)
+        ids, counts = merge_cells(a_ids, a_cnt, b_ids, b_cnt)
+        want_ids, want_counts = reference_merge_cells(a_ids, a_cnt, b_ids, b_cnt)
+        assert ids.dtype == counts.dtype == np.uint64
+        assert np.array_equal(ids, want_ids) and np.array_equal(counts, want_counts)
+        swapped_ids, swapped_counts = merge_cells(b_ids, b_cnt, a_ids, a_cnt)
+        assert np.array_equal(swapped_ids, ids) and np.array_equal(swapped_counts, counts)
 
 
 class TestQuery:

@@ -20,7 +20,7 @@ from .core import (
     SparseVector,
     VectorId,
 )
-from .hashing import HashFamily, minhash
+from .hashing import HashFamily
 from .sketch import (
     ShapeMismatchError,
     SketchFormatError,
@@ -93,7 +93,6 @@ __all__ = [
     "cosine_similarity",
     "distance_counter",
     "linear_reduce_sketches",
-    "minhash",
     "preprocess",
     "query_batch",
     "recommend_params",

@@ -192,6 +192,13 @@ def cmd_bench(args) -> int:
         m_values = [int(x) for x in args.m_list.split(",")]
     except ValueError:
         raise ConfigError(f"--m-list {args.m_list!r} must be comma-separated integers") from None
+    config = LshConfig(  # checked before the instance is drawn under its seed
+        hashes_per_table=args.k,
+        num_tables=args.tables,
+        table_range=args.table_range,
+        master_seed=args.seed,
+        top_k=args.per_query,
+    )
     inst = planted_instance(
         n_background=args.n,
         n_queries=args.queries,
@@ -200,13 +207,6 @@ def cmd_bench(args) -> int:
         nnz=args.nnz,
         swaps=args.swaps,
         seed=args.seed,
-    )
-    config = LshConfig(
-        hashes_per_table=args.k,
-        num_tables=args.tables,
-        table_range=args.table_range,
-        master_seed=args.seed,
-        top_k=args.per_query,
     )
     batch = QueryBatch(inst.queries)
     dataset_map = dict(inst.dataset)
@@ -277,6 +277,12 @@ def cmd_params(args) -> int:
         print(f"infeasible: {exc}")
         print("feasible=false")
         return EXIT_OK
+    # simulated before anything is printed, so a rejected simulation prints no record
+    report = (
+        snr_simulation(sens, args.n, rec.k_rec, rec.l_rec, trials=args.trials, seed=args.seed)
+        if args.simulate
+        else None
+    )
     print(
         f"{'rho':>12} {'K':>6} {'L':>6} {'K_lower':>10} {'K_upper':>10} {'L_floor':>10}"
     )
@@ -297,10 +303,7 @@ def cmd_params(args) -> int:
         ("feasible", "true"),
     ):
         print(f"{key}={value}")
-    if args.simulate:
-        report = snr_simulation(
-            sens, args.n, rec.k_rec, rec.l_rec, trials=args.trials, seed=args.seed
-        )
+    if report is not None:
         print(f"signal_mean={report.signal_mean:.4f}")
         print(f"expected_signal_mean={report.expected_signal_mean:.4f}")
         print(f"separation_rate={report.separation_rate:.4f}")

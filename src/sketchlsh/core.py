@@ -261,13 +261,3 @@ class DatasetPartition:
 
     def __len__(self) -> int:
         return int(self.ids.size)
-
-    @property
-    def vectors(self) -> tuple[tuple[VectorId, SparseVector], ...]:
-        """The partition as (VectorId, SparseVector) pairs."""
-        bounds = self.rows.indptr.tolist()
-        return tuple(
-            (vid, SparseVector(self.rows.indices[lo:hi], self.rows.dim))
-            for vid, lo, hi in zip(self.ids.tolist(), bounds, bounds[1:])
-        )
-

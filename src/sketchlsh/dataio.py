@@ -354,6 +354,8 @@ def partition_dataset(input_path, m: int, out_dir, dim: int | None = None) -> Da
     """
     if m < 1:
         raise ConfigError("partition count m must be >= 1")
+    if dim is not None and dim < 1:
+        raise ConfigError(f"dim={dim} must be >= 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / f"part-{r:05d}.txt" for r in range(m)]

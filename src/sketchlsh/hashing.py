@@ -4,12 +4,13 @@ Everything here is a pure function of (vector, seed), so any two nodes that
 share a master seed compute bit-identical hashes without communicating.
 
 :meth:`HashFamily.addresses` is the one hashing path of indexing and
-querying. It hashes a whole batch of vectors (a partition or a query slice)
-in one array pass over their indices held back to back; densification
-keeps no state between vectors, so the batch gives each vector exactly the
-slots that densified one-permutation hashing of that vector alone gives.
-The per-vector reference of that hash and of the table fold lives with
-the tests.
+querying. It hashes a batch of vectors, as :class:`SparseRows` (a
+partition) or a sequence of vectors (a query slice), in one array pass
+over their indices held back to back; densification keeps no state
+between vectors, so the batch gives each vector exactly the slots that
+densified one-permutation hashing of that vector alone gives. The
+per-vector and per-seed references of these hashes, and of the table
+fold, live with the tests.
 """
 
 from __future__ import annotations
@@ -46,20 +47,11 @@ def _index_hashes(indices: np.ndarray, seed: np.uint64) -> np.ndarray:
     return mix64(mix64(indices) ^ np.uint64(seed))
 
 
-def minhash(v: SparseVector, seed: int) -> int:
-    """Minimum of a seeded 64-bit hash over the vector's active indices.
-
-    The collision probability of two vectors under a random seed equals
-    their Jaccard similarity |x & y| / |x | y| up to the (negligible) bias
-    of hashing instead of a true random permutation.
-    """
-    if v.nnz == 0:
-        raise EmptyVectorError("cannot MinHash a vector with no active indices")
-    return int(_index_hashes(v.indices, np.uint64(seed)).min())
-
-
 def minhash_many(v: SparseVector, seeds: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`minhash` over an array of seeds."""
+    """MinHash of ``v`` under each seed: the minimum of a seeded 64-bit hash
+    over its active indices. Two vectors collide under a random seed with
+    probability their Jaccard similarity |x & y| / |x | y|, up to the
+    (negligible) bias of hashing instead of a true random permutation."""
     if v.nnz == 0:
         raise EmptyVectorError("cannot MinHash a vector with no active indices")
     pre = mix64(v.indices)
@@ -173,14 +165,15 @@ class HashFamily:
     def addresses(
         self, vectors: SparseVector | Sequence[SparseVector] | SparseRows
     ) -> np.ndarray:
-        """Per-table bucket addresses: (num_tables,) for one vector, or
-        (n, num_tables) for n rows ((0, num_tables) when there are none).
+        """Per-table bucket addresses of a batch of n rows, (n, num_tables)
+        ((0, num_tables) when there are none).
 
         Rows come as :class:`SparseRows` or as a sequence of vectors, which
-        is stacked into rows first. They are hashed in array passes of at
-        most 2^13 bins and 2^13 indices (or one row), so scratch memory stays
-        small and steady for a whole partition. Raises
-        :class:`EmptyVectorError` if any row is empty.
+        is stacked into rows first; one bare vector gives its (num_tables,)
+        row, a form that only perfbench's tracer test passes. Rows are
+        hashed in array passes of at most 2^13 bins and 2^13 indices (or one
+        row), so scratch memory stays small and steady for a whole
+        partition. Raises :class:`EmptyVectorError` if any row is empty.
         """
         single = isinstance(vectors, SparseVector)
         if isinstance(vectors, SparseRows):

@@ -120,37 +120,6 @@ def _defect(
     return None
 
 
-def _closed_form(out: TopkapiSketch, ids: np.ndarray, lengths: np.ndarray) -> None:
-    """Fill the empty stack ``out`` with the sketches of the buckets whose id
-    streams are ``ids``, back to back and ``lengths`` long, each stream of
-    distinct ids.
-
-    An id lands in one bucket per table, so each cell of a bucket's sketch
-    sees a stream of distinct ids. Under the majority rule, k distinct
-    arrivals leave a cell at (last id, 1) if k is odd and at
-    (second-to-last id, 0) if k is even (Boyer and Moore, MJRTY, 1981). One
-    bincount and two ``np.maximum.at`` passes over the (id, row) arrivals
-    give every cell.
-    """
-    rows, cols = out.rows, out.cols
-    # each arrival's cell, arrival-major, so a cell's arrivals stay in stream order
-    cell = out._row_bins(ids)
-    cell += np.arange(rows) * cols
-    cell += np.repeat(np.arange(lengths.size) * (rows * cols), lengths)[:, None]
-    cell = cell.ravel()
-    n_cells = lengths.size * rows * cols
-    odd = np.bincount(cell, minlength=n_cells) % 2 == 1
-    arrival = np.arange(cell.size)
-    last = np.full(n_cells, -1)
-    np.maximum.at(last, cell, arrival)
-    arrival[last[last >= 0]] = -1  # drop each cell's last arrival
-    second = np.full(n_cells, -1)
-    np.maximum.at(second, cell, arrival)
-    holder = np.where(odd, last, second)  # -1 only where nothing arrived
-    out.ids.flat = np.where(holder >= 0, ids[holder // rows], np.uint64(NULL_ID))
-    out.counts.flat = odd
-
-
 class NodeIndex:
     """One node's LSH tables over its partition, as one bucket directory.
 
@@ -192,7 +161,7 @@ class NodeIndex:
     def _heavy_sketches(self) -> tuple[np.ndarray, TopkapiSketch]:
         """The directory positions of the heavy buckets, those of more ids
         than a sketch has cells, and a stack of their finished sketches
-        (:func:`_closed_form`) in the same order.
+        (:meth:`TopkapiSketch.fill_distinct`) in the same order.
 
         An id that appears twice among one table's heavy buckets raises
         :class:`IndexFileError`: no build makes one, and the closed form
@@ -218,7 +187,7 @@ class NodeIndex:
                     f"among its buckets of more than {cells} ids"
                 )
             heavy = slice(first[t], first[t + 1])
-            _closed_form(sketches[heavy], table_ids, lengths[heavy])
+            sketches[heavy].fill_distinct(table_ids, lengths[heavy])
         return where, sketches
 
     @property
@@ -259,22 +228,14 @@ class NodeIndex:
             self.config.sketch_rows, self.config.sketch_cols, self.row_seeds, members
         )
 
-    def _checked(self, addresses) -> np.ndarray:
+    def _checked(self, addresses: np.ndarray) -> np.ndarray:
         """``addresses`` as an (n, L) uint64 matrix of one address per table,
-        each below ``table_range``; anything else, such as floats or bools
-        (in an array or a list) or a negative address, is a
-        :class:`ConfigError`."""
-        if not isinstance(addresses, np.ndarray):
-            try:  # as objects: numpy would read Python ints past 2^63 as float64
-                cells = np.asarray(addresses, dtype=object)
-                if not all(
-                    isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in cells.flat
-                ):
-                    raise TypeError("not every address is an integer")
-                addresses = cells.astype(np.uint64)
-            except (OverflowError, TypeError, ValueError) as exc:
-                raise ConfigError(f"addresses must be integers of 0 or more: {exc}") from None
+        each below ``table_range``. It must come as an integer ndarray of
+        that shape; anything else, such as a list, an array of floats or
+        bools, or a negative address, is a :class:`ConfigError`."""
         num_tables = self.config.num_tables
+        if not isinstance(addresses, np.ndarray):
+            raise ConfigError(f"addresses must be an ndarray, not a {type(addresses).__name__}")
         if addresses.dtype.kind not in "iu" or addresses.shape[1:] != (num_tables,):
             raise ConfigError(
                 f"expected an (n, {num_tables}) integer address matrix, "
@@ -311,9 +272,9 @@ class NodeIndex:
     def local_candidates(self, addresses: np.ndarray) -> TopkapiSketch:
         """Merges of this node's addressed bucket sketches for a query batch.
 
-        ``addresses`` is the batch's (n, L) address matrix, and only that:
-        a single (L,) row is a :class:`ConfigError`. The result is an
-        (n, W, B) stack whose member q merges query q's buckets; it goes to
+        ``addresses`` is the batch's (n, L) integer ndarray, and only that:
+        a single (L,) row or a list is a :class:`ConfigError`. The result is
+        an (n, W, B) stack whose member q merges query q's buckets; it goes to
         the reduce and the extraction as it is. Every bucket the walk finds
         gets one member of a stack, in walk order: a heavy bucket's finished
         sketch is copied in, and every other bucket is built by one stacked
@@ -363,7 +324,8 @@ class NodeIndex:
 
     def exact_candidates(self, addresses: np.ndarray) -> ExactCounts:
         """Exact per-id occurrence counts over each query's addressed buckets,
-        for the batch's (n, L) address matrix."""
+        for the batch's (n, L) integer address ndarray, validated as
+        :meth:`local_candidates` validates it."""
         batch = self._checked(addresses)
         _, queries, pos = self._walk(batch)
         ids, lengths = self._streams(pos)

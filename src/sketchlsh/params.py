@@ -49,10 +49,10 @@ class LshSensitivity:
     p2: float
 
     def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ParameterError("r must be >= 0")
-        if self.c < 1:
-            raise ParameterError("c must be >= 1")
+        if not 0 <= self.r < math.inf:
+            raise ParameterError("r must be finite and >= 0")
+        if not 1 <= self.c < math.inf:
+            raise ParameterError("c must be finite and >= 1")
         if not (0 < self.p1 < 1):
             raise ParameterError("p1 must lie strictly inside (0, 1)")
         if not (0 <= self.p2 < self.p1):
@@ -124,8 +124,8 @@ def recommend_params(
     """
     if n < 2:
         raise ParameterError("n must be at least 2")
-    if c1 <= 1 or c2 <= 1:
-        raise ParameterError("separation constants C1 and C2 must exceed 1")
+    if not (1 < c1 < math.inf and 1 < c2 < math.inf):
+        raise ParameterError("separation constants C1 and C2 must be finite and exceed 1")
     if k_bound < 1:
         raise ParameterError("k_bound must be >= 1")
     p1, p2 = sens.p1, sens.p2
@@ -142,10 +142,14 @@ def recommend_params(
             "sub-linear"
         )
 
-    k_lower = c2 * math.log(n) / math.log(p1 / p2)
-    k_rec = math.ceil(k_lower)
-    l_rec = math.ceil(max(n**rho, c1 * (1 / p1) ** k_rec))
-    k_upper = math.log(l_rec / c1) / math.log(1 / p1)
+    try:
+        k_lower = c2 * math.log(n) / math.log(p1 / p2)
+        k_rec = math.ceil(k_lower)
+        l_rec = math.ceil(max(n**rho, c1 * (1 / p1) ** k_rec))
+        k_upper = math.log(l_rec / c1) / math.log(1 / p1)
+        l_floor = feasible_l_floor(p1, p2, n, c1, c2)
+    except OverflowError:
+        raise ParameterError("n or C1 too large: the bounds on K and L overflow a float") from None
     if not (k_lower <= k_rec <= k_upper):
         raise InfeasibleParamsError(
             f"rounded K={k_rec}, L={l_rec} violate the bounds: need "
@@ -161,7 +165,7 @@ def recommend_params(
         k_bound=k_bound,
         k_lower=k_lower,
         k_upper=k_upper,
-        l_floor=feasible_l_floor(p1, p2, n, c1, c2),
+        l_floor=l_floor,
         strong_ratio=ratio,
         sketch_rows=4,
         sketch_cols=4 * k_bound,
@@ -203,8 +207,10 @@ def snr_simulation(
     frequency distributions and how often every planted neighbor strictly
     outranks every background item.
     """
-    if trials < 1 or planted < 1 or n < 0:
-        raise ParameterError("trials and planted must be >= 1, n >= 0")
+    if trials < 1 or planted < 1 or not 0 <= n <= 2**63 - 1:
+        raise ParameterError(
+            "trials and planted must be >= 1, and n in 0..2^63 - 1 (numpy's binomial draws an int64)"
+        )
     if k_hashes < 1 or num_tables < 1:
         raise ParameterError("k_hashes and num_tables must be >= 1")
     rng = np.random.default_rng(seed)

@@ -139,13 +139,12 @@ class TopkapiSketch:
         return self.ids.shape[0]
 
     def __getitem__(self, key) -> "TopkapiSketch":
-        """Member ``key`` of a stack as a view; a slice or index array gives a sub-stack."""
+        """Member ``key`` of a stack as a view; a slice or index array gives a
+        sub-stack. Iterating a stack reads its members through here, up to
+        the ``IndexError`` past the last."""
         if not self.is_stack:
             raise TypeError("a single sketch cannot be indexed; only stacks can")
         return self._with_cells(self.ids[key], self.counts[key])
-
-    def __iter__(self):
-        return (self[q] for q in range(len(self)))
 
     def __bool__(self) -> bool:
         """Always true, like any object; a stack's member count is ``len``."""
@@ -158,16 +157,13 @@ class TopkapiSketch:
         h = mix64(mix64(items)[:, None] ^ self.row_seeds[None, :])
         return range_map(h, self.cols).astype(np.int64)
 
-    def insert(self, item: int) -> None:
-        """Ingest one item id into a single sketch. Not internally synchronized."""
-        self.insert_many(np.asarray([item], dtype=np.uint64))
-
     def insert_many(self, items: np.ndarray, slots: np.ndarray | None = None) -> None:
         """Ingest a stream of item ids in order.
 
         On a stack, ``slots[i]`` names the member that receives ``items[i]``
         (required there, rejected on a single sketch). Equivalent to
-        repeated :meth:`insert` into each member. Cells are independent, so
+        inserting the items one at a time, each into its member; not
+        internally synchronized. Cells are independent, so
         every (item, row) event is routed to its cell at once, and one
         stable argsort groups the events by cell in stream order. A cell
         whose counter starts at 0 alternates between (x, 1) and (x, 0) under
@@ -227,6 +223,35 @@ class TopkapiSketch:
                 counts[rest] = np.array(count, dtype=np.uint64)
             np.put(self.ids, touched, ids)
             np.put(self.counts, touched, counts)
+
+    def fill_distinct(self, ids: np.ndarray, lengths: np.ndarray) -> None:
+        """Fill this empty stack with the sketches of the streams ``ids``,
+        back to back and ``lengths`` long, one per member, each stream of
+        distinct ids: the state :meth:`insert_many` would leave.
+
+        Each cell of such a stream's sketch sees distinct arrivals, and
+        under the majority rule k of them leave it at (last id, 1) if k is
+        odd and at (second-to-last id, 0) if k is even (Boyer and Moore,
+        MJRTY, 1981). One bincount and two ``np.maximum.at`` passes over the
+        (id, row) arrivals give every cell.
+        """
+        rows, cols = self.rows, self.cols
+        # each arrival's cell, arrival-major, so a cell's arrivals stay in stream order
+        cell = self._row_bins(ids)
+        cell += np.arange(rows) * cols
+        cell += np.repeat(np.arange(lengths.size) * (rows * cols), lengths)[:, None]
+        cell = cell.ravel()
+        n_cells = lengths.size * rows * cols
+        odd = np.bincount(cell, minlength=n_cells) % 2 == 1
+        arrival = np.arange(cell.size)
+        last = np.full(n_cells, -1)
+        np.maximum.at(last, cell, arrival)
+        arrival[last[last >= 0]] = -1  # drop each cell's last arrival
+        second = np.full(n_cells, -1)
+        np.maximum.at(second, cell, arrival)
+        holder = np.where(odd, last, second)  # -1 only where nothing arrived
+        self.ids.flat = np.where(holder >= 0, ids[holder // rows], _NULL)
+        self.counts.flat = odd
 
     # -- merging ---------------------------------------------------------------
 

@@ -77,10 +77,18 @@ def planted_instance(
     swaps: int = 2,
     seed: int = 0,
 ) -> PlantedInstance:
-    """Raises :class:`ConfigError` unless 1 <= nnz <= dim and the swaps
-    satisfy :func:`vector_with_swaps`, before any draw."""
+    """Raises :class:`ConfigError` unless the counts are 0 or more,
+    1 <= nnz <= dim <= 2^63 - 1 (numpy's ``choice`` draws from an int64
+    range) and the swaps satisfy :func:`vector_with_swaps`, before any draw."""
+    if min(n_background, n_queries, per_query) < 0:
+        raise ConfigError(
+            f"n_background {n_background}, n_queries {n_queries} and per_query {per_query} "
+            "must be 0 or more"
+        )
     if not 1 <= nnz <= dim:
         raise ConfigError(f"nnz {nnz} must be in 1..dim (dim {dim})")
+    if dim > 2**63 - 1:
+        raise ConfigError(f"dim {dim} exceeds 2^63 - 1, the largest range numpy's choice draws from")
     _check_swaps(swaps, nnz, dim)
     rng = np.random.default_rng(seed)
     data: list[tuple[int, SparseVector]] = [

@@ -57,6 +57,14 @@ def exact_jaccard(a: SparseVector, b: SparseVector) -> float:
     return inter / union if union else 0.0
 
 
+def minhash(v: SparseVector, seed: int) -> int:
+    """Minimum of a seeded 64-bit hash over the vector's active indices: the
+    per-seed reference of :func:`hashing.minhash_many`."""
+    if v.nnz == 0:
+        raise EmptyVectorError("cannot MinHash a vector with no active indices")
+    return int(hashing._index_hashes(v.indices, np.uint64(seed)).min())
+
+
 def pair_with_jaccard(rng, shared: int, only_a: int, only_b: int, dim: int = 1 << 17):
     """Two vectors with exactly `shared` common indices; J = s/(s+only_a+only_b)."""
     idx = rng.choice(dim, size=shared + only_a + only_b, replace=False)
@@ -191,6 +199,15 @@ def per_line_split(path, m: int, dim: int | None = None):
         ),
     )
     return parts, manifest
+
+
+def partition_vectors(part) -> tuple[tuple[int, SparseVector], ...]:
+    """A :class:`DatasetPartition` as (vector id, SparseVector) pairs, row by row."""
+    bounds = part.rows.indptr.tolist()
+    return tuple(
+        (vid, SparseVector(part.rows.indices[lo:hi], part.rows.dim))
+        for vid, lo, hi in zip(part.ids.tolist(), bounds, bounds[1:])
+    )
 
 
 def per_line_partition(path, dim, offset: int = 0, m: int = 1):

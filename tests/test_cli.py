@@ -70,6 +70,30 @@ class TestParamsCommand:
         rc = main(["params", "--p1", "0.2", "--p2", "0.6", "--n", "100"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "args, reason",
+        [
+            (["--r", "nan"], "r must be finite"),
+            (["--r", "inf"], "r must be finite"),
+            (["--c", "nan"], "c must be finite"),
+            (["--c", "inf"], "c must be finite"),
+            (["--c1", "nan"], "C1 and C2 must be finite"),  # was feasible=false, exit 0
+            (["--c1", "inf"], "C1 and C2 must be finite"),
+            (["--c2", "nan"], "C1 and C2 must be finite"),
+            (["--c2", "inf"], "C1 and C2 must be finite"),
+            (["--n", str(10**400)], "overflow a float"),
+            (["--simulate", "--n", "10000000000000000000000"], "n in 0..2^63 - 1"),
+        ],
+        ids=["r-nan", "r-inf", "c-nan", "c-inf", "c1-nan", "c1-inf", "c2-nan", "c2-inf",
+             "n-401-digits", "simulate-n-past-int64"],
+    )
+    def test_numbers_the_formulas_cannot_take_are_config_errors(self, capsys, args, reason):
+        assert main(["params", "--p1", "0.9", "--p2", "0.1", "--n", "1000", *args]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: ") and reason in err
+        assert "Traceback" not in err
+        assert out == ""  # no record of a recommendation the command then failed
+
 
 class TestEndToEnd:
     def test_partition_index_query_self_hit(self, tmp_path, rng, capsys):
@@ -483,6 +507,15 @@ class TestEndToEnd:
         assert main(["index", "--manifest", str(manifest), "--out", str(tmp_path / "again")]) == 3
         assert f"holds 10 lines; the manifest says {records}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", ["0", "-4"])
+    def test_partition_dim_below_one_is_config_error_before_any_file(self, tmp_path, capsys, dim):
+        data = tmp_path / "data.txt"
+        data.write_text("1 1:1 2:1\n1 3:1\n")
+        out = tmp_path / "parts"
+        assert main(["partition", "--input", str(data), "--m", "2", "--out", str(out), "--dim", dim]) == 2
+        assert f"config error: dim={dim} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_is_data_error(self, tmp_path):
         rc = main(["partition", "--input", str(tmp_path / "nope.txt"), "--m", "1",
                    "--out", str(tmp_path / "o")])
@@ -529,6 +562,32 @@ class TestBenchCommand:
         with pytest.raises(ConfigError, match=f"swaps {swaps}"):
             vector_with_swaps(rng, base, swaps)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize(
+        "args, reason",
+        [
+            (["--seed", "-1"], "master_seed must be >= 0"),  # was numpy's ValueError
+            (["--dim", str(2**63)], "exceeds 2^63 - 1"),  # was numpy's OverflowError
+            (["--n", "-3"], "n_background -3"),  # was "vector id -3", exit 3
+            (["--queries", "-1"], "n_queries -1"),
+        ],
+        ids=["seed", "dim", "n", "queries"],
+    )
+    def test_arguments_rejected_before_any_draw(self, capsys, args, reason):
+        assert main(["bench", "--n", "10", "--queries", "2", "--per-query", "2", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and reason in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"n_background": -1}, {"n_queries": -1}, {"per_query": -1}, {"dim": 2**63}],
+        ids=["n_background", "n_queries", "per_query", "dim"],
+    )
+    def test_planted_instance_checks_counts_and_dim(self, kwargs):
+        args = {"n_background": 10, "n_queries": 2, "per_query": 2, "dim": 1024, "nnz": 8, **kwargs}
+        with pytest.raises(ConfigError):
+            planted_instance(**args)
 
     @pytest.mark.parametrize("m_list", ["a", "1,,2"])
     def test_m_list_not_integers_is_config_error(self, capsys, m_list):

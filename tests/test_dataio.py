@@ -29,7 +29,14 @@ from sketchlsh.query import QueryBatch, query_batch
 from sketchlsh.synthetic import random_sparse_vectors
 import sketchlsh.dataio as dataio
 
-from oracles import BlockLineReader, per_line_dim, per_line_partition, per_line_queries, per_line_split
+from oracles import (
+    BlockLineReader,
+    partition_vectors,
+    per_line_dim,
+    per_line_partition,
+    per_line_queries,
+    per_line_split,
+)
 
 
 class TestParseRecord:
@@ -138,15 +145,15 @@ class TestPartition:
         manifest = partition_dataset(src, 2, tmp_path / "out", dim=64)
         part1, issues = load_partition(manifest, tmp_path / "out", 1)
         assert not issues
-        assert [vid for vid, _ in part1.vectors] == [1, 3, 5, 7]
-        assert part1.vectors[0][1] == vecs[1]
+        assert [vid for vid, _ in partition_vectors(part1)] == [1, 3, 5, 7]
+        assert partition_vectors(part1)[0][1] == vecs[1]
 
     def test_malformed_lines_become_issues_not_aborts(self, tmp_path):
         src = tmp_path / "data.txt"
         src.write_text("1 1:1 2:1\nrubbish&&\n1 3:1\n0\n")
         manifest = partition_dataset(src, 1, tmp_path / "out", dim=8)
         part, issues = load_partition(manifest, tmp_path / "out", 0)
-        assert [vid for vid, _ in part.vectors] == [0, 2]
+        assert [vid for vid, _ in partition_vectors(part)] == [0, 2]
         assert sorted(i.vector_id for i in issues) == [1, 3]
 
     def test_lines_not_utf8_copied_verbatim_and_reported(self, tmp_path):
@@ -161,7 +168,7 @@ class TestPartition:
         manifest = partition_dataset(src, 1, tmp_path / "out")
         assert manifest.dim == 5  # lines that are not UTF-8 do not widen the dimension
         part, issues = load_partition(manifest, tmp_path / "out", 0)
-        assert [(vid, list(v.indices)) for vid, v in part.vectors] == [(0, [1, 4])]
+        assert [(vid, list(v.indices)) for vid, v in partition_vectors(part)] == [(0, [1, 4])]
         assert [(i.vector_id, i.line_no) for i in issues] == [(1, 1), (2, 2)]
         assert all(i.message.endswith("not UTF-8 text") for i in issues)
         # the reader keeps the bytes as lone surrogates, so valid lines read as before

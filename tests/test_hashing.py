@@ -12,7 +12,6 @@ from sketchlsh.hashing import (
     HashFamily,
     _fold_addresses,
     _index_hashes,
-    minhash,
     minhash_many,
 )
 
@@ -21,6 +20,7 @@ from sketchlsh.synthetic import random_sparse_vectors
 from oracles import (
     doph_hashes,
     exact_jaccard,
+    minhash,
     pair_with_jaccard,
     reference_addresses,
     slot_hashes,
@@ -31,15 +31,18 @@ from oracles import (
 class TestMinhash:
     def test_deterministic(self):
         v = SparseVector([3, 9, 40], 100)
-        assert minhash(v, 123) == minhash(v, 123)
+        seeds = np.array([123, 5], dtype=np.uint64)
+        assert np.array_equal(minhash_many(v, seeds), minhash_many(v, seeds))
 
     def test_singleton_equals_seeded_index_hash(self):
         v = SparseVector([5], 100)
         expected = int(_index_hashes(np.array([5], dtype=np.uint64), np.uint64(77))[0])
-        assert minhash(v, 77) == expected
+        assert int(minhash_many(v, np.array([77]))[0]) == minhash(v, 77) == expected
 
     def test_empty_vector_rejected(self):
         with pytest.raises(EmptyVectorError):
+            minhash_many(SparseVector([], 10), np.array([1]))
+        with pytest.raises(EmptyVectorError):  # the per-seed reference agrees
             minhash(SparseVector([], 10), 1)
 
     def test_many_matches_scalar(self, rng):

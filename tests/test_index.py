@@ -81,7 +81,7 @@ class TestPreprocess:
         idx = preprocess(DatasetPartition(0, [(42, v)]), cfg)
         assert idx.occupied_slots == [1, 1, 1]
         fam = HashFamily.from_config(cfg)
-        addrs = fam.addresses(v)
+        addrs = fam.addresses([v])[0]
         for t in range(3):
             assert bucket_sketch(idx, t, int(addrs[t])).heavy_hitters(0) == ((42, 1),)
 
@@ -96,7 +96,7 @@ class TestPreprocess:
         idx = preprocess(DatasetPartition(0, [(1, v), (2, v)]), cfg)
         assert idx.occupied_slots == [1, 1, 1, 1]
         fam = HashFamily.from_config(cfg)
-        addrs = fam.addresses(v)
+        addrs = fam.addresses([v])[0]
         # bucket state must equal an independent replay of [1, 2] arrivals
         probe = bucket_sketch(idx, 0, int(addrs[0]))
         expected = replay_cells(probe, np.array([1, 2], dtype=np.uint64))
@@ -191,7 +191,7 @@ class TestLocalCandidates:
             np.array([[-1] + [0] * (CFG.num_tables - 1)]),
             [[-1] + [0] * (CFG.num_tables - 1)],
             [[2**64] + [0] * (CFG.num_tables - 1)],
-            [[2**63] + [0] * (CFG.num_tables - 1)],  # read as u64: out of table range
+            [[2**63] + [0] * (CFG.num_tables - 1)],  # a list is rejected before any entry is read
         ],
         ids=["float", "bool", "negative", "negative-list", "past-u64-list", "past-range-list"],
     )
@@ -201,13 +201,16 @@ class TestLocalCandidates:
             with pytest.raises(ConfigError):
                 probe(bad)
 
-    def test_python_int_lists_probe_as_u64(self, rng):
+    def test_python_int_lists_are_config_errors(self, rng):
         data = make_dataset(rng, 20)
         idx = preprocess(DatasetPartition(0, data), CFG)
         addrs = HashFamily.from_config(CFG).addresses([data[3][1], data[9][1]])
-        rows = addrs.tolist()
-        assert idx.local_candidates(rows) == idx.local_candidates(addrs)
-        assert idx.exact_candidates(rows).to_bytes() == idx.exact_candidates(addrs).to_bytes()
+        for probe in (idx.local_candidates, idx.exact_candidates):
+            with pytest.raises(ConfigError, match="ndarray, not a list"):
+                probe(addrs.tolist())
+            with pytest.raises(ConfigError, match="ndarray, not a tuple"):
+                probe(tuple(map(tuple, addrs.tolist())))
+        assert count_maps(idx.exact_candidates(addrs))[1][9] == CFG.num_tables
 
     @pytest.mark.parametrize(
         "entry",
@@ -224,15 +227,18 @@ class TestLocalCandidates:
     def test_float_or_bool_list_entries_are_config_errors(self, rng, entry, where):
         data = make_dataset(rng, 20)
         idx = preprocess(DatasetPartition(0, data), CFG)
-        row = HashFamily.from_config(CFG).addresses([data[7][1]])[0].tolist()
+        addrs = HashFamily.from_config(CFG).addresses([data[7][1]])
+        row = addrs[0].tolist()
         bad = [entry(a) for a in row] if where == "every" else [entry(row[0])] + row[1:]
         for probe in (idx.local_candidates, idx.exact_candidates):
-            with pytest.raises(ConfigError, match="integers"):
+            with pytest.raises(ConfigError, match="ndarray, not a list"):
                 probe([bad])
-        assert count_maps(idx.exact_candidates([row]))[0][7] == CFG.num_tables
-        # Python ints stay accepted up to 2^64 - 1; that one is out of range
+            if where == "every":  # as an array, its dtype is float or bool
+                with pytest.raises(ConfigError, match="integer address matrix"):
+                    probe(np.array([bad]))
+        assert count_maps(idx.exact_candidates(addrs))[0][7] == CFG.num_tables
         with pytest.raises(ConfigError, match="table range"):
-            idx.exact_candidates([[2**64 - 1] + row[1:]])
+            idx.exact_candidates(np.array([[2**64 - 1] + row[1:]], dtype=np.uint64))
 
     def test_exact_probe_validates_like_sketch_probe(self, rng):
         idx = preprocess(DatasetPartition(0, make_dataset(rng, 3)), CFG)
@@ -313,7 +319,7 @@ def probe_case(request):
     if request.param == "empty-table":
         node = with_empty_table(node)
     fam = HashFamily.from_config(CFG)
-    hits = np.vstack([fam.addresses(v) for v in queries])
+    hits = fam.addresses(queries)
     empty = np.array(
         [np.setdiff1d(np.arange(CFG.table_range, dtype=np.uint64), tb.addrs)[0] for tb in node.tables],
         dtype=np.uint64,
@@ -573,7 +579,7 @@ class TestBoundedObservations:
         small = preprocess(DatasetPartition(0, [(i, v) for i in range(3)]), cfg)
         big = preprocess(DatasetPartition(0, [(i, v) for i in range(500)]), cfg)
         fam = HashFamily.from_config(cfg)
-        addr = int(fam.addresses(v)[0])
+        addr = int(fam.addresses([v])[0, 0])
         observed = [bucket_sketch(idx, 0, addr) for idx in (small, big)]
         footprint = {s.ids.nbytes + s.counts.nbytes for s in observed}
         assert footprint == {16 * cfg.sketch_rows * cfg.sketch_cols}

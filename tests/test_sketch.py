@@ -60,7 +60,7 @@ class TestConstruction:
 class TestInsert:
     def test_single_insert_occupies_one_cell_per_row(self):
         s = fresh()
-        s.insert(42)
+        s.insert_many(np.array([42], dtype=np.uint64))
         bins = s._row_bins(np.array([42], dtype=np.uint64))[0]
         for r in range(s.rows):
             assert int(s.ids[r, bins[r]]) == 42
@@ -71,7 +71,7 @@ class TestInsert:
         # x, then colliding y, then x again: up, down, then increment -> (x, 1)
         s = TopkapiSketch(1, 1, row_seeds_from_master(5, 1))  # force collisions
         for item in (8, 9, 8):
-            s.insert(item)
+            s.insert_many(np.array([item], dtype=np.uint64))
         assert int(s.ids[0, 0]) == 8
         assert int(s.counts[0, 0]) == 1
 
@@ -80,8 +80,8 @@ class TestInsert:
         a = fresh()
         a.insert_many(stream)
         b = fresh()
-        for x in stream.tolist():
-            b.insert(x)
+        for x in stream[:, None]:
+            b.insert_many(x)
         assert a == b
 
     def test_matches_independent_replay(self, rng):
@@ -626,7 +626,7 @@ class TestSerialization:
 
     def test_concatenated_parse(self, rng):
         a, b = fresh(2, 4), fresh(2, 4)
-        a.insert(5)
+        a.insert_many(np.array([5], dtype=np.uint64))
         b.insert_many(rng.integers(0, 9, size=50, dtype=np.uint64))
         blob = a.to_bytes() + b.to_bytes()
         first, off = TopkapiSketch.from_bytes(blob)

@@ -65,15 +65,15 @@ def minhash_many(v: SparseVector, seeds: np.ndarray) -> np.ndarray:
 
 
 def _densify_coins(seed: np.uint64, n_bins: int) -> np.ndarray:
-    """Direction coin per (bin, attempt): True means copy from the right.
+    """Direction coin per bin: True means copy from the right.
 
-    Coins depend only on the seed and bin lane, never on the data, so the
-    same bins densify in the same direction for every vector. Only attempt 0
-    is ever consumed: the directional scan of :func:`_densified_rows` always
-    terminates because it wraps circularly and the row is non-empty.
+    Coins depend only on the seed and the bin's lane (the bin number shifted
+    left by one, which fixes every coin, address and index file), never on
+    the data, so the same bins densify in the same direction for every
+    vector. One coin per bin suffices: the directional scan of
+    :func:`_densified_rows` always ends, as it wraps over a non-empty row.
     """
-    attempt = np.uint64(0)
-    lanes = (np.arange(n_bins, dtype=np.uint64) << np.uint64(1)) | attempt
+    lanes = np.arange(n_bins, dtype=np.uint64) << np.uint64(1)
     dseed = mix64(np.uint64(seed) ^ _DENSIFY_SALT)
     return (mix64(mix64(lanes) ^ dseed) & np.uint64(1)).astype(bool)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SketchLshError
+from .core import MAX_TABLES, SketchLshError
 
 
 class ParameterError(SketchLshError, ValueError):
@@ -117,10 +117,12 @@ def recommend_params(
     """Choose (K, L) for an n-point dataset under the given sensitivity.
 
     K is the background-suppression bound rounded up (stricter suppression);
-    L is the larger of n**rho and the signal-concentration requirement,
-    rounded up (more tables never hurt recall). Both bounds are re-verified
-    on the rounded integers. The sketch size recommendation is proportional
-    to k_bound, the assumed cap on near neighbors per query.
+    L is the larger of n**rho and the signal-concentration requirement
+    c = C1 * (1/p1)**K, rounded up (more tables never hurt recall). Both
+    bounds hold by construction: K >= k_lower by the ceiling, and L >= c
+    gives k_upper = K + log(L/c)/log(1/p1) >= K. The sketch size
+    recommendation is proportional to k_bound, the assumed cap on near
+    neighbors per query.
     """
     if n < 2:
         raise ParameterError("n must be at least 2")
@@ -145,16 +147,13 @@ def recommend_params(
     try:
         k_lower = c2 * math.log(n) / math.log(p1 / p2)
         k_rec = math.ceil(k_lower)
-        l_rec = math.ceil(max(n**rho, c1 * (1 / p1) ** k_rec))
-        k_upper = math.log(l_rec / c1) / math.log(1 / p1)
+        c = c1 * (1 / p1) ** k_rec
+        l_rec = math.ceil(max(n**rho, c))
+        # L / c >= 1 in floats, since L is c or n**rho rounded up
+        k_upper = k_rec + math.log(l_rec / c) / math.log(1 / p1)
         l_floor = feasible_l_floor(p1, p2, n, c1, c2)
     except OverflowError:
         raise ParameterError("n or C1 too large: the bounds on K and L overflow a float") from None
-    if not (k_lower <= k_rec <= k_upper):
-        raise InfeasibleParamsError(
-            f"rounded K={k_rec}, L={l_rec} violate the bounds: need "
-            f"{k_lower:.4f} <= K <= {k_upper:.4f}"
-        )
     return ParameterRecommendation(
         rho=rho,
         k_rec=k_rec,
@@ -190,6 +189,31 @@ class SnrReport:
     noise_max_counts: np.ndarray  # (trials,)
 
 
+def _noise_max_counts(
+    rng: np.random.Generator, n: int, q: float, num_tables: int, trials: int
+) -> np.ndarray:
+    """The largest of n Binomial(L, q) counts per trial, by inverting F(j)^n.
+
+    The pmf lives on the support within 40 * sqrt(Lq) + 40 of the mean Lq.
+    Its two tails hold less than e^-283, and even n = 2^63 times that is
+    below the 2^-53 step of a uniform draw, so no draw lands there.
+    """
+    if n == 0 or q == 0:
+        return np.zeros(trials, dtype=np.int64)
+    mean, spread = num_tables * q, 40 * math.sqrt(num_tables * q) + 40
+    lo, top = max(0, math.floor(mean - spread)), min(num_tables, math.ceil(mean + spread))
+    k = np.arange(lo + 1, top + 1, dtype=np.float64)
+    # log P(k) - log P(lo): each term adds log((L - k + 1)/k) + log q - log(1 - q)
+    steps = np.log((num_tables - k + 1) / k) + (math.log(q) - math.log1p(-q))
+    log_pmf = np.concatenate(([0.0], np.cumsum(steps)))
+    pmf = np.exp(log_pmf - log_pmf.max())
+    # P(count > j) for j in lo..top - 1
+    above = np.minimum(np.cumsum(pmf[::-1])[::-1][1:] / pmf.sum(), 1)
+    with np.errstate(divide="ignore"):
+        levels = n * np.log1p(-above)  # n log F(j), rising; -inf where F(j) = 0
+    return lo + np.searchsorted(levels, np.log(1 - rng.random(trials)))
+
+
 def snr_simulation(
     sens: LshSensitivity,
     n: int,
@@ -203,36 +227,27 @@ def snr_simulation(
 
     Each planted neighbor collides with the query in a table with
     probability p1**K, each of the n background items with probability
-    p2**K, independently across tables and items. Reports the per-trial
-    frequency distributions and how often every planted neighbor strictly
-    outranks every background item.
+    q = p2**K, independently across tables and items. The signal counts
+    are the generator's first draw. Only the largest background count
+    matters, and it is at most j with probability F(j)^n, F the
+    Binomial(L, q) CDF; so each trial draws one uniform u in (0, 1] and
+    takes the smallest j with n * log F(j) >= log u, one ``searchsorted``
+    in log space. Reports the per-trial frequency distributions and how
+    often every planted neighbor strictly outranks every background item.
+    L is at most ``MAX_TABLES``, the most tables an index header stores.
     """
-    if trials < 1 or planted < 1 or not 0 <= n <= 2**63 - 1:
-        raise ParameterError(
-            "trials and planted must be >= 1, and n in 0..2^63 - 1 (numpy's binomial draws an int64)"
-        )
+    if trials < 1 or planted < 1 or seed < 0 or not 0 <= n <= 2**63 - 1:
+        raise ParameterError("trials and planted must be >= 1, seed >= 0, and n in 0..2^63 - 1")
     if k_hashes < 1 or num_tables < 1:
         raise ParameterError("k_hashes and num_tables must be >= 1")
+    if num_tables > MAX_TABLES:
+        raise ParameterError(
+            f"num_tables={num_tables} exceeds {MAX_TABLES}, the most tables an index header stores"
+        )
     rng = np.random.default_rng(seed)
     p_sig = sens.p1**k_hashes
-    p_noise = sens.p2**k_hashes
-
     signal = rng.binomial(num_tables, p_sig, size=(trials, planted))
-
-    # Background: only items with at least one collision matter for the
-    # maximum, so draw how many are nonzero, then their conditional counts.
-    noise_max = np.zeros(trials, dtype=np.int64)
-    if n > 0 and p_noise > 0:
-        q_any = 1 - (1 - p_noise) ** num_tables
-        nonzero = rng.binomial(n, q_any, size=trials)
-        ks = np.arange(1, num_tables + 1)
-        pmf = np.array(
-            [math.comb(num_tables, int(k)) * p_noise**k * (1 - p_noise) ** (num_tables - k) for k in ks]
-        )
-        pmf = pmf / pmf.sum()
-        for t in np.flatnonzero(nonzero):
-            draws = rng.choice(ks, size=int(nonzero[t]), p=pmf)
-            noise_max[t] = int(draws.max())
+    noise_max = _noise_max_counts(rng, n, sens.p2**k_hashes, num_tables, trials)
 
     separated = (signal.min(axis=1) > noise_max).mean()
     expected = num_tables * p_sig

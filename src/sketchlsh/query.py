@@ -153,7 +153,7 @@ def top_k_extract(reduced, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     largest counter in the member, as :meth:`TopkapiSketch.heavy_hitters`
     does. One ranking pass gives one hit tuple per query: descending count,
     ties by ascending id, every count at least 1, no padding past a query's
-    candidates.
+    candidates. ``k`` may be any positive int (a config's ``top_k`` is any u64).
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
@@ -161,6 +161,8 @@ def top_k_extract(reduced, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         live = (reduced.ids != np.uint64(NULL_ID)) & (reduced.counts > 0)
         members, ids, counts = np.nonzero(live)[0], reduced.ids[live], reduced.counts[live]
         reduced = ExactCounts.summed(len(reduced), members, ids, counts, np.maximum)
+    # a k past every candidate ranks them all, and fits the int64 arithmetic below
+    k = min(k, reduced.ids.size)
     starts, lengths = reduced.indptr[:-1], np.diff(reduced.indptr)
     # grouped by query; ~count (2^64 - 1 - count) ranks larger counts first
     order = np.lexsort((reduced.ids, ~reduced.counts, reduced.queries()))

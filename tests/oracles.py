@@ -8,6 +8,7 @@ pytest session.
 from __future__ import annotations
 
 import hashlib
+import math
 import socket
 import struct
 import threading
@@ -486,6 +487,26 @@ def top_k_counts(count_map: dict[int, int], k: int) -> tuple[tuple[int, int], ..
     """The k largest counts of one map, ties by ascending id, zeros dropped."""
     ranked = sorted(((i, c) for i, c in count_map.items() if c > 0), key=lambda ic: (-ic[1], ic[0]))
     return tuple(ranked[:k])
+
+
+def two_stage_noise_max(rng, n: int, q: float, num_tables: int, trials: int) -> np.ndarray:
+    """The largest of n Binomial(L, q) background counts per trial, drawn in
+    two stages: how many of the n items collide at all, then a count from
+    the pmf conditioned on a collision for each of them. Only the items with
+    a collision can hold the maximum. The pmf's ``math.comb`` terms overflow
+    a float near L = 1,700, so keep L small."""
+    noise_max = np.zeros(trials, dtype=np.int64)
+    if n > 0 and q > 0:
+        q_any = 1 - (1 - q) ** num_tables
+        nonzero = rng.binomial(n, q_any, size=trials)
+        ks = np.arange(1, num_tables + 1)
+        pmf = np.array(
+            [math.comb(num_tables, int(k)) * q**k * (1 - q) ** (num_tables - k) for k in ks]
+        )
+        pmf = pmf / pmf.sum()
+        for t in np.flatnonzero(nonzero):
+            noise_max[t] = int(rng.choice(ks, size=int(nonzero[t]), p=pmf).max())
+    return noise_max
 
 
 def free_ports(count: int) -> list[int]:

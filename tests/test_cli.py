@@ -66,6 +66,21 @@ class TestParamsCommand:
         out = capsys.readouterr().out
         assert "feasible=false" in out
 
+    def test_rounding_does_not_make_a_feasible_instance_infeasible(self, capsys):
+        # read "rounded K=3, L=1953125 violate the bounds" and feasible=false
+        assert main(["params", "--p1", "0.8", "--p2", "0.05", "--n", "100", "--c1", "1e6"]) == 0
+        kv = parse_kv_output(capsys.readouterr().out)
+        assert kv["feasible"] == "true"
+        assert float(kv["k_lower"]) <= int(kv["K"]) <= float(kv["k_upper"])
+
+    def test_simulation_past_the_pmf_overflow(self, capsys):
+        # L = 1,694 overflowed the math.comb pmf with a raw OverflowError, exit 1
+        args = ["params", "--p1", "0.9", "--p2", "0.1", "--n", "1000", "--c1", "1e3", "--simulate"]
+        assert main(args) == 0
+        kv = parse_kv_output(capsys.readouterr().out)
+        assert kv["L"] == "1694" and kv["feasible"] == "true"
+        assert float(kv["separation_rate"]) == 1.0
+
     def test_bad_domain_is_config_error(self, capsys):
         rc = main(["params", "--p1", "0.2", "--p2", "0.6", "--n", "100"])
         assert rc == 2
@@ -83,9 +98,12 @@ class TestParamsCommand:
             (["--c2", "inf"], "C1 and C2 must be finite"),
             (["--n", str(10**400)], "overflow a float"),
             (["--simulate", "--n", "10000000000000000000000"], "n in 0..2^63 - 1"),
+            (["--simulate", "--c1", "1e30"], "the most tables an index header stores"),
+            (["--simulate", "--seed", "-1"], "seed >= 0"),  # was a raw ValueError, exit 1
         ],
         ids=["r-nan", "r-inf", "c-nan", "c-inf", "c1-nan", "c1-inf", "c2-nan", "c2-inf",
-             "n-401-digits", "simulate-n-past-int64"],
+             "n-401-digits", "simulate-n-past-int64", "simulate-l-past-the-header",
+             "simulate-negative-seed"],
     )
     def test_numbers_the_formulas_cannot_take_are_config_errors(self, capsys, args, reason):
         assert main(["params", "--p1", "0.9", "--p2", "0.1", "--n", "1000", *args]) == 2

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
+from sketchlsh.core import MAX_TABLES
 from sketchlsh.params import (
     InfeasibleParamsError,
     LshSensitivity,
@@ -14,6 +16,8 @@ from sketchlsh.params import (
     snr_simulation,
     strong_ratio,
 )
+
+from oracles import two_stage_noise_max
 
 
 def rho_oracle(p1: str, p2: str) -> float:
@@ -92,6 +96,33 @@ class TestRecommendParams:
                                 continue  # boundary, float-sensitive
                             assert direct == closed
 
+    # 1,080 points; the re-check on the rounded integers called 49 of them
+    # infeasible, (1e6, 0.8, 0.05, 100) and (1e30, 0.9, 0.1, 1000) among them
+    GRID = [
+        (c1, p1, p2, n)
+        for c1, p1, p2, n in itertools.product(
+            (2.0, 10.0, 1e3, 1e6, 1e12, 1e30),
+            (0.6, 0.7, 0.8, 0.9, 0.95, 0.99),
+            (0.01, 0.05, 0.1, 0.2, 0.3),
+            (100, 1000, 10**4, 10**5, 10**6, 10**9),
+        )
+        if p2 < p1
+    ]
+
+    def test_both_bounds_hold_as_reported_over_a_grid(self):
+        assert len(self.GRID) == 1080
+        for c1, p1, p2, n in self.GRID:
+            rec = recommend_params(LshSensitivity(r=0.1, c=2.0, p1=p1, p2=p2), n, c1=c1)
+            assert rec.k_lower <= rec.k_rec <= rec.k_upper, (c1, p1, p2, n)
+            assert rec.l_rec >= c1 * (1 / p1) ** rec.k_rec, (c1, p1, p2, n)
+            assert rec.l_rec >= n**rec.rho, (c1, p1, p2, n)
+
+    def test_k_upper_is_the_signal_bound_at_the_recommended_l(self):
+        sens = LshSensitivity(r=0.1, c=2.0, p1=0.9, p2=0.1)
+        rec = recommend_params(sens, 1000, c1=1e30)
+        assert rec.k_rec == 5 and rec.k_upper >= 5  # read 4.999999999999999
+        assert rec.k_upper == pytest.approx(math.log(rec.l_rec / 1e30) / math.log(1 / 0.9))
+
     def test_validation(self):
         sens = LshSensitivity(r=0.1, c=2.0, p1=0.9, p2=0.2)
         with pytest.raises(ParameterError):
@@ -146,9 +177,78 @@ class TestSnrSimulation:
         )
         assert report.separation_rate >= 0.9
 
+    def test_signal_counts_are_the_generators_first_draw(self):
+        sens = LshSensitivity(r=0.1, c=2.0, p1=0.9, p2=0.4)
+        report = snr_simulation(sens, n=500, k_hashes=4, num_tables=12, trials=300, planted=3, seed=9)
+        expected = np.random.default_rng(9).binomial(12, 0.9**4, (300, 3))
+        np.testing.assert_array_equal(report.signal_counts, expected)
+
+    def test_table_count_is_bounded_by_the_index_header(self):
+        sens = LshSensitivity(r=0.1, c=2.0, p1=0.9, p2=0.1)
+        report = snr_simulation(sens, n=10**6, k_hashes=8, num_tables=MAX_TABLES, trials=100)
+        assert 0 < report.max_noise < 200 and report.min_signal > 10**9
+        with pytest.raises(ParameterError, match="most tables an index header stores"):
+            snr_simulation(sens, n=10, k_hashes=2, num_tables=MAX_TABLES + 1, trials=10)
+
     def test_validation(self):
         sens = LshSensitivity(r=0.1, c=2.0, p1=0.9, p2=0.2)
         with pytest.raises(ParameterError):
             snr_simulation(sens, n=10, k_hashes=0, num_tables=4, trials=10)
         with pytest.raises(ParameterError):
             snr_simulation(sens, n=10, k_hashes=2, num_tables=4, trials=0)
+
+
+def exact_max_cdf(n: int, q: float, num_tables: int, top: int) -> list[float]:
+    """P(max <= j) = F(j)^n for j in 0..top, F the Binomial(L, q) CDF, at
+    60 digits."""
+    with mpmath.workdps(60):
+        qm = mpmath.mpf(q)
+        term = (1 - qm) ** num_tables
+        cdf, out = mpmath.mpf(0), []
+        for j in range(top + 1):
+            cdf += term
+            out.append(float(cdf**n))
+            term *= (num_tables - j) / mpmath.mpf(j + 1) * qm / (1 - qm)
+        return out
+
+
+class TestNoiseMaxClosedForm:
+    @pytest.mark.parametrize(
+        "n, p2, k, tables",
+        [
+            (10**5, 0.5, 2, 60),
+            (10**4, 0.3, 3, 40),
+            (50, 0.5, 1, 7),
+            (1000, 0.1, 2, 1694),  # past the L where the math.comb pmf overflowed
+            (2**63 - 1, 0.2, 4, 1200),
+            (10**6, 0.1, 8, MAX_TABLES),
+        ],
+    )
+    def test_empirical_cdf_matches_the_exact_maximum(self, n, p2, k, tables):
+        sens = LshSensitivity(r=0.1, c=2.0, p1=0.99, p2=p2)
+        trials = 40_000
+        got = snr_simulation(sens, n, k, tables, trials=trials, seed=25).noise_max_counts
+        top = int(got.max()) + 1
+        exact = np.array(exact_max_cdf(n, p2**k, tables, top))
+        empirical = np.array([(got <= j).mean() for j in range(top + 1)])
+        # past top both CDFs are closer than at top, where the empirical one reads 1;
+        # the 99.9% one-sample Kolmogorov-Smirnov bound is 1.95/sqrt(trials)
+        assert np.abs(empirical - exact).max() < 1.95 / math.sqrt(trials)
+
+    def test_matches_the_two_stage_reference_sampler(self):
+        sens = LshSensitivity(r=0.1, c=2.0, p1=0.99, p2=0.3)
+        n, k, tables, trials = 200, 2, 12, 20_000
+        got = snr_simulation(sens, n, k, tables, trials=trials, seed=3).noise_max_counts
+        ref = two_stage_noise_max(np.random.default_rng(4), n, 0.3**k, tables, trials)
+        grid = np.arange(tables + 1)
+        distance = np.abs((got[:, None] <= grid).mean(0) - (ref[:, None] <= grid).mean(0)).max()
+        # the 99.9% two-sample Kolmogorov-Smirnov bound is 1.95*sqrt(2/trials)
+        assert distance < 1.95 * math.sqrt(2 / trials)
+        assert got.max() <= tables and ref.max() <= tables
+
+    def test_a_tail_of_one_reads_minus_inf_without_a_warning(self):
+        # P(count > 0) rounds to 1 at L = 100, q = 0.99, so log F(0) is log 0;
+        # a RuntimeWarning fails the suite
+        sens = LshSensitivity(r=0.1, c=2.0, p1=0.999, p2=0.99)
+        report = snr_simulation(sens, 2**63 - 1, 1, 100, trials=1000, seed=1)
+        assert np.all(report.noise_max_counts == 100)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sketchlsh.cluster import (
@@ -15,7 +15,14 @@ from sketchlsh.cluster import (
     SimulatedCluster,
     SimulatedTransport,
 )
-from sketchlsh.core import NULL_ID, ConfigError, DatasetPartition, LshConfig, SparseVector
+from sketchlsh.core import (
+    MAX_TABLES,
+    NULL_ID,
+    ConfigError,
+    DatasetPartition,
+    LshConfig,
+    SparseVector,
+)
 from sketchlsh.hashing import HashFamily
 from sketchlsh.index import NodeIndex, preprocess
 from sketchlsh.query import (
@@ -112,6 +119,16 @@ class TestTopKExtract:
     def test_rejects_bad_k(self):
         with pytest.raises(ConfigError):
             top_k_extract(exact_counts([]), 0)
+
+    @pytest.mark.parametrize("k", [2**63, 2**64 - 1, 2**70])
+    def test_k_past_int64_ranks_every_candidate(self, k):
+        # raised OverflowError: Python int too large to convert to C long
+        maps = [{7: 5, 2: 5, 9: 3}, {}, {4: 1}]
+        assert top_k_extract(exact_counts(maps), k) == top_k_extract(exact_counts(maps), 2**63 - 1)
+        assert top_k_extract(exact_counts([]), k) == ()
+        stack = TopkapiSketch(1, 2, row_seeds_from_master(3, 1), members=2)
+        stack.insert_many(np.array([11, 11, 5, 6], dtype=np.uint64), [0, 0, 1, 1])
+        assert top_k_extract(stack, k) == top_k_extract(stack, 2**63 - 1)
 
 
 # sha256 of every QueryResult's bytes for tcp_worker's instance (seed 11)
@@ -218,6 +235,19 @@ class TestQueryBatchPipeline:
         results = run_modes(dataset, [(900, planted)], cfg, 1, "sketch_tree")
         assert results[0].hits[0][0] == 123
         assert results[0].hits[0][1] >= 14  # identical vector collides in every table
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_top_k_may_be_any_u64(self, rng, mode):
+        # past 2^63 - 1 every query raised OverflowError
+        vecs = random_sparse_vectors(rng, 20, 128, 6)
+        dataset = list(enumerate(vecs))
+        queries = [(0, vecs[3]), (1, vecs[4])]
+
+        def hits(top_k):
+            cfg = LshConfig(hashes_per_table=2, num_tables=3, table_range=64, sketch_cols=4, top_k=top_k)
+            return [r.hits for r in run_modes(dataset, queries, cfg, 2, mode)]
+
+        assert hits(2**63) == hits(2**64 - 1) == hits(2**63 - 1)
 
     def test_empty_index_gives_empty_hits(self):
         cfg = LshConfig(hashes_per_table=2, num_tables=4, table_range=1 << 10, top_k=3, master_seed=8)
@@ -407,6 +437,81 @@ class TestQueryBatchPipeline:
         for mode in ("sketch_tree", "exact"):
             with pytest.raises(CollectiveError, match="table range"):
                 query_batch(idx, batch, SimulatedCluster(1).transport(0), mode)
+
+
+# values within each field's own bound, at and next to it, some of which
+# break a bound on two fields (R·L, or B derived as 4·top_k) ...
+CONFIG_WITHIN = {
+    "hashes_per_table": [1, 2, 3],
+    "num_tables": [1, 2, 3],
+    "table_range": [2, 4, 2**31, 2**32, 2**33, 2**63],
+    "sketch_rows": [1, 2],
+    "sketch_cols": [0, 1, 3],
+    "master_seed": [0, 1, 2**64 - 1],
+    "top_k": [1, 2, 2**63, 2**64 - 1],
+}
+# ... and values just past it (K·L, W and B only past it, never built)
+CONFIG_PAST = {
+    "hashes_per_table": [0, 2**32 + 5],
+    "num_tables": [0, MAX_TABLES + 1],
+    "table_range": [1, 3, 2**64],
+    "sketch_rows": [0, 2**32],
+    "sketch_cols": [2**32],
+    "master_seed": [-1, 2**64],
+    "top_k": [0, 2**64],
+}
+
+
+@st.composite
+def config_fields(draw):
+    """LshConfig fields, each within its bound, or at most one past it."""
+    fields = {name: draw(st.sampled_from(values)) for name, values in CONFIG_WITHIN.items()}
+    past = draw(st.sampled_from([None, None, *CONFIG_PAST]))
+    if past is not None:
+        fields[past] = draw(st.sampled_from(CONFIG_PAST[past]))
+    return fields
+
+
+class TestEveryAcceptedConfig:
+    """A config at or around each :class:`LshConfig` bound is either a
+    :class:`ConfigError` or runs end to end: a 2-rank index that saves,
+    loads and answers one batch in every mode. Only shapes that allocate a
+    few MB are drawn; W, B or K·L of 2^32 or more are drawn only where
+    they must be rejected."""
+
+    VECTORS = random_sparse_vectors(np.random.default_rng(17), 12, 64, 4)
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("configs")
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(fields=config_fields())
+    @example(fields=dict(hashes_per_table=1, num_tables=1, table_range=2, sketch_rows=1,
+                         sketch_cols=1, master_seed=0, top_k=1))
+    @example(fields=dict(hashes_per_table=2, num_tables=2, table_range=2**31, sketch_rows=2,
+                         sketch_cols=3, master_seed=2**64 - 1, top_k=2**64 - 1))
+    @example(fields=dict(hashes_per_table=3, num_tables=2, table_range=2**32, sketch_rows=1,
+                         sketch_cols=1, master_seed=0, top_k=2**63))
+    def test_is_rejected_or_runs_end_to_end(self, workdir, fields):
+        try:
+            cfg = LshConfig(**fields)
+        except ConfigError:
+            return
+        batch = QueryBatch([(0, self.VECTORS[3]), (1, self.VECTORS[8])])
+        indexes = []
+        for rank in range(2):
+            part = DatasetPartition(rank, [(i, v) for i, v in enumerate(self.VECTORS) if i % 2 == rank])
+            preprocess(part, cfg).save(workdir / f"rank{rank}.bin")
+            indexes.append(NodeIndex.load(workdir / f"rank{rank}.bin", cfg))
+        for mode in MODES:
+            out = SimulatedCluster(2).run(lambda tr: query_batch(indexes[tr.rank], batch, tr, mode))[0]
+            assert [r.query_id for r in out] == [0, 1]
+            for r in out:
+                assert len(r.hits) <= min(cfg.top_k, 12)  # a 1x1 sketch may count down to none
+                assert all(1 <= c <= cfg.num_tables for _, c in r.hits)
+            if mode == "exact":  # each query is an indexed vector: it collides in every table
+                assert [r.hits[0][1] for r in out] == [cfg.num_tables] * 2
 
 
 class TestResultFormat:

@@ -5,7 +5,7 @@ share a master seed compute bit-identical hashes without communicating.
 
 :meth:`HashFamily.addresses` is the one hashing path of indexing and
 querying. It hashes a batch of vectors, as :class:`SparseRows` (a
-partition) or a sequence of vectors (a query slice), in one array pass
+partition or a query batch) or a sequence of vectors, in one array pass
 over their indices held back to back; densification keeps no state
 between vectors, so the batch gives each vector exactly the slots that
 densified one-permutation hashing of that vector alone gives. The

@@ -234,10 +234,13 @@ def snr_simulation(
     takes the smallest j with n * log F(j) >= log u, one ``searchsorted``
     in log space. Reports the per-trial frequency distributions and how
     often every planted neighbor strictly outranks every background item.
-    L is at most ``MAX_TABLES``, the most tables an index header stores.
+    L is at most ``MAX_TABLES``, the most tables an index header stores, and
+    trials * planted at most 2^60 - 1, the int64 draws of one 2^63 - 1 B array.
     """
     if trials < 1 or planted < 1 or seed < 0 or not 0 <= n <= 2**63 - 1:
         raise ParameterError("trials and planted must be >= 1, seed >= 0, and n in 0..2^63 - 1")
+    if trials * planted > 2**60 - 1:
+        raise ParameterError("trials * planted exceeds 2^60 - 1, the int64 draws one array holds")
     if k_hashes < 1 or num_tables < 1:
         raise ParameterError("k_hashes and num_tables must be >= 1")
     if num_tables > MAX_TABLES:

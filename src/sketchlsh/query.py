@@ -1,12 +1,11 @@
-"""The batch query pipeline: hash, gather, local merge, reduce, extract.
+"""The batch query pipeline: gather, hash, local merge, reduce, extract.
 
-The pipeline runs the same way on every rank. Each rank hashes its
-contiguous slice of the batch, and one allgather per batch gives every rank
-each rank's config and mode fingerprint and per-table addresses: every rank
-checks that both agree and learns every query's buckets. Each rank then
-merges its own addressed bucket sketches per query (one stack for the whole
-batch), and the per-node stacks are reduced to rank 0, which ranks every
-query's top k in one pass.
+The pipeline runs the same way on every rank. One allgather per batch, under
+a batch id that digests every query, checks that all ranks hold the same
+config, mode and batch. Each rank then hashes the whole batch, merges its own
+addressed bucket sketches per query (one stack for the whole batch), and the
+per-node stacks are reduced to rank 0, which ranks every query's top k in
+one pass.
 
 In the sketch modes the whole path performs zero similarity computations;
 an instrumentation counter guards that claim. The cosine metric below is
@@ -15,15 +14,17 @@ evaluation-only and is the counter's only client.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import NULL_ID, ConfigError, LshConfig, SparseVector
+from .core import NULL_ID, ConfigError, SparseRows, SparseVector
 from .cluster import (
     CollectiveError,
     ExactCounts,
@@ -98,11 +99,21 @@ class QueryBatch:
     def __len__(self) -> int:
         return len(self.queries)
 
+    @cached_property
+    def rows(self) -> SparseRows:
+        """The batch's vectors as rows, stacked once for its id and its hash."""
+        return SparseRows.stack([v for _, v in self.queries])
+
     def fingerprint(self) -> int:
-        """The batch id: each query id mixed with its position, folded."""
-        ids = np.array([qid for qid, _ in self.queries], dtype=np.uint64)
-        positions = mix64(np.arange(ids.size, dtype=np.uint64) ^ np.uint64(0xBA7C4))
-        return int(mix64(np.bitwise_xor.reduce(mix64(ids ^ positions))))
+        """The batch id: a 64-bit BLAKE2b digest of the query count, every
+        query id in order, and the rows' pointer and indices, so it covers
+        each active index with its query's position and its place in the
+        batch. ``dim`` is left out, as hashing never reads it."""
+        ids = np.array([len(self)] + [qid for qid, _ in self.queries], dtype="<u8")
+        digest = hashlib.blake2b(ids.tobytes(), digest_size=8)
+        for column in (self.rows.indptr, self.rows.indices):
+            digest.update(column.astype("<u8").tobytes())
+        return int.from_bytes(digest.digest(), "little")
 
 
 @dataclass(frozen=True)
@@ -172,33 +183,6 @@ def top_k_extract(reduced, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple(hits[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
-def _slice_bounds(n: int, world_size: int, rank: int) -> tuple[int, int]:
-    base, extra = divmod(n, world_size)
-    lo = rank * base + min(rank, extra)
-    return lo, lo + base + (1 if rank < extra else 0)
-
-
-def _gathered_addresses(payloads: Sequence[bytes], n: int, config: LshConfig) -> np.ndarray:
-    """The batch's (n, L) address rows from every rank's exchange payload:
-    a u64 fingerprint of its config and mode, then its rows. Every fingerprint
-    is checked before any row is read, so a peer with another config (rows of
-    another width, say) or mode is a :class:`ConfigError` on every rank."""
-    if any(len(p) < 8 for p in payloads):
-        raise CollectiveError("address payload shorter than its config fingerprint")
-    fingerprints = [struct.unpack_from("<Q", p)[0] for p in payloads]
-    bad = [r for r, fp in enumerate(fingerprints) if fp != fingerprints[0]]
-    if bad:
-        raise ConfigError(f"configuration or mode mismatch across ranks (differs on {bad})")
-    if any((len(p) - 8) % (8 * config.num_tables) for p in payloads):
-        raise CollectiveError("address payload does not hold whole rows")
-    rows = np.frombuffer(b"".join(p[8:] for p in payloads), "<u8").reshape(-1, config.num_tables)
-    if rows.shape[0] != n:
-        raise CollectiveError("gathered address count does not match batch size")
-    if rows.size and int(rows.max()) >= config.table_range:
-        raise CollectiveError("gathered address beyond the table range")
-    return rows
-
-
 def query_batch(
     index: NodeIndex,
     batch: QueryBatch,
@@ -209,35 +193,35 @@ def query_batch(
     """Run one batch against the distributed index; results land on rank 0.
 
     All ranks must call collectively with the same batch and mode. The
-    ranks' fingerprints of config and mode travel with the addresses, in
-    one allgather; if they disagree, every rank aborts before any probing.
+    ranks' fingerprints of config and mode travel in one allgather, under the
+    batch id; if either disagrees, every rank aborts before it hashes.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     metrics = metrics if metrics is not None else QueryMetrics()
     config = index.config
-    # the batch id must agree across ranks even when configs do not, so that
-    # the config check in the address exchange is reached on every rank
-    batch_id = batch.fingerprint()
-    n = len(batch)
-    lo, hi = _slice_bounds(n, transport.world_size, transport.rank)
 
-    family = index.hash_family
     t0 = time.perf_counter()
-    my_addrs = family.addresses([v for _, v in batch.queries[lo:hi]])
+    # the batch id must agree across ranks even when configs do not, so that
+    # the config check after the exchange is reached on every rank
+    batch_id = batch.fingerprint()
     # the mode rides in the fingerprint word, so ranks in different modes fail alike
     fingerprint = mix64(np.uint64(config.fingerprint() ^ MODES.index(mode)))
-    payload = struct.pack("<Q", fingerprint) + my_addrs.astype("<u8").tobytes()
-    metrics.hash_s += time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    gathered = allgather(transport, payload, batch_id=batch_id)
-    all_addrs = _gathered_addresses(gathered, n, config)
+    gathered = allgather(transport, struct.pack("<Q", fingerprint), batch_id=batch_id)
+    if any(len(p) != 8 for p in gathered):
+        raise CollectiveError("fingerprint payload is not 8 bytes")
+    bad = [r for r, p in enumerate(gathered) if p != gathered[0]]
+    if bad:
+        raise ConfigError(f"configuration or mode mismatch across ranks (differs on {bad})")
     metrics.gather_s += time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    addresses = index.hash_family.addresses(batch.rows)
+    metrics.hash_s += time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     probe = index.exact_candidates if mode == "exact" else index.local_candidates
-    local = probe(all_addrs)
+    local = probe(addresses)
     metrics.local_merge_s += time.perf_counter() - t0
 
     # read the module globals at call time, so a patched reducer is the one run

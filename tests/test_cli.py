@@ -2,9 +2,13 @@ import csv
 import functools
 import gc
 import math
+import os
 import socket
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ import pytest
 from sketchlsh import cli
 from sketchlsh.cli import main
 from sketchlsh.cluster import TcpTransport
-from sketchlsh.core import ConfigError
+from sketchlsh.core import ConfigError, SparseVector
 from sketchlsh.dataio import format_record, load_config, lsh_config_from_mapping, parse_query_file
 from sketchlsh.index import NodeIndex
 from sketchlsh.params import LshSensitivity, recommend_params
@@ -81,6 +85,12 @@ class TestParamsCommand:
         assert kv["L"] == "1694" and kv["feasible"] == "true"
         assert float(kv["separation_rate"]) == 1.0
 
+    def test_simulation_trials_at_the_bound_reach_the_allocator(self):
+        # 2^60 - 1 int64 draws pass the check; numpy refuses the 8 EiB at once
+        args = ["params", "--p1", "0.9", "--p2", "0.1", "--n", "1000", "--simulate"]
+        with pytest.raises(MemoryError):
+            main([*args, "--trials", str(2**60 - 1)])
+
     def test_bad_domain_is_config_error(self, capsys):
         rc = main(["params", "--p1", "0.2", "--p2", "0.6", "--n", "100"])
         assert rc == 2
@@ -100,10 +110,14 @@ class TestParamsCommand:
             (["--simulate", "--n", "10000000000000000000000"], "n in 0..2^63 - 1"),
             (["--simulate", "--c1", "1e30"], "the most tables an index header stores"),
             (["--simulate", "--seed", "-1"], "seed >= 0"),  # was a raw ValueError, exit 1
+            # trials past what one int64 array holds were a raw ValueError, exit 1
+            (["--simulate", "--trials", str(2**60)], "exceeds 2^60 - 1"),
+            (["--simulate", "--trials", str(2**62)], "exceeds 2^60 - 1"),
         ],
         ids=["r-nan", "r-inf", "c-nan", "c-inf", "c1-nan", "c1-inf", "c2-nan", "c2-inf",
              "n-401-digits", "simulate-n-past-int64", "simulate-l-past-the-header",
-             "simulate-negative-seed"],
+             "simulate-negative-seed", "simulate-trials-past-one-array",
+             "simulate-trials-2-62"],
     )
     def test_numbers_the_formulas_cannot_take_are_config_errors(self, capsys, args, reason):
         assert main(["params", "--p1", "0.9", "--p2", "0.1", "--n", "1000", *args]) == 2
@@ -351,6 +365,32 @@ class TestEndToEnd:
         assert len(lines) == 2 and lines[-1].startswith("# phases hash=")
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 1 and out[0].startswith("# phases hash=")
+
+    def test_tcp_ranks_with_different_queries_fail_before_any_result(self, tmp_path, rng):
+        _, idx_dir, queries = build_indexes(tmp_path, rng, m=2)
+        [(_, v)] = parse_query_file(queries, None)
+        other = tmp_path / "q1.txt"  # rank 1's query lacks the first index
+        other.write_text(format_record(SparseVector(v.indices[1:], v.dim)) + "\n")
+        hosts = tmp_path / "hosts.txt"
+        hosts.write_text("".join(f"{r} 127.0.0.1:{p}\n" for r, p in enumerate(free_ports(2))))
+        results = tmp_path / "r.txt"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        ranks = [
+            subprocess.Popen(
+                [sys.executable, "-m", "sketchlsh.cli", "query", "--indexes", str(idx_dir),
+                 "--queries", str(q), "--backend", "tcp", "--rank", str(rank),
+                 "--hosts", str(hosts), "--out", str(results)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            )
+            for rank, q in enumerate((queries, other))
+        ]
+        for proc in ranks:
+            out, err = proc.communicate(timeout=120)
+            # the batch ids differ, so the allgather fails on both ranks before any probe
+            assert proc.returncode == 3, err
+            assert out == "" and err.startswith("error: desynchronized collective")
+            assert len(err.splitlines()) == 1
+        assert not results.exists()
 
     def test_index_key_range_past_2_64_is_config_error(self, tmp_path, rng, capsys):
         manifest, _, _ = build_indexes(tmp_path, rng, m=1)

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sketchlsh import query
 from sketchlsh.cluster import (
     FRAME_ALLGATHER,
     FRAME_REDUCE,
     CollectiveError,
     SimulatedCluster,
     SimulatedTransport,
+    TransportError,
 )
 from sketchlsh.core import (
     MAX_TABLES,
@@ -21,6 +23,7 @@ from sketchlsh.core import (
     ConfigError,
     DatasetPartition,
     LshConfig,
+    SketchLshError,
     SparseVector,
 )
 from sketchlsh.hashing import HashFamily
@@ -30,7 +33,6 @@ from sketchlsh.query import (
     QueryBatch,
     QueryMetrics,
     QueryResult,
-    _gathered_addresses,
     cosine_similarity,
     distance_counter,
     query_batch,
@@ -215,7 +217,7 @@ class TestQueryBatchPipeline:
         send = SimulatedTransport.send
 
         def counting_send(tr, dst, frame):
-            sent.append((tr.rank, frame.frame_type))
+            sent.append((tr.rank, frame.frame_type, len(frame.payload)))
             send(tr, dst, frame)
 
         monkeypatch.setattr(SimulatedTransport, "send", counting_send)
@@ -223,9 +225,11 @@ class TestQueryBatchPipeline:
             sent.clear()
             SimulatedCluster(m).run(lambda tr: query_batch(indexes[tr.rank], batch, tr, mode))
             for rank in range(m):
-                types = sorted(t for r, t in sent if r == rank)
+                types = sorted(t for r, t, _ in sent if r == rank)
                 # one allgather ring of m - 1 steps; every rank but 0 sends one reduce frame
                 assert types == [FRAME_ALLGATHER] * (m - 1) + [FRAME_REDUCE] * (rank > 0)
+            # the allgather carries only the config and mode fingerprint, never addresses
+            assert [n for _, t, n in sent if t == FRAME_ALLGATHER] == [8] * m * (m - 1)
 
     def test_planted_vector_ranks_first_with_near_full_count(self, rng):
         cfg = LshConfig(hashes_per_table=4, num_tables=16, table_range=1 << 16, top_k=4, master_seed=31)
@@ -398,34 +402,34 @@ class TestQueryBatchPipeline:
         assert line.startswith("# phases hash=")
 
 
-    def test_malformed_address_payload_is_collective_error(self, rng, monkeypatch):
-        cfg = LshConfig(num_tables=4, table_range=16)
-        rows = np.arange(12, dtype="<u8").reshape(3, 4)
-        fp = struct.pack("<Q", cfg.fingerprint())
-        blobs = [fp + rows[:2].tobytes(), fp, fp + rows[2:].tobytes()]  # rank 1's slice is empty
-        assert np.array_equal(_gathered_addresses(blobs, 3, cfg), rows)
-        for bad in (
-            [b"", fp, fp],  # too short for a fingerprint
-            [blobs[0], fp[:7], blobs[2]],
-            [blobs[0][:-1], fp, blobs[2]],  # rows that are not whole
-            [blobs[0] + b"\0" * 8, fp, blobs[2]],
-            [blobs[0], fp, fp],  # rows that fall short of the batch
-            [blobs[0], fp + rows[:1].tobytes(), blobs[2]],  # or overrun it
-        ):
-            with pytest.raises(CollectiveError):
-                _gathered_addresses(bad, 3, cfg)
-        out_of_range = fp + np.array([8, 9, 10, 16], dtype="<u8").tobytes()
-        with pytest.raises(CollectiveError, match="table range"):
-            _gathered_addresses([blobs[0], fp, out_of_range], 3, cfg)
-        # the fingerprints are read first: another one is a ConfigError even
-        # when that rank's rows would not decode
-        with pytest.raises(ConfigError, match=r"differs on \[2\]"):
-            _gathered_addresses([blobs[0], fp, struct.pack("<Q", 98) + b"\0" * 5], 3, cfg)
-        # a rank that gathers an out-of-range row rejects it in every mode
+    def test_malformed_exchange_payload_is_collective_error(self, rng, monkeypatch):
         cfg = LshConfig(hashes_per_table=2, num_tables=4, table_range=1 << 10, top_k=2, master_seed=5)
         vecs = random_sparse_vectors(rng, 30, 1 << 10, 10)
         idx = preprocess(DatasetPartition(0, list(enumerate(vecs))), cfg)
         batch = QueryBatch([(0, vecs[0]), (1, vecs[1])])
+
+        def run(peers):
+            # rank 0's own payload, then what two peers sent
+            monkeypatch.setattr(query, "allgather", lambda tr, fp, batch_id: [fp, *peers(fp)])
+            return query_batch(idx, batch, SimulatedCluster(1).transport(0), "sketch_tree")
+
+        assert run(lambda fp: [fp, fp]) == run(lambda fp: [])
+        probes = []
+        for name in ("local_candidates", "exact_candidates"):
+            monkeypatch.setattr(NodeIndex, name, lambda *a, name=name: probes.append(name))
+        for peers in (
+            lambda fp: [b"", fp],
+            lambda fp: [fp[:7], fp],
+            lambda fp: [fp, fp + b"\0"],
+            lambda fp: [fp, fp + fp],  # a peer that still sends addresses
+        ):
+            with pytest.raises(CollectiveError, match="not 8 bytes"):
+                run(peers)
+        with pytest.raises(ConfigError, match=r"differs on \[2\]"):
+            run(lambda fp: [fp, struct.pack("<Q", 98)])
+        assert probes == []
+        monkeypatch.undo()
+        # an address out of the table range meets the probe's own check in every mode
         addresses = HashFamily.addresses
 
         def with_bad_row(family, vectors):
@@ -434,9 +438,39 @@ class TestQueryBatchPipeline:
             return out
 
         monkeypatch.setattr(HashFamily, "addresses", with_bad_row)
-        for mode in ("sketch_tree", "exact"):
-            with pytest.raises(CollectiveError, match="table range"):
+        for mode in MODES:
+            with pytest.raises(ConfigError, match="address out of table range"):
                 query_batch(idx, batch, SimulatedCluster(1).transport(0), mode)
+
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    @pytest.mark.parametrize("m, odd", [(2, 1), (3, 0), (3, 2), (4, 1)])
+    def test_divergent_batch_aborts_every_rank_before_probing(self, monkeypatch, backend, m, odd):
+        inst, _cfg, indexes = tcp_worker.build_state(11, m)
+        qid, v = inst.queries[3]
+        short = SparseVector(v.indices[1:], v.dim)  # the same query id, one index fewer
+        queries = list(inst.queries)
+        batches = [QueryBatch(queries) for _ in range(m)]
+        batches[odd] = QueryBatch(queries[:3] + [(qid, short)] + queries[4:])
+        probes = []
+        for name in ("local_candidates", "exact_candidates"):
+            monkeypatch.setattr(NodeIndex, name, lambda *a, name=name: probes.append(name))
+
+        def rank_main(tr):
+            try:
+                query_batch(indexes[tr.rank], batches[tr.rank], tr)
+            except SketchLshError as exc:
+                return exc
+
+        if backend == "sim":
+            errors = SimulatedCluster(m, default_timeout=1.0).run(rank_main)
+        else:
+            errors = run_tcp_threads(m, rank_main, io_timeout=2.0)
+        assert all(isinstance(e, (CollectiveError, TransportError)) for e in errors)
+        # a peer of a rank that aborted may time out instead
+        assert isinstance(errors[odd], CollectiveError)
+        if m == 2:
+            assert all(isinstance(e, CollectiveError) for e in errors)
+        assert probes == []
 
 
 # values within each field's own bound, at and next to it, some of which
@@ -528,6 +562,19 @@ class TestResultFormat:
         variants += [ids[:i] + [ids[i] ^ 1] + ids[i + 1 :] for i in range(len(ids))]
         variants += [ids[:i] + [ids[i + 1], ids[i]] + ids[i + 2 :] for i in range(len(ids) - 1)]
         assert fp not in {QueryBatch([(q, v) for q in x]).fingerprint() for x in variants}
+        # the vectors count too: ranks given other vectors under one id must not agree
+        rows = [[1, 2, 5], [6], [0, 4], [2, 6, 7], [5]]
+
+        def batch_id(rows, dim=8):
+            return QueryBatch([(q, SparseVector(r, dim)) for q, r in zip(ids, rows)]).fingerprint()
+
+        fp = batch_id(rows)
+        changed = [[1, 2, 4]] + rows[1:]
+        moved = [[1, 2], [5, 6]] + rows[2:]  # the indices back to back stay the same
+        swapped = [rows[1], rows[0]] + rows[2:]
+        assert fp not in {batch_id(x) for x in (changed, moved, swapped)}
+        # hashing never reads dim, and neither does the batch id
+        assert batch_id(rows, dim=1 << 20) == fp
 
     def test_batch_validation(self):
         with pytest.raises(ConfigError):

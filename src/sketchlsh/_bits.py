@@ -20,16 +20,16 @@ def mix64(x) -> np.ndarray | np.uint64:
     """Avalanche a 64-bit value or array of values.
 
     A bijective finalizer (splitmix64 style) preceded by a golden-ratio
-    increment so that 0 does not map to 0. All arithmetic wraps mod 2**64.
+    increment so that 0 does not map to 0. All arithmetic wraps mod 2**64,
+    in arrays only: numpy warns of a wrap in scalar arithmetic.
     """
-    z = np.asarray(x, dtype=np.uint64)
-    scalar = z.ndim == 0
-    with np.errstate(over="ignore"):
-        z = z + _PHI
-        z = (z ^ (z >> _SHIFT30)) * _MIX1
-        z = (z ^ (z >> _SHIFT27)) * _MIX2
-        z = z ^ (z >> _SHIFT31)
-    return z[()] if scalar else z
+    scalar = np.ndim(x) == 0
+    z = np.atleast_1d(np.asarray(x, dtype=np.uint64))
+    z = z + _PHI
+    z = (z ^ (z >> _SHIFT30)) * _MIX1
+    z = (z ^ (z >> _SHIFT27)) * _MIX2
+    z = z ^ (z >> _SHIFT31)
+    return z[0] if scalar else z
 
 
 def seed_stream(master_seed: int, count: int, tag: int = 0) -> np.ndarray:
@@ -42,8 +42,7 @@ def seed_stream(master_seed: int, count: int, tag: int = 0) -> np.ndarray:
         raise ValueError("count must be non-negative")
     base = mix64(np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF) ^ mix64(np.uint64(tag)))
     ctr = np.arange(1, count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return mix64(base + ctr * _PHI)
+    return mix64(base + ctr * _PHI)
 
 
 def range_map(h: np.ndarray, n: int) -> np.ndarray:
@@ -52,8 +51,7 @@ def range_map(h: np.ndarray, n: int) -> np.ndarray:
     Avoids modulo bias. Requires n < 2**32.
     """
     n64 = np.uint64(n)
-    with np.errstate(over="ignore"):
-        hi = h >> _SHIFT32
-        lo = h & _LOW32
-        carry = (lo * n64) >> _SHIFT32
-        return (hi * n64 + carry) >> _SHIFT32
+    hi = h >> _SHIFT32
+    lo = h & _LOW32
+    carry = (lo * n64) >> _SHIFT32
+    return (hi * n64 + carry) >> _SHIFT32

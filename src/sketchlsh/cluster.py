@@ -64,7 +64,6 @@ class Transport:
 
     rank: int
     world_size: int
-    backend: str
 
     def send(self, dst: int, frame: Frame) -> None:
         raise NotImplementedError
@@ -125,8 +124,6 @@ class SimulatedCluster:
 
 
 class SimulatedTransport(Transport):
-    backend = "simulated"
-
     def __init__(self, cluster: SimulatedCluster, rank: int):
         if not (0 <= rank < cluster.world_size):
             raise ValueError(f"rank {rank} out of range")
@@ -156,8 +153,6 @@ class TcpTransport(Transport):
     Rank r listens on its own port, dials every lower rank, and accepts
     connections from higher ranks, identifying peers by a hello frame.
     """
-
-    backend = "tcp"
 
     def __init__(
         self,

@@ -19,12 +19,13 @@ W·B ids or copies W·B cells per (query, table), however skewed the data,
 and the heavy sketches take at most 16 B per vector per table.
 
 Both aggregation modes probe a whole query batch with one walk: one
-``searchsorted`` of the batch's n·L keys and one gather of the id streams
-of the buckets it finds (their rows, then those rows' ids), table-major,
-then query order. The sketch mode builds all the small buckets' sketches
-with one stacked insert and folds the live cells of every bucket's sketch
-into the batch's stack of merged sketches, each cell's in table order; the
-exact mode counts every (query, id) pair of the walk in one keyed sum.
+``searchsorted`` of the batch's n·L keys finds every bucket, table-major,
+then query order, with its span in ``rows``, and one gather reads the
+spans' ids. The sketch mode copies the finished sketch of a bucket that is
+heavy by its span's length alone, builds the others with one stacked
+insert, and folds the live cells of every bucket's sketch into the batch's
+stack of merged sketches, each cell's in table order; the exact mode
+counts every (query, id) pair of the spans in one keyed sum.
 """
 
 from __future__ import annotations
@@ -168,11 +169,13 @@ class NodeIndex:
         needs distinct ids.
         """
         cells = self.config.sketch_rows * self.config.sketch_cols
-        where = np.flatnonzero(np.diff(self.offsets) > cells)
+        sizes = np.diff(self.offsets)
+        where = np.flatnonzero(sizes > cells)
         sketches = self.empty_sketch(where.size)
         if not where.size:
             return where, sketches
-        ids, lengths = self._streams(where)
+        lengths = sizes[where].astype(np.int64)
+        ids = self._streams(self.offsets[where].astype(np.int64), lengths)
         # per table, where its heavy buckets and their ids start; one closed
         # form per table keeps the scratch arrays to one table's heavy ids
         first = np.searchsorted(where, self._bounds)
@@ -228,11 +231,13 @@ class NodeIndex:
             self.config.sketch_rows, self.config.sketch_cols, self.row_seeds, members
         )
 
-    def _checked(self, addresses: np.ndarray) -> np.ndarray:
-        """``addresses`` as an (n, L) uint64 matrix of one address per table,
-        each below ``table_range``. It must come as an integer ndarray of
-        that shape; anything else, such as a list, an array of floats or
-        bools, or a negative address, is a :class:`ConfigError`."""
+    def _walk(self, addresses: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The occupied buckets that the batch's (n, L) integer ``addresses``
+        find, table-major, then query order: the query of each, its directory
+        position, and its span in ``rows``, start and length (i64). Anything
+        but an integer ndarray of that shape with every address below
+        ``table_range``, such as a list, an array of floats or bools, or a
+        negative address, is a :class:`ConfigError`."""
         num_tables = self.config.num_tables
         if not isinstance(addresses, np.ndarray):
             raise ConfigError(f"addresses must be an ndarray, not a {type(addresses).__name__}")
@@ -245,29 +250,23 @@ class NodeIndex:
             addresses.min() < 0 or int(addresses.max()) >= self.config.table_range
         ):
             raise ConfigError("address out of table range")
-        return addresses.astype(np.uint64, copy=False)
-
-    def _walk(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The occupied buckets that the (n, L) ``batch`` addresses, table-major,
-        then query order: the table and query of each, and its directory position."""
         # (L, n) keys in the key column's dtype, which holds every key below L·R
-        probe = batch.T.astype(self.keys.dtype) + self._bases[:, None]
+        probe = addresses.T.astype(self.keys.dtype) + self._bases[:, None]
         pos = np.searchsorted(self.keys, probe)
         found = pos < self.keys.size
         found[found] = self.keys[pos[found]] == probe[found]
-        tables, queries = np.nonzero(found)
-        return tables, queries, pos[found]
-
-    def _streams(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The id streams of the buckets at directory positions ``pos``, back
-        to back, and their lengths."""
+        queries, pos = np.nonzero(found)[1], pos[found]
         # in i64: u32 or u64 offsets mixed with i64 positions would give floats
         starts = self.offsets[pos].astype(np.int64)
-        lengths = self.offsets[pos + 1].astype(np.int64) - starts
+        return queries, pos, starts, self.offsets[pos + 1].astype(np.int64) - starts
+
+    def _streams(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The ids of the streams that start at ``starts`` in ``rows`` and
+        run ``lengths`` rows (both i64), back to back."""
         first = np.cumsum(lengths) - lengths  # where each stream starts in the output
         take = np.arange(int(lengths.sum())) + np.repeat(starts - first, lengths)
         # take gathers by u32 indices about twice as fast as [] does
-        return self.ids.take(self.rows[take]), lengths
+        return self.ids.take(self.rows[take])
 
     def local_candidates(self, addresses: np.ndarray) -> TopkapiSketch:
         """Merges of this node's addressed bucket sketches for a query batch.
@@ -276,30 +275,28 @@ class NodeIndex:
         a single (L,) row or a list is a :class:`ConfigError`. The result is
         an (n, W, B) stack whose member q merges query q's buckets; it goes to
         the reduce and the extraction as it is. Every bucket the walk finds
-        gets one member of a stack, in walk order: a heavy bucket's finished
-        sketch is copied in, and every other bucket is built by one stacked
-        insert for the whole batch. Then only the live cells of that stack,
-        those holding a real id (a count-0 cell decides ties), are folded
-        into the result: an untouched cell is the merge identity. A result
-        cell takes its contributions table after table (the merge rule is
-        not associative), so round r merges every cell's r-th one; there are
-        at most L rounds. No distance computation is involved anywhere on
-        this path.
+        gets one member of a stack, in walk order: a heavy bucket, one whose
+        span holds more than W·B ids, has its finished sketch copied in, and
+        every other bucket is built by one stacked insert for the whole batch.
+        Then only the live cells of that stack, those holding a real id (a
+        count-0 cell decides ties), are folded into the result: an untouched
+        cell is the merge identity. A result cell takes its contributions
+        table after table (the merge rule is not associative), so round r
+        merges every cell's r-th one; there are at most L rounds. No distance
+        computation is involved anywhere on this path.
         """
-        batch = self._checked(addresses)
-        _, queries, pos = self._walk(batch)
-        j = np.searchsorted(self.heavy_pos, pos)
-        heavy = j < self.heavy_pos.size
-        heavy[heavy] = self.heavy_pos[j[heavy]] == pos[heavy]
+        cells = self.config.sketch_rows * self.config.sketch_cols
+        queries, pos, starts, lengths = self._walk(addresses)
+        heavy = lengths > cells
+        j = np.searchsorted(self.heavy_pos, pos[heavy])
         hits = self.empty_sketch(pos.size)
-        hits.ids[heavy] = self.heavy_sketches.ids[j[heavy]]
-        hits.counts[heavy] = self.heavy_sketches.counts[j[heavy]]
+        hits.ids[heavy] = self.heavy_sketches.ids[j]
+        hits.counts[heavy] = self.heavy_sketches.counts[j]
         light = np.flatnonzero(~heavy)
-        ids, lengths = self._streams(pos[light])
-        hits.insert_many(ids, np.repeat(light, lengths))
+        ids = self._streams(starts[light], lengths[light])
+        hits.insert_many(ids, np.repeat(light, lengths[light]))
         # the live cells in walk order and where each lands in the result;
         # a stable sort by result cell keeps each one's contributions in table order
-        cells = self.config.sketch_rows * self.config.sketch_cols
         live = np.flatnonzero(hits.ids != np.uint64(NULL_ID))
         target = queries[live // cells] * cells + live % cells
         order = np.argsort(target, kind="stable")
@@ -312,7 +309,7 @@ class NodeIndex:
         target, ids, counts = target[run], ids[run], np.add.reduceat(counts, run)
         first = np.flatnonzero(np.append(True, target[1:] != target[:-1]))
         depth = np.diff(np.append(first, target.size))  # runs per result cell
-        merged = self.empty_sketch(len(batch))
+        merged = self.empty_sketch(len(addresses))
         out_ids, out_counts = merged.ids.reshape(-1), merged.counts.reshape(-1)
         for r in range(int(depth.max(initial=0))):
             at = first[depth > r] + r
@@ -325,12 +322,12 @@ class NodeIndex:
     def exact_candidates(self, addresses: np.ndarray) -> ExactCounts:
         """Exact per-id occurrence counts over each query's addressed buckets,
         for the batch's (n, L) integer address ndarray, validated as
-        :meth:`local_candidates` validates it."""
-        batch = self._checked(addresses)
-        _, queries, pos = self._walk(batch)
-        ids, lengths = self._streams(pos)
+        :meth:`local_candidates` validates it: one count for every id of
+        every span the walk finds."""
+        queries, _, starts, lengths = self._walk(addresses)
+        ids = self._streams(starts, lengths)
         return ExactCounts.summed(
-            len(batch), np.repeat(queries, lengths), ids, np.ones(ids.size, np.uint64)
+            len(addresses), np.repeat(queries, lengths), ids, np.ones(ids.size, np.uint64)
         )
 
     # -- persistence ----------------------------------------------------------------

@@ -116,7 +116,8 @@ def recommend_params(
 ) -> ParameterRecommendation:
     """Choose (K, L) for an n-point dataset under the given sensitivity.
 
-    K is the background-suppression bound rounded up (stricter suppression);
+    K is the background-suppression bound rounded up (stricter suppression),
+    and at least 1, where a p1/p2 that overflows to inf puts that bound at 0;
     L is the larger of n**rho and the signal-concentration requirement
     c = C1 * (1/p1)**K, rounded up (more tables never hurt recall). Both
     bounds hold by construction: K >= k_lower by the ceiling, and L >= c
@@ -146,7 +147,7 @@ def recommend_params(
 
     try:
         k_lower = c2 * math.log(n) / math.log(p1 / p2)
-        k_rec = math.ceil(k_lower)
+        k_rec = max(1, math.ceil(k_lower))
         c = c1 * (1 / p1) ** k_rec
         l_rec = math.ceil(max(n**rho, c))
         # L / c >= 1 in floats, since L is c or n**rho rounded up
@@ -249,8 +250,11 @@ def snr_simulation(
         )
     rng = np.random.default_rng(seed)
     p_sig = sens.p1**k_hashes
-    signal = rng.binomial(num_tables, p_sig, size=(trials, planted))
-    noise_max = _noise_max_counts(rng, n, sens.p2**k_hashes, num_tables, trials)
+    try:
+        signal = rng.binomial(num_tables, p_sig, size=(trials, planted))
+        noise_max = _noise_max_counts(rng, n, sens.p2**k_hashes, num_tables, trials)
+    except MemoryError:
+        raise ParameterError(f"trials * planted = {trials * planted} draws exceed memory") from None
 
     separated = (signal.min(axis=1) > noise_max).mean()
     expected = num_tables * p_sig

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import functools
 import gc
+import io
 import math
 import os
 import socket
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sketchlsh import cli
 from sketchlsh.cli import main
@@ -85,11 +89,49 @@ class TestParamsCommand:
         assert kv["L"] == "1694" and kv["feasible"] == "true"
         assert float(kv["separation_rate"]) == 1.0
 
-    def test_simulation_trials_at_the_bound_reach_the_allocator(self):
-        # 2^60 - 1 int64 draws pass the check; numpy refuses the 8 EiB at once
+    def test_simulation_trials_at_the_bound_reach_the_allocator(self, capsys):
+        # 2^60 - 1 int64 draws pass the check; numpy refuses the 8 EiB at once,
+        # which was a raw MemoryError traceback, exit 1
         args = ["params", "--p1", "0.9", "--p2", "0.1", "--n", "1000", "--simulate"]
-        with pytest.raises(MemoryError):
-            main([*args, "--trials", str(2**60 - 1)])
+        assert main([*args, "--trials", str(2**60 - 1)]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"config error: trials * planted = {2**60 - 1} draws exceed memory\n"
+        assert out == ""
+
+    def test_k_is_at_least_one(self, capsys):
+        # p1/p2 overflows to inf, so k_lower is 0: this printed K=0 and feasible=true,
+        # and the same arguments with --simulate exited 2
+        args = ["params", "--p1", "0.5", "--p2", "5e-324", "--n", "1000"]
+        for extra in ([], ["--simulate", "--trials", "10"]):
+            assert main([*args, *extra]) == 0
+            kv = parse_kv_output(capsys.readouterr().out)
+            assert (kv["K"], kv["L"], kv["feasible"]) == ("1", "4", "true")
+
+    # each argument at and past its bound; None leaves an optional one at its default
+    EDGES = ["0", "5e-324", "0.1", "0.5", "0.9", repr(1 - 2**-53), "1", "nan", "inf", "-0.1"]
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        p=st.tuples(st.sampled_from(EDGES), st.sampled_from(EDGES)),
+        optional=st.tuples(*[st.none() | st.sampled_from(EDGES)] * 4),
+        n=st.sampled_from([1, 2, 1000, 2**63 - 1, 2**63]),
+        top_k=st.none() | st.sampled_from([0, 1, 8, 2**64]),
+        trials=st.none() | st.sampled_from([0, 1, 3, 2**60 - 1, 2**60]),
+    )
+    @example(p=("0.5", "5e-324"), optional=(None,) * 4, n=1000, top_k=None, trials=None)
+    @example(p=("0.9", "0.1"), optional=(None,) * 4, n=1000, top_k=None, trials=2**60 - 1)
+    def test_every_argument_at_and_past_its_bound(self, p, optional, n, top_k, trials):
+        values = dict(zip(("p1", "p2", "r", "c", "c1", "c2"), (*p, *optional)))
+        args = [f"--{k}={v}" for k, v in values.items() if v is not None]
+        args += [f"--n={n}"] + ([f"--top-k={top_k}"] if top_k is not None else [])
+        args += ["--simulate", f"--trials={trials}"] if trials is not None else []
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["params", *args])
+        assert rc == 0 or (rc == 2 and err.getvalue().startswith("config error: "))
+        kv = parse_kv_output(out.getvalue())
+        if kv.get("feasible") == "true":
+            assert int(kv["K"]) >= 1
 
     def test_bad_domain_is_config_error(self, capsys):
         rc = main(["params", "--p1", "0.2", "--p2", "0.6", "--n", "100"])

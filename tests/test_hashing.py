@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchlsh._bits import range_map, seed_stream
+from sketchlsh._bits import UINT64_MAX, mix64, range_map, seed_stream
 from sketchlsh.core import ConfigError, EmptyVectorError, LshConfig, SparseRows, SparseVector
 from sketchlsh import hashing
 from sketchlsh.hashing import (
@@ -26,6 +27,20 @@ from oracles import (
     slot_hashes,
     table_address,
 )
+
+
+class TestMixing:
+    def test_wraps_are_silent_and_a_scalar_mixes_as_an_array(self):
+        # every wrap ran under np.errstate; numpy warns of one only in scalar arithmetic
+        top = np.array([UINT64_MAX])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mix64(UINT64_MAX) == mix64(top)[0] == 16490336266968443936
+            assert isinstance(mix64(UINT64_MAX), np.uint64)
+            assert range_map(UINT64_MAX, 2**32 - 1) == range_map(top, 2**32 - 1)[0]
+            stream = seed_stream(2**64 - 1, 2, tag=2**64 - 1)
+            assert stream.tolist() == seed_stream(top, 2, tag=top).tolist()
+            assert stream.tolist() == [7439718947412749605, 7569973598659836659]
 
 
 class TestMinhash:

@@ -123,17 +123,11 @@ class TestRecommendParams:
         assert rec.k_rec == 5 and rec.k_upper >= 5  # read 4.999999999999999
         assert rec.k_upper == pytest.approx(math.log(rec.l_rec / 1e30) / math.log(1 / 0.9))
 
-    def test_draws_are_bounded_by_what_one_array_holds(self):
-        # past the bound, Generator.binomial raised a raw ValueError ("array is too big")
-        sens = LshSensitivity(r=0.1, c=2.0, p1=0.9, p2=0.1)
-        bound = (2**63 - 1) // 8  # int64 draws in 2^63 - 1 bytes
-        for trials, planted in ((bound, 1), (1, bound)):
-            # at the bound the check lets the draws through; the allocator refuses 8 EiB at once
-            with pytest.raises(MemoryError):
-                snr_simulation(sens, n=10, k_hashes=2, num_tables=4, trials=trials, planted=planted)
-        for trials, planted in ((bound + 1, 1), (1, bound + 1), (2**59, 2), (2**62, 1)):
-            with pytest.raises(ParameterError, match=r"exceeds 2\^60 - 1"):
-                snr_simulation(sens, n=10, k_hashes=2, num_tables=4, trials=trials, planted=planted)
+    def test_k_is_at_least_one_where_p1_over_p2_overflows(self):
+        # p1/p2 = inf puts k_lower at 0, and its ceiling had recommended K = 0
+        rec = recommend_params(LshSensitivity(r=0.0, c=1.0, p1=0.5, p2=5e-324), 1000)
+        assert (rec.k_lower, rec.k_rec, rec.l_rec) == (0.0, 1, 4)
+        assert rec.k_lower <= rec.k_rec <= rec.k_upper
 
     def test_validation(self):
         sens = LshSensitivity(r=0.1, c=2.0, p1=0.9, p2=0.2)
@@ -207,8 +201,9 @@ class TestSnrSimulation:
         sens = LshSensitivity(r=0.1, c=2.0, p1=0.9, p2=0.1)
         bound = (2**63 - 1) // 8  # int64 draws in 2^63 - 1 bytes
         for trials, planted in ((bound, 1), (1, bound)):
-            # at the bound the check lets the draws through; the allocator refuses 8 EiB at once
-            with pytest.raises(MemoryError):
+            # at the bound the check lets the draws through, and the allocator refuses
+            # 8 EiB at once; that was a raw MemoryError
+            with pytest.raises(ParameterError, match=rf"trials \* planted = {bound} draws exceed"):
                 snr_simulation(sens, n=10, k_hashes=2, num_tables=4, trials=trials, planted=planted)
         for trials, planted in ((bound + 1, 1), (1, bound + 1), (2**59, 2), (2**62, 1)):
             with pytest.raises(ParameterError, match=r"exceeds 2\^60 - 1"):

@@ -273,7 +273,9 @@ def cmd_params(args) -> int:
     sens = LshSensitivity(r=args.r, c=args.c, p1=args.p1, p2=args.p2)
     try:
         rec = recommend_params(sens, args.n, c1=args.c1, c2=args.c2, k_bound=args.top_k)
-    except InfeasibleParamsError as exc:
+        # feasible only if some index can be built with it: the config's own bounds
+        LshConfig(hashes_per_table=rec.k_rec, num_tables=rec.l_rec)
+    except (InfeasibleParamsError, ConfigError) as exc:
         print(f"infeasible: {exc}")
         print("feasible=false")
         return EXIT_OK

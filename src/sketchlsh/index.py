@@ -21,11 +21,13 @@ and the heavy sketches take at most 16 B per vector per table.
 Both aggregation modes probe a whole query batch with one walk: one
 ``searchsorted`` of the batch's n·L keys finds every bucket, table-major,
 then query order, with its span in ``rows``, and one gather reads the
-spans' ids. The sketch mode copies the finished sketch of a bucket that is
-heavy by its span's length alone, builds the others with one stacked
-insert, and folds the live cells of every bucket's sketch into the batch's
-stack of merged sketches, each cell's in table order; the exact mode
-counts every (query, id) pair of the spans in one keyed sum.
+spans' rows. The sketch mode copies the finished sketch of a bucket that is
+heavy by its span's length alone, builds the others from their rows' ids
+with one stacked insert, and folds the live cells of every bucket's sketch
+into the batch's stack of merged sketches, each cell's in table order. The
+exact mode sorts one key per walked row, query and row together, in place;
+each run of equal keys is one (query, row) pair's count, and only those
+distinct pairs read their ids and go to one keyed sum.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ class NodeIndex:
         if not where.size:
             return where, sketches
         lengths = sizes[where].astype(np.int64)
-        ids = self._streams(self.offsets[where].astype(np.int64), lengths)
+        ids = self.ids.take(self._rows(self.offsets[where].astype(np.int64), lengths))
         # per table, where its heavy buckets and their ids start; one closed
         # form per table keeps the scratch arrays to one table's heavy ids
         first = np.searchsorted(where, self._bounds)
@@ -260,13 +262,14 @@ class NodeIndex:
         starts = self.offsets[pos].astype(np.int64)
         return queries, pos, starts, self.offsets[pos + 1].astype(np.int64) - starts
 
-    def _streams(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """The ids of the streams that start at ``starts`` in ``rows`` and
-        run ``lengths`` rows (both i64), back to back."""
+    def _rows(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The row numbers of the streams that start at ``starts`` in
+        ``rows`` and run ``lengths`` rows (both i64), back to back: u32,
+        by which ``ids.take`` gathers about twice as fast as ``[]`` does."""
         first = np.cumsum(lengths) - lengths  # where each stream starts in the output
-        take = np.arange(int(lengths.sum())) + np.repeat(starts - first, lengths)
-        # take gathers by u32 indices about twice as fast as [] does
-        return self.ids.take(self.rows[take])
+        take = np.repeat(starts - first, lengths)
+        take += np.arange(take.size)
+        return self.rows[take]
 
     def local_candidates(self, addresses: np.ndarray) -> TopkapiSketch:
         """Merges of this node's addressed bucket sketches for a query batch.
@@ -293,7 +296,7 @@ class NodeIndex:
         hits.ids[heavy] = self.heavy_sketches.ids[j]
         hits.counts[heavy] = self.heavy_sketches.counts[j]
         light = np.flatnonzero(~heavy)
-        ids = self._streams(starts[light], lengths[light])
+        ids = self.ids.take(self._rows(starts[light], lengths[light]))
         hits.insert_many(ids, np.repeat(light, lengths[light]))
         # the live cells in walk order and where each lands in the result;
         # a stable sort by result cell keeps each one's contributions in table order
@@ -323,11 +326,29 @@ class NodeIndex:
         """Exact per-id occurrence counts over each query's addressed buckets,
         for the batch's (n, L) integer address ndarray, validated as
         :meth:`local_candidates` validates it: one count for every id of
-        every span the walk finds."""
+        every span the walk finds.
+
+        Each walked row becomes one key q·n + row, and one in-place sort of
+        the keys puts the walks of each (query, row) pair side by side; a run
+        of equal keys is that pair's count. Only the distinct pairs gather
+        their ids and go to :meth:`ExactCounts.summed`, which orders each
+        query's ids and adds up an id held by two rows.
+        """
         queries, _, starts, lengths = self._walk(addresses)
-        ids = self._streams(starts, lengths)
+        # u64 holds every key: n ≤ 2^32 − 1 and a batch has fewer than 2^32
+        # queries, so q·n + row < 2^32 · n < 2^64
+        n = np.uint64(self.vector_count)
+        rows = self._rows(starts, lengths)
+        keys = np.repeat(queries.astype(np.uint64) * n, lengths)
+        keys += rows
+        keys.sort()
+        edge = np.ones(keys.size + 1, dtype=bool)  # a run's first key, then the end
+        np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+        at = np.flatnonzero(edge)
+        queries, rows = np.divmod(keys[at[:-1]], n)  # n = 0 walks no rows
         return ExactCounts.summed(
-            len(addresses), np.repeat(queries, lengths), ids, np.ones(ids.size, np.uint64)
+            len(addresses), queries.astype(np.int64), self.ids.take(rows),
+            np.diff(at).astype(np.uint64),
         )
 
     # -- persistence ----------------------------------------------------------------

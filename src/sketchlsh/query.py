@@ -165,6 +165,9 @@ def top_k_extract(reduced, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     does. One ranking pass gives one hit tuple per query: descending count,
     ties by ascending id, every count at least 1, no padding past a query's
     candidates. ``k`` may be any positive int (a config's ``top_k`` is any u64).
+    The ranking sorts by query and count alone: a stable sort keeps the ids
+    of a tie in the ascending order that every :class:`ExactCounts` holds
+    them in.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
@@ -176,7 +179,7 @@ def top_k_extract(reduced, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     k = min(k, reduced.ids.size)
     starts, lengths = reduced.indptr[:-1], np.diff(reduced.indptr)
     # grouped by query; ~count (2^64 - 1 - count) ranks larger counts first
-    order = np.lexsort((reduced.ids, ~reduced.counts, reduced.queries()))
+    order = np.lexsort((~reduced.counts, reduced.queries()))
     keep = order[np.arange(order.size) - np.repeat(starts, lengths) < k]
     hits = list(zip(reduced.ids[keep].tolist(), reduced.counts[keep].tolist()))
     bounds = np.concatenate(([0], np.cumsum(np.minimum(lengths, k)))).tolist()

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from sketchlsh import cli
 from sketchlsh.cli import main
 from sketchlsh.cluster import TcpTransport
-from sketchlsh.core import ConfigError, SparseVector
+from sketchlsh.core import ConfigError, LshConfig, SparseVector
 from sketchlsh.dataio import format_record, load_config, lsh_config_from_mapping, parse_query_file
 from sketchlsh.index import NodeIndex
 from sketchlsh.params import LshSensitivity, recommend_params
@@ -107,6 +107,22 @@ class TestParamsCommand:
             kv = parse_kv_output(capsys.readouterr().out)
             assert (kv["K"], kv["L"], kv["feasible"]) == ("1", "4", "true")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # printed K=291 L=18627662990 feasible=true, an L past MAX_TABLES
+            ["--p1", "0.99", "--p2", "0.9", "--n", "1000000000000", "--c1", "1e9", "--c2", "1.001"],
+            # exited 2 from the simulation's own table bound
+            ["--p1", "0.9", "--p2", "0.1", "--n", "1000", "--simulate", "--c1", "1e30"],
+        ],
+        ids=["recommend", "simulate"],
+    )
+    def test_an_l_no_config_accepts_is_infeasible(self, capsys, args):
+        for extra in ([], ["--simulate"]):
+            assert main(["params", *args, *extra]) == 0
+            out = capsys.readouterr().out
+            assert out == "infeasible: num_tables must be in 1..4294967295\nfeasible=false\n"
+
     # each argument at and past its bound; None leaves an optional one at its default
     EDGES = ["0", "5e-324", "0.1", "0.5", "0.9", repr(1 - 2**-53), "1", "nan", "inf", "-0.1"]
 
@@ -120,6 +136,9 @@ class TestParamsCommand:
     )
     @example(p=("0.5", "5e-324"), optional=(None,) * 4, n=1000, top_k=None, trials=None)
     @example(p=("0.9", "0.1"), optional=(None,) * 4, n=1000, top_k=None, trials=2**60 - 1)
+    # K=291 and L=18627662990 were printed as feasible, an L past 2^32 - 1
+    @example(p=("0.99", "0.9"), optional=(None, None, "1e9", "1.001"), n=10**12, top_k=None,
+             trials=None)
     def test_every_argument_at_and_past_its_bound(self, p, optional, n, top_k, trials):
         values = dict(zip(("p1", "p2", "r", "c", "c1", "c2"), (*p, *optional)))
         args = [f"--{k}={v}" for k, v in values.items() if v is not None]
@@ -132,6 +151,7 @@ class TestParamsCommand:
         kv = parse_kv_output(out.getvalue())
         if kv.get("feasible") == "true":
             assert int(kv["K"]) >= 1
+            LshConfig(hashes_per_table=int(kv["K"]), num_tables=int(kv["L"]))
 
     def test_bad_domain_is_config_error(self, capsys):
         rc = main(["params", "--p1", "0.2", "--p2", "0.6", "--n", "100"])
@@ -150,14 +170,13 @@ class TestParamsCommand:
             (["--c2", "inf"], "C1 and C2 must be finite"),
             (["--n", str(10**400)], "overflow a float"),
             (["--simulate", "--n", "10000000000000000000000"], "n in 0..2^63 - 1"),
-            (["--simulate", "--c1", "1e30"], "the most tables an index header stores"),
             (["--simulate", "--seed", "-1"], "seed >= 0"),  # was a raw ValueError, exit 1
             # trials past what one int64 array holds were a raw ValueError, exit 1
             (["--simulate", "--trials", str(2**60)], "exceeds 2^60 - 1"),
             (["--simulate", "--trials", str(2**62)], "exceeds 2^60 - 1"),
         ],
         ids=["r-nan", "r-inf", "c-nan", "c-inf", "c1-nan", "c1-inf", "c2-nan", "c2-inf",
-             "n-401-digits", "simulate-n-past-int64", "simulate-l-past-the-header",
+             "n-401-digits", "simulate-n-past-int64",
              "simulate-negative-seed", "simulate-trials-past-one-array",
              "simulate-trials-2-62"],
     )

@@ -35,11 +35,19 @@ from sketchlsh.core import (
     SparseVector,
 )
 from sketchlsh.dataio import DatasetManifest, parse_record, read_hosts_file
+from sketchlsh.hashing import HashFamily
+from sketchlsh.index import _HEADER as INDEX_HEADER
 from sketchlsh.index import IndexFileError, NodeIndex, preprocess
 from sketchlsh.sketch import TopkapiSketch
 from sketchlsh.synthetic import random_sparse_vectors
 
-from oracles import count_maps, count_payload, dense_record, replayed_candidates
+from oracles import (
+    count_maps,
+    count_payload,
+    dense_record,
+    exact_count_map,
+    replayed_candidates,
+)
 
 CFG = LshConfig(hashes_per_table=2, num_tables=4, table_range=1 << 8, top_k=3, master_seed=23)
 FUZZ = settings(max_examples=200, deadline=None, database=None)
@@ -50,15 +58,18 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def blob_vectors() -> list[SparseVector]:
+    """40 vectors, the last 4 copies of the first 4."""
+    vecs = random_sparse_vectors(np.random.default_rng(5), 36, 512, 10)
+    return vecs + vecs[:4]
+
+
 @pytest.fixture(scope="module")
 def blob(workdir):
-    """A saved version-4 index of 40 vectors, a few of them duplicates so
+    """A saved version-4 index of :func:`blob_vectors` with ids 0..39, so
     that some buckets hold several ids."""
-    rng = np.random.default_rng(5)
-    vecs = random_sparse_vectors(rng, 36, 512, 10)
-    vecs += vecs[:4]
     path = workdir / "good.bin"
-    preprocess(DatasetPartition(0, list(enumerate(vecs))), CFG).save(path)
+    preprocess(DatasetPartition(0, list(enumerate(blob_vectors()))), CFG).save(path)
     return path.read_bytes()
 
 
@@ -78,7 +89,8 @@ def load_and_probe(path, data: bytes) -> None:
     stack = index.local_candidates(batch)
     assert len(stack) == len(batch) and stack == replayed_candidates(index, batch)
     counts = index.exact_candidates(batch)
-    assert len(counts) == len(batch) and np.all(counts.counts > 0)
+    assert len(counts) == len(batch)
+    assert count_maps(counts) == [exact_count_map(index, row) for row in batch]
 
 
 @FUZZ
@@ -151,6 +163,39 @@ def test_repeated_id_in_a_heavy_bucket(workdir, heavy_blob, table, pair):
     path.write_bytes(bytes(data))
     with pytest.raises(IndexFileError, match=f"table {table}: id .* appears twice"):
         NodeIndex.load(path, CFG)
+
+
+def test_one_id_under_two_rows_counts_summed(workdir, blob):
+    # row 5's id becomes row 0's id, 0: no load check rejects an id held twice
+    # outside one table's heavy buckets, and the counts of both rows add up
+    data = bytearray(blob)
+    struct.pack_into("<Q", data, INDEX_HEADER.size + 8 * 5, 0)
+    path = workdir / "twice.bin"
+    load_and_probe(path, bytes(data))
+    batch = HashFamily.from_config(CFG).addresses(blob_vectors())
+    got = count_maps(NodeIndex.load(path, CFG).exact_candidates(batch))
+    want = count_maps(NodeIndex.load(workdir / "good.bin", CFG).exact_candidates(batch))
+    for counts in want:
+        if 5 in counts:
+            counts[0] = counts.get(0, 0) + counts.pop(5)
+    assert got == want
+    assert got[5][0] >= CFG.num_tables  # row 5 is in each of its own buckets
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_tiny_index_probed_where_nothing_is(workdir, count):
+    index = preprocess(DatasetPartition(0, list(enumerate(blob_vectors()[:count]))), CFG)
+    path = workdir / f"tiny-{count}.bin"
+    index.save(path)
+    load_and_probe(path, path.read_bytes())
+    # per table, one past the address of its only bucket, if it has one
+    miss = [(int(tb.addrs[0]) + 1 if tb.addrs.size else 0) % CFG.table_range for tb in index.tables]
+    batch = np.array([miss] * 3, dtype=np.uint64)
+    for probed in (index, NodeIndex.load(path, CFG)):
+        counts = probed.exact_candidates(batch)
+        assert counts.indptr.tolist() == [0] * 4 and counts.indptr.dtype == np.int64
+        assert counts.ids.size == 0 and counts.ids.dtype == counts.counts.dtype == np.uint64
+        assert probed.local_candidates(batch) == probed.empty_sketch(3)
 
 
 TEXT = st.text(st.characters(codec="utf-8"), max_size=40)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -626,6 +627,27 @@ BROKEN_COLUMNS = {
 }
 
 
+class TestExactProbeMemory:
+    def test_peak_within_32_bytes_per_walked_id(self):
+        # near duplicates in Zipf-sized groups of up to 400: buckets of hundreds
+        rng = np.random.default_rng(29)
+        protos = random_sparse_vectors(rng, 30, 4096, 24)
+        sizes = np.minimum(20 * rng.zipf(1.3, size=len(protos)), 400)
+        vecs = [vector_with_swaps(rng, p, 1) for p, size in zip(protos, sizes) for _ in range(size)]
+        node = preprocess(DatasetPartition(0, list(enumerate(vecs))), CFG)
+        batch = HashFamily.from_config(CFG).addresses(protos)
+        walked = int(node._walk(batch)[3].sum())
+        assert walked > 5 * node.exact_candidates(batch).ids.size  # most walks repeat a pair
+        tracemalloc.start()
+        try:
+            node.exact_candidates(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a (query, id, count) entry per walked id, with its sort, takes about 56 B
+        assert peak <= 32 * walked
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, rng, tmp_path):
         data = make_dataset(rng, 40)
@@ -874,6 +896,10 @@ class TestRepeatedIds:
         batch = HashFamily.from_config(cfg).addresses(protos + protos[:1])
         assert loaded.local_candidates(batch) == replayed_candidates(loaded, batch)
         assert loaded.local_candidates(batch) != node.local_candidates(batch)
+        # the repeated row counts twice, the row it overwrote not at all
+        exact = count_maps(loaded.exact_candidates(batch))
+        assert exact == [exact_count_map(loaded, row) for row in batch]
+        assert exact != count_maps(node.exact_candidates(batch))
 
 
 def reference_index_bytes(idx: NodeIndex) -> bytes:

@@ -13,6 +13,7 @@ from sketchlsh.cluster import (
     FRAME_ALLGATHER,
     FRAME_REDUCE,
     CollectiveError,
+    ExactCounts,
     SimulatedCluster,
     SimulatedTransport,
     TransportError,
@@ -46,7 +47,14 @@ from sketchlsh.synthetic import (
     round_robin_partitions,
 )
 
-from oracles import column_width, dense_record, exact_counts, run_tcp_threads, top_k_counts
+from oracles import (
+    column_width,
+    count_maps,
+    dense_record,
+    exact_counts,
+    run_tcp_threads,
+    top_k_counts,
+)
 import tcp_worker
 
 
@@ -117,6 +125,23 @@ class TestTopKExtract:
         stack.insert_many(np.array([11, 11, 11, 11, 5, 6], dtype=np.uint64), [0, 0, 0, 0, 1, 1])
         assert (int(stack.ids[1, 0, 0]), int(stack.counts[1, 0, 0])) == (5, 0)
         assert top_k_extract(stack, 3) == (((11, 4),), ())
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        entries=st.lists(
+            st.tuples(st.integers(0, 3), st.sampled_from(CELL_IDS[:-1]), st.integers(1, 3)),
+            max_size=40,
+        ),
+        combine=st.sampled_from([np.add, np.maximum]),  # the exact and the sketch reduce
+        k=st.integers(1, 8),
+    )
+    def test_ranking_by_query_and_count_equals_the_three_key_order(self, entries, combine, k):
+        # few ids and counts: most queries hold ties, which the ids' stored order breaks
+        queries, ids, counts = np.array(entries, dtype=np.uint64).reshape(-1, 3).T
+        summed = ExactCounts.summed(4, queries, ids, counts, combine)
+        reference = np.lexsort((summed.ids, ~summed.counts, summed.queries()))
+        assert np.array_equal(np.lexsort((~summed.counts, summed.queries())), reference)
+        assert top_k_extract(summed, k) == tuple(top_k_counts(m, k) for m in count_maps(summed))
 
     def test_rejects_bad_k(self):
         with pytest.raises(ConfigError):

@@ -419,8 +419,8 @@ class ExactCounts:
     """Exact per-id counts of a query batch in CSR form: query q holds the
     ids ``ids[indptr[q]:indptr[q + 1]]``, ascending, each with its count
     (at least 1) at the same position of ``counts``. Every instance that
-    :meth:`summed`, :meth:`merge` or :meth:`from_bytes` returns holds each
-    query's ids strictly ascending; :func:`~sketchlsh.query.top_k_extract`
+    :meth:`summed`, :meth:`merge`, :meth:`from_bytes` or ``exact_candidates``
+    returns holds each query's ids strictly ascending; ``top_k_extract``
     breaks ties in count by that order.
 
     On the wire it is three little-endian u64 columns: the n per-query entry

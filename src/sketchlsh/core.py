@@ -221,8 +221,9 @@ class DatasetPartition:
     """One node's slice of the dataset: vector ids and their rows in CSR form.
 
     Built from (VectorId, SparseVector) pairs, or by :meth:`from_rows` from
-    the columns directly. Partitions of one dataset must be disjoint in
-    VectorId and jointly cover it; the partitioner is responsible for that.
+    the columns directly. Its ids rise strictly with its rows, as line
+    offsets do; a repeat or a fall is an :class:`InvalidVectorError`. The
+    partitioner makes partitions of one dataset disjoint and covering.
     """
 
     node_id: int
@@ -250,10 +251,11 @@ class DatasetPartition:
             raise InvalidVectorError(f"{ids.size} vector ids for {len(rows)} rows")
         if np.any(ids == np.uint64(NULL_ID)):
             raise InvalidVectorError(f"vector id {NULL_ID} outside the admissible range")
-        ordered = np.sort(ids)
-        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-        if repeated.size:
-            raise InvalidVectorError(f"duplicate vector id {int(repeated[0])} in partition")
+        fall = np.flatnonzero(ids[1:] <= ids[:-1])
+        if fall.size:
+            prev, vid = ids[fall[0] : fall[0] + 2].tolist()
+            kind = "duplicate vector id" if vid == prev else f"vector id {prev} before"
+            raise InvalidVectorError(f"{kind} {vid} in partition: ids must strictly increase")
         ids.setflags(write=False)
         object.__setattr__(self, "node_id", int(node_id))
         object.__setattr__(self, "ids", ids)

@@ -434,14 +434,11 @@ def load_partition(
         n_lines, lines, counts, indices, rejected = _parse_lines(f, manifest.dim)
     if n_lines != info.records:
         raise RecordParseError(f"{path} holds {n_lines} lines; the manifest says {info.records}")
-    ids = lines.astype(np.uint64)
-    if lines.size:
-        # ids rise with the line number, so the first and last bound them all
-        for j in (int(lines[0]), int(lines[-1])):
-            vid = info.offset + j * manifest.m
-            if not 0 <= vid < NULL_ID:
-                raise InvalidVectorError(f"vector id {vid} outside the admissible range")
-        ids = ids * np.uint64(manifest.m) + np.uint64(info.offset)
+    # ids rise with the line number from offset ≥ 0, so the last bounds them all
+    last = info.offset + int(lines[-1]) * manifest.m if lines.size else 0
+    if last >= NULL_ID:
+        raise InvalidVectorError(f"vector id {last} outside the admissible range")
+    ids = lines.astype(np.uint64) * np.uint64(manifest.m) + np.uint64(info.offset)
     rows = SparseRows(np.concatenate(([0], np.cumsum(counts))), indices, manifest.dim)
     issues = [RecordIssue(info.offset + j * manifest.m, j, message) for j, message in rejected]
     return DatasetPartition.from_rows(rank, ids, rows), issues
@@ -500,8 +497,8 @@ def save_lsh_config(config: LshConfig, path) -> None:
 
 def read_hosts_file(path) -> list[tuple[str, int]]:
     """Cluster membership: one ``rank host:port`` or ``host:port`` line per
-    rank. A rank column, when given, must number the lines 0, 1, 2, ... in
-    order; comments and blank lines are not counted."""
+    rank, each at an address of its own. A rank column must number the lines
+    0, 1, 2, ... in order; comments and blank lines are not counted."""
     members: list[tuple[str, int]] = []
     for raw in _text_lines(path):
         line = raw.strip()
@@ -514,9 +511,12 @@ def read_hosts_file(path) -> list[tuple[str, int]]:
             parts[0].isascii() and parts[0].isdecimal() and int(parts[0]) == len(members)
         ):
             raise ConfigError(f"malformed host line (its rank must be {len(members)}): {raw!r}")
-        host, sep, port_s = parts[-1].rpartition(":")
+        host, _, port_s = parts[-1].rpartition(":")
         port = int(port_s) if port_s.isdecimal() and len(port_s) <= 5 else 0
-        if not sep or not 0 < port < 65536:
+        if not host or not 0 < port < 65536:
             raise ConfigError(f"malformed host line (want host:port, port 1..65535): {raw!r}")
+        if (host, port) in members:
+            rank = members.index((host, port))
+            raise ConfigError(f"malformed host line (rank {rank} holds its address): {raw!r}")
         members.append((host, port))
     return members

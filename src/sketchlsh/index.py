@@ -7,16 +7,16 @@ are the same size however skewed the bucket is.
 
 Storage note: the L tables' buckets are kept columnar, as one directory
 (see :class:`NodeIndex`), and the index file holds its four columns and
-nothing else. Each vector id is stored once; a bucket holds the row
-numbers of its vectors, so a table costs 4 B per vector. Keys and offsets
-take 4 bytes where the config and the vector count bound them below
-2^32. A bucket of at most W·B ids (a sketch's cell count) has its
-sketch built on probe from its insertion stream, in the exact state that
-incremental per-insert updates would have produced. A *heavy* bucket, one
-of more ids, is also kept as its finished sketch, computed in closed form
-whenever a :class:`NodeIndex` is built. A probe therefore inserts at most
-W·B ids or copies W·B cells per (query, table), however skewed the data,
-and the heavy sketches take at most 16 B per vector per table.
+nothing else. Each vector id is stored once, rising with its row; a bucket
+holds the row numbers of its vectors, so a table costs 4 B per vector.
+Keys and offsets take 4 bytes where the config and the vector count bound
+them below 2^32. A bucket of at most W·B ids (a sketch's cell count) has
+its sketch built on probe from its insertion stream, in the exact state
+that incremental per-insert updates would have produced. A *heavy* bucket,
+one of more ids, is also kept as its finished sketch, computed in closed
+form whenever a :class:`NodeIndex` is built. A probe therefore inserts at
+most W·B ids or copies W·B cells per (query, table), however skewed the
+data, and the heavy sketches take at most 16 B per vector per table.
 
 Both aggregation modes probe a whole query batch with one walk: one
 ``searchsorted`` of the batch's n·L keys finds every bucket, table-major,
@@ -27,7 +27,7 @@ with one stacked insert, and folds the live cells of every bucket's sketch
 into the batch's stack of merged sketches, each cell's in table order. The
 exact mode sorts one key per walked row, query and row together, in place;
 each run of equal keys is one (query, row) pair's count, and only those
-distinct pairs read their ids and go to one keyed sum.
+distinct pairs read their ids, already ascending within each query.
 """
 
 from __future__ import annotations
@@ -120,6 +120,8 @@ def _defect(
         return f"row {int(rows.max())} past the last of {ids.size} vectors"
     if ids.max(initial=0) == np.uint64(NULL_ID):  # the null id is the largest u64
         return "null id among the vectors"
+    if (ids[1:] <= ids[:-1]).any():
+        return "ids do not strictly increase"
     return None
 
 
@@ -130,7 +132,7 @@ class NodeIndex:
     bucket of table t, and ``offsets`` (one per bucket plus the end) its
     stream's place in ``rows`` (u32, L·n of them, table by table, each
     bucket's in insertion order). A row r stands for the vector whose id is
-    ``ids[r]`` (u64, n of them, each stored once). Keys and offsets are u32
+    ``ids[r]`` (u64, n of them, strictly rising). Keys and offsets are u32
     or u64 as :func:`_column_types` derives from the config and n, in a
     built index and a loaded one alike. ``heavy_pos`` lists the directory
     positions of the heavy buckets, ascending, and ``heavy_sketches`` holds
@@ -330,26 +332,22 @@ class NodeIndex:
 
         Each walked row becomes one key q·n + row, and one in-place sort of
         the keys puts the walks of each (query, row) pair side by side; a run
-        of equal keys is that pair's count. Only the distinct pairs gather
-        their ids and go to :meth:`ExactCounts.summed`, which orders each
-        query's ids and adds up an id held by two rows.
+        of equal keys is that pair's count. Ids rise with their rows, so the
+        runs already order each query's ids: one ``searchsorted`` against
+        q·n cuts them into queries, and only the runs gather their ids.
         """
         queries, _, starts, lengths = self._walk(addresses)
-        # u64 holds every key: n ≤ 2^32 − 1 and a batch has fewer than 2^32
-        # queries, so q·n + row < 2^32 · n < 2^64
+        # u64 holds every key: n and the query count are below 2^32, so q·n + row < 2^64
         n = np.uint64(self.vector_count)
-        rows = self._rows(starts, lengths)
         keys = np.repeat(queries.astype(np.uint64) * n, lengths)
-        keys += rows
+        keys += self._rows(starts, lengths)
         keys.sort()
         edge = np.ones(keys.size + 1, dtype=bool)  # a run's first key, then the end
         np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
         at = np.flatnonzero(edge)
-        queries, rows = np.divmod(keys[at[:-1]], n)  # n = 0 walks no rows
-        return ExactCounts.summed(
-            len(addresses), queries.astype(np.int64), self.ids.take(rows),
-            np.diff(at).astype(np.uint64),
-        )
+        runs = keys[at[:-1]]  # one per (query, row) pair: none if n = 0, so runs % n is safe
+        indptr = np.searchsorted(runs, np.arange(len(addresses) + 1, dtype=np.uint64) * n)
+        return ExactCounts(indptr, self.ids.take(runs % n), np.diff(at).astype(np.uint64))
 
     # -- persistence ----------------------------------------------------------------
 
@@ -384,12 +382,12 @@ class NodeIndex:
         """Reload a saved index; the caller supplies the deployment config.
 
         Every length is checked against the file before it is read, and the
-        directory against the invariants :func:`preprocess` guarantees, so
-        a truncated or malformed file raises :class:`IndexFileError`; so
-        does a row past the vector count, and an id that appears twice
-        among a table's heavy buckets, which the closed form of their
-        sketches rules out. The columns are read-only views of the file's
-        bytes; the heavy sketches are built from them.
+        columns against the invariants :func:`preprocess` guarantees, rising
+        ids among them, so a truncated or malformed file raises
+        :class:`IndexFileError`; so do a row past the vector count, and an
+        id that appears twice among a table's heavy buckets, which the
+        closed form of their sketches rules out. The columns are read-only
+        views of the file's bytes; the heavy sketches are built from them.
         """
         with open(path, "rb") as f:
             data = f.read()

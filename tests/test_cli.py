@@ -548,6 +548,8 @@ class TestEndToEnd:
         "1 127.0.0.1:9002",  # rank 1 on the line of rank 0
         "x 127.0.0.1:9001",  # a rank that is not a number
         "foo bar 127.0.0.1:9003",  # more than two tokens
+        ":9004",  # no host
+        "0 127.0.0.1:9005\n1 127.0.0.1:9005",  # two ranks on one address
     ])
     def test_bad_hosts_file_is_config_error(self, tmp_path, rng, capsys, line):
         _, idx_dir, queries = build_indexes(tmp_path, rng, m=1)

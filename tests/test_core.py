@@ -221,11 +221,21 @@ class TestDatasetPartition:
         with pytest.raises(InvalidVectorError, match=f"vector id {vid} outside"):
             DatasetPartition(0, [(0, SparseVector([1], 4)), (vid, SparseVector([2], 4))])
 
+    def test_rejects_ids_that_do_not_rise(self):
+        # a repeated id and a falling one, through both constructors
+        for ids, match in [([2, 5, 5], "duplicate vector id 5"), ([2, 9, 5], "vector id 9 before 5")]:
+            pairs = [(vid, SparseVector([1], 4)) for vid in ids]
+            with pytest.raises(InvalidVectorError, match=match):
+                DatasetPartition(0, pairs)
+            rows = SparseRows.stack([v for _, v in pairs])
+            with pytest.raises(InvalidVectorError, match=match):
+                DatasetPartition.from_rows(0, np.array(ids, dtype=np.uint64), rows)
+
     def test_holds_csr_columns_and_gives_back_the_pairs(self):
-        pairs = [(9, SparseVector([1, 3], 6)), (2, SparseVector([], 6)), (5, SparseVector([0], 6))]
+        pairs = [(2, SparseVector([1, 3], 6)), (5, SparseVector([], 6)), (9, SparseVector([0], 6))]
         part = DatasetPartition(4, pairs)
         assert part.node_id == 4 and len(part) == 3
-        assert part.ids.tolist() == [9, 2, 5]
+        assert part.ids.tolist() == [2, 5, 9]
         assert part.rows.indptr.tolist() == [0, 2, 2, 3]
         assert part.rows.indices.tolist() == [1, 3, 0]
         assert partition_vectors(part) == tuple(pairs)

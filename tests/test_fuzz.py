@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchlsh.cli import main
 from sketchlsh.cluster import (
     _HEADER,
     FRAME_MAGIC,
@@ -34,8 +35,13 @@ from sketchlsh.core import (
     SketchLshError,
     SparseVector,
 )
-from sketchlsh.dataio import DatasetManifest, parse_record, read_hosts_file
-from sketchlsh.hashing import HashFamily
+from sketchlsh.dataio import (
+    DatasetManifest,
+    format_record,
+    parse_record,
+    read_hosts_file,
+    save_lsh_config,
+)
 from sketchlsh.index import _HEADER as INDEX_HEADER
 from sketchlsh.index import IndexFileError, NodeIndex, preprocess
 from sketchlsh.sketch import TopkapiSketch
@@ -165,21 +171,24 @@ def test_repeated_id_in_a_heavy_bucket(workdir, heavy_blob, table, pair):
         NodeIndex.load(path, CFG)
 
 
-def test_one_id_under_two_rows_counts_summed(workdir, blob):
-    # row 5's id becomes row 0's id, 0: no load check rejects an id held twice
-    # outside one table's heavy buckets, and the counts of both rows add up
+def test_one_id_under_two_rows_is_a_data_error(workdir, blob):
+    # row 5's id becomes row 0's id, 0: the ids no longer strictly increase
     data = bytearray(blob)
     struct.pack_into("<Q", data, INDEX_HEADER.size + 8 * 5, 0)
-    path = workdir / "twice.bin"
-    load_and_probe(path, bytes(data))
-    batch = HashFamily.from_config(CFG).addresses(blob_vectors())
-    got = count_maps(NodeIndex.load(path, CFG).exact_candidates(batch))
-    want = count_maps(NodeIndex.load(workdir / "good.bin", CFG).exact_candidates(batch))
-    for counts in want:
-        if 5 in counts:
-            counts[0] = counts.get(0, 0) + counts.pop(5)
-    assert got == want
-    assert got[5][0] >= CFG.num_tables  # row 5 is in each of its own buckets
+    ranks = workdir / "twice"
+    ranks.mkdir()
+    path = ranks / "index-00000.bin"
+    path.write_bytes(bytes(data))
+    with pytest.raises(IndexFileError, match="ids do not strictly increase"):
+        NodeIndex.load(path, CFG)
+    # the CLI reports it as a data error
+    save_lsh_config(CFG, ranks / "config.txt")
+    queries = ranks / "q.txt"
+    queries.write_text(format_record(blob_vectors()[5]) + "\n")
+    assert main([
+        "query", "--indexes", str(ranks), "--queries", str(queries),
+        "--world-size", "1", "--mode", "exact", "--out", str(ranks / "r.txt"),
+    ]) == 3
 
 
 @pytest.mark.parametrize("count", [0, 1])
@@ -216,7 +225,8 @@ def test_hosts_file(workdir, lines):
         members = read_hosts_file(path)
     except SketchLshError:
         return
-    assert all(0 < port < 65536 for _, port in members)
+    assert all(host and 0 < port < 65536 for host, port in members)
+    assert len(set(members)) == len(members)  # no two ranks share an address
     # one member per listed line, and a rank column numbers the lines in order
     listed = [
         ln.split() for ln in path.read_text(encoding="utf-8").splitlines()

@@ -119,9 +119,9 @@ class TestPreprocess:
         # empty vectors between the others: rejected in order, the rest hashed
         # in one batch whose columns must match per-vector addresses
         vecs = random_sparse_vectors(rng, 30, 4096, 10)
+        for at in (0, 11, 12, 25, len(vecs)):
+            vecs.insert(at, SparseVector([], 4096))
         pairs = [(3 * i + 7, v) for i, v in enumerate(vecs)]
-        for at in (0, 11, 12, 25, len(pairs)):
-            pairs.insert(at, (1000 + at, SparseVector([], 4096)))
         idx = preprocess(DatasetPartition(0, pairs), CFG)
         assert idx.rejected == tuple(
             (vid, "empty vector") for vid, v in pairs if v.nnz == 0
@@ -598,7 +598,8 @@ class TestBoundedObservations:
 # Per case: (column, position in it, new value, the error it must raise). A
 # header "position" is the byte offset of the field: 4 is the version, 24 the
 # vector count. A column position is a directory position, a row's or an
-# id's, or a function of the index that gives one.
+# id's, or a function of the index that gives one; a list of positions takes
+# the values that its function gives, in order.
 BROKEN_COLUMNS = {
     "version-1": ("header", 4, lambda idx: 1, "version 1 .*rebuild it with `sketchlsh index`"),
     "version-2": ("header", 4, lambda idx: 2, "version 2 .*rebuild it with `sketchlsh index`"),
@@ -624,6 +625,8 @@ BROKEN_COLUMNS = {
     ),
     "row-past-vectors": ("rows", 5, lambda idx: idx.vector_count, "row 30 past the last of 30"),
     "null-id": ("ids", 3, lambda idx: NULL_ID, "null id"),
+    # ids 3 and 4 trade places
+    "ids-order": ("ids", [3, 4], lambda idx: idx.ids[[4, 3]], "ids do not strictly increase"),
 }
 
 
@@ -741,8 +744,9 @@ class TestPersistence:
             if callable(pos):
                 pos = pos(idx)
             col = getattr(idx, column)
-            at = column_starts(idx)[column] + col.itemsize * (pos % col.size)
-            struct.pack_into("<Q" if col.itemsize == 8 else "<I", blob, at, value(idx))
+            for p, v in zip(np.atleast_1d(pos), np.atleast_1d(value(idx))):
+                at = column_starts(idx)[column] + col.itemsize * (int(p) % col.size)
+                struct.pack_into("<Q" if col.itemsize == 8 else "<I", blob, at, int(v))
         path.write_bytes(bytes(blob))
         with pytest.raises(IndexFileError, match=match):
             NodeIndex.load(path, CFG)

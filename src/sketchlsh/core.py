@@ -49,7 +49,7 @@ def _validated_indices(indices) -> np.ndarray:
         raise InvalidVectorError(f"indices must be non-negative integers: {exc}") from None
     if arr.ndim != 1:
         raise InvalidVectorError("indices must be a one-dimensional sequence")
-    return arr
+    return arr.view() if arr is indices else arr  # freezing it never freezes the caller's array
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +62,7 @@ class SparseVector:
 
     An empty index set is representable (it can occur in raw datasets), but
     hashing and indexing paths reject it with :class:`EmptyVectorError`.
+    A u64 ``indices`` array is shared, not copied, as a read-only view.
     """
 
     indices: np.ndarray
@@ -171,7 +172,8 @@ class SparseRows:
     below ``dim``. Rows may be empty.
 
     Validated on construction with whole-array checks, like
-    :class:`SparseVector` row by row.
+    :class:`SparseVector` row by row. An i64 ``indptr`` and a u64
+    ``indices`` are shared, not copied, as read-only views.
     """
 
     indptr: np.ndarray
@@ -179,7 +181,7 @@ class SparseRows:
     dim: int
 
     def __post_init__(self) -> None:
-        indptr = np.asarray(self.indptr, dtype=np.int64)
+        indptr = np.asarray(self.indptr, dtype=np.int64).view()
         arr = _validated_indices(self.indices)
         if (
             indptr.ndim != 1
@@ -241,9 +243,10 @@ class DatasetPartition:
 
     @classmethod
     def from_rows(cls, node_id: int, ids: np.ndarray, rows: SparseRows) -> "DatasetPartition":
-        """A partition holding ``rows``, row i under vector id ``ids[i]``."""
+        """A partition holding ``rows``, row i under vector id ``ids[i]``.
+        A u64 ``ids`` array is shared, not copied, as a read-only view."""
         part = cls.__new__(cls)
-        part._set(node_id, np.asarray(ids, dtype=np.uint64), rows)
+        part._set(node_id, np.asarray(ids, dtype=np.uint64).view(), rows)
         return part
 
     def _set(self, node_id: int, ids: np.ndarray, rows: SparseRows) -> None:

@@ -168,9 +168,9 @@ class NodeIndex:
         than a sketch has cells, and a stack of their finished sketches
         (:meth:`TopkapiSketch.fill_distinct`) in the same order.
 
-        An id that appears twice among one table's heavy buckets raises
-        :class:`IndexFileError`: no build makes one, and the closed form
-        needs distinct ids.
+        Rows that do not strictly rise within a heavy bucket raise
+        :class:`IndexFileError`: no build makes them, and as ids rise with
+        rows, rising rows make each stream distinct, as the closed form needs.
         """
         cells = self.config.sketch_rows * self.config.sketch_cols
         sizes = np.diff(self.offsets)
@@ -179,22 +179,21 @@ class NodeIndex:
         if not where.size:
             return where, sketches
         lengths = sizes[where].astype(np.int64)
-        ids = self.ids.take(self._rows(self.offsets[where].astype(np.int64), lengths))
+        rows = self._rows(self.offsets[where].astype(np.int64), lengths)
+        rise = rows[1:] > rows[:-1]
+        rise[np.cumsum(lengths[:-1]) - 1] = True  # each bucket's first row is exempt
+        if not rise.all():
+            raise IndexFileError(
+                f"malformed index: rows do not rise within a bucket of more than {cells} ids"
+            )
+        ids = self.ids.take(rows)
         # per table, where its heavy buckets and their ids start; one closed
         # form per table keeps the scratch arrays to one table's heavy ids
         first = np.searchsorted(where, self._bounds)
         cut = np.append(0, np.cumsum(lengths))[first]
         for t in np.flatnonzero(np.diff(first)).tolist():
-            table_ids = ids[cut[t] : cut[t + 1]]
-            ranked = np.sort(table_ids)
-            twice = np.flatnonzero(ranked[1:] == ranked[:-1])
-            if twice.size:
-                raise IndexFileError(
-                    f"malformed index table {t}: id {ranked[twice[0]]} appears twice "
-                    f"among its buckets of more than {cells} ids"
-                )
             heavy = slice(first[t], first[t + 1])
-            sketches[heavy].fill_distinct(table_ids, lengths[heavy])
+            sketches[heavy].fill_distinct(ids[cut[t] : cut[t + 1]], lengths[heavy])
         return where, sketches
 
     @property
@@ -384,10 +383,10 @@ class NodeIndex:
         Every length is checked against the file before it is read, and the
         columns against the invariants :func:`preprocess` guarantees, rising
         ids among them, so a truncated or malformed file raises
-        :class:`IndexFileError`; so do a row past the vector count, and an
-        id that appears twice among a table's heavy buckets, which the
-        closed form of their sketches rules out. The columns are read-only
-        views of the file's bytes; the heavy sketches are built from them.
+        :class:`IndexFileError`; so do a row past the vector count, and rows
+        that do not rise within a heavy bucket, which the closed form of its
+        sketch rules out. The columns are read-only views of the file's
+        bytes; the heavy sketches are built from them.
         """
         with open(path, "rb") as f:
             data = f.read()

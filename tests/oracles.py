@@ -483,6 +483,42 @@ def exact_counts(maps: list[dict[int, int]]):
     return ExactCounts.from_bytes(count_payload(maps), len(maps))
 
 
+def cell_bounds(stack, exact, row_seeds: np.ndarray) -> None:
+    """Assert the majority-vote bounds on every cell of a reduced (n, W, B)
+    sketch stack against exact mode's :class:`ExactCounts` for the same batch.
+
+    Query q's id x arrives c_x times, its exact count, in its one cell of
+    every row, routed by ``row_seeds``. A cell that holds id h with counter
+    k after N arrivals must have k <= c_h, c_h - k <= N - c_h, k = N (mod 2)
+    and 2·c_x <= N - k for every x != h. One bucket's stream keeps them and
+    every merge of two streams does, so they hold through the heavy copies,
+    the cross-table fold, the wire codec and the reduce alike.
+    """
+    from sketchlsh.sketch import TopkapiSketch
+
+    rows, cols = stack.rows, stack.cols
+    assert np.array_equal(stack.row_seeds, row_seeds) and len(exact) == len(stack)
+    # each (entry, row) arrival's cell in the flattened stack, and its count
+    cell = TopkapiSketch(rows, cols, row_seeds)._row_bins(exact.ids)
+    cell += (exact.queries()[:, None] * rows + np.arange(rows)) * cols
+    arrivals = np.broadcast_to(exact.counts.astype(np.int64)[:, None], cell.shape)
+    holder, k = stack.ids.reshape(-1), stack.counts.reshape(-1).astype(np.int64)
+    held = exact.ids[:, None] == holder[cell]
+    total, c_h, rival = (np.zeros(holder.size, dtype=np.int64) for _ in range(3))
+    np.add.at(total, cell, arrivals)
+    np.add.at(c_h, cell[held], arrivals[held])
+    np.maximum.at(rival, cell[~held], arrivals[~held])
+    broken = {
+        "counter above the holder's count": k > c_h,
+        "holder's count past N - c_h + k": c_h - k > total - c_h,
+        "counter and N of opposite parity": (total - k) % 2 != 0,
+        "another id at 2·c_x > N - k": 2 * rival > total - k,
+    }
+    for what, where in broken.items():
+        at = np.flatnonzero(where)
+        assert not at.size, f"cell {np.unravel_index(at[0], stack.ids.shape)}: {what}"
+
+
 def top_k_counts(count_map: dict[int, int], k: int) -> tuple[tuple[int, int], ...]:
     """The k largest counts of one map, ties by ascending id, zeros dropped."""
     ranked = sorted(((i, c) for i, c in count_map.items() if c > 0), key=lambda ic: (-ic[1], ic[0]))

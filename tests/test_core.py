@@ -277,3 +277,22 @@ class TestSparseRows:
         assert rows.indices.tolist() == [1, 4, 0, 9]
         assert rows.dim == 12
         assert len(SparseRows.stack([])) == 0
+
+
+@pytest.mark.parametrize(
+    "field", ["SparseVector.indices", "SparseRows.indptr", "SparseRows.indices", "DatasetPartition.ids"]
+)
+def test_constructors_freeze_a_view_not_the_callers_array(field):
+    indptr = np.array([0, 2, 3], dtype=np.int64)
+    indices = np.array([1, 4, 6], dtype=np.uint64)
+    ids = np.array([5, 8], dtype=np.uint64)
+    rows = SparseRows(indptr, indices, 10)
+    given, held = {
+        "SparseVector.indices": lambda: (indices, SparseVector(indices, 10).indices),
+        "SparseRows.indptr": lambda: (indptr, rows.indptr),
+        "SparseRows.indices": lambda: (indices, rows.indices),
+        "DatasetPartition.ids": lambda: (ids, DatasetPartition.from_rows(0, ids, rows).ids),
+    }[field]()
+    # the memory is shared, not copied; only the object's view is read-only
+    assert np.shares_memory(given, held)
+    assert given.flags.writeable and not held.flags.writeable

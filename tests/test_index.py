@@ -855,14 +855,20 @@ class TestRowBound:
             preprocess(part, CFG)
 
 
+def write_rows(path, index: NodeIndex, rows: dict[int, int]) -> None:
+    """Overwrite the saved file's ``rows`` column at each position of
+    ``rows`` with the row number it maps to; every length stays."""
+    blob = bytearray(path.read_bytes())
+    for at, row in rows.items():
+        struct.pack_into("<I", blob, column_starts(index)["rows"] + 4 * at, row)
+    path.write_bytes(bytes(blob))
+
+
 def repeat_a_row(path, index: NodeIndex, pos: int) -> None:
     """Overwrite the last row of the bucket at directory position ``pos`` in
     the saved file with the bucket's first row, so the bucket holds that
     row's id twice; every length and other check holds."""
-    at = column_starts(index)["rows"] + 4 * (int(index.offsets[pos + 1]) - 1)
-    blob = bytearray(path.read_bytes())
-    struct.pack_into("<I", blob, at, int(index.rows[index.offsets[pos]]))
-    path.write_bytes(bytes(blob))
+    write_rows(path, index, {int(index.offsets[pos + 1]) - 1: int(index.rows[index.offsets[pos]])})
 
 
 class TestRepeatedIds:
@@ -874,7 +880,7 @@ class TestRepeatedIds:
         node.save(path)
         in_table_2 = node.keys[node.heavy_pos] // cfg.table_range == 2
         repeat_a_row(path, node, int(node.heavy_pos[in_table_2][0]))
-        with pytest.raises(IndexFileError, match="table 2: id .* appears twice"):
+        with pytest.raises(IndexFileError, match="rows do not rise within a bucket of more than 8 ids"):
             NodeIndex.load(path, cfg)
         save_lsh_config(cfg, tmp_path / "config.txt")
         queries = tmp_path / "q.txt"
@@ -903,6 +909,54 @@ class TestRepeatedIds:
         # the repeated row counts twice, the row it overwrote not at all
         exact = count_maps(loaded.exact_candidates(batch))
         assert exact == [exact_count_map(loaded, row) for row in batch]
+        assert exact != count_maps(node.exact_candidates(batch))
+
+    def test_swapped_rows_in_a_heavy_bucket_are_a_data_error(self, rng, tmp_path):
+        # the bucket's ids stay distinct, but its rows no longer rise
+        cfg = heavy_config(2, 4)
+        (part,), protos = grouped_partitions(rng, [20, 2, 1], 1)
+        node = preprocess(part, cfg)
+        path = tmp_path / "index-00000.bin"
+        node.save(path)
+        pos = int(node.heavy_pos[0])
+        first, last = int(node.offsets[pos]), int(node.offsets[pos + 1]) - 1
+        write_rows(path, node, {first: int(node.rows[last]), last: int(node.rows[first])})
+        with pytest.raises(IndexFileError, match="rows do not rise within a bucket of more than 8 ids"):
+            NodeIndex.load(path, cfg)
+        save_lsh_config(cfg, tmp_path / "config.txt")
+        queries = tmp_path / "q.txt"
+        queries.write_text(format_record(protos[0]) + "\n")
+        assert main([
+            "query", "--indexes", str(tmp_path), "--queries", str(queries),
+            "--world-size", "1", "--mode", "sketch_tree", "--out", str(tmp_path / "r.txt"),
+        ]) == 3
+
+    def test_a_row_in_two_heavy_buckets_of_a_table_loads_and_probes_as_the_replay(
+        self, rng, tmp_path
+    ):
+        cfg = heavy_config(2, 4)
+        (part,), protos = grouped_partitions(rng, [20, 20, 1], 1)
+        node = preprocess(part, cfg)
+        path = tmp_path / "index.bin"
+        node.save(path)
+        in_table_0 = node.keys[node.heavy_pos] // cfg.table_range == 0
+        a, b = node.heavy_pos[in_table_0].tolist()
+
+        def span(pos):
+            return node.rows[node.offsets[pos] : node.offsets[pos + 1]]
+
+        if span(a)[-1] < span(b)[-2]:  # then b's last row rises past a's second to last
+            a, b = b, a
+        # a's last row overwrites b's, where it still rises
+        row = int(span(a)[-1])
+        write_rows(path, node, {int(node.offsets[b + 1]) - 1: row})
+        loaded = NodeIndex.load(path, cfg)
+        assert np.count_nonzero(loaded.rows[: loaded.offsets[loaded.occupied_slots[0]]] == row) == 2
+        batch = HashFamily.from_config(cfg).addresses(protos)
+        assert loaded.local_candidates(batch) == replayed_candidates(loaded, batch)
+        assert loaded.local_candidates(batch) != node.local_candidates(batch)
+        exact = count_maps(loaded.exact_candidates(batch))
+        assert exact == [exact_count_map(loaded, r) for r in batch]
         assert exact != count_maps(node.exact_candidates(batch))
 
 

@@ -49,7 +49,8 @@ def _validated_indices(indices) -> np.ndarray:
         raise InvalidVectorError(f"indices must be non-negative integers: {exc}") from None
     if arr.ndim != 1:
         raise InvalidVectorError("indices must be a one-dimensional sequence")
-    return arr.view() if arr is indices else arr  # freezing it never freezes the caller's array
+    # freezing a view never freezes the caller's array; a frozen one needs no view
+    return arr.view() if arr is indices and arr.flags.writeable else arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +63,8 @@ class SparseVector:
 
     An empty index set is representable (it can occur in raw datasets), but
     hashing and indexing paths reject it with :class:`EmptyVectorError`.
-    A u64 ``indices`` array is shared, not copied, as a read-only view.
+    A u64 ``indices`` array is shared, not copied, as a read-only view, or
+    as it is if it is read-only already.
     """
 
     indices: np.ndarray
@@ -173,7 +175,8 @@ class SparseRows:
 
     Validated on construction with whole-array checks, like
     :class:`SparseVector` row by row. An i64 ``indptr`` and a u64
-    ``indices`` are shared, not copied, as read-only views.
+    ``indices`` are shared, not copied, as read-only views; a read-only
+    u64 ``indices`` as it is.
     """
 
     indptr: np.ndarray

@@ -11,23 +11,28 @@ nothing else. Each vector id is stored once, rising with its row; a bucket
 holds the row numbers of its vectors, so a table costs 4 B per vector.
 Keys and offsets take 4 bytes where the config and the vector count bound
 them below 2^32. A bucket of at most W·B ids (a sketch's cell count) has
-its sketch built on probe from its insertion stream, in the exact state
-that incremental per-insert updates would have produced. A *heavy* bucket,
-one of more ids, is also kept as its finished sketch, computed in closed
-form whenever a :class:`NodeIndex` is built. A probe therefore inserts at
-most W·B ids or copies W·B cells per (query, table), however skewed the
+the cells of its sketch that its ids reach built on probe from its
+insertion stream, in the exact state that incremental per-insert updates
+would have produced. A *heavy* bucket, one of more ids, is also kept as
+its finished sketch, computed in closed form whenever a
+:class:`NodeIndex` is built. A probe therefore routes at
+most W·B ids or takes W·B cells per (query, table), however skewed the
 data, and the heavy sketches take at most 16 B per vector per table.
 
 Both aggregation modes probe a whole query batch with one walk: one
 ``searchsorted`` of the batch's n·L keys finds every bucket, table-major,
 then query order, with its span in ``rows``, and one gather reads the
-spans' rows. The sketch mode copies the finished sketch of a bucket that is
-heavy by its span's length alone, builds the others from their rows' ids
-with one stacked insert, and folds the live cells of every bucket's sketch
-into the batch's stack of merged sketches, each cell's in table order. The
-exact mode sorts one key per walked row, query and row together, in place;
-each run of equal keys is one (query, row) pair's count, and only those
-distinct pairs read their ids, already ascending within each query.
+spans' rows. The sketch mode takes the cells of the finished sketch of a
+bucket that is heavy by its span's length alone, and routes the others'
+ids to their cells: one sort of one key per arrival groups each cell's
+arrivals in stream order, a cell that one arrival reaches holds (id, 1),
+and the cells that two or more reach are replayed as 1×1 sketches by one
+insert. It folds the cells into the batch's stack of merged sketches, each
+result cell's in table order, and never holds a W·B-cell sketch per bucket
+found. The exact mode sorts one key per walked row, query and row
+together, in place; each run of equal keys is one (query, row) pair's
+count, and only those distinct pairs read their ids, already ascending
+within each query.
 """
 
 from __future__ import annotations
@@ -237,10 +242,10 @@ class NodeIndex:
     def _walk(self, addresses: np.ndarray) -> tuple[np.ndarray, ...]:
         """The occupied buckets that the batch's (n, L) integer ``addresses``
         find, table-major, then query order: the query of each, its directory
-        position, and its span in ``rows``, start and length (i64). Anything
-        but an integer ndarray of that shape with every address below
-        ``table_range``, such as a list, an array of floats or bools, or a
-        negative address, is a :class:`ConfigError`."""
+        position, its span in ``rows``, start and length (i64), and its
+        table. Anything but an integer ndarray of that shape with every
+        address below ``table_range``, such as a list, an array of floats or
+        bools, or a negative address, is a :class:`ConfigError`."""
         num_tables = self.config.num_tables
         if not isinstance(addresses, np.ndarray):
             raise ConfigError(f"addresses must be an ndarray, not a {type(addresses).__name__}")
@@ -258,10 +263,11 @@ class NodeIndex:
         pos = np.searchsorted(self.keys, probe)
         found = pos < self.keys.size
         found[found] = self.keys[pos[found]] == probe[found]
-        queries, pos = np.nonzero(found)[1], pos[found]
+        tables, queries = np.nonzero(found)
+        pos = pos[found]
         # in i64: u32 or u64 offsets mixed with i64 positions would give floats
         starts = self.offsets[pos].astype(np.int64)
-        return queries, pos, starts, self.offsets[pos + 1].astype(np.int64) - starts
+        return queries, pos, starts, self.offsets[pos + 1].astype(np.int64) - starts, tables
 
     def _rows(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """The row numbers of the streams that start at ``starts`` in
@@ -278,34 +284,86 @@ class NodeIndex:
         ``addresses`` is the batch's (n, L) integer ndarray, and only that:
         a single (L,) row or a list is a :class:`ConfigError`. The result is
         an (n, W, B) stack whose member q merges query q's buckets; it goes to
-        the reduce and the extraction as it is. Every bucket the walk finds
-        gets one member of a stack, in walk order: a heavy bucket, one whose
-        span holds more than W·B ids, has its finished sketch copied in, and
-        every other bucket is built by one stacked insert for the whole batch.
-        Then only the live cells of that stack, those holding a real id (a
-        count-0 cell decides ties), are folded into the result: an untouched
-        cell is the merge identity. A result cell takes its contributions
+        the reduce and the extraction as it is.
+
+        A cell of a bucket's sketch evolves on the arrivals routed to it
+        alone, so the probe keeps only the cells that arrivals reach. A heavy
+        bucket, one whose span holds more than W·B ids, brings the cells of
+        its finished sketch; every other bucket brings its ids, each routed to
+        one cell per sketch row. One in-place sort of one key per arrival puts
+        the arrivals of each cell of each found bucket side by side, in stream
+        order. A cell that one arrival reaches holds (id, 1), the counter
+        rule's first step; the cells that two or more reach are replayed as a
+        stack of 1×1 sketches, one insert for the whole batch. The cells are
+        then folded into the result: a result cell takes its contributions
         table after table (the merge rule is not associative), so round r
-        merges every cell's r-th one; there are at most L rounds. No distance
+        merges every cell's r-th one; there are at most L rounds, and a
+        (null, 0) cell is the merge identity. So the probe's memory follows
+        the arrivals, not the buckets found times W·B. No distance
         computation is involved anywhere on this path.
         """
-        cells = self.config.sketch_rows * self.config.sketch_cols
-        queries, pos, starts, lengths = self._walk(addresses)
+        rows, cols = self.config.sketch_rows, self.config.sketch_cols
+        cells, num_tables = rows * cols, self.config.num_tables
+        # one i64 key per arrival below, each under n·L·(W·B)², which this keeps within 2^63
+        if len(addresses) * num_tables * cells**2 > 1 << 63:
+            raise ConfigError(
+                f"a batch of {len(addresses)} queries is too large to probe at once "
+                f"with {num_tables} tables of {rows}x{cols} sketches; split it"
+            )
+        queries, pos, starts, lengths, tables = self._walk(addresses)
         heavy = lengths > cells
-        j = np.searchsorted(self.heavy_pos, pos[heavy])
-        hits = self.empty_sketch(pos.size)
-        hits.ids[heavy] = self.heavy_sketches.ids[j]
-        hits.counts[heavy] = self.heavy_sketches.counts[j]
         light = np.flatnonzero(~heavy)
-        ids = self.ids.take(self._rows(starts[light], lengths[light]))
-        hits.insert_many(ids, np.repeat(light, lengths[light]))
-        # the live cells in walk order and where each lands in the result;
-        # a stable sort by result cell keeps each one's contributions in table order
-        live = np.flatnonzero(hits.ids != np.uint64(NULL_ID))
-        target = queries[live // cells] * cells + live % cells
-        order = np.argsort(target, kind="stable")
-        target, live = target[order], live[order]
-        ids, counts = hits.ids.reshape(-1)[live], hits.counts.reshape(-1)[live]
+        span = lengths[light]
+        j = np.searchsorted(self.heavy_pos, pos[heavy])
+        # the arrivals: the light streams' ids, then the heavy sketches' cells
+        arrivals = np.concatenate(
+            [self.ids.take(self._rows(starts[light], span)), self.heavy_sketches.ids[j].reshape(-1)]
+        )
+        walked = span.sum()
+        counts = np.ones(arrivals.size, dtype=np.uint64)
+        counts[walked:] = self.heavy_sketches.counts[j].reshape(-1)
+        # where the arrivals of each (query, table) pair q·L + t start
+        pairs = len(addresses) * num_tables
+        pair = queries * num_tables + tables
+        first = np.cumsum(span) - span
+        start_of = np.zeros(pairs, dtype=np.int64)
+        start_of[pair[light]] = first
+        start_of[pair[heavy]] = walked + np.arange(j.size) * cells
+        # one key per (light id, sketch row) and per heavy cell: (c·n·L + pair)·W·B
+        # + place, for its sketch cell c = row·B + column and its place in its
+        # stream, or in its sketch, where a cell's place is c
+        stride = pairs * cells
+        key = self.empty_sketch(0)._row_bins(arrivals[:walked])
+        key += np.arange(rows) * cols
+        key *= stride
+        key += (np.repeat(pair[light] * cells - first, span) + np.arange(walked))[:, None]
+        heavy_key = (pair[heavy] * cells)[:, None] + np.arange(cells) * (stride + 1)
+        key = np.concatenate([key.ravel(), heavy_key.ravel()])
+        key.sort()
+        cell = key // cells  # c·n·L + pair: one cell of one found bucket
+        at = key  # the place, then the index among the arrivals
+        at -= cell * cells
+        pair = cell // pairs
+        pair *= pairs
+        np.subtract(cell, pair, out=pair)  # the cell's (query, table) pair
+        at += start_of.take(pair)
+        edge = np.ones(cell.size + 1, dtype=bool)  # a cell's first arrival, then the end
+        np.not_equal(cell[1:], cell[:-1], out=edge[1:-1])
+        edge = np.flatnonzero(edge)
+        reached = np.diff(edge)  # arrivals per cell
+        again = reached > 1
+        edge = edge[:-1]
+        # each cell's result cell q·W·B + c; the fold needs each result cell's
+        # contributions side by side, in table order, and the result cells in no order
+        target = pair[edge] // num_tables * cells + cell[edge] // pairs
+        arrivals, counts = arrivals.take(at), counts.take(at[edge])
+        del key, cell, pair, at  # freed before the replay allocates: they set the peak
+        ids = arrivals[edge]
+        replay = TopkapiSketch(1, 1, self.row_seeds[:1], np.count_nonzero(again))
+        slots = np.repeat(np.arange(len(replay)), reached[again])
+        replay.insert_many(arrivals[np.repeat(again, reached)], slots)
+        ids[again] = replay.ids.reshape(-1)
+        counts[again] = replay.counts.reshape(-1)
         # merging (a, c) then (a, d) is merging (a, c + d): sum each run of one id first
         run = np.ones(target.size, dtype=bool)
         run[1:] = (target[1:] != target[:-1]) | (ids[1:] != ids[:-1])
@@ -335,7 +393,7 @@ class NodeIndex:
         runs already order each query's ids: one ``searchsorted`` against
         q·n cuts them into queries, and only the runs gather their ids.
         """
-        queries, _, starts, lengths = self._walk(addresses)
+        queries, _, starts, lengths, _ = self._walk(addresses)
         # u64 holds every key: n and the query count are below 2^32, so q·n + row < 2^64
         n = np.uint64(self.vector_count)
         keys = np.repeat(queries.astype(np.uint64) * n, lengths)

@@ -154,8 +154,12 @@ class TopkapiSketch:
 
     def _row_bins(self, items: np.ndarray) -> np.ndarray:
         """Cell column per (item, row), shape (len(items), rows)."""
+        if self.cols == 1:  # range_map(h, 1) is 0 for every hash
+            return np.zeros((items.size, self.rows), dtype=np.int64)
         h = mix64(mix64(items)[:, None] ^ self.row_seeds[None, :])
-        return range_map(h, self.cols).astype(np.int64)
+        if self.cols & (self.cols - 1) == 0:  # range_map(h, 2^b) is h >> (64 - b)
+            return (h >> np.uint64(65 - int(self.cols).bit_length())).view(np.int64)
+        return range_map(h, self.cols).view(np.int64)  # each is below 2^32
 
     def insert_many(self, items: np.ndarray, slots: np.ndarray | None = None) -> None:
         """Ingest a stream of item ids in order.
@@ -165,7 +169,8 @@ class TopkapiSketch:
         inserting the items one at a time, each into its member; not
         internally synchronized. Cells are independent, so
         every (item, row) event is routed to its cell at once, and one
-        stable argsort groups the events by cell in stream order. A cell
+        stable argsort groups the events by cell in stream order, unless
+        they come grouped already. A cell
         whose counter starts at 0 alternates between (x, 1) and (x, 0) under
         the counter rule, unless an arrival at an even place (2nd, 4th, ...)
         equals the one before it: after k arrivals it holds (last id, 1) for
@@ -190,26 +195,30 @@ class TopkapiSketch:
             cells = self._row_bins(chunk) + cell_base  # (chunk, rows), item-major
             if slots is not None:
                 cells += slots[lo : lo + _INSERT_CHUNK, None] * (self.rows * self.cols)
-            order = np.argsort(cells.ravel(), kind="stable")  # by cell, then stream order
-            cell = cells.ravel()[order]
-            arrival = chunk[order // self.rows]
-            starts = np.flatnonzero(np.append(True, cell[1:] != cell[:-1]))
+            cell = cells.ravel()
+            arrival = chunk.repeat(self.rows) if self.rows > 1 else chunk
+            if (cell[1:] < cell[:-1]).any():  # not yet by cell
+                order = np.argsort(cell, kind="stable")  # by cell, then stream order
+                cell, arrival = cell[order], arrival[order]
+            first = np.empty(cell.size + 1, dtype=bool)  # of its cell's arrivals, then the end
+            first[0] = first[-1] = True
+            np.not_equal(cell[1:], cell[:-1], out=first[1:-1])
+            bounds = np.flatnonzero(first)
+            starts, ends = bounds[:-1], bounds[1:]
             touched = cell[starts]
-            k = np.diff(np.append(starts, cell.size))  # arrivals per touched cell
-            ids = np.take(self.ids, touched)
-            counts = np.take(self.counts, touched)
-            slow = counts != 0
+            slow = np.take(self.counts, touched) != 0
             # an arrival equal to the one before it in its cell, at an even place
-            again = np.flatnonzero((arrival[1:] == arrival[:-1]) & (cell[1:] == cell[:-1])) + 1
+            again = np.flatnonzero((arrival[1:] == arrival[:-1]) & ~first[1:-1]) + 1
             owner = np.searchsorted(starts, again, side="right") - 1
             slow[owner[(again - starts[owner]) % 2 == 1]] = True
-            odd = (k & 1).astype(bool)
-            holder = starts + k - 2 + odd  # the last arrival for odd k, else the one before
-            ids = np.where(slow, ids, arrival[holder])
-            counts = np.where(slow, counts, odd)
+            k = ends - starts  # arrivals per touched cell
+            odd = k & 1
+            ids = arrival[ends - 2 + odd]  # the last arrival for odd k, else the one before
+            counts = odd.view(np.uint64)
             if slow.any():  # the other cells: the counter rule, event by event
                 rest = np.flatnonzero(slow)
-                held, count = ids[rest].tolist(), counts[rest].tolist()
+                held = np.take(self.ids, touched[rest]).tolist()
+                count = np.take(self.counts, touched[rest]).tolist()
                 events = np.repeat(np.arange(rest.size), k[rest]).tolist()
                 for c, x in zip(events, arrival[np.repeat(slow, k)].tolist()):
                     if held[c] == x:

@@ -19,6 +19,7 @@ QUERY_ID_BASE = 1 << 40  # keeps query ids disjoint from dataset ids
 
 def random_sparse_vector(rng: np.random.Generator, dim: int, nnz: int) -> SparseVector:
     idx = np.sort(rng.choice(dim, size=nnz, replace=False).astype(np.uint64))
+    idx.setflags(write=False)  # the vector then holds it without a view
     return SparseVector(indices=idx, dim=dim)
 
 
@@ -46,6 +47,7 @@ def vector_with_swaps(
         if cand not in existing and cand not in fresh:
             fresh.add(cand)
     idx = np.sort(np.concatenate([kept, np.array(sorted(fresh), dtype=np.uint64)]))
+    idx.setflags(write=False)
     return SparseVector(indices=idx, dim=base.dim)
 
 

@@ -13,6 +13,7 @@ from sketchlsh.core import (
 )
 from sketchlsh.dataio import lsh_config_from_mapping
 from sketchlsh.index import _column_types, _table_bases
+from sketchlsh.synthetic import random_sparse_vector, vector_with_swaps
 
 from oracles import partition_vectors, reference_fingerprint
 
@@ -296,3 +297,15 @@ def test_constructors_freeze_a_view_not_the_callers_array(field):
     # the memory is shared, not copied; only the object's view is read-only
     assert np.shares_memory(given, held)
     assert given.flags.writeable and not held.flags.writeable
+
+
+def test_read_only_indices_are_held_without_a_view():
+    frozen = np.array([1, 4, 6], dtype=np.uint64)
+    frozen.setflags(write=False)
+    assert SparseVector(frozen, 10).indices is frozen
+    assert SparseRows(np.array([0, 3]), frozen, 10).indices is frozen
+    # the generators freeze the arrays they make, so their vectors own them
+    rng = np.random.default_rng(3)
+    made = random_sparse_vector(rng, 64, 5)
+    swapped = vector_with_swaps(rng, made, 2)
+    assert made.indices.base is None and swapped.indices.base is None

@@ -48,6 +48,7 @@ from sketchlsh.sketch import TopkapiSketch
 from sketchlsh.synthetic import random_sparse_vectors
 
 from oracles import (
+    cell_bounds,
     count_maps,
     count_payload,
     dense_record,
@@ -79,24 +80,30 @@ def blob(workdir):
     return path.read_bytes()
 
 
-def load_and_probe(path, data: bytes) -> None:
+def load_and_probe(path, data: bytes, batch: np.ndarray | None = None) -> None:
+    """Load ``data`` as an index, if it loads, and probe it with ``batch``
+    or, by default, with stored and random addresses: the sketch stack must
+    equal the replay oracle's and keep the majority-vote bounds of every
+    cell against the exact counts, which must equal the oracle's too."""
     path.write_bytes(data)
     try:
         index = NodeIndex.load(path, CFG)
     except SketchLshError:
         return
-    rng = np.random.default_rng(len(data))
-    # stored addresses (buckets that hold ids) and random ones, per table
-    stored = [tb.addrs[:3] for tb in index.tables]
-    width = max(3, max(a.size for a in stored))
-    batch = rng.integers(0, CFG.table_range, size=(width + 2, CFG.num_tables), dtype=np.uint64)
-    for t, addrs in enumerate(stored):
-        batch[: addrs.size, t] = addrs
+    if batch is None:
+        rng = np.random.default_rng(len(data))
+        # stored addresses (buckets that hold ids) and random ones, per table
+        stored = [tb.addrs[:3] for tb in index.tables]
+        width = max(3, max(a.size for a in stored))
+        batch = rng.integers(0, CFG.table_range, size=(width + 2, CFG.num_tables), dtype=np.uint64)
+        for t, addrs in enumerate(stored):
+            batch[: addrs.size, t] = addrs
     stack = index.local_candidates(batch)
     assert len(stack) == len(batch) and stack == replayed_candidates(index, batch)
     counts = index.exact_candidates(batch)
     assert len(counts) == len(batch)
     assert count_maps(counts) == [exact_count_map(index, row) for row in batch]
+    cell_bounds(stack, counts, index.row_seeds)
 
 
 @FUZZ
@@ -169,6 +176,38 @@ def test_repeated_id_in_a_heavy_bucket(workdir, heavy_blob, table, pair):
     path.write_bytes(bytes(data))
     with pytest.raises(IndexFileError, match="rows do not rise within a bucket of more than 48 ids"):
         NodeIndex.load(path, CFG)
+
+
+@FUZZ
+@given(
+    table=st.integers(0, CFG.num_tables - 1),
+    bucket=st.integers(0),
+    pair=st.tuples(st.integers(0), st.integers(0)),
+)
+def test_repeated_row_in_a_light_bucket(workdir, blob, table, bucket, pair):
+    # one row of a bucket of at most W·B ids is written over another row of
+    # the same bucket, which then holds that row's id twice: the index still
+    # loads, and a repeat in one cell takes the counter rule's slow path
+    path = workdir / "repeat-light.bin"
+    path.write_bytes(blob)
+    index = NodeIndex.load(path, CFG)
+    sizes = np.diff(index.offsets.astype(np.int64))
+    shared = np.flatnonzero((index.keys // CFG.table_range == table) & (sizes > 1))
+    pos = int(shared[bucket % shared.size])
+    start, size = int(index.offsets[pos]), int(sizes[pos])
+    src, dst = (start + i % size for i in pair)
+    if src == dst:
+        return
+    rows_at = INDEX_HEADER.size + index.ids.nbytes + index.keys.nbytes + index.offsets.nbytes
+    src, dst = rows_at + 4 * src, rows_at + 4 * dst
+    data = bytearray(blob)
+    data[dst : dst + 4] = blob[src : src + 4]
+    path.write_bytes(bytes(data))
+    NodeIndex.load(path, CFG)  # accepted: nothing checks the rows of a light bucket
+    # every query finds the damaged bucket in its table, and a stored bucket in the others
+    batch = np.array([[tb.addrs[0] for tb in index.tables]] * 2, dtype=np.uint64)
+    batch[:, table] = int(index.keys[pos]) - table * CFG.table_range
+    load_and_probe(path, bytes(data), batch)
 
 
 def test_one_id_under_two_rows_is_a_data_error(workdir, blob):

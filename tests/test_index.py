@@ -533,8 +533,9 @@ def spied_probe(node: NodeIndex, batch: np.ndarray):
 
 
 class TestProbeEdges:
-    """One stacked insert per batch, whatever the batch hits; the stack
-    equals the replay oracle's. W·B = 8 throughout."""
+    """One insert per batch, whatever the batch hits, of the arrivals in the
+    light buckets' cells that two or more reach; the stack equals the replay
+    oracle's. W·B = 8 throughout."""
 
     @pytest.mark.parametrize(
         "case, sizes",
@@ -562,10 +563,15 @@ class TestProbeEdges:
             batch = fam.addresses(protos[:1] * 2 if case == "all-heavy" else protos)
         stack, inserted = spied_probe(node, batch)
         assert stack == replayed_candidates(node, batch)
-        hit_sizes = [
-            bucket_ids(tb, a).size for row in batch for tb, a in zip(node.tables, row.tolist())
-        ]
-        assert inserted == [sum(size for size in hit_sizes if size <= 8)]
+        replayed = 0
+        for row in batch:
+            for tb, a in zip(node.tables, row.tolist()):
+                stream = bucket_ids(tb, a)
+                if 0 < stream.size <= 8:
+                    for column in node.empty_sketch()._row_bins(stream).T:
+                        reached = np.bincount(column)
+                        replayed += int(reached[reached > 1].sum())
+        assert inserted == [replayed]
         if case in ("all-heavy", "no-hit"):
             assert inserted == [0]
         if case == "no-hit":
@@ -649,6 +655,42 @@ class TestExactProbeMemory:
             tracemalloc.stop()
         # a (query, id, count) entry per walked id, with its sort, takes about 56 B
         assert peak <= 32 * walked
+
+
+class TestSketchProbeBounds:
+    def test_batch_past_the_key_bound_is_a_config_error(self, rng):
+        # one key per arrival is below n·L·(W·B)²: 2^65 here, which no i64 holds
+        cfg = LshConfig(
+            hashes_per_table=2, num_tables=2, table_range=1 << 8, top_k=2,
+            sketch_rows=1 << 16, sketch_cols=1 << 16,
+        )
+        node = preprocess(DatasetPartition(0, make_dataset(rng, 5)), cfg)
+        with pytest.raises(ConfigError, match="too large to probe at once"):
+            node.local_candidates(np.zeros((1, 2), dtype=np.uint64))
+
+    def test_peak_follows_arrivals_not_hits(self):
+        # 8 × 256 sketches on a planted batch: a (hits, W, B) stack would take
+        # 32 KiB per found bucket, 800 of them
+        cfg = LshConfig(
+            hashes_per_table=4, num_tables=16, table_range=1 << 18, top_k=8,
+            sketch_rows=8, sketch_cols=256,
+        )
+        inst = planted_instance(n_background=2000, n_queries=50, per_query=8, seed=33)
+        node = preprocess(DatasetPartition(0, inst.dataset), cfg)
+        batch = HashFamily.from_config(cfg).addresses([v for _, v in inst.queries])
+        lengths = node._walk(batch)[3]
+        cells = 8 * 256
+        # one per (light id, sketch row), and one per cell of a heavy bucket's sketch
+        arrivals = 8 * int(lengths[lengths <= cells].sum()) + cells * int((lengths > cells).sum())
+        result = len(batch) * cells * 16  # the (n, W, B) ids and counts
+        tracemalloc.start()
+        try:
+            node.local_candidates(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lengths.size > 10 * len(batch)  # most tables find a bucket
+        assert peak <= 2 * result + 96 * arrivals
 
 
 class TestPersistence:

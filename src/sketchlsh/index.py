@@ -304,13 +304,14 @@ class NodeIndex:
         """
         rows, cols = self.config.sketch_rows, self.config.sketch_cols
         cells, num_tables = rows * cols, self.config.num_tables
+        queries, pos, starts, lengths, tables = self._walk(addresses)  # checks addresses first
+        pairs = len(addresses) * num_tables  # (query, table) pairs
         # one i64 key per arrival below, each under n·L·(W·B)², which this keeps within 2^63
-        if len(addresses) * num_tables * cells**2 > 1 << 63:
+        if pairs * cells**2 > 1 << 63:
             raise ConfigError(
                 f"a batch of {len(addresses)} queries is too large to probe at once "
                 f"with {num_tables} tables of {rows}x{cols} sketches; split it"
             )
-        queries, pos, starts, lengths, tables = self._walk(addresses)
         heavy = lengths > cells
         light = np.flatnonzero(~heavy)
         span = lengths[light]
@@ -323,7 +324,6 @@ class NodeIndex:
         counts = np.ones(arrivals.size, dtype=np.uint64)
         counts[walked:] = self.heavy_sketches.counts[j].reshape(-1)
         # where the arrivals of each (query, table) pair q·L + t start
-        pairs = len(addresses) * num_tables
         pair = queries * num_tables + tables
         first = np.cumsum(span) - span
         start_of = np.zeros(pairs, dtype=np.int64)

@@ -154,11 +154,7 @@ class TopkapiSketch:
 
     def _row_bins(self, items: np.ndarray) -> np.ndarray:
         """Cell column per (item, row), shape (len(items), rows)."""
-        if self.cols == 1:  # range_map(h, 1) is 0 for every hash
-            return np.zeros((items.size, self.rows), dtype=np.int64)
         h = mix64(mix64(items)[:, None] ^ self.row_seeds[None, :])
-        if self.cols & (self.cols - 1) == 0:  # range_map(h, 2^b) is h >> (64 - b)
-            return (h >> np.uint64(65 - int(self.cols).bit_length())).view(np.int64)
         return range_map(h, self.cols).view(np.int64)  # each is below 2^32
 
     def insert_many(self, items: np.ndarray, slots: np.ndarray | None = None) -> None:
@@ -169,8 +165,7 @@ class TopkapiSketch:
         inserting the items one at a time, each into its member; not
         internally synchronized. Cells are independent, so
         every (item, row) event is routed to its cell at once, and one
-        stable argsort groups the events by cell in stream order, unless
-        they come grouped already. A cell
+        stable argsort groups the events by cell in stream order. A cell
         whose counter starts at 0 alternates between (x, 1) and (x, 0) under
         the counter rule, unless an arrival at an even place (2nd, 4th, ...)
         equals the one before it: after k arrivals it holds (last id, 1) for
@@ -195,11 +190,9 @@ class TopkapiSketch:
             cells = self._row_bins(chunk) + cell_base  # (chunk, rows), item-major
             if slots is not None:
                 cells += slots[lo : lo + _INSERT_CHUNK, None] * (self.rows * self.cols)
-            cell = cells.ravel()
-            arrival = chunk.repeat(self.rows) if self.rows > 1 else chunk
-            if (cell[1:] < cell[:-1]).any():  # not yet by cell
-                order = np.argsort(cell, kind="stable")  # by cell, then stream order
-                cell, arrival = cell[order], arrival[order]
+            order = np.argsort(cells.ravel(), kind="stable")  # by cell, then stream order
+            cell = cells.ravel()[order]
+            arrival = chunk[order // self.rows]
             first = np.empty(cell.size + 1, dtype=bool)  # of its cell's arrivals, then the end
             first[0] = first[-1] = True
             np.not_equal(cell[1:], cell[:-1], out=first[1:-1])

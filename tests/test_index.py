@@ -183,6 +183,9 @@ class TestLocalCandidates:
             idx.local_candidates(np.zeros((2, 3), dtype=np.uint64))
         with pytest.raises(ConfigError):
             idx.local_candidates(np.zeros((2, 2, CFG.num_tables), dtype=np.uint64))
+        for scalar in (np.array(0), np.uint64(0)):  # no length to check a batch size by
+            with pytest.raises(ConfigError):
+                idx.local_candidates(scalar)
 
     @pytest.mark.parametrize(
         "bad",

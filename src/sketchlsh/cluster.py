@@ -2,9 +2,10 @@
 
 Two interchangeable backends implement the same framed transport contract:
 an in-process simulated cluster (deterministic FIFO queues, one thread per
-rank) and a TCP mesh (length-prefixed frames over sockets). Collectives are
-bulk-synchronous: every rank calls them in the same order, and any missing
-peer surfaces as a transport error naming the rank.
+rank; one rank computes at a time and yields only while it waits for a
+frame) and a TCP mesh (length-prefixed frames over sockets). Collectives
+are bulk-synchronous: every rank calls them in the same order, and any
+missing peer surfaces as a transport error naming the rank.
 
 Every reduction collective runs one loop over a schedule of rounds of
 (receiver, sender) pairs: the sender ships its items and goes inactive, the
@@ -89,12 +90,18 @@ class SimulatedCluster:
             for d in range(world_size)
             if s != d
         }
+        self._turn = threading.Lock()
 
     def transport(self, rank: int) -> "SimulatedTransport":
         return SimulatedTransport(self, rank)
 
     def run(self, fn: Callable[["SimulatedTransport"], object]) -> list[object]:
         """Run ``fn(transport)`` on every rank in its own thread.
+
+        One rank computes at a time: it holds the turn until ``fn`` returns
+        or raises and yields it only while ``recv`` waits. Sends never
+        block, so a rank that can run gets the turn, and frames, results
+        and errors are those of one schedule of free-running threads.
 
         Propagates the first rank failure after all threads finish (blocked
         peers fail via their receive timeouts).
@@ -103,10 +110,11 @@ class SimulatedCluster:
         errors: list[tuple[int, BaseException]] = []
 
         def runner(r: int) -> None:
-            try:
-                results[r] = fn(self.transport(r))
-            except BaseException as exc:  # noqa: BLE001 - reported to caller
-                errors.append((r, exc))
+            with self._turn:
+                try:
+                    results[r] = fn(SimulatedTransport(self, r, self._turn))
+                except BaseException as exc:  # noqa: BLE001 - reported to caller
+                    errors.append((r, exc))
 
         threads = [
             threading.Thread(target=runner, args=(r,), name=f"rank-{r}")
@@ -124,10 +132,11 @@ class SimulatedCluster:
 
 
 class SimulatedTransport(Transport):
-    def __init__(self, cluster: SimulatedCluster, rank: int):
+    def __init__(self, cluster: SimulatedCluster, rank: int, turn: threading.Lock | None = None):
         if not (0 <= rank < cluster.world_size):
             raise ValueError(f"rank {rank} out of range")
         self._cluster = cluster
+        self._turn = turn
         self.rank = rank
         self.world_size = cluster.world_size
 
@@ -137,6 +146,8 @@ class SimulatedTransport(Transport):
         self._cluster._queues[(self.rank, dst)].put(frame)
 
     def recv(self, src: int) -> Frame:
+        if self._turn is not None:
+            self._turn.release()
         try:
             return self._cluster._queues[(src, self.rank)].get(
                 timeout=self._cluster.default_timeout
@@ -145,6 +156,9 @@ class SimulatedTransport(Transport):
             raise TransportError(
                 f"rank {self.rank}: timed out waiting for rank {src}"
             ) from None
+        finally:
+            if self._turn is not None:
+                self._turn.acquire()
 
 
 class TcpTransport(Transport):

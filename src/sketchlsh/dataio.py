@@ -270,6 +270,7 @@ def parse_query_file(path, dim: int | None = None) -> list[tuple[int, SparseVect
         if lines[line_no].strip():
             parse_record(lines[line_no], dim, line_no)  # raises the line's own error
     bounds = np.cumsum(counts).tolist()
+    indices.setflags(write=False)  # read-only splits: each vector keeps its own as it is
     return [
         (line_no, SparseVector(row, dim if dim is not None else int(row[-1]) + 1))
         for line_no, row in zip(kept.tolist(), np.split(indices, bounds[:-1]))

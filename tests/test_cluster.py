@@ -2,6 +2,9 @@ import gc
 import math
 import socket
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -124,6 +127,92 @@ class TestAllgather:
 
         with pytest.raises(CollectiveError):
             cluster.run(fn)
+
+
+class TestTurns:
+    """Inside ``run`` one rank computes at a time; a rank yields its turn
+    only while it waits for a frame."""
+
+    def test_one_rank_computes_between_collectives(self, rng):
+        base = [random_sketch(rng) for _ in range(4)]
+        inside, peak, guard = [0], [0], threading.Lock()
+
+        def computing():
+            with guard:
+                inside[0] += 1
+                peak[0] = max(peak[0], inside[0])
+            time.sleep(0.002)  # free-running threads would enter meanwhile
+            with guard:
+                inside[0] -= 1
+
+        def fn(tr):
+            computing()
+            gathered = allgather(tr, bytes([tr.rank]))
+            computing()
+            merged = tree_reduce_sketches(tr, TopkapiSketch.stack([base[tr.rank]]))
+            computing()
+            return gathered, None if merged is None else merged.to_bytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads would switch often if they could
+        try:
+            turned = SimulatedCluster(4).run(fn)
+        finally:
+            sys.setswitchinterval(interval)
+        assert peak[0] == 1
+
+        # the same function on plain threads over transports taken outside run
+        cluster, unturned = SimulatedCluster(4), [None] * 4
+
+        def plain(r):
+            unturned[r] = fn(cluster.transport(r))
+
+        threads = [threading.Thread(target=plain, args=(r,)) for r in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert turned == unturned and turned[0][1] is not None
+
+    def test_rank_failing_mid_collective_fails_its_peers(self):
+        seen = {}
+
+        def fn(tr):
+            if tr.rank == 2:
+                def send(dst, frame):
+                    raise RuntimeError("rank 2 breaks inside the allgather")
+
+                tr.send = send
+            try:
+                return allgather(tr, b"x")
+            except BaseException as exc:
+                seen[tr.rank] = exc
+                raise
+
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="rank 2") as raised:
+            SimulatedCluster(3, default_timeout=0.3).run(fn)
+        assert time.monotonic() - start < 5.0
+        assert raised.value is seen[0]
+        assert isinstance(seen[1], TransportError) and "rank 2" in str(seen[1])
+        assert isinstance(seen[2], RuntimeError)
+
+    def test_timed_out_recv_raises_transport_error_and_frees_the_turn(self):
+        cluster = SimulatedCluster(2, default_timeout=0.1)
+
+        def fn(tr):
+            return tr.recv(1) if tr.rank == 0 else None
+
+        for _ in range(2):  # a second run gets the turn back
+            with pytest.raises(TransportError, match="rank 0: timed out waiting for rank 1"):
+                cluster.run(fn)
+
+    def test_transports_outside_run_take_no_turn(self):
+        assert allgather(SimulatedCluster(1).transport(0), b"solo") == [b"solo"]
+        cluster = SimulatedCluster(2)
+        cluster.transport(0).send(1, Frame(FRAME_REDUCE, 0, 0, b"x"))
+        assert cluster.transport(1).recv(0).payload == b"x"
 
 
 class TestTreeReduce:

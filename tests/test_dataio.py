@@ -473,6 +473,21 @@ class TestArrayParser:
         assert len(part) == 30 and not issues
         assert len(blocks) > 1 and len(calls) == len(blocks)
 
+    def test_query_vectors_keep_their_read_only_split_views(self, tmp_path, monkeypatch):
+        path = tmp_path / "q.txt"
+        path.write_bytes(b"1 1:1 5:1\n\n1 2:1\n1 3:1 4:1 9:1\n")
+        splits, split = [], np.split
+
+        def spy(*args):
+            splits.extend(split(*args))
+            return splits
+
+        monkeypatch.setattr(np, "split", spy)
+        parsed = parse_query_file(path, DIM)
+        assert [no for no, _ in parsed] == [0, 2, 3] and len(splits) == 3
+        for (_, vector), view in zip(parsed, splits):
+            assert vector.indices is view and not view.flags.writeable
+
 
 # the line list of test_rejected_lines_give_the_oracle_issues, read from its mark
 REJECTED_LINES = next(

@@ -398,6 +398,24 @@ def _decode_sketches(payload: bytes, expected: int) -> TopkapiSketch:
     return stack
 
 
+def _decoder_for(stack: TopkapiSketch) -> Callable[[bytes, int], TopkapiSketch]:
+    """:func:`_decode_sketches` on a receiver of ``stack``: a record whose
+    header's W, B or row seeds are not the stack's raises
+    :class:`CollectiveError`, naming both shapes, before its cells are decoded."""
+    head = struct.pack("<II", stack.rows, stack.cols) + stack.row_seeds.astype("<u8").tobytes()
+
+    def decode(payload: bytes, expected: int) -> TopkapiSketch:
+        if len(payload) >= 8 and not head.startswith(payload[: len(head)]):
+            rows, cols = struct.unpack_from("<II", payload)
+            raise CollectiveError(
+                f"a peer's {rows}x{cols} sketch record does not match this rank's "
+                f"{stack.rows}x{stack.cols} stack in shape or row seeds"
+            )
+        return _decode_sketches(payload, expected)
+
+    return decode
+
+
 def tree_reduce_sketches(
     transport: Transport,
     stack: TopkapiSketch,
@@ -413,7 +431,7 @@ def tree_reduce_sketches(
     """
     schedule = ReductionSchedule.for_world(transport.world_size)
     encode = TopkapiSketch.to_bytes
-    return _reduce(transport, stack, schedule, encode, _decode_sketches, batch_id, stats)
+    return _reduce(transport, stack, schedule, encode, _decoder_for(stack), batch_id, stats)
 
 
 def linear_reduce_sketches(
@@ -425,7 +443,7 @@ def linear_reduce_sketches(
     """Baseline: rank 0 receives from every rank in order, merging serially."""
     schedule = ReductionSchedule.linear(transport.world_size)
     encode = TopkapiSketch.to_bytes
-    return _reduce(transport, stack, schedule, encode, _decode_sketches, batch_id, stats)
+    return _reduce(transport, stack, schedule, encode, _decoder_for(stack), batch_id, stats)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,11 +24,12 @@ Both aggregation modes probe a whole query batch with one walk: one
 then query order, with its span in ``rows``, and one gather reads the
 spans' rows. The sketch mode takes the cells of the finished sketch of a
 bucket that is heavy by its span's length alone, and routes the others'
-ids to their cells: one sort of one key per arrival groups each cell's
-arrivals in stream order, a cell that one arrival reaches holds (id, 1),
-and the cells that two or more reach are replayed as 1×1 sketches by one
-insert. It folds the cells into the batch's stack of merged sketches, each
-result cell's in table order, and never holds a W·B-cell sketch per bucket
+ids to their cells: one sort of one key per arrival (its result cell, its
+table, its index among the batch's arrivals) groups each cell's arrivals in
+stream order and each result cell's cells in table order. A cell that one
+arrival reaches holds (id, 1), and the cells that two or more reach are
+replayed as 1×1 sketches by one insert. It folds the cells into the batch's
+stack of merged sketches and never holds a W·B-cell sketch per bucket
 found. The exact mode sorts one key per walked row, query and row
 together, in place; each run of equal keys is one (query, row) pair's
 count, and only those distinct pairs read their ids, already ascending
@@ -290,9 +291,11 @@ class NodeIndex:
         alone, so the probe keeps only the cells that arrivals reach. A heavy
         bucket, one whose span holds more than W·B ids, brings the cells of
         its finished sketch; every other bucket brings its ids, each routed to
-        one cell per sketch row. One in-place sort of one key per arrival puts
-        the arrivals of each cell of each found bucket side by side, in stream
-        order. A cell that one arrival reaches holds (id, 1), the counter
+        one cell per sketch row. One in-place sort of one key per arrival, by
+        result cell, table and index among the batch's arrivals, puts the
+        arrivals of each cell of each found bucket side by side, in stream
+        order; a batch whose keys would pass 2^63 is a :class:`ConfigError`.
+        A cell that one arrival reaches holds (id, 1), the counter
         rule's first step; the cells that two or more reach are replayed as a
         stack of 1×1 sketches, one insert for the whole batch. The cells are
         then folded into the result: a result cell takes its contributions
@@ -305,13 +308,6 @@ class NodeIndex:
         rows, cols = self.config.sketch_rows, self.config.sketch_cols
         cells, num_tables = rows * cols, self.config.num_tables
         queries, pos, starts, lengths, tables = self._walk(addresses)  # checks addresses first
-        pairs = len(addresses) * num_tables  # (query, table) pairs
-        # one i64 key per arrival below, each under n·L·(W·B)², which this keeps within 2^63
-        if pairs * cells**2 > 1 << 63:
-            raise ConfigError(
-                f"a batch of {len(addresses)} queries is too large to probe at once "
-                f"with {num_tables} tables of {rows}x{cols} sketches; split it"
-            )
         heavy = lengths > cells
         light = np.flatnonzero(~heavy)
         span = lengths[light]
@@ -320,44 +316,39 @@ class NodeIndex:
         arrivals = np.concatenate(
             [self.ids.take(self._rows(starts[light], span)), self.heavy_sketches.ids[j].reshape(-1)]
         )
-        walked = span.sum()
-        counts = np.ones(arrivals.size, dtype=np.uint64)
+        walked, total = span.sum(), arrivals.size
+        # keys stay under n·L·W·B·A; a batch of n·L·(W·B)² > 2^63 is refused too
+        if len(addresses) * num_tables * cells * max(cells, total) > 1 << 63:
+            raise ConfigError(
+                f"a batch of {len(addresses)} queries is too large to probe at once "
+                f"with {num_tables} tables of {rows}x{cols} sketches; split it"
+            )
+        counts = np.ones(total, dtype=np.uint64)
         counts[walked:] = self.heavy_sketches.counts[j].reshape(-1)
-        # where the arrivals of each (query, table) pair q·L + t start
-        pair = queries * num_tables + tables
-        first = np.cumsum(span) - span
-        start_of = np.zeros(pairs, dtype=np.int64)
-        start_of[pair[light]] = first
-        start_of[pair[heavy]] = walked + np.arange(j.size) * cells
-        # one key per (light id, sketch row) and per heavy cell: (c·n·L + pair)·W·B
-        # + place, for its sketch cell c = row·B + column and its place in its
-        # stream, or in its sketch, where a cell's place is c
-        stride = pairs * cells
+        # one key per (light id, sketch row) and per heavy cell, ((q·W·B + c)·L + t)·A + i
+        # for its query q, sketch cell c = row·B + column, table t and arrival index i
+        bucket = (queries * (cells * num_tables) + tables) * total
+        stride = num_tables * total
         key = self.empty_sketch(0)._row_bins(arrivals[:walked])
         key += np.arange(rows) * cols
         key *= stride
-        key += (np.repeat(pair[light] * cells - first, span) + np.arange(walked))[:, None]
-        heavy_key = (pair[heavy] * cells)[:, None] + np.arange(cells) * (stride + 1)
+        key += (np.repeat(bucket[light], span) + np.arange(walked))[:, None]
+        heavy_at = walked + np.arange(j.size) * cells  # each heavy sketch's first arrival
+        heavy_key = (bucket[heavy] + heavy_at)[:, None] + np.arange(cells) * (stride + 1)
         key = np.concatenate([key.ravel(), heavy_key.ravel()])
         key.sort()
-        cell = key // cells  # c·n·L + pair: one cell of one found bucket
-        at = key  # the place, then the index among the arrivals
-        at -= cell * cells
-        pair = cell // pairs
-        pair *= pairs
-        np.subtract(cell, pair, out=pair)  # the cell's (query, table) pair
-        at += start_of.take(pair)
+        cell = key // total  # (q·W·B + c)·L + t: one cell of one found bucket
+        at = np.subtract(key, cell * total, out=key)  # the arrival's index, in place of its key
         edge = np.ones(cell.size + 1, dtype=bool)  # a cell's first arrival, then the end
         np.not_equal(cell[1:], cell[:-1], out=edge[1:-1])
         edge = np.flatnonzero(edge)
         reached = np.diff(edge)  # arrivals per cell
         again = reached > 1
         edge = edge[:-1]
-        # each cell's result cell q·W·B + c; the fold needs each result cell's
-        # contributions side by side, in table order, and the result cells in no order
-        target = pair[edge] // num_tables * cells + cell[edge] // pairs
+        # each cell's result cell q·W·B + c; its cells lie side by side, in table order
+        target = cell[edge] // num_tables
         arrivals, counts = arrivals.take(at), counts.take(at[edge])
-        del key, cell, pair, at  # freed before the replay allocates: they set the peak
+        del key, cell, at  # freed before the replay allocates: they set the peak
         ids = arrivals[edge]
         replay = TopkapiSketch(1, 1, self.row_seeds[:1], np.count_nonzero(again))
         slots = np.repeat(np.arange(len(replay)), reached[again])

@@ -200,8 +200,8 @@ class TopkapiSketch:
             starts, ends = bounds[:-1], bounds[1:]
             touched = cell[starts]
             slow = np.take(self.counts, touched) != 0
-            # an arrival equal to the one before it in its cell, at an even place
-            again = np.flatnonzero((arrival[1:] == arrival[:-1]) & ~first[1:-1]) + 1
+            # an arrival equal to the one before it, at an even place of its cell
+            again = np.flatnonzero(arrival[1:] == arrival[:-1]) + 1
             owner = np.searchsorted(starts, again, side="right") - 1
             slow[owner[(again - starts[owner]) % 2 == 1]] = True
             k = ends - starts  # arrivals per touched cell

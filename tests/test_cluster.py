@@ -32,7 +32,7 @@ from sketchlsh.cluster import (
     tree_reduce_sketches,
 )
 from sketchlsh.core import MAX_TABLES, NULL_ID
-from sketchlsh.sketch import ShapeMismatchError, TopkapiSketch, row_seeds_from_master
+from sketchlsh.sketch import TopkapiSketch, row_seeds_from_master
 
 from oracles import (
     count_maps,
@@ -273,7 +273,7 @@ class TestTreeReduce:
             s = TopkapiSketch(1, 1 + tr.rank, row_seeds_from_master(3, 1))
             return tree_reduce_sketches(tr, TopkapiSketch.stack([s]))
 
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(CollectiveError, match="peer's 1x2 sketch record .* this rank's 1x1"):
             SimulatedCluster(2, default_timeout=1.0).run(fn)
 
     def test_backends_bit_identical(self, rng):
@@ -558,6 +558,36 @@ class TestWireFormat:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_mismatched_sketch_record_fails_before_its_stack_is_allocated(self):
+        # a 131,090-byte record of a 1 x 2^20 sketch would decode to a 16 MiB
+        # stack; its header alone shows it is not the receiver's 2 x 8 stack
+        payload = TopkapiSketch(1, 1 << 20, row_seeds_from_master(3, 1), members=1).to_bytes()
+        assert len(payload) == 131_090
+
+        def fn(tr):
+            if tr.rank:
+                return tr.send(0, Frame(FRAME_REDUCE, 0, 0, payload))
+            return tree_reduce_sketches(tr, TopkapiSketch(2, 8, SEEDS, members=1))
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(CollectiveError, match="1x1048576 .* this rank's 2x8"):
+                SimulatedCluster(2, default_timeout=1.0).run(fn)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_sketch_record_with_other_row_seeds_is_a_collective_error(self, rng):
+        sent = TopkapiSketch.stack([random_sketch(rng)])
+        reseeded = TopkapiSketch(2, 8, row_seeds_from_master(8, 2), members=1)
+
+        def fn(tr):
+            return tree_reduce_sketches(tr, reseeded if tr.rank == 0 else sent)
+
+        with pytest.raises(CollectiveError, match="2x8 sketch record .* 2x8 stack"):
+            SimulatedCluster(2, default_timeout=1.0).run(fn)
 
 
 def _replay_reduce(rounds, items, merge, encode):

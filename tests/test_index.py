@@ -662,7 +662,8 @@ class TestExactProbeMemory:
 
 class TestSketchProbeBounds:
     def test_batch_past_the_key_bound_is_a_config_error(self, rng):
-        # one key per arrival is below n·L·(W·B)²: 2^65 here, which no i64 holds
+        # a batch is refused when n·L·W·B·max(W·B, A), for A arrivals, passes
+        # 2^63: n·L·(W·B)² is 2^65 here
         cfg = LshConfig(
             hashes_per_table=2, num_tables=2, table_range=1 << 8, top_k=2,
             sketch_rows=1 << 16, sketch_cols=1 << 16,
@@ -670,6 +671,22 @@ class TestSketchProbeBounds:
         node = preprocess(DatasetPartition(0, make_dataset(rng, 5)), cfg)
         with pytest.raises(ConfigError, match="too large to probe at once"):
             node.local_candidates(np.zeros((1, 2), dtype=np.uint64))
+
+    def test_batch_within_the_key_bound_probes(self, rng):
+        # n·L·W·B is 2^32, so (n·L·W·B)² passes 2^63, but n·L·(W·B)² = 2^52 and
+        # n·L·W·B·A, for its at most 4,096 · 5 arrivals, stay within it
+        cfg = LshConfig(
+            hashes_per_table=2, num_tables=4096, table_range=1 << 8, top_k=2,
+            sketch_rows=16, sketch_cols=1 << 16,
+        )
+        data = make_dataset(rng, 5)
+        node = preprocess(DatasetPartition(0, data), cfg)
+        batch = HashFamily.from_config(cfg).addresses([data[0][1]])
+        merged = node.local_candidates(batch)
+        assert merged.ids.shape == (1, 16, 1 << 16)
+        # vector 0 is in every bucket the query finds: each table adds (0, 1)
+        # to one cell per row, and a row that no other id shares holds (0, 4,096)
+        assert merged[0].heavy_hitters(0)[0] == (0, 4096)
 
     def test_peak_follows_arrivals_not_hits(self):
         # 8 × 256 sketches on a planted batch: a (hits, W, B) stack would take

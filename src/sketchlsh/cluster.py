@@ -2,10 +2,11 @@
 
 Two interchangeable backends implement the same framed transport contract:
 an in-process simulated cluster (deterministic FIFO queues, one thread per
-rank; one rank computes at a time and yields only while it waits for a
-frame) and a TCP mesh (length-prefixed frames over sockets). Collectives
-are bulk-synchronous: every rank calls them in the same order, and any
-missing peer surfaces as a transport error naming the rank.
+rank, all pinned to one CPU where the platform allows; one rank computes at
+a time and yields only while it waits for a frame not yet queued) and a TCP
+mesh (length-prefixed frames over sockets). Collectives are bulk-synchronous:
+every rank calls them in the same order, and any missing peer surfaces as a
+transport error naming the rank.
 
 Every reduction collective runs one loop over a schedule of rounds of
 (receiver, sender) pairs: the sender ships its items and goes inactive, the
@@ -17,6 +18,8 @@ in which rank 0 receives from ranks 1..m-1 in rank order.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import queue
 import socket
 import struct
@@ -75,6 +78,17 @@ class Transport:
     def close(self) -> None:
         pass
 
+    def _peer(self, peer: int) -> int:
+        """``peer``, checked to be another rank of this cluster."""
+        if peer == self.rank:
+            raise TransportError(f"rank {self.rank}: cannot exchange frames with itself")
+        if not 0 <= peer < self.world_size:
+            raise ConfigError(
+                f"rank {self.rank}: peer rank {peer} is outside the cluster's"
+                f" ranks 0..{self.world_size - 1}"
+            )
+        return peer
+
 
 class SimulatedCluster:
     """In-process cluster: one FIFO queue per (sender, receiver) pair."""
@@ -82,6 +96,12 @@ class SimulatedCluster:
     def __init__(self, world_size: int, default_timeout: float = 30.0):
         if world_size < 1:
             raise ConfigError("world_size must be >= 1")
+        timeout_ok = isinstance(default_timeout, (int, float))
+        if not (timeout_ok and 0 < default_timeout <= threading.TIMEOUT_MAX):
+            raise ConfigError(
+                f"default_timeout must be seconds in (0, {threading.TIMEOUT_MAX:g}],"
+                f" got {default_timeout!r}"
+            )
         self.world_size = world_size
         self.default_timeout = default_timeout
         self._queues = {
@@ -99,17 +119,30 @@ class SimulatedCluster:
         """Run ``fn(transport)`` on every rank in its own thread.
 
         One rank computes at a time: it holds the turn until ``fn`` returns
-        or raises and yields it only while ``recv`` waits. Sends never
-        block, so a rank that can run gets the turn, and frames, results
-        and errors are those of one schedule of free-running threads.
+        or raises and yields it only while ``recv`` waits for a frame not
+        yet queued. Sends never block, so a rank that can run gets the
+        turn, and frames, results and errors are those of one schedule of
+        free-running threads.
+
+        Each rank thread pins itself to the lowest CPU of the caller's
+        affinity mask before it takes the turn, so the ranks' data stays in
+        one core's caches; as one rank computes at a time, no parallelism
+        is lost. Concurrent clusters in one process share that CPU. The
+        caller's thread keeps its mask. Where the platform cannot pin a
+        thread, the ranks run unpinned with the same results.
 
         Propagates the first rank failure after all threads finish (blocked
         peers fail via their receive timeouts).
         """
         results: list[object] = [None] * self.world_size
         errors: list[tuple[int, BaseException]] = []
+        pin = getattr(os, "sched_setaffinity", None)
+        cpu = {min(os.sched_getaffinity(0))} if pin is not None else None
 
         def runner(r: int) -> None:
+            if pin is not None:
+                with contextlib.suppress(OSError):
+                    pin(0, cpu)  # this thread only: 0 is the calling thread
             with self._turn:
                 try:
                     results[r] = fn(SimulatedTransport(self, r, self._turn))
@@ -134,24 +167,27 @@ class SimulatedCluster:
 class SimulatedTransport(Transport):
     def __init__(self, cluster: SimulatedCluster, rank: int, turn: threading.Lock | None = None):
         if not (0 <= rank < cluster.world_size):
-            raise ValueError(f"rank {rank} out of range")
+            raise ConfigError(
+                f"rank {rank} is outside the cluster's ranks 0..{cluster.world_size - 1}"
+            )
         self._cluster = cluster
         self._turn = turn
         self.rank = rank
         self.world_size = cluster.world_size
 
     def send(self, dst: int, frame: Frame) -> None:
-        if dst == self.rank:
-            raise TransportError("cannot send to self")
-        self._cluster._queues[(self.rank, dst)].put(frame)
+        self._cluster._queues[(self.rank, self._peer(dst))].put(frame)
 
     def recv(self, src: int) -> Frame:
+        """The next frame from ``src``; a queued frame is taken without
+        yielding the turn, and only a wait for one gives the turn up."""
+        inbox = self._cluster._queues[(self._peer(src), self.rank)]
+        with contextlib.suppress(queue.Empty):
+            return inbox.get_nowait()
         if self._turn is not None:
             self._turn.release()
         try:
-            return self._cluster._queues[(src, self.rank)].get(
-                timeout=self._cluster.default_timeout
-            )
+            return inbox.get(timeout=self._cluster.default_timeout)
         except queue.Empty:
             raise TransportError(
                 f"rank {self.rank}: timed out waiting for rank {src}"
@@ -282,12 +318,12 @@ class TcpTransport(Transport):
 
     def send(self, dst: int, frame: Frame) -> None:
         try:
-            self._socks[dst].sendall(frame.encode())
+            self._socks[self._peer(dst)].sendall(frame.encode())
         except OSError as exc:
             raise TransportError(f"rank {self.rank}: send to rank {dst} failed: {exc}") from None
 
     def recv(self, src: int) -> Frame:
-        return self._read_frame(self._socks[src], self._bufs[src], peer=src)
+        return self._read_frame(self._socks[self._peer(src)], self._bufs[src], peer=src)
 
     def close(self) -> None:
         for sock in self._socks.values():

@@ -1,5 +1,6 @@
 import gc
 import math
+import os
 import socket
 import struct
 import sys
@@ -31,7 +32,7 @@ from sketchlsh.cluster import (
     tree_reduce_counts,
     tree_reduce_sketches,
 )
-from sketchlsh.core import MAX_TABLES, NULL_ID
+from sketchlsh.core import MAX_TABLES, NULL_ID, ConfigError
 from sketchlsh.sketch import TopkapiSketch, row_seeds_from_master
 
 from oracles import (
@@ -213,6 +214,158 @@ class TestTurns:
         cluster = SimulatedCluster(2)
         cluster.transport(0).send(1, Frame(FRAME_REDUCE, 0, 0, b"x"))
         assert cluster.transport(1).recv(0).payload == b"x"
+
+
+class SpyLock:
+    """A turn that records each release and acquire."""
+
+    def __init__(self):
+        self.lock, self.events = threading.Lock(), []
+
+    def acquire(self):
+        self.lock.acquire()
+        self.events.append("acquire")
+
+    def release(self):
+        self.events.append("release")
+        self.lock.release()
+
+
+def can_pin() -> bool:
+    """Whether a thread may pin itself to a CPU of its mask here."""
+    if not hasattr(os, "sched_setaffinity"):
+        return False
+    ok = []
+
+    def probe():
+        try:
+            os.sched_setaffinity(0, os.sched_getaffinity(0))
+            ok.append(True)
+        except OSError:
+            pass
+
+    t = threading.Thread(target=probe)
+    t.start()
+    t.join(timeout=10)
+    return bool(ok)
+
+
+def collective(rng):
+    """One allgather and one tree reduce, as a batch runs them."""
+    base = [random_sketch(rng) for _ in range(3)]
+
+    def fn(tr):
+        gathered = allgather(tr, bytes([tr.rank]) * 5)
+        merged = tree_reduce_sketches(tr, TopkapiSketch.stack([base[tr.rank]]))
+        return gathered, None if merged is None else merged.to_bytes()
+
+    return fn
+
+
+class TestOneCpuTurns:
+    """A rank keeps its turn when its frame is already queued, and every
+    rank thread runs on one CPU of the caller's mask."""
+
+    def test_queued_frame_is_taken_without_yielding_the_turn(self):
+        cluster, spy = SimulatedCluster(2), SpyLock()
+        spy.lock.acquire()
+        cluster.transport(0).send(1, Frame(FRAME_REDUCE, 0, 0, b"x"))
+        assert SimulatedTransport(cluster, 1, spy).recv(0).payload == b"x"
+        assert spy.events == [] and spy.lock.locked()
+
+    def test_waiting_recv_yields_the_turn_once(self):
+        cluster, spy = SimulatedCluster(2, default_timeout=5.0), SpyLock()
+        spy.lock.acquire()
+        free = []
+
+        def late():
+            free.append(not spy.lock.locked())
+            cluster.transport(0).send(1, Frame(FRAME_REDUCE, 0, 0, b"y"))
+
+        timer = threading.Timer(0.05, late)
+        timer.start()
+        assert SimulatedTransport(cluster, 1, spy).recv(0).payload == b"y"
+        timer.join(timeout=10)
+        assert free == [True]
+        assert spy.events == ["release", "acquire"] and spy.lock.locked()
+
+    def test_timed_out_recv_yields_the_turn_once(self):
+        cluster, spy = SimulatedCluster(2, default_timeout=0.05), SpyLock()
+        spy.lock.acquire()
+        with pytest.raises(TransportError, match="rank 1: timed out waiting for rank 0"):
+            SimulatedTransport(cluster, 1, spy).recv(0)
+        assert spy.events == ["release", "acquire"] and spy.lock.locked()
+
+    @pytest.mark.skipif(not can_pin(), reason="threads cannot be pinned here")
+    def test_ranks_share_one_cpu_of_the_callers_mask(self):
+        process_mask = os.sched_getaffinity(0)
+        out = {}
+
+        def caller():
+            # a caller narrowed to its highest CPU: the ranks follow its
+            # mask, not the process's
+            os.sched_setaffinity(0, {max(process_mask)})
+            mask = os.sched_getaffinity(0)
+            out["seen"] = SimulatedCluster(3).run(lambda tr: os.sched_getaffinity(0))
+            out["mask"], out["after"] = mask, os.sched_getaffinity(0)
+
+        t = threading.Thread(target=caller)
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert out["seen"] == [{max(process_mask)}] * 3
+        assert out["after"] == out["mask"]
+
+        seen = SimulatedCluster(2).run(lambda tr: os.sched_getaffinity(0))
+        assert seen == [{min(process_mask)}] * 2
+        assert os.sched_getaffinity(0) == process_mask
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity masks")
+    @pytest.mark.parametrize("platform", ["no_setaffinity", "setaffinity_fails"])
+    def test_unpinned_ranks_give_the_same_results(self, rng, monkeypatch, platform):
+        fn = collective(rng)
+        pinned = SimulatedCluster(3).run(fn)
+        mask = os.sched_getaffinity(0)
+        if platform == "no_setaffinity":
+            monkeypatch.delattr(os, "sched_setaffinity")
+        else:
+            def refuse(pid, cpus):
+                raise PermissionError("not permitted")
+
+            monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        cluster = SimulatedCluster(3)
+        assert cluster.run(fn) == pinned and pinned[0][1] is not None
+        assert cluster.run(lambda tr: os.sched_getaffinity(0)) == [mask] * 3
+
+
+class TestBadRanks:
+    """Ranks outside the cluster and unusable timeouts are config errors."""
+
+    @pytest.mark.parametrize("rank", [2, 5, -1])
+    def test_transport_for_a_rank_outside_the_cluster(self, rank):
+        with pytest.raises(ConfigError, match=f"rank {rank} is outside"):
+            SimulatedCluster(2).transport(rank)
+
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    @pytest.mark.parametrize("peer", [7, -1])
+    def test_send_and_recv_with_a_peer_outside_the_cluster(self, backend, peer):
+        if backend == "sim":
+            tr = SimulatedCluster(2).transport(0)
+        else:
+            tr = TcpTransport(0, [("127.0.0.1", 0)])  # one rank: no socket opened
+        frame = Frame(FRAME_REDUCE, 0, 0, b"x")
+        with pytest.raises(ConfigError, match=f"rank 0: peer rank {peer} is outside"):
+            tr.send(peer, frame)
+        with pytest.raises(ConfigError, match=f"rank 0: peer rank {peer} is outside"):
+            tr.recv(peer)
+        with pytest.raises(TransportError, match="rank 0: cannot exchange frames with itself"):
+            tr.send(0, frame)
+        assert issubclass(ConfigError, ValueError)
+
+    @pytest.mark.parametrize("timeout", [-1, 0, float("nan"), float("inf"), 1e300, None, "1"])
+    def test_unusable_default_timeout(self, timeout):
+        with pytest.raises(ConfigError, match="default_timeout"):
+            SimulatedCluster(2, default_timeout=timeout)
 
 
 class TestTreeReduce:

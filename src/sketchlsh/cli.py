@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 import time
@@ -222,11 +223,11 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             results, metrics = _run_simulated(indexes, batch, mode)
             wall = time.perf_counter() - t0
-            hit_rates = []
-            for res in results:
-                want = inst.planted[res.query_id]
-                got = {i for i, _ in res.hits}
-                hit_rates.append(len(want & got) / len(want))
+            hit_rates = [
+                len(inst.planted[res.query_id] & {i for i, _ in res.hits})
+                / len(inst.planted[res.query_id])
+                for res in results
+            ]
             quality = s_at_k(results, query_map, dataset_map, config.top_k)
             rows.append(
                 {
@@ -242,18 +243,10 @@ def cmd_bench(args) -> int:
                     "wire_bytes_per_query": _bytes_sent(metrics) / len(batch),
                 }
             )
-    fieldnames = [
-        "m", "mode", "mean_query_ms", "recall", "s_at_k", "index_s", "max_merge_rounds",
-        "wire_bytes_per_query",
-    ]
-    out_f = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.DictWriter(out_f, fieldnames=fieldnames)
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as f:
+        writer = csv.DictWriter(f, fieldnames=rows[0])
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if args.out:
-            out_f.close()
     # trend report only; desk-scale numbers do not gate anything
     idx_times = {r["m"]: r["index_s"] for r in rows}
     if len(m_values) > 1:

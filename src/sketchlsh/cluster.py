@@ -124,25 +124,23 @@ class SimulatedCluster:
         turn, and frames, results and errors are those of one schedule of
         free-running threads.
 
-        Each rank thread pins itself to the lowest CPU of the caller's
-        affinity mask before it takes the turn, so the ranks' data stays in
-        one core's caches; as one rank computes at a time, no parallelism
+        Each rank thread inherits the caller's affinity mask and pins itself
+        to its lowest CPU before it takes the turn, so the ranks' data stays
+        in one core's caches; as one rank computes at a time, no parallelism
         is lost. Concurrent clusters in one process share that CPU. The
-        caller's thread keeps its mask. Where the platform cannot pin a
-        thread, the ranks run unpinned with the same results.
+        caller's thread keeps its mask. Where the platform lacks the one pin
+        call or refuses it, the ranks run unpinned with the same results.
 
         Propagates the first rank failure after all threads finish (blocked
         peers fail via their receive timeouts).
         """
         results: list[object] = [None] * self.world_size
         errors: list[tuple[int, BaseException]] = []
-        pin = getattr(os, "sched_setaffinity", None)
-        cpu = {min(os.sched_getaffinity(0))} if pin is not None else None
 
         def runner(r: int) -> None:
-            if pin is not None:
-                with contextlib.suppress(OSError):
-                    pin(0, cpu)  # this thread only: 0 is the calling thread
+            with contextlib.suppress(AttributeError, OSError):
+                # this thread only: 0 is the calling thread
+                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
             with self._turn:
                 try:
                     results[r] = fn(SimulatedTransport(self, r, self._turn))
@@ -230,11 +228,8 @@ class TcpTransport(Transport):
     ) -> None:
         rank = self.rank
         host, port = membership[rank]
-        self._listener = listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
-            listener.bind((host, port))
-            listener.listen(self.world_size)
+            self._listener = listener = socket.create_server((host, port), backlog=self.world_size)
         except OSError as exc:
             raise TransportError(f"rank {rank}: cannot listen on {host}:{port}: {exc}") from None
 

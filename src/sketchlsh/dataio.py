@@ -137,13 +137,13 @@ def _line_blocks(f: BinaryIO) -> Iterator[bytes]:
 def _scan_block(block: bytes, dim: int | None) -> tuple[np.ndarray, ...]:
     """One array pass over a block of whole lines.
 
-    Lines split at ``\n`` and lose a trailing run of ``\r``, as in
-    :func:`partition_dataset`. A line is *clean* when it is ASCII without
-    control bytes other than tab, its first token is a label (no ``:``) or a
-    feature, every other token is ``digits:value`` with one ``:`` and 1-18
-    digits, and its indices are at least 1, increase and stay within
-    ``dim``. Anything else is flagged for :func:`parse_record`, which is the
-    reference: on clean lines the two agree.
+    Lines split at ``\n``; spaces, tabs and ``\r`` separate tokens, as
+    ``str.split`` in :func:`parse_record` does. A line is *clean* when it
+    is ASCII without control bytes other than tab and ``\r``, its first
+    token is a label (no ``:``) or a feature, every other token is
+    ``digits:value`` with one ``:`` and 1-18 digits, and its indices are
+    at least 1, increase and stay within ``dim``. Anything else is flagged
+    for the reference, :func:`parse_record`: on clean lines the two agree.
 
     Returns the line spans ``(starts, ends)`` without the newline, the
     flagged mask, the index count of each line (0 when flagged) and the
@@ -156,12 +156,7 @@ def _scan_block(block: bytes, dim: int | None) -> tuple[np.ndarray, ...]:
     if not block.endswith(b"\n"):
         ends = np.append(ends, n)
     starts = np.concatenate(([0], ends[:-1] + 1))
-    # bytes between tokens: newlines, spaces, tabs and a line's trailing \r run
-    gap = newline | (b == 32) | (b == 9)
-    cr = b == 13
-    if cr.any():
-        not_cr = np.minimum.accumulate(np.where(cr, n, np.arange(n))[::-1])[::-1]
-        gap |= cr & np.append(newline, True)[not_cr]
+    gap = newline | (b == 32) | (b == 9) | (b == 13)
     flagged = np.zeros(ends.size, dtype=bool)
     bad = ((b < 32) | (b > 126)) & ~gap
     flagged[np.searchsorted(ends, np.flatnonzero(bad), side="right")] = True
@@ -220,7 +215,7 @@ def _parse_block(
         pieces, cut = [], 0
         for i in np.flatnonzero(flagged).tolist():
             no = first + i
-            line = block[starts[i] : ends[i]].decode("utf-8", errors="surrogateescape").rstrip("\r")
+            line = block[starts[i] : ends[i]].decode("utf-8", errors="surrogateescape")
             try:
                 got = parse_record(_utf8_text(line, no), dim, no)[1].indices
             except SketchLshError as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, SparseVector
+from .core import ConfigError, DatasetPartition, SparseVector
 
 QUERY_ID_BASE = 1 << 40  # keeps query ids disjoint from dataset ids
 
@@ -119,8 +119,6 @@ def planted_instance(
 
 def round_robin_partitions(dataset, world_size: int):
     """Split (id, vector) pairs across ranks the way the file partitioner does."""
-    from .core import DatasetPartition
-
     return [
         DatasetPartition(node_id=r, vectors=dataset[r::world_size])
         for r in range(world_size)

@@ -743,6 +743,33 @@ class TestBenchCommand:
         assert 0 < wire[2, "sketch_tree"] <= (8 + 8 * 4 + 2) / 20 + 16 + 3 * 128
         assert 0 < wire[2, "exact"]
 
+    def test_out_file_holds_the_columns_stdout_prints(self, tmp_path, capsys):
+        args = [
+            "bench", "--n", "120", "--queries", "4", "--per-query", "2", "--dim", "4096",
+            "--nnz", "16", "--m-list", "1,2", "--modes", "sketch_tree,exact", "--tables", "4",
+        ]
+        assert main(args) == 0
+        printed = list(csv.reader(capsys.readouterr().out.splitlines()))
+        out = tmp_path / "bench.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            assert main([*args, "--out", str(out)]) == 0
+            gc.collect()
+        assert not capsys.readouterr().out.startswith("m,")  # only the trend lines
+        with open(out, newline="") as f:
+            written = list(csv.reader(f))
+        columns = [
+            "m", "mode", "mean_query_ms", "recall", "s_at_k", "index_s", "max_merge_rounds",
+            "wire_bytes_per_query",
+        ]
+        assert written[0] == printed[0] == columns
+        timing = [columns.index("mean_query_ms"), columns.index("index_s")]
+        untimed = [[v for j, v in enumerate(row) if j not in timing] for row in written[1:]]
+        assert len(untimed) == 4
+        assert untimed == [
+            [v for j, v in enumerate(row) if j not in timing] for row in printed[1:5]
+        ]
+
     def test_wire_bytes_are_every_rank_s_bytes_sent_per_query(self, monkeypatch, capsys):
         runs = []
         run_simulated = cli._run_simulated

@@ -337,6 +337,19 @@ class TestOneCpuTurns:
         assert cluster.run(fn) == pinned and pinned[0][1] is not None
         assert cluster.run(lambda tr: os.sched_getaffinity(0)) == [mask] * 3
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity masks")
+    def test_ranks_without_getaffinity_run_unpinned(self, rng, monkeypatch):
+        fn = collective(rng)
+        pinned = SimulatedCluster(3).run(fn)
+        mask, get_mask = os.sched_getaffinity(0), os.sched_getaffinity
+        pins = []
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(cpus))
+        cluster = SimulatedCluster(3)
+        assert cluster.run(fn) == pinned and pinned[0][1] is not None
+        assert cluster.run(lambda tr: get_mask(0)) == [mask] * 3
+        assert pins == []
+
 
 class TestBadRanks:
     """Ranks outside the cluster and unusable timeouts are config errors."""
@@ -854,6 +867,14 @@ class TestTcpSetupFailure:
         self.assert_closes_its_sockets(
             lambda: TcpTransport(1, members, connect_timeout=0.3), "cannot reach rank 0"
         )
+
+    def test_listen_port_already_bound(self):
+        with socket.create_server(("127.0.0.1", 0)) as occupant:
+            members = [occupant.getsockname()] + [("127.0.0.1", p) for p in free_ports(1)]
+            self.assert_closes_its_sockets(
+                lambda: TcpTransport(0, members, connect_timeout=0.3),
+                r"rank 0: cannot listen on 127\.0\.0\.1:%d" % members[0][1],
+            )
 
     def test_higher_rank_never_connects(self):
         # rank 1 of 3 dials a bare listener standing in for rank 0, then

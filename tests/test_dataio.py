@@ -444,6 +444,20 @@ class TestArrayParser:
         assert loaded_rows(part) == rows
         assert len(part) == 3
 
+    def test_carriage_returns_separate_tokens_without_the_reference(self, tmp_path, monkeypatch):
+        path = tmp_path / "part.txt"
+        path.write_bytes(b"1 1:1\n1 2:1\r3:1\n1\r4:1 \r5:1\r\r\n1 6:1\r\n\r1 7:1\r\t8:1\n")
+        info = PartitionInfo(path=path.name, records=5, offset=0)
+        manifest = DatasetManifest(total=5, dim=DIM, m=1, checksum="", partitions=(info,))
+        calls = []
+        reference = dataio.parse_record
+        monkeypatch.setattr(dataio, "parse_record", lambda *a: calls.append(a) or reference(*a))
+        part, issues = load_partition(manifest, tmp_path, 0)
+        assert calls == [] and issues == []
+        rows, want = per_line_partition(path, DIM)
+        assert loaded_rows(part) == rows and want == []
+        assert [row for _, row in rows] == [[0], [1, 2], [3, 4], [5], [6, 7]]
+
     @pytest.mark.parametrize("line", [
         b"", b"  \t", b"1", b"1 0:1", b"1 %d:1" % (DIM + 1), b"1 3:1 2:1", b"1 3:1 3:1",
         b"1 x:1", b"1 2:1 junk", b"1 :1", b"1 -2:1", b"\xff 2:1", b"1 7:\xff",

@@ -1,12 +1,13 @@
 """Message passing between ranks and the collective operations built on it.
 
 Two interchangeable backends implement the same framed transport contract:
-an in-process simulated cluster (deterministic FIFO queues, one thread per
-rank, all pinned to one CPU where the platform allows; one rank computes at
-a time and yields only while it waits for a frame not yet queued) and a TCP
-mesh (length-prefixed frames over sockets). Collectives are bulk-synchronous:
-every rank calls them in the same order, and any missing peer surfaces as a
-transport error naming the rank.
+an in-process simulated cluster (deterministic FIFO queues; each rank runs
+on a rank thread that the process keeps for later runs, pinned to one CPU
+where the platform allows; one rank computes at a time and yields only while
+it waits for a frame not yet queued) and a TCP mesh (length-prefixed frames
+over sockets). Collectives are bulk-synchronous: every rank calls them in
+the same order, and any missing peer surfaces as a transport error naming
+the rank.
 
 Every reduction collective runs one loop over a schedule of rounds of
 (receiver, sender) pairs: the sender ships its items and goes inactive, the
@@ -19,6 +20,7 @@ in which rank 0 receives from ranks 1..m-1 in rank order.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import queue
 import socket
@@ -90,6 +92,35 @@ class Transport:
         return peer
 
 
+# The inboxes of the idle rank threads, per caller affinity mask (None where
+# it cannot be read). Process-wide, not per cluster: callers make a new
+# cluster per batch. Each kept thread waits on its own inbox and serves
+# callers of the mask it was started under. A forked child has none of the
+# threads, so it keeps none of their inboxes.
+_idle: dict[frozenset[int] | None, queue.SimpleQueue] = {}
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_idle.clear)
+
+
+def _serve(inbox: queue.SimpleQueue, idle: queue.SimpleQueue) -> None:
+    """A kept rank thread: runs each job that arrives in ``inbox``, then
+    rejoins ``idle`` before it signals the job done, so a run that follows
+    finds it idle."""
+    while True:
+        job, done = inbox.get()
+        job()  # a rank keeps what its fn raises for the caller
+        del job  # an idle thread keeps nothing of its last run alive
+        idle.put(inbox)
+        done.put(None)
+
+
+def _pin(cpus) -> None:
+    """Set this thread's affinity mask (0 is the calling thread), where the
+    platform has the call and allows it."""
+    with contextlib.suppress(AttributeError, OSError):
+        os.sched_setaffinity(0, cpus)
+
+
 class SimulatedCluster:
     """In-process cluster: one FIFO queue per (sender, receiver) pair."""
 
@@ -116,7 +147,7 @@ class SimulatedCluster:
         return SimulatedTransport(self, rank)
 
     def run(self, fn: Callable[["SimulatedTransport"], object]) -> list[object]:
-        """Run ``fn(transport)`` on every rank in its own thread.
+        """Run ``fn(transport)`` on every rank, each on its own rank thread.
 
         One rank computes at a time: it holds the turn until ``fn`` returns
         or raises and yields it only while ``recv`` waits for a frame not
@@ -124,41 +155,60 @@ class SimulatedCluster:
         turn, and frames, results and errors are those of one schedule of
         free-running threads.
 
-        Each rank thread inherits the caller's affinity mask and pins itself
-        to its lowest CPU before it takes the turn, so the ranks' data stays
-        in one core's caches; as one rank computes at a time, no parallelism
-        is lost. Concurrent clusters in one process share that CPU. The
-        caller's thread keeps its mask. Where the platform lacks the one pin
-        call or refuses it, the ranks run unpinned with the same results.
+        Rank threads are kept for the life of the process and shared by
+        every cluster in it: a run hands its ranks to idle threads started
+        under the caller's affinity mask, and starts a thread, named
+        ``rank-{r}`` as each job is, only when none is idle. So a process
+        holds no more rank threads per caller mask than the most ranks it
+        ran at once.
 
-        Propagates the first rank failure after all threads finish (blocked
-        peers fail via their receive timeouts).
+        Each rank pins its thread to the lowest CPU of the caller's mask
+        before it takes the turn, so the ranks' data stays in one core's
+        caches; as one rank computes at a time, no parallelism is lost.
+        Concurrent clusters in one process share that CPU. When the rank
+        is done its thread holds the caller's mask again, and the caller's
+        own thread keeps its mask throughout. Where the platform lacks the
+        mask calls or refuses them, the ranks run unpinned with the same
+        results. A forked child starts its own rank threads.
+
+        Propagates the first rank failure, by rank order, after every rank
+        is done (blocked peers fail via their receive timeouts).
         """
+        try:
+            mask = frozenset(os.sched_getaffinity(0))
+        except (AttributeError, OSError):
+            mask = None
+        idle = _idle.setdefault(mask, queue.SimpleQueue())
         results: list[object] = [None] * self.world_size
         errors: list[tuple[int, BaseException]] = []
+        done: queue.SimpleQueue = queue.SimpleQueue()
 
-        def runner(r: int) -> None:
-            with contextlib.suppress(AttributeError, OSError):
-                # this thread only: 0 is the calling thread
-                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        def rank(r: int) -> None:
+            threading.current_thread().name = f"rank-{r}"
+            if mask is not None:
+                _pin({min(mask)})
             with self._turn:
                 try:
                     results[r] = fn(SimulatedTransport(self, r, self._turn))
                 except BaseException as exc:  # noqa: BLE001 - reported to caller
                     errors.append((r, exc))
+            if mask is not None:
+                _pin(mask)
 
-        threads = [
-            threading.Thread(target=runner, args=(r,), name=f"rank-{r}")
-            for r in range(self.world_size)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        for r in range(self.world_size):
+            try:
+                inbox = idle.get_nowait()
+            except queue.Empty:
+                inbox = queue.SimpleQueue()
+                threading.Thread(
+                    target=_serve, args=(inbox, idle), name=f"rank-{r}", daemon=True
+                ).start()
+            inbox.put((functools.partial(rank, r), done))
+        for _ in range(self.world_size):
+            done.get()
         if errors:
             errors.sort(key=lambda e: e[0])
-            rank, exc = errors[0]
-            raise exc
+            raise errors[0][1]
         return results
 
 

@@ -250,20 +250,20 @@ def _parse_lines(
 def parse_query_file(path, dim: int | None = None) -> list[tuple[int, SparseVector]]:
     """The records of a query file as (line number, vector) pairs.
 
-    The file must be UTF-8. Blank lines are skipped; the first malformed
-    line raises its :func:`parse_record` error. Without ``dim`` each vector
+    Lines end only at ``\n`` and parse as :func:`load_partition` parses
+    them. Blank lines are skipped; the first other rejected line raises its
+    :func:`parse_record` error, and a line that is not UTF-8 a
+    :class:`RecordParseError` naming its line. Without ``dim`` each vector
     is as wide as its largest index.
     """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise RecordParseError(f"query file {path} is not UTF-8 text: {exc}") from None
-
-    # the lines hold no separator of splitlines, so joined by \n they keep their numbers
-    _, kept, counts, indices, rejected = _parse_lines(io.BytesIO("\n".join(lines).encode()), dim)
-    for line_no, _ in rejected:
-        if lines[line_no].strip():
-            parse_record(lines[line_no], dim, line_no)  # raises the line's own error
+    data = Path(path).read_bytes()
+    _, kept, counts, indices, rejected = _parse_lines(io.BytesIO(data), dim)
+    if rejected:
+        lines = data.split(b"\n")
+        for line_no, _ in rejected:
+            line = lines[line_no].decode("utf-8", errors="surrogateescape")
+            if line.strip():
+                parse_record(_utf8_text(line, line_no), dim, line_no)  # raises the line's own error
     bounds = np.cumsum(counts).tolist()
     indices.setflags(write=False)  # read-only splits: each vector keeps its own as it is
     return [

@@ -26,7 +26,6 @@ from sketchlsh.dataio import (
     DatasetManifest,
     PartitionInfo,
     RecordIssue,
-    RecordParseError,
     _utf8_text,
     parse_record,
 )
@@ -239,15 +238,13 @@ def per_line_dim(path) -> int:
 
 
 def per_line_queries(path, dim):
-    """A query file read as text and parsed line by line, blank lines skipped."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise RecordParseError(f"query file {path} is not UTF-8 text: {exc}") from None
+    """A query file read line by line from :class:`BlockLineReader`, so
+    lines end only at ``\n``, and parsed with :func:`parse_record`, blank
+    lines skipped; the first other rejected line raises its error."""
     pairs = []
-    for i, line in enumerate(text.splitlines()):
+    for i, line in enumerate(BlockLineReader(path)):
         if line.strip():
-            pairs.append((i, parse_record(line, dim=dim, line_no=i)[1]))
+            pairs.append((i, parse_record(_utf8_text(line, i), dim=dim, line_no=i)[1]))
     return pairs
 
 

@@ -1,6 +1,7 @@
 import gc
 import math
 import os
+import signal
 import socket
 import struct
 import sys
@@ -8,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -349,6 +351,129 @@ class TestOneCpuTurns:
         assert cluster.run(fn) == pinned and pinned[0][1] is not None
         assert cluster.run(lambda tr: get_mask(0)) == [mask] * 3
         assert pins == []
+
+
+class TestKeptRankThreads:
+    """Every cluster in the process runs its ranks on kept rank threads,
+    started only when none is idle."""
+
+    @staticmethod
+    def count_starts(monkeypatch) -> list:
+        starts, start = [], threading.Thread.start
+
+        def spy(thread):
+            starts.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        return starts
+
+    def test_each_rank_runs_under_its_name(self):
+        names = SimulatedCluster(3).run(lambda tr: threading.current_thread().name)
+        assert names == ["rank-0", "rank-1", "rank-2"]
+
+    def test_batches_reuse_the_idle_threads(self, rng, monkeypatch):
+        fn = collective(rng)
+        want = SimulatedCluster(3).run(fn)
+        starts = self.count_starts(monkeypatch)
+        for _ in range(100):
+            assert SimulatedCluster(2).run(lambda tr: tr.rank) == [0, 1]
+        assert len(starts) <= 2
+        assert SimulatedCluster(3).run(fn) == want
+
+    def test_concurrent_callers_get_their_own_results(self, rng, monkeypatch):
+        fn = collective(rng)
+        want = SimulatedCluster(3).run(fn)
+        starts = self.count_starts(monkeypatch)
+        got = {}
+
+        def caller(c):
+            got[c] = [SimulatedCluster(3).run(fn) for _ in range(20)]
+
+        callers = [threading.Thread(target=caller, args=(c,), name=f"caller-{c}") for c in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # callers and ranks switch often
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == {0: [want] * 20, 1: [want] * 20}
+        assert len([name for name in starts if name.startswith("rank-")]) <= 6
+
+    def test_a_failed_batch_leaves_the_threads_serving(self, rng):
+        good = collective(rng)
+        want = SimulatedCluster(3).run(good)
+
+        def fn(tr):
+            if tr.rank == 1:
+                raise RuntimeError("rank 1 fails")
+            return tr.recv(1)
+
+        with pytest.raises(TransportError, match="rank 0: timed out waiting for rank 1"):
+            SimulatedCluster(3, default_timeout=0.1).run(fn)
+        assert SimulatedCluster(3).run(good) == want and want[0][1] is not None
+
+    def test_idle_threads_keep_nothing_of_the_last_run(self):
+        class Payload:
+            pass
+
+        payload = Payload()
+        held = weakref.ref(payload)
+        SimulatedCluster(2).run(lambda tr, p=payload: None)
+        del payload
+        gc.collect()
+        assert held() is None
+
+    @pytest.mark.skipif(not can_pin(), reason="threads cannot be pinned here")
+    def test_kept_threads_hold_the_callers_mask_again(self):
+        mask = os.sched_getaffinity(0)
+        seen = SimulatedCluster(2).run(
+            lambda tr: (threading.get_native_id(), os.sched_getaffinity(0))
+        )
+        assert [cpus for _, cpus in seen] == [{min(mask)}] * 2
+        # the threads are idle now; their own masks are the caller's again
+        assert [os.sched_getaffinity(tid) for tid, _ in seen] == [mask] * 2
+
+    @pytest.mark.skipif(not can_pin(), reason="threads cannot be pinned here")
+    def test_threads_serve_only_callers_of_their_mask(self, monkeypatch):
+        # a caller narrowed to its highest CPU leaves its threads on that
+        # CPU; a caller of the whole mask that cannot pin must not get them
+        mask, m = os.sched_getaffinity(0), 24
+
+        def narrowed():
+            os.sched_setaffinity(0, {max(mask)})
+            SimulatedCluster(m).run(lambda tr: tr.rank)
+
+        t = threading.Thread(target=narrowed)
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive()
+        monkeypatch.delattr(os, "sched_setaffinity")
+        assert SimulatedCluster(m).run(lambda tr: os.sched_getaffinity(0)) == [mask] * m
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_forked_child_starts_its_own_rank_threads(self):
+        SimulatedCluster(2).run(lambda tr: tr.rank)  # the parent keeps idle threads
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                got = SimulatedCluster(2).run(lambda tr: allgather(tr, bytes([tr.rank])))
+                code = 0 if got == [[b"\x00", b"\x01"]] * 2 else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 10.0
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if status[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's cluster did not finish within 10 s")
+        assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 class TestBadRanks:

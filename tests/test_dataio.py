@@ -502,6 +502,15 @@ class TestArrayParser:
         for (_, vector), view in zip(parsed, splits):
             assert vector.indices is view and not view.flags.writeable
 
+    def test_query_lines_end_only_at_newlines(self, tmp_path):
+        # form feed, NEL and U+2028 end a line for str.splitlines, not here:
+        # inside a line they separate tokens, as parse_record splits them
+        path = tmp_path / "q.txt"
+        path.write_bytes("1 1:1\x0c3:1\n1 2:1\x855:1\n1 4:1\u20286:1\n1 7:1\n".encode())
+        parsed = parse_query_file(path, DIM)
+        assert [no for no, _ in parsed] == [0, 1, 2, 3]
+        assert [v.indices.tolist() for _, v in parsed] == [[0, 2], [1, 4], [3, 5], [6]]
+
 
 # the line list of test_rejected_lines_give_the_oracle_issues, read from its mark
 REJECTED_LINES = next(
